@@ -243,16 +243,29 @@ def trace_to_csv(times: np.ndarray, values: np.ndarray) -> str:
 
 
 def trace_from_csv(text: str):
+    """(times, values) of a 't,flux' CSV. A row that is not two finite
+    numbers raises ValidationError (clause trace-csv) naming its line; the
+    header is line 1."""
     lines = text.strip().splitlines()
     if not lines or lines[0] != "t,flux":
         raise ValidationError("trace CSV must start with header 't,flux'",
                               clause="trace-csv")
     t, v = [], []
-    for line in lines[1:]:
-        a, b = line.split(",")
-        t.append(float(a))
-        v.append(float(b))
-    return np.asarray(t), np.asarray(v)
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            a, b = line.split(",")
+            t.append(float(a))
+            v.append(float(b))
+        except ValueError:
+            raise ValidationError(f"trace CSV line {lineno} is not two numbers: {line!r}",
+                                  clause="trace-csv") from None
+    t, v = np.asarray(t), np.asarray(v)
+    bad = ~(np.isfinite(t) & np.isfinite(v))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(f"trace CSV line {i + 2} has a non-finite value: {lines[i + 1]!r}",
+                              clause="trace-csv")
+    return t, v
 
 
 def trace_to_json(sensor_angle: float, times: np.ndarray, values: np.ndarray) -> str:

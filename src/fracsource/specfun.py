@@ -6,6 +6,17 @@ global scheme (power series with a cancellation certificate, optimal-truncation
 asymptotics, and a collapsed-ray contour integral with adaptive panel
 refinement), plus a half-order split recursion for orders above one and for
 arguments too close to the contour rays.
+
+The vectorized negative-axis evaluator truncates the asymptotic series
+optimally: each point sums the terms up to the first one after which the
+largest of the next few terms (the window bound) is smallest over the first
+160 terms. Most points stop the sum early instead, where a certificate
+proves that the remaining terms cannot change the double: the window bound
+has not yet reached its minimum, and the reflection envelope
+Gamma(1 - beta + alpha k) x^-k / pi of every later term lies below an eighth
+of the spacing of the partial sum. Points without the certificate take the
+full 160-term sum, so the result is bit-identical to it. The only caches are
+the per-(alpha, beta, tol) cutoff searches and the Gauss-Legendre rules.
 """
 from __future__ import annotations
 
@@ -15,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import jv, rgamma
+from scipy.special import gammaln, jv, rgamma
 
 from .errors import AccuracyError, BracketingError, DomainError
 
@@ -159,8 +170,17 @@ def _ml_asymptotic(alpha: float, beta: float, z: complex, tol: float):
     return total, best_bound
 
 
-def _panel_nodes(edges: np.ndarray, nodes: int):
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int):
+    """Gauss-Legendre rule on [-1, 1]; read-only, since every caller shares it."""
     x, w = leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _panel_nodes(edges: np.ndarray, nodes: int):
+    x, w = _gauss_legendre(nodes)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     return (mid[:, None] + half[:, None] * x[None, :]).ravel(), \
@@ -288,6 +308,17 @@ def mittag_leffler_neg_real(alpha: float, beta: float, x, tol: float = 1e-12) ->
     model); the result is real. Regions: power series where the cancellation
     certificate allows, optimal-truncation asymptotics for large x, and a
     batched ray integral on a shared panel grid in between.
+
+    The asymptotic sum of each point is the optimal truncation of the first
+    160 terms: it stops after the first term whose window bound (the largest
+    of the next `look` terms) is smallest. A batch first tries one short sum
+    of k0 + 1 terms, k0 picked at its smallest x, and keeps it for a point
+    when the window bound after it is strictly below every earlier one (so
+    the full search stops no earlier) and the reflection envelope of the
+    omitted terms, checked at the first and the last, lies below
+    spacing(sum)/8 (so adding them cannot change the double). Other points
+    take the full 160-term sum. Either way the value is bit-identical to the
+    full optimal-truncation sum.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
@@ -322,25 +353,7 @@ def mittag_leffler_neg_real(alpha: float, beta: float, x, tol: float = 1e-12) ->
     # --- asymptotic region
     masy = (~mser) & (xs >= x_asym)
     if masy.any():
-        xa = xs[masy]
-        kmax = 160
-        ks = np.arange(1, kmax + 1)
-        rg = rgamma(beta - alpha * ks)
-        sgn = np.where(ks % 2 == 0, 1.0, -1.0)
-        with np.errstate(over="ignore", under="ignore"):
-            lt = -np.outer(ks, np.log(xa))
-            tmat = -(sgn[:, None]) * np.exp(lt) * rg[:, None]
-        mags = np.abs(tmat)
-        look = max(3, int(math.ceil(1.0 / alpha)) + 1)
-        best_bound = np.full(xa.shape, np.inf)
-        best_k = np.zeros(xa.shape, dtype=int)
-        for kk in range(kmax - look):
-            b = mags[kk + 1:kk + 1 + look].max(axis=0)
-            upd = b < best_bound
-            best_bound[upd] = b[upd]
-            best_k[upd] = kk
-        csum = np.cumsum(tmat, axis=0)
-        res[masy] = csum[best_k, np.arange(xa.size)]
+        res[masy] = _ml_asym_batch(alpha, beta, xs[masy])
 
     # --- ray integral for the middle band, via Chebyshev-in-log-x when large
     mmid = ~(mser | masy)
@@ -348,6 +361,102 @@ def mittag_leffler_neg_real(alpha: float, beta: float, x, tol: float = 1e-12) ->
         res[mmid] = _ml_mid_band(alpha, beta, xs[mmid], tol)
     out[live] = res
     return out
+
+
+_ASYM_TERMS = 160  # asymptotic terms the optimal-truncation search spans
+_LOG_PI = math.log(math.pi)
+
+
+def _ml_asym_batch(alpha: float, beta: float, xa: np.ndarray) -> np.ndarray:
+    """Asymptotic region of mittag_leffler_neg_real: the optimally truncated
+    sum of the terms t_k = -(-x)^-k / Gamma(beta - alpha k).
+
+    Row j of a term matrix holds t_(j+1); the short sum S runs over rows
+    0 .. k0. (a) If the window bound of row k0 is strictly below every
+    earlier one, the full search stops at row k0 or later. (b) By the
+    reflection formula |t_k| <= Gamma(1 - beta + alpha k) x^-k / pi, whose
+    log is convex in k, so the bound at the first omitted term (k0 + 2) and
+    at the last (160) covers every omitted term. Below spacing(S)/8, each
+    omitted term is smaller than half the gap to either neighbour of S,
+    also when |S| is a power of two, so adding it rounds back to S. A zero
+    S never certifies, since a term could flip the sign of the zero.
+    """
+    logx = np.log(xa)
+    look = max(3, int(math.ceil(1.0 / alpha)) + 1)
+    out = np.empty_like(xa)
+    rest = np.ones(xa.shape, dtype=bool)
+    k0 = _asym_short_k0(alpha, beta, look, logx)
+    if k0 is not None:
+        tmat = _asym_terms(alpha, beta, logx, k0 + look + 1)
+        total = tmat[0].copy()
+        for row in tmat[1:k0 + 1]:  # sequential, as the reference cumsum
+            total += row
+        bound = _window_bounds(np.abs(tmat, out=tmat), look)
+        floor = np.log(np.abs(np.spacing(total)) / 8.0)
+        ok = (bound[k0] < bound[:k0].min(axis=0)) & (total != 0.0)
+        ok &= _asym_envelope(alpha, beta, k0 + 2, logx) < floor
+        ok &= _asym_envelope(alpha, beta, _ASYM_TERMS, logx) < floor
+        out[ok] = total[ok]
+        rest = ~ok
+    if rest.any():
+        out[rest] = _asym_full(alpha, beta, logx[rest], look)[0]
+    return out
+
+
+def _asym_short_k0(alpha: float, beta: float, look: int, logx: np.ndarray):
+    """Index k0 of the last term of the short sum for a batch, or None.
+
+    The first k0 at which both certificates hold for the batch's smallest x.
+    Larger x shrink later terms faster than earlier ones and than the sum,
+    so the rest of the batch usually certifies too.
+    """
+    lx = logx.min(keepdims=True)
+    s, bound = _asym_full(alpha, beta, lx, look)
+    if s[0] == 0.0:
+        return None
+    floor = math.log(abs(float(np.spacing(s[0]))) / 8.0)
+    bound = bound[:, 0]
+    k0 = np.arange(1, bound.size)
+    ok = bound[1:] < np.minimum.accumulate(bound)[:-1]
+    ok &= _asym_envelope(alpha, beta, k0 + 2, lx[0]) < floor
+    hit = np.flatnonzero(ok)
+    return int(k0[hit[0]]) if hit.size else None
+
+
+def _asym_full(alpha: float, beta: float, logx: np.ndarray, look: int):
+    """Reference optimal truncation over all _ASYM_TERMS terms: the sequential
+    partial sum up to the first term with the smallest truncation bound.
+    Returns the sums and the bounds."""
+    tmat = _asym_terms(alpha, beta, logx, _ASYM_TERMS)
+    bound = _window_bounds(np.abs(tmat), look)
+    best_k = np.argmin(bound, axis=0)
+    return np.cumsum(tmat, axis=0)[best_k, np.arange(logx.size)], bound
+
+
+def _asym_terms(alpha: float, beta: float, logx: np.ndarray, rows: int) -> np.ndarray:
+    """Terms -(-x)^-k / Gamma(beta - alpha k), one row per k = 1 .. rows."""
+    ks = np.arange(1, rows + 1)
+    coef = np.where(ks % 2 == 0, -1.0, 1.0) * rgamma(beta - alpha * ks)
+    with np.errstate(over="ignore", under="ignore"):
+        terms = np.multiply.outer(-ks, logx)  # exactly -(k log x)
+        np.exp(terms, out=terms)
+        terms *= coef[:, None]
+    return terms
+
+
+def _window_bounds(mags: np.ndarray, look: int) -> np.ndarray:
+    """Truncation bounds along axis 0: entry k is the largest of rows
+    k + 1 .. k + look, the terms left out first when the sum stops at row k."""
+    n = max(len(mags) - look, 0)
+    bound = np.maximum(mags[1:n + 1], mags[2:n + 2])
+    for j in range(3, look + 1):
+        np.maximum(bound, mags[j:n + j], out=bound)
+    return bound
+
+
+def _asym_envelope(alpha: float, beta: float, k, logx):
+    """log(Gamma(1 - beta + alpha k) x^-k / pi), a bound on log|term k|."""
+    return gammaln(1.0 - beta + alpha * k) - _LOG_PI - k * logx
 
 
 def _ml_mid_band(alpha: float, beta: float, xk: np.ndarray, tol: float) -> np.ndarray:
@@ -391,28 +500,42 @@ def _series_cutoff(alpha: float, beta: float, tol: float):
 
 
 def _series_certified(alpha: float, beta: float, x: float, tol: float):
-    """(certified?, terms needed) for the alternating series at -x."""
-    term = abs(float(rgamma(beta)))
-    max_abs = term
+    """(certified?, terms needed) for the alternating series at -x.
+
+    Term k is x^k / |Gamma(alpha k + beta)|. The series stops at the first k
+    whose term is below tol/100 once alpha k + beta exceeds x^(1/alpha) + 2,
+    and is certified when eps (k + 5) times its largest term stays below
+    tol/4. A term with k log x > 500 ends the search uncertified. Terms are
+    evaluated in blocks of k; the first block usually holds the stop.
+    """
     lx = math.log(x)
     tail_arg = x ** (1.0 / alpha) + 2.0
-    for k in range(1, 400):
-        lt = k * lx
-        if lt > 500:
-            return False, k
-        term = math.exp(lt) * abs(float(rgamma(alpha * k + beta)))
-        if term > max_abs:
-            max_abs = term
-        if term < tol * 1e-2 and alpha * k + beta > tail_arg:
+    max_abs = abs(float(rgamma(beta)))
+    for start in range(1, 400, 48):
+        ks = np.arange(start, min(start + 48, 400))
+        lt = ks * lx
+        over = np.flatnonzero(lt > 500)
+        n = int(over[0]) if over.size else ks.size
+        args = alpha * ks[:n] + beta
+        # math.exp, not np.exp: the two differ in some last bits, and the
+        # bisection in _series_cutoff would follow them
+        terms = np.fromiter(map(math.exp, lt[:n].tolist()), float, n) * np.abs(rgamma(args))
+        stop = np.flatnonzero((terms < tol * 1e-2) & (args > tail_arg))
+        end = int(stop[0]) + 1 if stop.size else n
+        if end:
+            max_abs = max(max_abs, float(terms[:end].max()))
+        if stop.size:
+            k = int(ks[stop[0]])
             return max_abs * _EPS * (k + 5) <= tol / 4.0, k
+        if over.size:
+            return False, int(ks[n])
     return False, 400
 
 
 @functools.lru_cache(maxsize=512)
 def _asym_cutoff(alpha: float, beta: float, tol: float) -> float:
     """Smallest x where optimal truncation of the asymptotic series meets tol."""
-    kmax = 160
-    ks = np.arange(1, kmax + 1)
+    ks = np.arange(1, _ASYM_TERMS + 1)
     rg = rgamma(beta - alpha * ks)
     look = max(3, int(math.ceil(1.0 / alpha)) + 1)
 
@@ -421,10 +544,7 @@ def _asym_cutoff(alpha: float, beta: float, tol: float) -> float:
             return False
         with np.errstate(over="ignore", under="ignore"):
             mags = np.abs(np.exp(-ks * math.log(x)) * rg)
-        best = np.inf
-        for kk in range(kmax - look):
-            best = min(best, float(np.max(mags[kk + 1:kk + 1 + look])))
-        return best <= tol / 5.0
+        return float(_window_bounds(mags, look).min(initial=np.inf)) <= tol / 5.0
 
     lo, hi = 1.0, 2.0
     while not certified(hi):

@@ -174,6 +174,23 @@ class TestInvertCommand:
                      os.path.join(run, "flux_sensor2.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("bad_row", ["0.005;0.1", "0.005,nan"],
+                             ids=["malformed-row", "nan-flux"])
+    def test_bad_trace_row_exit_2(self, tmp_path, capsys, bad_row):
+        cfg_path = write_config(tmp_path, {"grid.steps": 400})
+        main(["synth", "--config", cfg_path, "--quiet"])
+        run = tmp_path / "run"
+        lines = (run / "flux_sensor1.csv").read_text().splitlines()
+        lines[5] = bad_row
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["invert", "--config", cfg_path, "--quiet",
+                     str(bad), str(run / "flux_sensor2.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[clause: trace-csv]" in err and "line 6" in err
+
 
 class TestVerifyCommand:
     def test_fault_injection_fails_normalizer(self, tmp_path):

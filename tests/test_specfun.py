@@ -1,9 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.special import rgamma
 
+from fracsource import specfun
 from fracsource.errors import AccuracyError, DomainError
 from fracsource.specfun import (
     MLAccuracy,
@@ -15,6 +19,8 @@ from fracsource.specfun import (
     mittag_leffler,
     mittag_leffler_neg_real,
     _asym_cutoff,
+    _gauss_legendre,
+    _ml_mid_band,
     _ml_ray_integral,
     _series_cutoff,
 )
@@ -186,6 +192,236 @@ class TestMittagLeffler:
             MLAccuracy(abs_tol=0.0)
         with pytest.raises(DomainError):
             MLAccuracy(max_terms=0)
+
+
+# ---------------------------------------------------------------------------
+# Reference negative-axis batch: the plain optimal-truncation code (all 160
+# asymptotic terms, Python loops over the truncation windows, a scalar series
+# certificate). mittag_leffler_neg_real must return the same doubles, bit for
+# bit, and its cutoff searches the same cutoffs.
+# ---------------------------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _ref_series_certified(alpha, beta, x, tol):
+    term = abs(float(rgamma(beta)))
+    max_abs = term
+    lx = math.log(x)
+    tail_arg = x ** (1.0 / alpha) + 2.0
+    for k in range(1, 400):
+        lt = k * lx
+        if lt > 500:
+            return False, k
+        term = math.exp(lt) * abs(float(rgamma(alpha * k + beta)))
+        if term > max_abs:
+            max_abs = term
+        if term < tol * 1e-2 and alpha * k + beta > tail_arg:
+            return max_abs * _EPS * (k + 5) <= tol / 4.0, k
+    return False, 400
+
+
+def _ref_series_cutoff(alpha, beta, tol):
+    lo, hi = 0.5, 400.0
+    if not _ref_series_certified(alpha, beta, lo, tol)[0]:
+        return 0.0, 8
+    while _ref_series_certified(alpha, beta, hi, tol)[0] and hi < 1e6:
+        hi *= 2
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if _ref_series_certified(alpha, beta, mid, tol)[0]:
+            lo = mid
+        else:
+            hi = mid
+    _, n_terms = _ref_series_certified(alpha, beta, lo, tol)
+    return lo, n_terms
+
+
+def _ref_asym_cutoff(alpha, beta, tol):
+    kmax = 160
+    ks = np.arange(1, kmax + 1)
+    rg = rgamma(beta - alpha * ks)
+    look = max(3, int(math.ceil(1.0 / alpha)) + 1)
+
+    def certified(x):
+        if math.exp(-0.35 * x ** (1.0 / alpha)) > tol / 10.0:
+            return False
+        with np.errstate(over="ignore", under="ignore"):
+            mags = np.abs(np.exp(-ks * math.log(x)) * rg)
+        best = np.inf
+        for kk in range(kmax - look):
+            best = min(best, float(np.max(mags[kk + 1:kk + 1 + look])))
+        return best <= tol / 5.0
+
+    lo, hi = 1.0, 2.0
+    while not certified(hi):
+        hi *= 2
+        if hi > 1e12:
+            break
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if certified(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _ref_asym_branch(alpha, beta, xa):
+    kmax = 160
+    ks = np.arange(1, kmax + 1)
+    rg = rgamma(beta - alpha * ks)
+    sgn = np.where(ks % 2 == 0, 1.0, -1.0)
+    with np.errstate(over="ignore", under="ignore"):
+        lt = -np.outer(ks, np.log(xa))
+        tmat = -(sgn[:, None]) * np.exp(lt) * rg[:, None]
+    mags = np.abs(tmat)
+    look = max(3, int(math.ceil(1.0 / alpha)) + 1)
+    best_bound = np.full(xa.shape, np.inf)
+    best_k = np.zeros(xa.shape, dtype=int)
+    for kk in range(kmax - look):
+        b = mags[kk + 1:kk + 1 + look].max(axis=0)
+        upd = b < best_bound
+        best_bound[upd] = b[upd]
+        best_k[upd] = kk
+    csum = np.cumsum(tmat, axis=0)
+    return csum[best_k, np.arange(xa.size)]
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_cutoffs(alpha, beta, tol=1e-12):
+    return _ref_series_cutoff(alpha, beta, tol), _ref_asym_cutoff(alpha, beta, tol)
+
+
+def _ref_neg_real(alpha, beta, x, tol=1e-12):
+    (x_series, n_terms), x_asym = _ref_cutoffs(alpha, beta, tol)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    out[x == 0] = rgamma(beta)
+    live = x > 0
+    xs = x[live]
+    if xs.size == 0:
+        return out
+    res = np.full(xs.shape, np.nan)
+    mser = xs <= x_series
+    if mser.any():
+        xa = xs[mser]
+        ks = np.arange(n_terms + 1, dtype=float)
+        rg = rgamma(alpha * ks + beta)
+        lt = np.outer(np.log(xa), ks[1:])
+        tmat = np.empty((xa.size, n_terms + 1))
+        tmat[:, 0] = rg[0]
+        tmat[:, 1:] = np.exp(lt) * rg[1:] * np.where(ks[1:] % 2 == 0, 1.0, -1.0)
+        res[mser] = tmat.sum(axis=1)
+    masy = (~mser) & (xs >= x_asym)
+    if masy.any():
+        res[masy] = _ref_asym_branch(alpha, beta, xs[masy])
+    mmid = ~(mser | masy)
+    if mmid.any():
+        res[mmid] = _ml_mid_band(alpha, beta, xs[mmid], tol)
+    out[live] = res
+    return out
+
+
+_SWEEP_ALPHAS = [0.501, 0.6, 0.75, 0.9, 0.999] + [
+    float(a) for a in np.random.default_rng(20261017).uniform(0.5, 1.0, 20)]
+_SWEEP = [(a, b) for a in _SWEEP_ALPHAS for b in (1.0, a, 0.5, 0.0)]
+
+
+def _sweep_points(alpha, beta):
+    """x from below the series cutoff to 1e4, through both cutoffs and
+    their neighbouring doubles."""
+    (x_ser, _), x_asy = _ref_cutoffs(alpha, beta)
+    edges = [x_asy, np.nextafter(x_asy, 0.0), np.nextafter(x_asy, np.inf)]
+    if x_ser > 0:
+        edges += [x_ser, np.nextafter(x_ser, 0.0), np.nextafter(x_ser, np.inf)]
+    return np.concatenate([[0.0], np.geomspace(0.25, 2.0 * x_asy, 97), edges,
+                           np.geomspace(x_asy, 1e4, 97)])
+
+
+def _assert_bits_equal(got, want, what):
+    assert got.shape == want.shape, what
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+        f"{what}: {np.count_nonzero(got != want)} of {got.size} values differ")
+
+
+class TestNegRealMatchesReference:
+    """mittag_leffler_neg_real against the plain reference above: the short
+    asymptotic sums, the vectorized searches and the cached quadrature rule
+    change no bit of any value or cutoff."""
+
+    def test_cutoffs(self):
+        for alpha, beta in _SWEEP:
+            ref_series, ref_asym = _ref_cutoffs(alpha, beta)
+            assert _series_cutoff(alpha, beta, 1e-12) == ref_series, (alpha, beta)
+            assert _asym_cutoff(alpha, beta, 1e-12) == ref_asym, (alpha, beta)
+
+    def test_sweep_batches_and_single_points(self):
+        for alpha, beta in _SWEEP:
+            x = _sweep_points(alpha, beta)
+            want = _ref_neg_real(alpha, beta, x)
+            _assert_bits_equal(mittag_leffler_neg_real(alpha, beta, x), want,
+                               f"batch alpha={alpha} beta={beta}")
+            # the middle band of a batch depends on the batch (one Chebyshev
+            # interpolant over its range), so single points get their own
+            # reference
+            for xi in x[::9]:
+                point = np.array([xi])
+                _assert_bits_equal(mittag_leffler_neg_real(alpha, beta, point),
+                                   _ref_neg_real(alpha, beta, point),
+                                   f"x={xi!r} alpha={alpha} beta={beta}")
+
+    def test_orders_below_one_half_and_negative_beta(self):
+        # the forward model stays in alpha > 1/2; the function takes (0, 1)
+        for alpha in (0.01, 0.05, 0.2, 0.45):
+            for beta in (1.0, alpha, 0.0, -2.0):
+                ref_series, ref_asym = _ref_cutoffs(alpha, beta)
+                assert _series_cutoff(alpha, beta, 1e-12) == ref_series, (alpha, beta)
+                assert _asym_cutoff(alpha, beta, 1e-12) == ref_asym, (alpha, beta)
+                x = _sweep_points(alpha, beta)
+                _assert_bits_equal(mittag_leffler_neg_real(alpha, beta, x),
+                                   _ref_neg_real(alpha, beta, x),
+                                   f"alpha={alpha} beta={beta}")
+
+    def test_large_asymptotic_batches(self):
+        rng = np.random.default_rng(7)
+        for alpha, beta in _SWEEP[:20]:  # the five fixed orders
+            x_asy = _ref_cutoffs(alpha, beta)[1]
+            x = np.exp(rng.uniform(math.log(x_asy), math.log(1e4), 10_000))
+            _assert_bits_equal(mittag_leffler_neg_real(alpha, beta, x),
+                               _ref_neg_real(alpha, beta, x),
+                               f"alpha={alpha} beta={beta}")
+
+    @pytest.mark.parametrize("k0", [1, 2, 5, 12, 30, 70, 156])
+    def test_any_short_sum_length_is_exact(self, monkeypatch, k0):
+        # the certificates, not the choice of k0, make the result exact: with
+        # k0 too small every point must fall back to the full sum
+        full_sizes = []
+        full = specfun._asym_full
+
+        def counting_full(alpha, beta, logx, look):
+            full_sizes.append(logx.size)
+            return full(alpha, beta, logx, look)
+
+        monkeypatch.setattr(specfun, "_asym_short_k0", lambda *args: k0)
+        monkeypatch.setattr(specfun, "_asym_full", counting_full)
+        for alpha, beta in [(0.501, 1.0), (0.75, 0.75), (0.9, 0.0), (0.999, 0.5)]:
+            x = np.geomspace(_ref_cutoffs(alpha, beta)[1], 1e4, 2000)
+            _assert_bits_equal(mittag_leffler_neg_real(alpha, beta, x),
+                               _ref_neg_real(alpha, beta, x),
+                               f"k0={k0} alpha={alpha} beta={beta}")
+        if k0 <= 2:
+            assert sum(full_sizes) == 4 * 2000
+
+    def test_gauss_legendre_rule_is_shared_read_only(self):
+        for nodes in (16, 20, 54):
+            x, w = _gauss_legendre(nodes)
+            x_ref, w_ref = leggauss(nodes)
+            _assert_bits_equal(x, x_ref, "nodes")
+            _assert_bits_equal(w, w_ref, "weights")
+            assert _gauss_legendre(nodes)[0] is x
+            with pytest.raises(ValueError):
+                x[0] = 0.0
 
 
 class TestBessel:
