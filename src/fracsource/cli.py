@@ -15,12 +15,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._parallel import map_maybe_parallel
 from .config import (
     ExperimentConfig,
     RunManifest,
     build_inversion_config,
     build_source_model,
+    check_trace_grid,
     dump_config,
     load_config,
     trace_from_csv,
@@ -30,7 +30,7 @@ from .config import (
 )
 from .disc_spectrum import build_spectrum, eigenfunction_eval, project_function, spectrum_to_json
 from .errors import AccuracyError, ConditioningError, FracsourceError, ValidationError
-from .forward_model import FluxTrace, flux_trace, verify_measurement_identity
+from .forward_model import FluxTrace, flux_trace, flux_traces, verify_measurement_identity
 from .inversion import predicted_flux, reconstruct, result_to_json
 from .laplace_model import LaplacePoint, LaplaceSamples, laplace_flux_model, numeric_laplace
 from .specfun import mittag_leffler_neg_real
@@ -80,8 +80,7 @@ def cmd_synth(args) -> int:
     sensors = cfg.sensor_config()
     sensors.validate_margin(spectrum, float(cfg.inversion["margin_min"]))
     times = cfg.times()
-    traces = map_maybe_parallel(
-        lambda th: flux_trace(model, th, times), sensors.angles)
+    traces = flux_traces(model, sensors.angles, times)
     manifest = RunManifest.for_config(cfg)
     _emit(manifest, directory, "config.json", dump_config(cfg))
     _emit(manifest, directory, "spectrum.json", spectrum_to_json(spectrum))
@@ -125,10 +124,12 @@ def cmd_invert(args) -> int:
                               clause="sensor-count")
     spectrum = build_spectrum(float(cfg.spectrum["lambda_max"]))
     sensors = cfg.sensor_config()
+    grid = cfg.times()
     traces = []
     for path, theta in zip(args.traces, sensors.angles):
         with open(path) as fh:
             t, v = trace_from_csv(fh.read())
+        check_trace_grid(t, grid, path)
         traces.append(FluxTrace(sensor_angle=theta, times=t, values=v))
     inv_cfg = build_inversion_config(cfg)
     result = reconstruct(tuple(traces), spectrum, inv_cfg)

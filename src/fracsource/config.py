@@ -31,6 +31,7 @@ __all__ = [
     "write_atomic",
     "trace_to_csv",
     "trace_from_csv",
+    "check_trace_grid",
 ]
 
 _DEFAULTS = {
@@ -266,6 +267,24 @@ def trace_from_csv(text: str):
         raise ValidationError(f"trace CSV line {i + 2} has a non-finite value: {lines[i + 1]!r}",
                               clause="trace-csv")
     return t, v
+
+
+def check_trace_grid(times: np.ndarray, expected: np.ndarray, source: str):
+    """Raise ValidationError (clause trace-grid) unless ``times`` is a
+    uniform grid equal to ``expected`` (the config grid), both to 1e-9 of the
+    step; ``source`` names the trace in the message. The change-point and
+    order stages take t[1] - t[0] as the step of the whole trace."""
+    if len(times) < 2:
+        raise ValidationError(f"{source}: {len(times)} samples, the config grid has "
+                              f"{len(expected)}", clause="trace-grid")
+    h = float(times[-1] - times[0]) / (len(times) - 1)
+    if not (h > 0 and np.all(np.abs(np.diff(times) - h) <= 1e-9 * h)):
+        raise ValidationError(f"{source}: time grid is not uniform", clause="trace-grid")
+    if len(times) != len(expected) or not np.all(np.abs(times - expected) <= 1e-9 * h):
+        raise ValidationError(
+            f"{source}: time grid ({len(times)} samples, t from {times[0]!r} to "
+            f"{times[-1]!r}) does not match the config grid ({len(expected)} "
+            f"samples, t from {expected[0]!r} to {expected[-1]!r})", clause="trace-grid")
 
 
 def trace_to_json(sensor_angle: float, times: np.ndarray, values: np.ndarray) -> str:

@@ -35,6 +35,7 @@ __all__ = [
     "irrationality_margin",
     "duhamel_mode_response",
     "flux_trace",
+    "flux_traces",
     "verify_measurement_identity",
     "solve_field",
     "grouped_amplitudes",
@@ -235,26 +236,35 @@ def duhamel_mode_response(lam: float, alpha: float, piece_values,
 
 def flux_trace(model: SourceModel, sensor_angle: float, times) -> FluxTrace:
     """Boundary flux du/dnu(z, t) on the grid; real-field models only."""
+    return flux_traces(model, [sensor_angle], times)[0]
+
+
+def flux_traces(model: SourceModel, sensor_angles, times) -> list:
+    """flux_trace at each sensor angle. The relaxation profiles do not depend
+    on the sensor, so they are computed once for all angles."""
     times = np.asarray(times, dtype=float)
     if not model.is_real_field():
         raise ValidationError("flux_trace requires conjugate-symmetric "
                               "(real-field) coefficients", clause="real-field")
-    values = _flux_values(model, sensor_angle, times)
-    if float(np.max(np.abs(values.imag))) > 1e-10:
-        raise ShapeError("flux imaginary part exceeded tolerance")
-    return FluxTrace(sensor_angle=float(sensor_angle), times=times,
-                     values=values.real)
+    lams = np.array([lam for lam, _ in model.spectrum.distinct_eigenvalues])
+    profiles = _relaxation_profiles(model.alpha, lams, model.cuts, times)
+    out = []
+    for sensor_angle in sensor_angles:
+        values = _flux_values(model, sensor_angle, profiles)
+        if float(np.max(np.abs(values.imag))) > 1e-10:
+            raise ShapeError("flux imaginary part exceeded tolerance")
+        out.append(FluxTrace(sensor_angle=float(sensor_angle), times=times,
+                             values=values.real))
+    return out
 
 
 def _flux_values(model: SourceModel, sensor_angle: float,
-                 times: np.ndarray) -> np.ndarray:
-    """Complex flux samples -sum_{j,k} b_{j,k} [A_{j,c_k} - A_{j,c_{k-1}}]."""
-    groups = model.spectrum.distinct_eigenvalues
-    lams = np.array([lam for lam, _ in groups])
+                 profiles: np.ndarray) -> np.ndarray:
+    """Complex flux samples -sum_{j,k} b_{j,k} [A_{j,c_k} - A_{j,c_{k-1}}]
+    from the profiles A of _relaxation_profiles."""
     b = grouped_amplitudes(model, sensor_angle)
-    profiles = _relaxation_profiles(model.alpha, lams, model.cuts, times)
-    vals = np.zeros(len(times), dtype=complex)
-    for j in range(len(groups)):
+    vals = np.zeros(profiles.shape[2], dtype=complex)
+    for j in range(b.shape[0]):
         for k in range(model.n_pieces):
             vals -= b[j, k] * (profiles[j, k + 1] - profiles[j, k])
     return vals

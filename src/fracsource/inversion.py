@@ -457,21 +457,28 @@ def _model_flux_matrix(design: np.ndarray, phases, n_lams: int, n_pieces: int,
     n_t = design.shape[0]
     ops = []
     for phase in phases:
-        op = np.zeros((n_t, n_pieces * n_dof_per_piece))
+        # op[:, k, :] accumulates design[:, (j, k)] x phase row 2j over j
+        op = np.zeros((n_t, n_pieces, n_dof_per_piece))
         for j in range(n_lams):
-            re_row = phase[2 * j]
-            for k in range(n_pieces):
-                col = design[:, j * n_pieces + k]
-                block = np.outer(col, re_row)
-                op[:, k * n_dof_per_piece:(k + 1) * n_dof_per_piece] += block
-        ops.append(op)
+            op += design[:, j * n_pieces:(j + 1) * n_pieces, None] * phase[2 * j]
+        ops.append(op.reshape(n_t, n_pieces * n_dof_per_piece))
     return ops
 
 
 def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
                  cfg: InversionConfig) -> ReconstructionResult:
     """Damped Gauss-Newton on (alpha, cuts, all coefficients) minimizing the
-    stacked two-sensor time-domain residual; never increases the residual."""
+    stacked two-sensor time-domain residual; never increases the residual.
+
+    A step whose twelve line-search candidates all fail leaves theta, the
+    residual and the operator unchanged, so every later iteration would
+    repeat it exactly: the first rejected step is a fixed point and ends the
+    loop. The log warning "divergence: 10 consecutive rejected steps" is
+    written when ten more iterations fit under max_refine_iterations, that
+    is, when repeating the rejection would have reached ten; it means the
+    line search found no decrease, not that the iterates diverged. Noise
+    floor and true divergence are not told apart yet (ROADMAP.md, item 4).
+    """
     t = _common_grid(traces)
     groups = spectrum.distinct_eigenvalues
     lams = np.array([lam for lam, _ in groups])
@@ -494,32 +501,26 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
         return np.vstack(ops)
 
     def residual(theta):
+        """(op @ pvec - y, op), or (None, None) outside the feasible region."""
         alpha, cuts, pvec = unpack(theta)
-        if not 0.5 < alpha < 1.0:
-            return None
-        if any(b - a < cfg.changepoint_min_gap / 4 for a, b in zip(cuts[:-1], cuts[1:])):
-            return None
-        if cuts[0] < 0 or cuts[-1] > t[-1]:
-            return None
+        if not (0.5 < alpha < 1.0 and cuts[0] >= 0 and cuts[-1] <= t[-1]
+                and all(b - a >= cfg.changepoint_min_gap / 4
+                        for a, b in zip(cuts[:-1], cuts[1:]))):
+            return None, None
         op = model_and_ops(alpha, cuts)
-        return op @ pvec - y
+        return op @ pvec - y, op
 
     theta = np.concatenate([[initial.alpha_hat], initial.cuts_hat,
                             _coeffs_to_vector(initial.coeffs_hat, spectrum)])
-    r = residual(theta)
+    r, op = residual(theta)
     if r is None:
         raise ValidationError("initial refine point outside the feasible region",
                               clause="refine-start")
     cost = float(r @ r)
     log = {"iterations": 0, "initial_residual": math.sqrt(cost)}
     fd_step = 1e-5
-    rejected_in_a_row = 0
     floor = (1e-13 * float(np.linalg.norm(y))) ** 2
-    op = None
     for it in range(cfg.max_refine_iterations):
-        alpha, cuts, pvec = unpack(theta)
-        if op is None:
-            op = model_and_ops(alpha, cuts)
         jac = np.empty((len(y), len(theta)))
         jac[:, 1 + n_pieces:] = op
         for col in range(1 + n_pieces):
@@ -527,8 +528,8 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
             tm = theta.copy()
             tp[col] += fd_step
             tm[col] -= fd_step
-            rp = residual(tp)
-            rm = residual(tm)
+            rp, _ = residual(tp)
+            rm, _ = residual(tm)
             if rp is None or rm is None:
                 jac[:, col] = 0.0
             else:
@@ -544,14 +545,7 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
         accepted = False
         for _ in range(12):
             cand = theta + scale * step
-            alpha_c, cuts_c, pvec_c = unpack(cand)
-            op_c = None
-            rc = None
-            if (0.5 < alpha_c < 1.0 and cuts_c[0] >= 0 and cuts_c[-1] <= t[-1]
-                    and all(b - a >= cfg.changepoint_min_gap / 4
-                            for a, b in zip(cuts_c[:-1], cuts_c[1:]))):
-                op_c = model_and_ops(alpha_c, cuts_c)
-                rc = op_c @ pvec_c - y
+            rc, op_c = residual(cand)
             if rc is not None:
                 cc = float(rc @ rc)
                 if cc <= cost:
@@ -559,12 +553,10 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
                     break
             scale *= 0.5
         if not accepted:
-            rejected_in_a_row += 1
-            if rejected_in_a_row >= 10:
+            # fixed point: iterations it..it+9 would all be this rejection
+            if it + 9 < cfg.max_refine_iterations:
                 log["warning"] = "divergence: 10 consecutive rejected steps"
-                break
-            continue
-        rejected_in_a_row = 0
+            break
         rel_change = (cost - cc) / max(cost, 1e-300)
         theta, r, cost, op = cand, rc, cc, op_c
         log["iterations"] = it + 1

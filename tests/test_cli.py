@@ -8,6 +8,7 @@ import pytest
 from fracsource.cli import main
 from fracsource.config import (
     build_source_model,
+    check_trace_grid,
     dump_config,
     load_config,
     trace_from_csv,
@@ -15,6 +16,7 @@ from fracsource.config import (
 )
 from fracsource.disc_spectrum import build_spectrum
 from fracsource.errors import ValidationError
+from fracsource.forward_model import flux_trace
 
 
 BASE_CONFIG = {
@@ -145,6 +147,18 @@ class TestSynthCommand:
         assert listed == on_disk
         assert manifest["timestamp"] is None
 
+    def test_traces_equal_separate_flux_trace_calls(self, tmp_path):
+        # synth computes the relaxation profiles once for both sensors
+        cfg_path = write_config(tmp_path, {"grid.steps": 400})
+        assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
+        cfg = load_config(cfg_path)
+        model = build_source_model(cfg, build_spectrum(30.0))
+        times = cfg.times()
+        for i, theta in enumerate((0.3, 1.3), start=1):
+            t, v = trace_from_csv((tmp_path / "run" / f"flux_sensor{i}.csv").read_text())
+            alone = flux_trace(model, theta, times)
+            assert np.array_equal(t, alone.times) and np.array_equal(v, alone.values)
+
     def test_laplace_samples_emitted(self, tmp_path):
         cfg_path = write_config(tmp_path, {"grid.steps": 400,
                                            "output.laplace_s": [1.0, 5.0]})
@@ -190,6 +204,49 @@ class TestInvertCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "[clause: trace-csv]" in err and "line 6" in err
+
+    def _invert_with_grid(self, tmp_path, capsys, edit_times=None, steps=400):
+        cfg_path = write_config(tmp_path, {"grid.steps": 400})
+        main(["synth", "--config", cfg_path, "--quiet"])
+        run = tmp_path / "run"
+        t, v = trace_from_csv((run / "flux_sensor1.csv").read_text())
+        if edit_times is not None:
+            edit_times(t)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(trace_to_csv(t, v))
+        inv_cfg = write_config(tmp_path, {"grid.steps": steps}, name="inv.json")
+        capsys.readouterr()
+        code = main(["invert", "--config", inv_cfg, "--quiet",
+                     str(bad), str(run / "flux_sensor2.csv")])
+        return code, capsys.readouterr().err
+
+    def test_grid_check_accepts_rounding_jitter(self):
+        t = np.linspace(0.0, 4.0, 401)
+        jitter = np.random.default_rng(3).uniform(-1e-12, 1e-12, t.shape) * (t[1] - t[0])
+        check_trace_grid(t + jitter, t, "jittered")
+
+    def test_non_uniform_grid_exit_2(self, tmp_path, capsys):
+        def nudge(t):
+            t[7] += 1e-6 * (t[1] - t[0])
+        code, err = self._invert_with_grid(tmp_path, capsys, nudge)
+        assert code == 2
+        assert "[clause: trace-grid]" in err and "not uniform" in err
+
+    def test_grid_not_matching_config_exit_2(self, tmp_path, capsys):
+        code, err = self._invert_with_grid(tmp_path, capsys, steps=500)
+        assert code == 2
+        assert "[clause: trace-grid]" in err and "does not match" in err
+
+    def test_header_only_trace_exit_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"grid.steps": 400})
+        main(["synth", "--config", cfg_path, "--quiet"])
+        empty = tmp_path / "empty.csv"
+        empty.write_text("t,flux\n")
+        capsys.readouterr()
+        code = main(["invert", "--config", cfg_path, "--quiet",
+                     str(empty), str(tmp_path / "run" / "flux_sensor2.csv")])
+        assert code == 2
+        assert "[clause: trace-grid]" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
