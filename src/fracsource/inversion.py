@@ -5,8 +5,9 @@ Stage order mirrors the identifiability structure: onset first, then the
 order alpha from the leading window where only the first piece acts, then
 interior change points from second-difference kinks, then a linear solve for
 the grouped amplitudes b_{j,k,l} = sum_{lam_n=lam_j} a_n(z_l) p_{k,n}, then
-the exact 2x2 split across each eigenvalue pair, then an optional damped
-Gauss-Newton polish of everything jointly.
+the exact 2x2 split across each eigenvalue pair, then an optional joint
+polish: variable-projection Gauss-Newton over alpha and the cuts, with the
+coefficients eliminated by an undamped least-squares solve.
 """
 from __future__ import annotations
 
@@ -309,6 +310,11 @@ def _relaxation_design(alpha: float, lams: np.ndarray, bounds, t: np.ndarray):
     return cols
 
 
+def _sigma_ratio(svals: np.ndarray) -> float:
+    """Smallest over largest singular value; 0 for a zero matrix."""
+    return float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0
+
+
 def solve_mode_amplitudes(traces, alpha_hat: float, cuts_hat, spectrum: SpectrumTable,
                           cfg: InversionConfig):
     """Tikhonov-damped least squares for the grouped amplitudes, one solve per
@@ -340,7 +346,8 @@ def solve_mode_amplitudes(traces, alpha_hat: float, cuts_hat, spectrum: Spectrum
         denom = float(np.linalg.norm(y)) or 1.0
         residuals.append(float(np.linalg.norm(y - fit)) / denom)
         b[ell] = sol.reshape(len(lams), n_pieces)
-    diag = {"relative_residuals": residuals, "tikhonov_mu": mu}
+    diag = {"relative_residuals": residuals, "tikhonov_mu": mu,
+            "sigma_ratio": _sigma_ratio(svals)}
     return b, diag
 
 
@@ -465,117 +472,145 @@ def _model_flux_matrix(design: np.ndarray, phases, n_lams: int, n_pieces: int,
     return ops
 
 
+def _cut_jacobian(alpha: float, lams: np.ndarray, cuts, t: np.ndarray, phases,
+                  pvec: np.ndarray):
+    """d(op @ pvec)/dc_k for the sensor stack of _model_flux_matrix, one
+    column per cut, from a single E_{alpha,alpha} batch.
+
+    For t > c, dA_{j,c}/dc = lam_j (t-c)^(alpha-1) E_{alpha,alpha}(-lam_j (t-c)^alpha),
+    by d/dt E_{alpha,1}(-lam t^alpha) = -lam t^(alpha-1) E_{alpha,alpha}(-lam t^alpha);
+    it is 0 for t <= c, where A_{j,c} = 1. Design column (j, k) is
+    A_{j,c_{k+1}} - A_{j,c_k}, so c_k enters column (j, k) with sign - and
+    column (j, k-1) with sign +."""
+    n_pieces = len(cuts)
+    later = [t > c for c in cuts]
+    taus = [t[m] - c for m, c in zip(later, cuts)]
+    xs = [lam * tau ** alpha for lam in lams for tau in taus]
+    vals = mittag_leffler_neg_real(alpha, alpha, np.concatenate(xs))
+    deriv = np.zeros((len(lams), n_pieces, len(t)))
+    pos = 0
+    for j, lam in enumerate(lams):
+        for k, (m, tau) in enumerate(zip(later, taus)):
+            deriv[j, k, m] = lam * tau ** (alpha - 1.0) * vals[pos:pos + tau.size]
+            pos += tau.size
+    # w[l, j, k] multiplies design column (j, k) at sensor l
+    w = np.stack([phase[0::2] @ pvec.reshape(n_pieces, -1).T for phase in phases])
+    jump = -w
+    jump[:, :, 1:] += w[:, :, :-1]
+    return np.einsum("jkt,ljk->ltk", deriv, jump).reshape(-1, n_pieces)
+
+
 def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
                  cfg: InversionConfig) -> ReconstructionResult:
-    """Damped Gauss-Newton on (alpha, cuts, all coefficients) minimizing the
-    stacked two-sensor time-domain residual; never increases the residual.
+    """Variable-projection Gauss-Newton on theta = (alpha, cuts), minimizing
+    the stacked two-sensor time-domain residual; never increases the
+    residual of the staged start.
 
-    A step whose twelve line-search candidates all fail leaves theta, the
-    residual and the operator unchanged, so every later iteration would
-    repeat it exactly: the first rejected step is a fixed point and ends the
-    loop. The log warning "divergence: 10 consecutive rejected steps" is
-    written when ten more iterations fit under max_refine_iterations, that
-    is, when repeating the rejection would have reached ten; it means the
-    line search found no decrease, not that the iterates diverged. Noise
-    floor and true divergence are not told apart yet (ROADMAP.md, item 4).
+    The coefficients are eliminated (Golub and Pereyra, 1973): for each theta
+    the two-sensor operator op is built once and the real coefficient vector
+    is its undamped least-squares solution, through a QR of op (the staged
+    tikhonov_scale ridge stays out: inside the projection it biased
+    noiseless fits and slowed their convergence). The Jacobian
+    is Kaufman's (1975), J = (I - QQ^T) [d(op p)/d alpha, d(op p)/dc_k]: the
+    alpha column is a central difference at fixed p, the cut columns are
+    closed-form (_cut_jacobian). Each step is line-searched over twelve
+    halvings; a step with no decrease leaves theta unchanged, so the loop
+    stops there.
+
+    The log entry holds initial_residual (of the staged start, coefficients
+    included), final_residual, iterations (accepted steps), sigma_ratio
+    (smallest over largest singular value of the final op) and stop:
+    "converged" (relative decrease below refine_tol, or residual at the
+    1e-13 * ||y|| floor), "no-decrease" (no line-search candidate lowered
+    the residual) or "cap" (max_refine_iterations reached). A no-decrease
+    stop with ten iterations still to go also writes the warning
+    "divergence: 10 consecutive rejected steps"; it means the line search
+    found no decrease, not that the iterates diverged.
     """
     t = _common_grid(traces)
     groups = spectrum.distinct_eigenvalues
     lams = np.array([lam for lam, _ in groups])
     n_pieces = initial.K_hat
-    dofs = _real_dofs(spectrum)
-    per = len(dofs)
+    per = len(_real_dofs(spectrum))
     phases = [_sensor_phase_matrix(spectrum, tr.sensor_angle) for tr in traces]
     y = np.concatenate([-tr.values for tr in traces])
 
-    def unpack(theta):
-        alpha = theta[0]
-        cuts = list(theta[1:1 + n_pieces])
-        pvec = theta[1 + n_pieces:]
-        return alpha, cuts, pvec
+    def operator(alpha, cuts):
+        design = _relaxation_design(alpha, lams, list(cuts) + [math.inf], t)
+        return np.vstack(_model_flux_matrix(design, phases, len(lams), n_pieces, per))
 
-    def model_and_ops(alpha, cuts):
-        bounds = list(cuts) + [math.inf]
-        design = _relaxation_design(alpha, lams, bounds, t)
-        ops = _model_flux_matrix(design, phases, len(lams), n_pieces, per)
-        return np.vstack(ops)
-
-    def residual(theta):
-        """(op @ pvec - y, op), or (None, None) outside the feasible region."""
-        alpha, cuts, pvec = unpack(theta)
-        if not (0.5 < alpha < 1.0 and cuts[0] >= 0 and cuts[-1] <= t[-1]
+    def feasible(theta):
+        alpha, cuts = theta[0], theta[1:]
+        return (0.5 < alpha < 1.0 and cuts[0] >= 0 and cuts[-1] <= t[-1]
                 and all(b - a >= cfg.changepoint_min_gap / 4
-                        for a, b in zip(cuts[:-1], cuts[1:]))):
-            return None, None
-        op = model_and_ops(alpha, cuts)
-        return op @ pvec - y, op
+                        for a, b in zip(cuts[:-1], cuts[1:])))
 
-    theta = np.concatenate([[initial.alpha_hat], initial.cuts_hat,
-                            _coeffs_to_vector(initial.coeffs_hat, spectrum)])
-    r, op = residual(theta)
-    if r is None:
+    def project(theta):
+        """(r, p, q, rmat, svals) with op = q @ rmat, p the least-squares
+        coefficients at theta and r = op @ p - y; None outside the feasible
+        region."""
+        if not feasible(theta):
+            return None
+        q, rmat = np.linalg.qr(operator(theta[0], theta[1:]))
+        p, _, _, svals = np.linalg.lstsq(rmat, q.T @ y, rcond=None)
+        return q @ (rmat @ p) - y, p, q, rmat, svals
+
+    theta = np.concatenate([[initial.alpha_hat], initial.cuts_hat])
+    if not feasible(theta):
         raise ValidationError("initial refine point outside the feasible region",
                               clause="refine-start")
+    r, p, q, rmat, svals = project(theta)
+    r0 = q @ (rmat @ _coeffs_to_vector(initial.coeffs_hat, spectrum)) - y
+    log = {"iterations": 0, "initial_residual": math.sqrt(float(r0 @ r0))}
     cost = float(r @ r)
-    log = {"iterations": 0, "initial_residual": math.sqrt(cost)}
     fd_step = 1e-5
     floor = (1e-13 * float(np.linalg.norm(y))) ** 2
+    stop = "cap"
     for it in range(cfg.max_refine_iterations):
-        jac = np.empty((len(y), len(theta)))
-        jac[:, 1 + n_pieces:] = op
-        for col in range(1 + n_pieces):
-            tp = theta.copy()
-            tm = theta.copy()
-            tp[col] += fd_step
-            tm[col] -= fd_step
-            rp, _ = residual(tp)
-            rm, _ = residual(tm)
-            if rp is None or rm is None:
-                jac[:, col] = 0.0
-            else:
-                jac[:, col] = (rp - rm) / (2 * fd_step)
-        g = jac.T @ r
-        h = jac.T @ jac
-        h += 1e-12 * np.trace(h) / len(theta) * np.eye(len(theta))
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            break
+        cols = np.zeros((len(y), 1 + n_pieces))
+        up, down = theta.copy(), theta.copy()
+        up[0] += fd_step
+        down[0] -= fd_step
+        if feasible(up) and feasible(down):
+            cols[:, 0] = ((operator(up[0], up[1:]) - operator(down[0], down[1:])) @ p
+                          / (2 * fd_step))
+        cols[:, 1:] = _cut_jacobian(theta[0], lams, theta[1:], t, phases, p)
+        jac = cols - q @ (q.T @ cols)
+        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
         scale = 1.0
-        accepted = False
         for _ in range(12):
             cand = theta + scale * step
-            rc, op_c = residual(cand)
-            if rc is not None:
-                cc = float(rc @ rc)
-                if cc <= cost:
-                    accepted = True
-                    break
+            got = project(cand)
+            if got is not None and float(got[0] @ got[0]) <= cost:
+                break
             scale *= 0.5
-        if not accepted:
-            # fixed point: iterations it..it+9 would all be this rejection
+        else:
+            # a rejected step is a fixed point: the loop would repeat it
             if it + 9 < cfg.max_refine_iterations:
                 log["warning"] = "divergence: 10 consecutive rejected steps"
+            stop = "no-decrease"
             break
+        r, p, q, rmat, svals = got
+        cc = float(r @ r)
         rel_change = (cost - cc) / max(cost, 1e-300)
-        theta, r, cost, op = cand, rc, cc, op_c
+        theta, cost = cand, cc
         log["iterations"] = it + 1
         if rel_change < cfg.refine_tol or cost <= floor:
+            stop = "converged"
             break
-    alpha, cuts, pvec = unpack(theta)
-    coeffs = _vector_to_coeffs(pvec, n_pieces, spectrum)
     denom = float(np.linalg.norm(y)) or 1.0
     log["final_residual"] = math.sqrt(cost)
-    out = ReconstructionResult(
-        alpha_hat=float(alpha),
-        cuts_hat=[float(c) for c in cuts],
-        coeffs_hat=coeffs,
+    log["stop"] = stop
+    log["sigma_ratio"] = _sigma_ratio(svals)
+    return ReconstructionResult(
+        alpha_hat=float(theta[0]),
+        cuts_hat=[float(c) for c in theta[1:]],
+        coeffs_hat=_vector_to_coeffs(p, n_pieces, spectrum),
         K_hat=n_pieces,
         residual_norm=math.sqrt(cost) / denom,
         stage_log=initial.stage_log + [("refine_joint", log)],
         condition_report=initial.condition_report,
     )
-    return out
 
 
 def _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat, interior, stage_log):
