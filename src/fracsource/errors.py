@@ -37,7 +37,7 @@ class EmptySpectrumError(FracsourceError, ValueError):
 
 
 class HorizonError(FracsourceError, ValueError):
-    """Trace horizon too short for a Laplace transform without a tail model."""
+    """Trace horizon too short for a Laplace transform."""
 
 
 class PoleProximityError(DomainError):

@@ -5,7 +5,13 @@ Each eigenmode obeys a fractional relaxation ODE whose Duhamel integral has
 the exact antiderivative (1/lambda)(1 - E_{alpha,1}(-lambda t^alpha)), so the
 mode amplitude under a source that is constant on [c_{k-1}, c_k) is a finite
 difference of Mittag-Leffler relaxation profiles. The boundary flux weights
-each mode by -lambda_n * a_n(z).
+each mode by -lambda_n * a_n(z), so it is a sum of these differences, one
+per (distinct eigenvalue, piece), weighted by the grouped amplitudes.
+
+relaxation_design builds that relaxation basis from one Mittag-Leffler
+batch. It is the only builder of it: synthesis (flux_traces), the order
+search, the amplitude solve, refinement and the residual curves of the
+inversion all use it.
 """
 from __future__ import annotations
 
@@ -36,6 +42,8 @@ __all__ = [
     "duhamel_mode_response",
     "flux_trace",
     "flux_traces",
+    "relaxation_design",
+    "relaxation_flux",
     "verify_measurement_identity",
     "solve_field",
     "grouped_amplitudes",
@@ -172,40 +180,59 @@ def grouped_amplitudes(model: SourceModel, theta_z: float) -> np.ndarray:
     These grouped amplitudes are the only combinations of the coefficients a
     single sensor sees, one per (distinct eigenvalue, piece).
     """
-    groups = model.spectrum.distinct_eigenvalues
-    out = np.zeros((len(groups), model.n_pieces), dtype=complex)
+    return _grouped(model.spectrum, model.piece_coeffs, theta_z)
+
+
+def _grouped(spectrum: SpectrumTable, piece_coeffs, theta_z: float) -> np.ndarray:
+    groups = spectrum.distinct_eigenvalues
+    out = np.zeros((len(groups), len(piece_coeffs)), dtype=complex)
     for j, (_, idx) in enumerate(groups):
-        a = np.array([normalizer_sign(model.spectrum.modes[i])
-                      * boundary_coefficient(model.spectrum.modes[i], theta_z)
+        a = np.array([normalizer_sign(spectrum.modes[i])
+                      * boundary_coefficient(spectrum.modes[i], theta_z)
                       for i in idx])
-        for k, pc in enumerate(model.piece_coeffs):
+        for k, pc in enumerate(piece_coeffs):
             out[j, k] = np.sum(a * pc.values[list(idx)])
     return out
 
 
-def _relaxation_profiles(alpha: float, lams: np.ndarray, cuts, times: np.ndarray,
-                         ml_tol: float = 1e-12) -> np.ndarray:
-    """A[j, b, i] = E_{alpha,1}(-lambda_j * max(times_i - c_b, 0)^alpha) for
-    every cut boundary; an infinite boundary row is identically 1. All finite
-    evaluations go through one vectorized Mittag-Leffler call."""
-    n_b = len(cuts)
-    out = np.empty((len(lams), n_b, len(times)))
-    xs = []
-    slots = []
-    for j, lam in enumerate(lams):
-        for b, c in enumerate(cuts):
-            if not np.isfinite(c):
-                out[j, b, :] = 1.0
-                continue
-            dt = np.clip(times - c, 0.0, None)
-            xs.append(lam * dt ** alpha)
-            slots.append((j, b))
-    if xs:
-        flat = np.concatenate(xs)
-        vals = mittag_leffler_neg_real(alpha, 1.0, flat, tol=ml_tol)
-        n = len(times)
-        for idx, (j, b) in enumerate(slots):
-            out[j, b, :] = vals[idx * n:(idx + 1) * n]
+def relaxation_design(alpha: float, lams, bounds, times) -> np.ndarray:
+    """The relaxation basis D[i, j, k] = A_{j,c_{k+1}}(t_i) - A_{j,c_k}(t_i),
+    shape (n_t, J, K) for K + 1 bounds c_0 < ... < c_K, where
+    A_{j,c}(t) = E_{alpha,1}(-lambda_j clip(t - c, 0)^alpha) and A = 1 for an
+    infinite bound.
+
+    Every finite profile comes from one mittag_leffler_neg_real batch,
+    ordered eigenvalue-major; the values of the batch's middle band depend
+    on its composition, so every caller shares this one construction.
+    """
+    lams = np.asarray(lams, dtype=float)
+    bounds = np.asarray(bounds, dtype=float)
+    times = np.asarray(times, dtype=float)
+    finite = np.isfinite(bounds)
+    profiles = np.ones((len(times), len(lams), len(bounds)))
+    if finite.any():
+        powers = np.clip(times - bounds[finite, None], 0.0, None) ** alpha
+        vals = mittag_leffler_neg_real(alpha, 1.0, (lams[:, None, None] * powers).ravel())
+        profiles[:, :, finite] = vals.reshape(len(lams), -1, len(times)).transpose(2, 0, 1)
+    return profiles[:, :, 1:] - profiles[:, :, :-1]
+
+
+def relaxation_flux(alpha: float, bounds, piece_coeffs, spectrum: SpectrumTable,
+                    sensor_angles, times) -> list:
+    """Complex flux -sum_{j,k} b_{j,k} D[:, j, k] at each sensor angle, with
+    b the grouped amplitudes of piece_coeffs and D one relaxation_design
+    shared by all angles. Synthesis and the residual curves of a
+    reconstruction both go through this sum."""
+    lams = np.array([lam for lam, _ in spectrum.distinct_eigenvalues])
+    design = relaxation_design(alpha, lams, bounds, times)
+    out = []
+    for theta in sensor_angles:
+        b = _grouped(spectrum, piece_coeffs, theta)
+        vals = np.zeros(design.shape[0], dtype=complex)
+        for j in range(design.shape[1]):
+            for k in range(design.shape[2]):
+                vals -= b[j, k] * design[:, j, k]
+        out.append(vals)
     return out
 
 
@@ -215,6 +242,11 @@ def duhamel_mode_response(lam: float, alpha: float, piece_values,
 
     u_n(t) = sum_{k: c_{k-1} < t} (p_k/lam) * [E_{a,1}(-lam (t-min(c_k,t))^a)
                                               - E_{a,1}(-lam (t-c_{k-1})^a)].
+
+    This is the Duhamel formula that relaxation_design tabulates, evaluated
+    point by point with the scalar mittag_leffler and so independent of it;
+    tests keep it as the reference for the closed form (TestDuhamel checks
+    it against quadrature of the Duhamel integral).
     """
     if lam <= 0:
         raise DomainError("lambda must be positive")
@@ -240,17 +272,15 @@ def flux_trace(model: SourceModel, sensor_angle: float, times) -> FluxTrace:
 
 
 def flux_traces(model: SourceModel, sensor_angles, times) -> list:
-    """flux_trace at each sensor angle. The relaxation profiles do not depend
-    on the sensor, so they are computed once for all angles."""
+    """flux_trace at each sensor angle, from one relaxation basis."""
     times = np.asarray(times, dtype=float)
     if not model.is_real_field():
         raise ValidationError("flux_trace requires conjugate-symmetric "
                               "(real-field) coefficients", clause="real-field")
-    lams = np.array([lam for lam, _ in model.spectrum.distinct_eigenvalues])
-    profiles = _relaxation_profiles(model.alpha, lams, model.cuts, times)
+    fluxes = relaxation_flux(model.alpha, model.cuts, model.piece_coeffs,
+                             model.spectrum, sensor_angles, times)
     out = []
-    for sensor_angle in sensor_angles:
-        values = _flux_values(model, sensor_angle, profiles)
+    for sensor_angle, values in zip(sensor_angles, fluxes):
         if float(np.max(np.abs(values.imag))) > 1e-10:
             raise ShapeError("flux imaginary part exceeded tolerance")
         out.append(FluxTrace(sensor_angle=float(sensor_angle), times=times,
@@ -258,20 +288,13 @@ def flux_traces(model: SourceModel, sensor_angles, times) -> list:
     return out
 
 
-def _flux_values(model: SourceModel, sensor_angle: float,
-                 profiles: np.ndarray) -> np.ndarray:
-    """Complex flux samples -sum_{j,k} b_{j,k} [A_{j,c_k} - A_{j,c_{k-1}}]
-    from the profiles A of _relaxation_profiles."""
-    b = grouped_amplitudes(model, sensor_angle)
-    vals = np.zeros(profiles.shape[2], dtype=complex)
-    for j in range(b.shape[0]):
-        for k in range(model.n_pieces):
-            vals -= b[j, k] * (profiles[j, k + 1] - profiles[j, k])
-    return vals
-
-
 def solve_field(model: SourceModel, points, t: float):
-    """Eigenexpansion u(x, t) = sum_n u_n(t) phi_n(x) at (r, theta) points."""
+    """Eigenexpansion u(x, t) = sum_n u_n(t) phi_n(x) at (r, theta) points.
+
+    The series solution of the direct problem that the boundary flux is
+    derived from; tests use it as the reference for the zero initial value,
+    the Dirichlet condition and the steady state (TestSolveField).
+    """
     out = []
     amps = []
     for n, mo in enumerate(model.spectrum.modes):

@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .forward_model import irrationality_margin
+from .forward_model import irrationality_margin, relaxation_design, relaxation_flux
 from .specfun import mittag_leffler_neg_real
 
 __all__ = [
@@ -189,13 +189,12 @@ def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
 
     lams = np.array([lam for lam, _ in spectrum.distinct_eigenvalues])
     mask = (t >= c0_hat - 1e-12) & (t <= c0_hat + delta + 1e-12)
-    tau = t[mask] - c0_hat
+    window = t[mask]
     targets = [-tr.values[mask] for tr in traces]
 
     def vp_residual(alpha):
-        cols = [1.0 - mittag_leffler_neg_real(alpha, 1.0, lam * tau ** alpha)
-                for lam in lams]
-        design = np.stack(cols, axis=1)
+        # one piece [c0_hat, inf): columns 1 - E_{alpha,1}(-lam_j tau^alpha)
+        design = relaxation_design(alpha, lams, [c0_hat, math.inf], window)[:, :, 0]
         total = 0.0
         for y in targets:
             w, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -285,31 +284,6 @@ def detect_change_points(traces, c0_hat: float, cfg: InversionConfig):
     return sorted(kept)
 
 
-def _relaxation_design(alpha: float, lams: np.ndarray, bounds, t: np.ndarray):
-    """Columns D[:, (j,k)] = A_{j,c_k} - A_{j,c_{k-1}} with
-    A_{j,c}(t) = E_{alpha,1}(-lam_j clip(t-c,0)^alpha); ordering k-major in j."""
-    profiles = np.empty((len(lams), len(bounds), len(t)))
-    xs, slots = [], []
-    for j, lam in enumerate(lams):
-        for bidx, c in enumerate(bounds):
-            if not np.isfinite(c):
-                profiles[j, bidx] = 1.0
-            else:
-                xs.append(lam * np.clip(t - c, 0.0, None) ** alpha)
-                slots.append((j, bidx))
-    if xs:
-        vals = mittag_leffler_neg_real(alpha, 1.0, np.concatenate(xs))
-        n = len(t)
-        for i, (j, bidx) in enumerate(slots):
-            profiles[j, bidx] = vals[i * n:(i + 1) * n]
-    n_pieces = len(bounds) - 1
-    cols = np.empty((len(t), len(lams) * n_pieces))
-    for j in range(len(lams)):
-        for k in range(n_pieces):
-            cols[:, j * n_pieces + k] = profiles[j, k + 1] - profiles[j, k]
-    return cols
-
-
 def _sigma_ratio(svals: np.ndarray) -> float:
     """Smallest over largest singular value; 0 for a zero matrix."""
     return float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0
@@ -324,7 +298,7 @@ def solve_mode_amplitudes(traces, alpha_hat: float, cuts_hat, spectrum: Spectrum
     groups = spectrum.distinct_eigenvalues
     lams = np.array([lam for lam, _ in groups])
     bounds = list(cuts_hat) + [math.inf]
-    design = _relaxation_design(alpha_hat, lams, bounds, t)
+    design = relaxation_design(alpha_hat, lams, bounds, t).reshape(len(t), -1)
     n_pieces = len(bounds) - 1
     n_cols = design.shape[1]
     mu = cfg.tikhonov_scale * float(np.sum(design * design))
@@ -406,17 +380,6 @@ def _real_dofs(spectrum: SpectrumTable):
     return dofs
 
 
-def _coeffs_to_vector(coeffs, spectrum):
-    dofs = _real_dofs(spectrum)
-    out = np.empty(len(dofs) * len(coeffs))
-    pos = 0
-    for pc in coeffs:
-        for i, kind in dofs:
-            out[pos] = pc.values[i].real if kind in ("re0", "re") else pc.values[i].imag
-            pos += 1
-    return out
-
-
 def _vector_to_coeffs(vec, n_pieces, spectrum):
     dofs = _real_dofs(spectrum)
     per = len(dofs)
@@ -438,11 +401,12 @@ def _vector_to_coeffs(vec, n_pieces, spectrum):
 
 
 def _sensor_phase_matrix(spectrum: SpectrumTable, theta: float):
-    """Maps the real dof vector of one piece to grouped amplitudes b_j (real
-    and imaginary stacked): b_j = sum a_n(z) p_n over the group."""
+    """Maps the real dof vector of one piece to the grouped amplitudes
+    b_j = sum a_n(z) p_n over the group, which are real for a
+    conjugate-symmetric piece."""
     groups = spectrum.distinct_eigenvalues
     dofs = _real_dofs(spectrum)
-    mat = np.zeros((2 * len(groups), len(dofs)))
+    mat = np.zeros((len(groups), len(dofs)))
     for pos, (i, kind) in enumerate(dofs):
         mo = spectrum.modes[i]
         j = next(jj for jj, (_, idx) in enumerate(groups) if i in idx)
@@ -453,22 +417,21 @@ def _sensor_phase_matrix(spectrum: SpectrumTable, theta: float):
             contrib = a + np.conj(a)            # p and conj(p) at -m
         else:
             contrib = 1j * a - 1j * np.conj(a)
-        mat[2 * j, pos] = contrib.real
-        mat[2 * j + 1, pos] = contrib.imag
+        mat[j, pos] = contrib.real
     return mat
 
 
-def _model_flux_matrix(design: np.ndarray, phases, n_lams: int, n_pieces: int,
-                       n_dof_per_piece: int):
-    """Linear operator L_ell with model -flux_ell = L_ell @ p_vec."""
-    n_t = design.shape[0]
+def _model_flux_matrix(design: np.ndarray, phases):
+    """Linear operator L_ell with model -flux_ell = L_ell @ p_vec, for the
+    (n_t, J, K) relaxation_design and one phase matrix per sensor."""
+    n_t, n_lams, n_pieces = design.shape
     ops = []
     for phase in phases:
-        # op[:, k, :] accumulates design[:, (j, k)] x phase row 2j over j
-        op = np.zeros((n_t, n_pieces, n_dof_per_piece))
+        # op[:, k, :] accumulates design[:, j, k] x phase row j over j
+        op = np.zeros((n_t, n_pieces, phase.shape[1]))
         for j in range(n_lams):
-            op += design[:, j * n_pieces:(j + 1) * n_pieces, None] * phase[2 * j]
-        ops.append(op.reshape(n_t, n_pieces * n_dof_per_piece))
+            op += design[:, j, :, None] * phase[j]
+        ops.append(op.reshape(n_t, -1))
     return ops
 
 
@@ -494,7 +457,7 @@ def _cut_jacobian(alpha: float, lams: np.ndarray, cuts, t: np.ndarray, phases,
             deriv[j, k, m] = lam * tau ** (alpha - 1.0) * vals[pos:pos + tau.size]
             pos += tau.size
     # w[l, j, k] multiplies design column (j, k) at sensor l
-    w = np.stack([phase[0::2] @ pvec.reshape(n_pieces, -1).T for phase in phases])
+    w = np.stack([phase @ pvec.reshape(n_pieces, -1).T for phase in phases])
     jump = -w
     jump[:, :, 1:] += w[:, :, :-1]
     return np.einsum("jkt,ljk->ltk", deriv, jump).reshape(-1, n_pieces)
@@ -531,13 +494,12 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     groups = spectrum.distinct_eigenvalues
     lams = np.array([lam for lam, _ in groups])
     n_pieces = initial.K_hat
-    per = len(_real_dofs(spectrum))
     phases = [_sensor_phase_matrix(spectrum, tr.sensor_angle) for tr in traces]
     y = np.concatenate([-tr.values for tr in traces])
 
     def operator(alpha, cuts):
-        design = _relaxation_design(alpha, lams, list(cuts) + [math.inf], t)
-        return np.vstack(_model_flux_matrix(design, phases, len(lams), n_pieces, per))
+        design = relaxation_design(alpha, lams, list(cuts) + [math.inf], t)
+        return np.vstack(_model_flux_matrix(design, phases))
 
     def feasible(theta):
         alpha, cuts = theta[0], theta[1:]
@@ -560,7 +522,8 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
         raise ValidationError("initial refine point outside the feasible region",
                               clause="refine-start")
     r, p, q, rmat, svals = project(theta)
-    r0 = q @ (rmat @ _coeffs_to_vector(initial.coeffs_hat, spectrum)) - y
+    start = predicted_flux(initial, spectrum, t, [tr.sensor_angle for tr in traces])
+    r0 = np.concatenate([tr.values - f for tr, f in zip(traces, start)])
     log = {"iterations": 0, "initial_residual": math.sqrt(float(r0 @ r0))}
     cost = float(r @ r)
     fd_step = 1e-5
@@ -678,19 +641,12 @@ def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = N
 
 def predicted_flux(result: ReconstructionResult, spectrum: SpectrumTable,
                    times: np.ndarray, sensor_angles) -> list:
-    """Flux traces implied by a reconstruction, one array per sensor angle."""
-    groups = spectrum.distinct_eigenvalues
-    lams = np.array([lam for lam, _ in groups])
+    """Flux traces implied by a reconstruction, one array per sensor angle,
+    by the same grouped-amplitude sum that synthesizes traces."""
     bounds = list(result.cuts_hat) + [math.inf]
-    design = _relaxation_design(result.alpha_hat, lams, bounds, times)
-    per = len(_real_dofs(spectrum))
-    pvec = _coeffs_to_vector(result.coeffs_hat, spectrum)
-    out = []
-    for theta in sensor_angles:
-        phase = _sensor_phase_matrix(spectrum, theta)
-        op = _model_flux_matrix(design, [phase], len(lams), result.K_hat, per)[0]
-        out.append(-(op @ pvec))
-    return out
+    fluxes = relaxation_flux(result.alpha_hat, bounds, result.coeffs_hat, spectrum,
+                             sensor_angles, times)
+    return [f.real for f in fluxes]
 
 
 def result_to_json(result: ReconstructionResult, spectrum: SpectrumTable) -> str:

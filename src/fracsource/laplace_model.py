@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .disc_spectrum import SpectrumTable, eigenfunction_eval, normalizer_sign
 from .errors import DomainError, HorizonError, PoleProximityError, ShapeError
@@ -23,7 +22,6 @@ __all__ = [
     "LaplacePoint",
     "LaplaceSamples",
     "AdjointSpec",
-    "TailSpec",
     "branch_power",
     "pole_locations",
     "laplace_flux_model",
@@ -96,23 +94,6 @@ class AdjointSpec:
             raise DomainError("N must be >= 0")
 
 
-@dataclass(frozen=True)
-class TailSpec:
-    """Algebraic tail model A + sum_j B_j (t - shift)^(-j alpha) fitted on the
-    last fit_fraction of a trace and integrated in closed form beyond it."""
-
-    alpha: float
-    shift: float = 0.0
-    terms: int = 3
-    fit_fraction: float = 0.25
-
-    def __post_init__(self):
-        if not 0 < self.fit_fraction < 1:
-            raise DomainError("fit_fraction must be in (0,1)")
-        if self.terms < 1 or self.terms > 6:
-            raise DomainError("terms must be in [1, 6]")
-
-
 def pole_locations(alpha: float, distinct_lambdas) -> list:
     """(-lambda_j)^(1/alpha) on the branch: modulus lambda_j^(1/alpha),
     argument pi/alpha (inside (pi, 2pi) for alpha in (1/2, 1))."""
@@ -150,23 +131,18 @@ def laplace_flux_model(model: SourceModel, theta_z: float, s: LaplacePoint,
     return complex(total / sv)
 
 
-def numeric_laplace(trace: FluxTrace, s: LaplacePoint,
-                    tail: TailSpec | None = None) -> complex:
+def numeric_laplace(trace: FluxTrace, s: LaplacePoint) -> complex:
     """Quadrature of int_0^T e^(-s t) (-flux)(t) dt with the piecewise-linear
-    interpolant integrated exactly per interval; beyond T either the horizon
-    must already be negligible or a TailSpec supplies the continuation."""
+    interpolant integrated exactly per interval; the horizon e^(-Re s T) must
+    already be negligible."""
     sv = s.s
     t = trace.times
-    g = -trace.values
     horizon = float(np.exp(-sv.real * t[-1]))
-    if tail is None and horizon > 1e-10:
+    if horizon > 1e-10:
         raise HorizonError(
             f"exp(-Re s * T) = {horizon:.2e} > 1e-10 at T={t[-1]}; "
-            "supply a tail model or extend the trace")
-    total = _laplace_pwlinear(t, g, sv)
-    if tail is not None:
-        total += _tail_transform(t, g, sv, tail)
-    return complex(total)
+            "extend the trace")
+    return _laplace_pwlinear(t, -trace.values, sv)
 
 
 def _laplace_pwlinear(t: np.ndarray, g: np.ndarray, s: complex) -> complex:
@@ -191,50 +167,14 @@ def _laplace_pwlinear(t: np.ndarray, g: np.ndarray, s: complex) -> complex:
     return complex(np.sum(e0 * (g0 * f0 + slope * f1)))
 
 
-def _upper_gamma(a: float, x: float) -> float:
-    """Gamma(a, x) for real a (possibly <= 0), x > 0, via upward recursion
-    Gamma(a, x) = (Gamma(a+1, x) - x^a e^(-x)) / a."""
-    shift = 0
-    aa = a
-    while aa <= 0:
-        aa += 1.0
-        shift += 1
-    val = float(gammaincc(aa, x)) * math.gamma(aa)
-    for i in range(shift):
-        aa -= 1.0
-        val = (val - x ** aa * math.exp(-x)) / aa
-    return val
-
-
-def _tail_transform(t: np.ndarray, g: np.ndarray, s: complex,
-                    tail: TailSpec) -> complex:
-    """Fit g(t) ~ A + sum_j B_j (t-shift)^(-j alpha) on the trailing window and
-    integrate the model against e^(-s t) over (T, inf)."""
-    big_t = float(t[-1])
-    n_fit = max(int(len(t) * tail.fit_fraction), tail.terms + 2)
-    tf = t[-n_fit:] - tail.shift
-    if np.any(tf <= 0):
-        raise DomainError("tail shift must precede the fitting window")
-    cols = [np.ones_like(tf)]
-    for j in range(1, tail.terms + 1):
-        cols.append(tf ** (-j * tail.alpha))
-    design = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(design, g[-n_fit:], rcond=None)
-    if s.imag != 0:
-        raise DomainError("tail continuation implemented for real s only")
-    sr = s.real
-    total = coef[0] * math.exp(-sr * big_t) / sr
-    u = big_t - tail.shift
-    for j in range(1, tail.terms + 1):
-        p = 1.0 - j * tail.alpha
-        # int_T^inf e^{-s t}(t-shift)^{-j a} dt = e^{-s shift} s^{j a - 1} Gamma(1-j a, s u)
-        total += coef[j] * math.exp(-sr * tail.shift) * sr ** (-p) * _upper_gamma(p, sr * u)
-    return complex(total)
-
-
 def delta_z_eval(spec: AdjointSpec, r, theta):
     """Truncated boundary mollifier sum_{|l|<=N} xi_l(z) xi_{-l}(r, theta);
-    real-valued: (1/2pi)(1 + 2 sum_{l=1}^N r^l cos(l (theta_z - theta)))."""
+    real-valued: (1/2pi)(1 + 2 sum_{l=1}^N r^l cos(l (theta_z - theta))).
+
+    This is the paper's adjoint mollifier, the data of the adjoint system at
+    the sensor z; tests use it as the reference for the boundary limit of
+    adjoint_weight_w and for the projections a_n(z) (TestDeltaMollifier).
+    """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if np.any(r < 0) or np.any(r > 1):
@@ -249,7 +189,12 @@ def delta_z_eval(spec: AdjointSpec, r, theta):
 def adjoint_weight_w(spec: AdjointSpec, spectrum: SpectrumTable, r, theta,
                      t: float):
     """Adjoint field w_z^N(x, t) as its eigenexpansion over modes with
-    |m| <= N: sum a-bar_n(z) t^(a-1) [1/Gamma(a) - E_{a,a}(-lam_n t^a)] phi_n."""
+    |m| <= N: sum a-bar_n(z) t^(a-1) [1/Gamma(a) - E_{a,a}(-lam_n t^a)] phi_n.
+
+    This is the adjoint solution through which the paper relates the
+    unknowns to the boundary data; tests check its truncation, its decay and
+    its boundary limit t^(a-1) delta_z^N / Gamma(a) (TestAdjointWeight).
+    """
     if not t > 0:
         raise DomainError("t must be positive")
     alpha = spec.alpha

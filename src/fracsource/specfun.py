@@ -35,7 +35,6 @@ _EPS = float(np.finfo(float).eps)
 __all__ = [
     "MLAccuracy",
     "SampledTrace",
-    "gamma_fn",
     "mittag_leffler",
     "mittag_leffler_neg_real",
     "bessel_j",
@@ -81,17 +80,6 @@ class SampledTrace:
     def is_uniform(self) -> bool:
         dt = np.diff(self.times)
         return bool(np.allclose(dt, dt[0], rtol=1e-12, atol=1e-15))
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on the real line, poles rejected."""
-    x = float(x)
-    if x <= 0 and x == math.floor(x):
-        raise DomainError(f"gamma_fn pole at x={x}")
-    try:
-        return math.gamma(x)
-    except OverflowError as exc:  # x > ~171.6
-        raise DomainError(f"gamma_fn overflow at x={x}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -729,18 +717,16 @@ def fractional_integral(trace: SampledTrace, beta: float) -> SampledTrace:
 
     The piecewise-linear interpolant of psi is integrated exactly against the
     (t - tau)^(beta-1) kernel, so the endpoint singularity costs no accuracy
-    order: the error is O(h^2) for smooth psi.
+    order: the error is O(h^2) for smooth psi. The grid must be uniform.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta={beta} outside (0, 1)")
     t = trace.times
     if t[0] != 0.0:
         raise DomainError("trace must start at t=0")
-    psi = np.asarray(trace.values)
-    if trace.is_uniform:
-        out = _frac_int_uniform(psi, float(t[1] - t[0]), beta)
-    else:
-        out = _frac_int_general(psi, t, beta)
+    if not trace.is_uniform:
+        raise DomainError("fractional_integral needs a uniform time grid")
+    out = _frac_int_uniform(np.asarray(trace.values), float(t[1] - t[0]), beta)
     return SampledTrace(times=t, values=out)
 
 
@@ -780,19 +766,3 @@ def _frac_int_uniform(psi: np.ndarray, h: float, beta: float) -> np.ndarray:
     conv[1:] -= psi[0] * b[2:n + 1]
     conv[0] = 0.0
     return conv / math.gamma(beta)
-
-
-def _frac_int_general(psi: np.ndarray, t: np.ndarray, beta: float) -> np.ndarray:
-    """Nonuniform-grid product integration, O(n^2)."""
-    n = len(psi)
-    out = np.zeros(n, dtype=psi.dtype if np.iscomplexobj(psi) else float)
-    g = math.gamma(beta)
-    for i in range(1, n):
-        u0 = t[i] - t[:i]        # > 0
-        u1 = t[i] - t[1:i + 1]   # >= 0
-        hj = t[1:i + 1] - t[:i]
-        m0 = (u0 ** beta - u1 ** beta) / beta
-        m1 = u0 * m0 - (u0 ** (beta + 1.0) - u1 ** (beta + 1.0)) / (beta + 1.0)
-        wj = m1 / hj
-        out[i] = (np.sum(psi[:i] * (m0 - wj)) + np.sum(psi[1:i + 1] * wj)) / g
-    return out

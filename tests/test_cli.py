@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,26 @@ class TestInvertCommand:
                      os.path.join(run, "flux_sensor1.csv"),
                      os.path.join(run, "flux_sensor2.csv")])
         assert code == 2
+
+    def test_onset_one_ulp_past_a_grid_point(self, tmp_path):
+        # the flux first crosses the threshold at t = 1.001, and 1.001 - h
+        # lies one ulp above the grid point 1.0, so the leading window of the
+        # order search starts at t - c0 = -2.2e-16; (-2.2e-16)^alpha is nan,
+        # which made invert exit 2 unless t - c0 is clipped at 0
+        cfg_path = write_config(tmp_path, {"model.cuts": [1.0005, 2.0, "inf"]})
+        assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
+        run = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["invert", "--config", cfg_path, "--quiet",
+                         str(run / "flux_sensor1.csv"), str(run / "flux_sensor2.csv")])
+        assert code == 0
+        recon = json.loads((run / "reconstruction.json").read_text())
+        c0_hat = dict(recon["stage_log"])["detect_onset"]["c0_hat"]
+        assert c0_hat > load_config(cfg_path).times()[1000]
+        assert recon["K_hat"] == 2
+        assert abs(recon["alpha_hat"] - 0.75) <= 1e-6
+        assert np.max(np.abs(np.array(recon["cuts_hat"]) - [1.0005, 2.0])) <= 1e-6
 
     @pytest.mark.parametrize("bad_row", ["0.005;0.1", "0.005,nan"],
                              ids=["malformed-row", "nan-flux"])

@@ -14,6 +14,7 @@ from fracsource.forward_model import (
     flux_trace,
     grouped_amplitudes,
     irrationality_margin,
+    relaxation_design,
     solve_field,
     verify_measurement_identity,
 )
@@ -273,6 +274,25 @@ class TestMeasurementIdentity:
             reference_model, 0.3, np.linspace(0.0, 4.0, 8001))
         assert err_coarse <= 5e-4
         assert err_coarse / err_fine >= 3.0
+
+
+class TestRelaxationDesign:
+    def test_open_piece_columns(self, spectrum30):
+        # bounds [c, inf]: column j is 1 - E_{alpha,1}(-lam_j clip(t - c, 0)^alpha),
+        # with c one ulp above a grid point so that t - c < 0 right there.
+        # The design evaluates all eigenvalues in one batch, whose middle band
+        # is a Chebyshev interpolant over the batch's range, certified to
+        # 0.1 * tol = 1e-13; one batch per column may differ by that much.
+        lams = np.array([lam for lam, _ in spectrum30.distinct_eigenvalues])
+        t = np.linspace(0.0, 2.0, 2001)
+        c = float(np.nextafter(t[1000], 1.0))
+        got = relaxation_design(0.75, lams, [c, math.inf], t)
+        assert got.shape == (len(t), len(lams), 1)
+        for j, lam in enumerate(lams):
+            want = 1.0 - mittag_leffler_neg_real(
+                0.75, 1.0, lam * np.clip(t - c, 0.0, None) ** 0.75)
+            assert np.max(np.abs(got[:, j, 0] - want)) <= 1e-13
+        assert np.all(got[:1001] == 0.0)
 
 
 class TestSolveField:

@@ -10,7 +10,14 @@ from fracsource.errors import (
     SensorGeometryError,
     ValidationError,
 )
-from fracsource.forward_model import FluxTrace, SourceModel, flux_trace, grouped_amplitudes
+from fracsource.forward_model import (
+    FluxTrace,
+    SourceModel,
+    flux_trace,
+    flux_traces,
+    grouped_amplitudes,
+    relaxation_design,
+)
 from fracsource.inversion import (
     InversionConfig,
     ReconstructionResult,
@@ -163,8 +170,8 @@ class TestSolveAmplitudes:
         _, diag = solve_mode_amplitudes(reference_traces, 0.75, [0.2, 1.2],
                                         spectrum30, CFG)
         lams = np.array([lam for lam, _ in spectrum30.distinct_eigenvalues])
-        design = inversion._relaxation_design(0.75, lams, [0.2, 1.2, math.inf],
-                                              reference_traces[0].times)
+        t = reference_traces[0].times
+        design = relaxation_design(0.75, lams, [0.2, 1.2, math.inf], t).reshape(len(t), -1)
         svals = np.linalg.svd(design, compute_uv=False)
         assert diag["sigma_ratio"] == svals[-1] / svals[0]
 
@@ -323,6 +330,28 @@ class TestReconstructPipeline:
             assert np.max(np.abs(mf - tr.values)) <= 1e-8
 
 
+class TestPredictedFlux:
+    @pytest.mark.parametrize("lambda_max", [30.0, 50.0])
+    def test_same_sum_as_synthesis(self, lambda_max):
+        # a result holding a model's alpha, cuts and coefficients predicts
+        # the synthesized traces to the bit: both go through relaxation_flux
+        spectrum = build_spectrum(lambda_max)
+        pieces = ((REF_PIECE_1, REF_PIECE_2) if lambda_max == 30.0
+                  else (J6_PIECE_1, J6_PIECE_2))
+        model = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
+                            piece_coeffs=tuple(make_coeffs(spectrum, p) for p in pieces),
+                            spectrum=spectrum)
+        result = ReconstructionResult(alpha_hat=model.alpha, cuts_hat=[0.2, 1.2],
+                                      coeffs_hat=list(model.piece_coeffs), K_hat=2,
+                                      residual_norm=0.0)
+        t = np.linspace(0.0, 4.0, 2001)
+        got = predicted_flux(result, spectrum, t, (0.3, 1.3))
+        want = flux_traces(model, (0.3, 1.3), t)
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w.values)
+
+
 # Reference copy of _model_flux_matrix as it was before the flux operator was
 # built with broadcasts. The current code must give the same bits.
 
@@ -373,9 +402,8 @@ class TestCutJacobian:
         pvec = np.random.default_rng(3).normal(size=len(cuts) * per)
 
         def model(cs):
-            design = inversion._relaxation_design(alpha, lams, list(cs) + [math.inf], t)
-            ops = inversion._model_flux_matrix(design, phases, len(lams), len(cs), per)
-            return np.vstack(ops) @ pvec
+            design = relaxation_design(alpha, lams, list(cs) + [math.inf], t)
+            return np.vstack(inversion._model_flux_matrix(design, phases)) @ pvec
 
         got = inversion._cut_jacobian(alpha, lams, cuts, t, phases, pvec)
         assert got.shape == (2 * len(t), len(cuts))
@@ -449,7 +477,9 @@ class TestFluxMatrixMatchesReference:
         rng = np.random.default_rng(5)
         design = rng.normal(size=(n_t, n_lams * n_pieces))
         phases = [rng.normal(size=(2 * n_lams, per)) for _ in range(2)]
-        got = inversion._model_flux_matrix(design, phases, n_lams, n_pieces, per)
+        # the operator takes the (n_t, J, K) design and the real phase rows
+        got = inversion._model_flux_matrix(design.reshape(n_t, n_lams, n_pieces),
+                                           [phase[0::2] for phase in phases])
         want = _reference_model_flux_matrix(design, phases, n_lams, n_pieces, per)
         assert len(got) == len(want) == 2
         for a, b in zip(got, want):

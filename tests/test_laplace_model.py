@@ -10,7 +10,6 @@ from fracsource.laplace_model import (
     AdjointSpec,
     LaplacePoint,
     LaplaceSamples,
-    TailSpec,
     adjoint_weight_w,
     branch_power,
     delta_z_eval,
@@ -159,13 +158,6 @@ class TestNumericLaplace:
     def test_horizon_error(self, reference_traces):
         with pytest.raises(HorizonError):
             numeric_laplace(reference_traces[0], LaplacePoint(1.0))
-
-    def test_tail_model(self, reference_model, reference_traces):
-        tail = TailSpec(alpha=0.75, shift=1.2)
-        for s in (1.0, 2.0):
-            gm = laplace_flux_model(reference_model, 0.3, LaplacePoint(s))
-            gn = numeric_laplace(reference_traces[0], LaplacePoint(s), tail=tail)
-            assert abs(gm - gn) <= 1e-4
 
     def test_csv_schema(self):
         pts = (LaplacePoint(1.0), LaplacePoint(2.0 + 1.0j))

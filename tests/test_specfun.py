@@ -15,7 +15,6 @@ from fracsource.specfun import (
     bessel_j,
     bessel_j_zeros,
     fractional_integral,
-    gamma_fn,
     mittag_leffler,
     mittag_leffler_neg_real,
     _asym_cutoff,
@@ -26,30 +25,6 @@ from fracsource.specfun import (
 )
 
 import oracles
-
-
-class TestGamma:
-    def test_examples(self):
-        assert gamma_fn(0.5) == pytest.approx(1.7724538509055160, rel=1e-14)
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(5.0) == 24.0
-
-    def test_pole_rejected(self):
-        for x in (0.0, -1.0, -2.0, -17.0):
-            with pytest.raises(DomainError):
-                gamma_fn(x)
-
-    def test_relative_accuracy_against_lanczos(self):
-        # independent high-precision reference via mpmath
-        mp = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(3)
-        xs = list(rng.uniform(-170, 170, 60)) + [170.0, -170.5, 0.5, 1e-3]
-        with mp.workdps(40):
-            for x in xs:
-                if x <= 0 and float(x) == math.floor(x):
-                    continue
-                ref = float(mp.gamma(mp.mpf(float(x))))
-                assert gamma_fn(float(x)) == pytest.approx(ref, rel=1e-13)
 
 
 class TestMittagLeffler:
@@ -540,9 +515,8 @@ class TestFractionalIntegral:
     def test_nonuniform_grid(self):
         rng = np.random.default_rng(0)
         t = np.concatenate([[0.0], np.sort(rng.uniform(0.001, 0.999, 199)), [1.0]])
-        out = fractional_integral(SampledTrace(t, np.sin(3 * t)), 0.6)
-        val, _ = quad(lambda u: (1.0 - u) ** (-0.4) * math.sin(3 * u), 0, 1, limit=200)
-        assert out.values[-1] == pytest.approx(val / math.gamma(0.6), abs=5e-4)
+        with pytest.raises(DomainError):
+            fractional_integral(SampledTrace(t, np.sin(3 * t)), 0.6)
 
     def test_complex_values(self):
         t = np.linspace(0, 1, 501)
