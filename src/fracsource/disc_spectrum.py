@@ -31,7 +31,6 @@ __all__ = [
     "project_function",
     "sobolev_norm",
     "spectrum_to_json",
-    "spectrum_from_json",
 ]
 
 
@@ -191,9 +190,15 @@ def normalizer_sign(mode: EigenMode) -> float:
 
 
 def normal_derivative_weight(mode: EigenMode, theta: float) -> complex:
-    """Outward normal derivative of the eigenfunction at the boundary point
-    (1, theta): -sign * lambda * a_n(z), where the sign restores the signed
-    normalizer that the closed form implicitly assumes."""
+    """Outward normal derivative d phi_n/d nu at the boundary point
+    z = (1, theta): -sign * lambda * a_n(z), where the sign restores the
+    signed normalizer that the closed form implicitly assumes.
+
+    This is the modal weight of the paper's sparse boundary measurement
+    du/dnu(z, t) = sum_n u_n(t) d phi_n/d nu(z): the forward model applies
+    it per distinct eigenvalue (grouped_amplitudes), and the tests check it
+    against finite differences of eigenfunction_eval to pin the sign
+    convention of boundary_coefficient and normalizer_sign."""
     return -normalizer_sign(mode) * mode.lam * boundary_coefficient(mode, theta)
 
 
@@ -225,7 +230,9 @@ def project_function(f, spectrum: SpectrumTable, quadrature_order: int = 64,
 
 def sobolev_norm(coeffs: ModeCoefficients, spectrum: SpectrumTable,
                  gamma: float) -> float:
-    """(sum_n lambda_n^(2 gamma) |c_n|^2)^(1/2)."""
+    """(sum_n lambda_n^(2 gamma) |c_n|^2)^(1/2), the norm of the domain
+    D((-Laplace)^gamma) in which the paper's source pieces p_k lie
+    (assumption 1b; SourceModel.gamma is that exponent)."""
     if gamma < 0:
         raise DomainError("gamma must be >= 0")
     if len(coeffs) != len(spectrum):
@@ -239,10 +246,3 @@ def spectrum_to_json(spectrum: SpectrumTable) -> str:
     rows = [{"m": mo.m, "k": mo.k, "lambda": mo.lam, "omega": mo.omega}
             for mo in spectrum.modes]
     return json.dumps(rows, indent=1)
-
-
-def spectrum_from_json(text: str) -> SpectrumTable:
-    rows = json.loads(text)
-    modes = tuple(EigenMode(m=row["m"], k=row["k"], lam=row["lambda"],
-                            omega=row["omega"]) for row in rows)
-    return SpectrumTable(modes=modes)

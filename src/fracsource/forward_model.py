@@ -8,13 +8,18 @@ difference of Mittag-Leffler relaxation profiles. The boundary flux weights
 each mode by -lambda_n * a_n(z), so it is a sum of these differences, one
 per (distinct eigenvalue, piece), weighted by the grouped amplitudes.
 
-relaxation_design builds that relaxation basis from one Mittag-Leffler
-batch. It is the only builder of it: synthesis (flux_traces), the order
-search, the amplitude solve, refinement and the residual curves of the
-inversion all use it.
+relaxation_design builds that relaxation basis, and relaxation_rates its
+derivatives in the cuts. Both write each profile as an exponential sum
+(E_{alpha,1}(-lambda t^alpha) is completely monotone) on one node lattice that
+does not depend on alpha, so on a uniform grid every build is a product with
+one cached table; orders at and above EXP_SUM_ALPHA_MAX take one
+Mittag-Leffler batch instead. relaxation_design is the only builder of the
+basis: synthesis (flux_traces), the order search, the amplitude solve,
+refinement and the residual curves of the inversion all use it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +48,7 @@ __all__ = [
     "flux_trace",
     "flux_traces",
     "relaxation_design",
+    "relaxation_rates",
     "relaxation_flux",
     "verify_measurement_identity",
     "solve_field",
@@ -195,26 +201,246 @@ def _grouped(spectrum: SpectrumTable, piece_coeffs, theta_z: float) -> np.ndarra
     return out
 
 
+# Exponential-sum form of the relaxation profiles. For 0 < alpha < 1,
+#   E_{alpha,1}(-lam tau^alpha) = int_0^inf e^{-r tau} K(r) dr,
+#   r K(r) = (1/pi) lam sin(alpha pi) r^alpha / (r^{2 alpha} + 2 lam r^alpha cos(alpha pi) + lam^2)
+# (complete monotonicity; Gorenflo, Kilbas, Mainardi and Rogosin, 2014), and
+# lam tau^(alpha-1) E_{alpha,alpha}(-lam tau^alpha) is the same integral with an
+# extra factor r. The trapezoidal rule in u = log r runs on the fixed lattice
+# u_q = q * _NODE_STEP, so the exponential factors depend only on the grid.
+_NODE_STEP = 0.25
+_TAU_LOW = 1e-18          # below r = _TAU_LOW / tau_max, e^{-r tau} rounds to 1
+_TAU_HIGH = 800.0         # above r = _TAU_HIGH / tau_min, e^{-r tau} underflows
+# Below r = _TAYLOR_RATE / t_max the factors e^{-r tau} are replaced by their
+# first _TAYLOR_TERMS Taylor terms in tau (remainder below 6e-15 of those
+# nodes' weight), which folds about two thirds of the nodes into 8 columns.
+_TAYLOR_RATE = 1.0 / 16.0
+_TAYLOR_TERMS = 8
+# At and above this order the basis comes from one mittag_leffler_neg_real
+# batch: there the two evaluations start to differ by more than 1e-13
+# (mittag_leffler_neg_real is the less accurate side as alpha -> 1).
+EXP_SUM_ALPHA_MAX = 0.985
+_ROW_BLOCK = 2048         # rows per block on grids without a shift table
+_TABLE_MAX_BYTES = 1 << 24
+
+
+def _node_weights(alpha: float, lams: np.ndarray, q_lo: int, q_hi: int, moment: int):
+    """Nodes r_q = exp(q h_u), q_lo <= q <= q_hi, and the trapezoidal weights
+    w[q, j] = (h_u/pi) lam_j sin(alpha pi) r_q^(alpha + moment)
+    / ((r_q^alpha + lam_j cos(alpha pi))^2 + (lam_j sin(alpha pi))^2); the
+    denominator is written as a sum of squares, which does not cancel as
+    alpha -> 1."""
+    u = np.arange(q_lo, q_hi + 1) * _NODE_STEP
+    r = np.exp(u)
+    ra = np.exp(alpha * u)[:, None]
+    s, c = math.sin(alpha * math.pi), math.cos(alpha * math.pi)
+    w = (_NODE_STEP / math.pi) * s * lams * ra / ((ra + lams * c) ** 2 + (lams * s) ** 2)
+    if moment:
+        w *= r[:, None] ** moment
+    return r, w
+
+
+def _q_top(tau_min: float) -> int:
+    """Last lattice index whose factor e^{-r tau} does not underflow for
+    tau >= tau_min."""
+    return math.ceil(math.log(_TAU_HIGH / tau_min) / _NODE_STEP)
+
+
+def _basis(x: np.ndarray, r_fast: np.ndarray) -> np.ndarray:
+    """Columns (-x)^k / k!, k < _TAYLOR_TERMS, then e^{-x r_q} for the fast
+    nodes; a product with _fold of the weights is sum_q e^{-x r_q} w_q."""
+    out = np.empty((len(x), _TAYLOR_TERMS + len(r_fast)))
+    slow, fast = out[:, :_TAYLOR_TERMS], out[:, _TAYLOR_TERMS:]
+    slow[:, 0] = 1.0
+    slow[:, 1:] = -x[:, None] / np.arange(1, _TAYLOR_TERMS)
+    np.cumprod(slow, axis=1, out=slow)
+    np.multiply.outer(-x, r_fast, out=fast)
+    np.maximum(fast, -700.0, out=fast)      # skips the slow underflow path of exp
+    np.exp(fast, out=fast)
+    return out
+
+
+def _fold(r: np.ndarray, w: np.ndarray, n_slow: int) -> np.ndarray:
+    """The weights of _basis: the moments sum_q w_q r_q^k of the first n_slow
+    (slow) nodes, then the weights of the fast nodes."""
+    moments = np.power.outer(r[:n_slow], np.arange(_TAYLOR_TERMS)).T @ w[:n_slow]
+    return np.vstack([moments, w[n_slow:]])
+
+
+@functools.lru_cache(maxsize=2)
+def _shift_table(n: int, h: float, q_lo: int, q_hi: int) -> np.ndarray:
+    """_basis at x = m h, m < n, over the fast nodes q_lo <= q <= q_hi:
+    read-only, shared by every cut and order."""
+    r = np.exp(np.arange(q_lo, q_hi + 1) * _NODE_STEP)
+    table = _basis(np.arange(n) * h, r)
+    table.flags.writeable = False
+    return table
+
+
+def _uniform_step(times: np.ndarray):
+    """The step h of times when t_i = t_0 + i h to within a few ulps, else None."""
+    n = len(times)
+    if n < 3:
+        return None
+    h = float(times[-1] - times[0]) / (n - 1)
+    ideal = times[0] + np.arange(n) * h
+    if not np.max(np.abs(times - ideal)) <= 8.0 * np.spacing(abs(times[-1])):
+        return None
+    return h
+
+
+def _exp_sum_profiles(alpha: float, lams: np.ndarray, cuts: np.ndarray,
+                      times: np.ndarray, moment: int) -> np.ndarray:
+    """P[i, j, b] = sum_q e^{-r_q tau} w_qj + tail + pole at tau = t_i - c_b > 0
+    (see relaxation_design), and 1 (moment 0) or 0 (moment 1) at tau <= 0."""
+    n = len(times)
+    out = np.full((n, len(lams), len(cuts)), 1.0 if moment == 0 else 0.0)
+    starts = np.searchsorted(times, cuts, side="right")   # first t_i > c
+    if np.all(starts == n):
+        return out
+    # below r_lo, e^{-r tau} rounds to 1 (every cut is >= 0, so tau <= t_max)
+    # and r^alpha <= 3e-9 lam, so the closed-form tail is exact to ~1e-17
+    t_max = float(times[-1])
+    u_lo = min(math.log(_TAU_LOW / t_max), math.log(3e-9 * float(np.min(lams))) / alpha)
+    q_lo = math.floor(u_lo / _NODE_STEP)
+    q_fast = math.floor(math.log(_TAYLOR_RATE / t_max) / _NODE_STEP) + 1
+    n_slow = q_fast - q_lo
+    live = starts < n
+    deltas = times[starts[live]] - cuts[live]
+    q_hi = _q_top(float(np.min(deltas)))
+    h = _uniform_step(times)
+    table = None
+    if h is not None:
+        q_tab = _q_top(h)
+        if n * (q_tab - q_fast + 1 + _TAYLOR_TERMS) * 8 <= _TABLE_MAX_BYTES:
+            table = _shift_table(n, h, q_fast, q_tab)
+            q_hi = max(q_hi, q_tab)   # a cut before t_0 may have delta > h
+    r, w = _node_weights(alpha, lams, q_lo, q_hi, moment)
+    # rows summed at their exact tau: the first row after each cut, whose tau
+    # may lie anywhere in (0, h], and without a table all later rows
+    for b, c, i0 in zip(np.flatnonzero(live), cuts[live], starts[live]):
+        blocks = [(i0, i0 + 1)]
+        if table is None:
+            blocks += [(lo, lo + _ROW_BLOCK) for lo in range(i0 + 1, n, _ROW_BLOCK)]
+        for lo, hi in blocks:
+            tau = times[lo:hi] - c
+            if len(tau):
+                top = _q_top(float(tau[0])) - q_lo + 1
+                out[lo:lo + len(tau), :, b] = (_basis(tau, r[n_slow:top])
+                                               @ _fold(r[:top], w[:top], n_slow))
+    if table is not None and np.min(starts) + 1 < n:
+        # later rows: t_i - c = delta + m h with delta = t_{i0} - c, so
+        # e^{-(t_i - c) r} = e^{-delta r} e^{-m h r}, one product for all cuts
+        top = n_slow + table.shape[1] - _TAYLOR_TERMS
+        shifted = np.exp(-np.multiply.outer(r[:top], deltas))[:, None, :] * w[:top, :, None]
+        folded = _fold(r[:top], shifted.reshape(top, -1), n_slow)
+        body = (table[1:n - int(np.min(starts))] @ folded).reshape(-1, len(lams), len(deltas))
+        for col, b in enumerate(np.flatnonzero(live)):
+            out[starts[b] + 1:, :, b] = body[:n - starts[b] - 1, :, col]
+    # closed forms: the lattice below q_lo, where e^{-r tau} = 1 and
+    # r K(r) ~ sin(alpha pi) r^alpha / (pi lam), summed as a geometric series;
+    # and for alpha > 2/3 the trapezoidal error of the pole of the integrand
+    # at u* = (log lam + i pi (1 - alpha)) / alpha (Trefethen and Weideman,
+    # SIAM Rev. 56, 2014). For alpha <= 2/3 that pole lies outside the strip
+    # |Im u| < pi/2 in which e^{-e^u tau} decays, and it adds nothing.
+    s = math.sin(alpha * math.pi)
+    ex = alpha + moment
+    tail = (s * math.exp(ex * q_lo * _NODE_STEP) * _NODE_STEP
+            / (math.pi * lams * math.expm1(ex * _NODE_STEP)))
+    for b, i0 in enumerate(starts):
+        out[i0:, :, b] += tail
+    if alpha > 2.0 / 3.0:
+        u_star = (np.log(lams) + 1j * math.pi * (1.0 - alpha)) / alpha
+        r_star = np.exp(u_star)
+        # the lattice contains u = 0, so only the phase of u*/h_u mod 1 matters
+        phase = np.mod(u_star.real / _NODE_STEP, 1.0) + 1j * u_star.imag / _NODE_STEP
+        coef = 2j * r_star ** moment / (alpha * (np.exp(-2j * math.pi * phase) - 1.0))
+        # the term Im(coef e^{-r* tau}) decays like e^{-tau Re r*}; it is
+        # summed, in real arithmetic, while it can exceed 1e-18
+        tau_stop = float(np.max(np.log(np.abs(coef) * 1e18) / r_star.real))
+        for b, (c, i0) in enumerate(zip(cuts, starts)):
+            tau = times[i0:np.searchsorted(times, c + tau_stop, side="right"), None] - c
+            arg = tau * r_star.imag
+            out[i0:i0 + len(tau), :, b] -= np.exp(-tau * r_star.real) * (
+                coef.imag * np.cos(arg) - coef.real * np.sin(arg))
+    return out
+
+
+def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
+    """(n_t, J, len(cuts)) profiles of finite cuts: E_{alpha,1}(-lam_j tau^alpha)
+    (moment 0) or lam_j tau^(alpha-1) E_{alpha,alpha}(-lam_j tau^alpha)
+    (moment 1) at tau = t_i - c, with 1 or 0 where tau <= 0."""
+    lams = np.asarray(lams, dtype=float)
+    cuts = np.asarray(cuts, dtype=float)
+    times = np.asarray(times, dtype=float)
+    if alpha < EXP_SUM_ALPHA_MAX and np.all(cuts >= 0):
+        return _exp_sum_profiles(alpha, lams, cuts, times, moment)
+    taus = np.clip(times - cuts[:, None], 0.0, None)
+    x = lams[:, None, None] * taus ** alpha
+    if moment == 0:
+        vals = mittag_leffler_neg_real(alpha, 1.0, x.ravel()).reshape(x.shape)
+    else:
+        # lam tau^(alpha-1) = x / tau
+        live = x > 0
+        vals = np.zeros(x.shape)
+        vals[live] = (x[live] / np.broadcast_to(taus, x.shape)[live]
+                      * mittag_leffler_neg_real(alpha, alpha, x[live]))
+    return vals.transpose(2, 0, 1)
+
+
 def relaxation_design(alpha: float, lams, bounds, times) -> np.ndarray:
     """The relaxation basis D[i, j, k] = A_{j,c_{k+1}}(t_i) - A_{j,c_k}(t_i),
     shape (n_t, J, K) for K + 1 bounds c_0 < ... < c_K, where
     A_{j,c}(t) = E_{alpha,1}(-lambda_j clip(t - c, 0)^alpha) and A = 1 for an
     infinite bound.
 
-    Every finite profile comes from one mittag_leffler_neg_real batch,
-    ordered eigenvalue-major; the values of the batch's middle band depend
-    on its composition, so every caller shares this one construction.
+    Representation: for alpha < EXP_SUM_ALPHA_MAX and bounds >= 0, at
+    tau = t - c > 0, A_{j,c} = sum_q e^{-r_q tau} w_qj + tail_j + pole_j(tau),
+    the trapezoidal rule in u = log r for E_{alpha,1}(-lambda tau^alpha) =
+    int_0^inf e^{-r tau} K(r) dr. Only the weights w_qj depend on alpha and
+    lambda_j.
+
+    Nodes: the lattice u_q = q / 4, from log(1e-18 / t_max), below which
+    e^{-r tau} rounds to 1 and the rest of the lattice is summed in closed
+    form (tail_j; lower still if r^alpha > 3e-9 lambda_min there), up to
+    log(800 / h), above which e^{-r h} underflows: 228
+    nodes on the 4000-step grid of [0, 4]. The 156 of them with
+    r t_max <= 1/16 enter through the first 8 Taylor terms of e^{-r tau}, so
+    the table there has 80 columns (2.6 MB). For alpha > 2/3,
+    pole_j removes the quadrature error of the integrand's pole in closed
+    form. On a uniform grid e^{-(t_i - c) r} = e^{-delta r} e^{-(i - i_c) h r},
+    with i_c the first row after c and delta = t_{i_c} - c, so one cached
+    table of the e^{-m h r_q} serves every cut and every order, and a build
+    is one matrix product for all finite bounds.
+
+    Rows (times increasing): tau <= 0 gives exactly 1. The first row after
+    a bound has 0 < tau = delta <= h and is summed at its own tau over nodes
+    up to log(800 / delta). Grids that are not uniform, or whose table would
+    exceed 16 MB, are summed at their exact tau in row blocks. Each value
+    agrees with mittag_leffler_neg_real to about 1e-13 and does not depend
+    on the other bounds, eigenvalues or rows of the call.
+
+    Fallback: for alpha >= EXP_SUM_ALPHA_MAX (0.985), or a negative bound,
+    every finite profile comes from one mittag_leffler_neg_real batch. Up to
+    that order the two agree to 1e-13, so the basis stays continuous in alpha
+    across the switch; above it mittag_leffler_neg_real is the less accurate
+    of the two.
     """
-    lams = np.asarray(lams, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
-    times = np.asarray(times, dtype=float)
     finite = np.isfinite(bounds)
     profiles = np.ones((len(times), len(lams), len(bounds)))
     if finite.any():
-        powers = np.clip(times - bounds[finite, None], 0.0, None) ** alpha
-        vals = mittag_leffler_neg_real(alpha, 1.0, (lams[:, None, None] * powers).ravel())
-        profiles[:, :, finite] = vals.reshape(len(lams), -1, len(times)).transpose(2, 0, 1)
+        profiles[:, :, finite] = _profiles(alpha, lams, bounds[finite], times, 0)
     return profiles[:, :, 1:] - profiles[:, :, :-1]
+
+
+def relaxation_rates(alpha: float, lams, cuts, times) -> np.ndarray:
+    """dA_{j,c}/dc at each finite cut, shape (n_t, J, len(cuts)):
+    lambda_j tau^(alpha-1) E_{alpha,alpha}(-lambda_j tau^alpha) at
+    tau = t_i - c > 0 and 0 where tau <= 0, by
+    d/dtau E_{alpha,1}(-lambda tau^alpha) = -lambda tau^(alpha-1) E_{alpha,alpha}(-lambda tau^alpha).
+    The same construction as relaxation_design, with weights r_q w_qj."""
+    return _profiles(alpha, lams, cuts, times, 1)
 
 
 def relaxation_flux(alpha: float, bounds, piece_coeffs, spectrum: SpectrumTable,

@@ -30,8 +30,12 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .forward_model import irrationality_margin, relaxation_design, relaxation_flux
-from .specfun import mittag_leffler_neg_real
+from .forward_model import (
+    irrationality_margin,
+    relaxation_design,
+    relaxation_flux,
+    relaxation_rates,
+)
 
 __all__ = [
     "InversionConfig",
@@ -438,29 +442,19 @@ def _model_flux_matrix(design: np.ndarray, phases):
 def _cut_jacobian(alpha: float, lams: np.ndarray, cuts, t: np.ndarray, phases,
                   pvec: np.ndarray):
     """d(op @ pvec)/dc_k for the sensor stack of _model_flux_matrix, one
-    column per cut, from a single E_{alpha,alpha} batch.
+    column per cut, from one relaxation_rates call.
 
-    For t > c, dA_{j,c}/dc = lam_j (t-c)^(alpha-1) E_{alpha,alpha}(-lam_j (t-c)^alpha),
-    by d/dt E_{alpha,1}(-lam t^alpha) = -lam t^(alpha-1) E_{alpha,alpha}(-lam t^alpha);
-    it is 0 for t <= c, where A_{j,c} = 1. Design column (j, k) is
+    dA_{j,c}/dc = lam_j (t-c)^(alpha-1) E_{alpha,alpha}(-lam_j (t-c)^alpha) for
+    t > c and 0 for t <= c, where A_{j,c} = 1. Design column (j, k) is
     A_{j,c_{k+1}} - A_{j,c_k}, so c_k enters column (j, k) with sign - and
     column (j, k-1) with sign +."""
     n_pieces = len(cuts)
-    later = [t > c for c in cuts]
-    taus = [t[m] - c for m, c in zip(later, cuts)]
-    xs = [lam * tau ** alpha for lam in lams for tau in taus]
-    vals = mittag_leffler_neg_real(alpha, alpha, np.concatenate(xs))
-    deriv = np.zeros((len(lams), n_pieces, len(t)))
-    pos = 0
-    for j, lam in enumerate(lams):
-        for k, (m, tau) in enumerate(zip(later, taus)):
-            deriv[j, k, m] = lam * tau ** (alpha - 1.0) * vals[pos:pos + tau.size]
-            pos += tau.size
+    deriv = relaxation_rates(alpha, lams, cuts, t)
     # w[l, j, k] multiplies design column (j, k) at sensor l
     w = np.stack([phase @ pvec.reshape(n_pieces, -1).T for phase in phases])
     jump = -w
     jump[:, :, 1:] += w[:, :, :-1]
-    return np.einsum("jkt,ljk->ltk", deriv, jump).reshape(-1, n_pieces)
+    return np.einsum("tjk,ljk->ltk", deriv, jump).reshape(-1, n_pieces)
 
 
 def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,

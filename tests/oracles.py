@@ -75,6 +75,15 @@ def frozen_ml_values():
         return json.load(fh)
 
 
+def frozen_ml_near_one():
+    """E_{alpha,1}(-lam tau^alpha) at alpha in {0.985, 0.9995}, rows with keys
+    alpha, lam, tau (a point of linspace(0, 4, 4001)) and value: the power
+    series summed with mpmath at 60 digits, agreeing to 1e-25 with adaptive
+    mpmath quadrature of int_0^inf e^{-r tau} K(r) dr."""
+    with open(os.path.join(_DATA, "ml_near_one_values.json")) as fh:
+        return json.load(fh)
+
+
 def duhamel_quadrature(lam, alpha, piece, c_lo, c_hi, t, ml_aa, nodes=400):
     """Mode amplitude by direct quadrature of the Duhamel convolution.
 

@@ -17,7 +17,7 @@ from fracsource.config import (
 )
 from fracsource.disc_spectrum import build_spectrum
 from fracsource.errors import ValidationError
-from fracsource.forward_model import flux_trace
+from fracsource.forward_model import EXP_SUM_ALPHA_MAX, flux_trace
 
 
 BASE_CONFIG = {
@@ -208,6 +208,35 @@ class TestInvertCommand:
         assert recon["K_hat"] == 2
         assert abs(recon["alpha_hat"] - 0.75) <= 1e-6
         assert np.max(np.abs(np.array(recon["cuts_hat"]) - [1.0005, 2.0])) <= 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.99])
+    def test_reference_round_trip_on_both_basis_paths(self, tmp_path, alpha):
+        # alpha = 0.55 builds the relaxation basis as exponential sums, 0.99
+        # lies above EXP_SUM_ALPHA_MAX and takes the mittag_leffler_neg_real
+        # batch; both must give the A5 accuracy without a RuntimeWarning
+        assert alpha < EXP_SUM_ALPHA_MAX or alpha > EXP_SUM_ALPHA_MAX + 1e-3
+        cfg_path = write_config(tmp_path, {"model.alpha": alpha})
+        run = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
+            assert main(["invert", "--config", cfg_path, "--quiet",
+                         str(run / "flux_sensor1.csv"),
+                         str(run / "flux_sensor2.csv")]) == 0
+        recon = json.loads((run / "reconstruction.json").read_text())
+        model = build_source_model(load_config(cfg_path), build_spectrum(30.0))
+        h = 4.0 / 4000.0
+        assert recon["K_hat"] == 2
+        assert abs(dict(recon["stage_log"])["estimate_alpha"]["alpha_vp"] - alpha) <= 5e-3
+        assert abs(recon["alpha_hat"] - alpha) <= 1e-4
+        assert np.max(np.abs(np.array(recon["cuts_hat"]) - [0.2, 1.2])) <= 2 * h
+        n_modes = len(model.spectrum)
+        for k, truth in enumerate(model.piece_coeffs):
+            rows = recon["coeffs"][k * n_modes:(k + 1) * n_modes]
+            assert all(row["piece"] == k + 1 for row in rows)
+            got = np.array([complex(row["re"], row["im"]) for row in rows])
+            assert (np.linalg.norm(got - truth.values)
+                    <= 1e-2 * np.linalg.norm(truth.values))
 
     @pytest.mark.parametrize("bad_row", ["0.005;0.1", "0.005,nan"],
                              ids=["malformed-row", "nan-flux"])

@@ -13,7 +13,6 @@ from fracsource.disc_spectrum import (
     normal_derivative_weight,
     project_function,
     sobolev_norm,
-    spectrum_from_json,
     spectrum_to_json,
 )
 from fracsource.errors import DomainError, EmptySpectrumError, ShapeError
@@ -255,14 +254,6 @@ class TestSobolevNorm:
 
 
 class TestSerialization:
-    def test_round_trip(self, spectrum30):
-        text = spectrum_to_json(spectrum30)
-        sp2 = spectrum_from_json(text)
-        assert len(sp2) == len(spectrum30)
-        for a, b in zip(sp2.modes, spectrum30.modes):
-            assert a == b
-        assert spectrum_to_json(sp2) == text
-
     def test_schema_fields(self, spectrum30):
         import json
         rows = json.loads(spectrum_to_json(spectrum30))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from numpy.polynomial.legendre import leggauss
 from fracsource.disc_spectrum import ModeCoefficients, build_spectrum, eigenfunction_eval
 from fracsource.errors import ShapeError, ValidationError
 from fracsource.forward_model import (
+    EXP_SUM_ALPHA_MAX,
     FluxTrace,
     SensorConfig,
     SourceModel,
     duhamel_mode_response,
     flux_trace,
     grouped_amplitudes,
+    _exp_sum_profiles,
     irrationality_margin,
     relaxation_design,
+    relaxation_rates,
     solve_field,
     verify_measurement_identity,
 )
@@ -293,6 +297,113 @@ class TestRelaxationDesign:
                 0.75, 1.0, lam * np.clip(t - c, 0.0, None) ** 0.75)
             assert np.max(np.abs(got[:, j, 0] - want)) <= 1e-13
         assert np.all(got[:1001] == 0.0)
+
+
+LAMS_TO_100 = np.array([5.783185962946785, 14.681970642123893, 26.37461642716339,
+                        49.21845632169460, 100.0])
+
+
+def _ml_design(alpha, lams, bounds, t):
+    """relaxation_design from one mittag_leffler_neg_real call per column."""
+    prof = np.ones((len(t), len(lams), len(bounds)))
+    for b, c in enumerate(bounds):
+        if np.isfinite(c):
+            for j, lam in enumerate(lams):
+                prof[:, j, b] = mittag_leffler_neg_real(
+                    alpha, 1.0, lam * np.clip(t - c, 0.0, None) ** alpha)
+    return prof[:, :, 1:] - prof[:, :, :-1]
+
+
+class TestExpSumBasis:
+    """Below EXP_SUM_ALPHA_MAX the basis is an exponential sum on a fixed
+    node lattice; it must agree with mittag_leffler_neg_real to 1e-13 and
+    raise no floating-point warning."""
+
+    ALPHAS = (0.501, 0.55, 0.6, 0.66, 0.67, 0.75, 0.9, 0.98,
+              EXP_SUM_ALPHA_MAX - 1e-3, EXP_SUM_ALPHA_MAX + 1e-3)
+
+    def _check(self, alpha, bounds, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relaxation_design(alpha, LAMS_TO_100, bounds, t)
+        want = _ml_design(alpha, LAMS_TO_100, bounds, t)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        # no row before or at a finite bound moves: tau = 0 gives exactly 1
+        for k in range(len(bounds) - 1):
+            assert np.all(got[t <= bounds[k], :, k] == 0.0)
+        return got
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_reference_grid(self, alpha):
+        t = np.linspace(0.0, 4.0, 4001)
+        self._check(alpha, [0.2, 1.2, math.inf], t)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_bounds_one_ulp_from_grid_points(self, alpha):
+        t = np.linspace(0.0, 4.0, 4001)
+        bounds = [float(np.nextafter(t[200], 0.0)), t[700],
+                  float(np.nextafter(t[1200], 2.0)), math.inf]
+        self._check(alpha, bounds, t)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_first_row_after_a_bound(self, alpha):
+        # tau of the first row after each bound: 1e-16, 1e-9 and h/2
+        t = np.linspace(0.0, 4.0, 4001)
+        h = t[1] - t[0]
+        bounds = [t[100] - 1e-16, t[600] - 1e-9, t[1500] - h / 2]
+        firsts = [t[100] - bounds[0], t[600] - bounds[1], t[1500] - bounds[2]]
+        assert 0 < firsts[0] <= 2e-16 and firsts[1] > 0
+        self._check(alpha, bounds, t)
+
+    @pytest.mark.parametrize("alpha", (0.55, 0.75, 0.9, EXP_SUM_ALPHA_MAX - 1e-3))
+    def test_long_grid_of_verify(self, alpha):
+        # 30001 points on [0, 30]: no shift table, rows in blocks
+        t = np.linspace(0.0, 30.0, 30001)
+        self._check(alpha, [0.2, 1.2, float(np.nextafter(t[25300], 0.0)), math.inf], t)
+
+    def test_window_after_a_bound(self):
+        # the order search builds on a window of the grid, and a bound may
+        # lie before the window's first point: there delta = t_0 - c > h
+        t = np.linspace(0.0, 4.0, 4001)[1000:1400]
+        self._check(0.8, [0.2, math.inf], t)
+        self._check(0.8, [0.2, t[0], math.inf], t)
+
+    def test_non_uniform_grid(self):
+        t = np.sort(np.random.default_rng(5).uniform(0.0, 4.0, 3000))
+        self._check(0.8, [0.2, 1.2, math.inf], np.concatenate([[0.0], t]))
+
+    @pytest.mark.parametrize("alpha", (0.55, 0.75, 0.9, EXP_SUM_ALPHA_MAX - 1e-3))
+    def test_rates_match_mittag_leffler(self, alpha):
+        # lam tau^(alpha-1) E_{alpha,alpha}(-lam tau^alpha), the cut columns
+        t = np.linspace(0.0, 4.0, 4001)
+        cuts = [0.2, float(np.nextafter(t[1200], 0.0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relaxation_rates(alpha, LAMS_TO_100, cuts, t)
+        for b, c in enumerate(cuts):
+            assert np.all(got[t <= c, :, b] == 0.0)
+            tau = t[t > c] - c
+            for j, lam in enumerate(LAMS_TO_100):
+                want = lam * tau ** (alpha - 1.0) * mittag_leffler_neg_real(
+                    alpha, alpha, lam * tau ** alpha)
+                assert np.max(np.abs(got[t > c, j, b] - want)
+                              / np.maximum(1.0, np.abs(want))) <= 1e-11
+
+    def test_exp_sum_near_alpha_one_against_mpmath(self):
+        # above EXP_SUM_ALPHA_MAX the design takes the Mittag-Leffler batch;
+        # the exponential sum itself stays accurate there
+        t = np.linspace(0.0, 4.0, 4001)
+        for row in oracles.frozen_ml_near_one():
+            i = int(round(row["tau"] * 1000))
+            assert t[i] == row["tau"]
+            lam = np.array([row["lam"]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _exp_sum_profiles(row["alpha"], lam, np.array([0.0]), t, 0)
+            assert abs(got[i, 0, 0] - row["value"]) <= 3e-13
+            if row["alpha"] == EXP_SUM_ALPHA_MAX:
+                design = relaxation_design(row["alpha"], lam, [0.0, math.inf], t)
+                assert abs(1.0 - design[i, 0, 0] - row["value"]) <= 1e-13
 
 
 class TestSolveField:
