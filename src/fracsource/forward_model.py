@@ -217,8 +217,9 @@ _TAU_HIGH = 800.0         # above r = _TAU_HIGH / tau_min, e^{-r tau} underflows
 _TAYLOR_RATE = 1.0 / 16.0
 _TAYLOR_TERMS = 8
 # At and above this order the basis comes from one mittag_leffler_neg_real
-# batch: there the two evaluations start to differ by more than 1e-13
-# (mittag_leffler_neg_real is the less accurate side as alpha -> 1).
+# batch. Up to it the two evaluations agree to 1e-13, so the basis stays
+# continuous in alpha; from about 0.988 they differ by more, with
+# mittag_leffler_neg_real the less accurate side as alpha -> 1.
 EXP_SUM_ALPHA_MAX = 0.985
 _ROW_BLOCK = 2048         # rows per block on grids without a shift table
 _TABLE_MAX_BYTES = 1 << 24
