@@ -13,9 +13,9 @@ derivatives in the cuts. Both write each profile as an exponential sum
 (E_{alpha,1}(-lambda t^alpha) is completely monotone) on one node lattice that
 does not depend on alpha, so on a uniform grid every build is a product with
 one cached table; orders at and above EXP_SUM_ALPHA_MAX take one
-Mittag-Leffler batch instead. relaxation_design is the only builder of the
-basis: synthesis (flux_traces), the order search, the amplitude solve,
-refinement and the residual curves of the inversion all use it.
+Mittag-Leffler batch instead. Only relaxation_design builds the basis:
+synthesis (flux_traces), the order search, the amplitude solve, refinement
+and the residual curves of the inversion all use it.
 """
 from __future__ import annotations
 
