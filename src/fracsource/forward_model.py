@@ -12,10 +12,9 @@ relaxation_design builds that relaxation basis, and relaxation_rates its
 derivatives in the cuts. Both write each profile as an exponential sum
 (E_{alpha,1}(-lambda t^alpha) is completely monotone) on one node lattice that
 does not depend on alpha, so on a uniform grid every build is a product with
-one cached table; orders at and above EXP_SUM_ALPHA_MAX take one
-Mittag-Leffler batch instead. Only relaxation_design builds the basis:
-synthesis (flux_traces), the order search, the amplitude solve, refinement
-and the residual curves of the inversion all use it.
+one cached table. Only relaxation_design builds the basis: synthesis
+(flux_traces), the order search, the amplitude solve, refinement and the
+residual curves of the inversion all use it.
 """
 from __future__ import annotations
 
@@ -211,16 +210,13 @@ def _grouped(spectrum: SpectrumTable, piece_coeffs, theta_z: float) -> np.ndarra
 _NODE_STEP = 0.25
 _TAU_LOW = 1e-18          # below r = _TAU_LOW / tau_max, e^{-r tau} rounds to 1
 _TAU_HIGH = 800.0         # above r = _TAU_HIGH / tau_min, e^{-r tau} underflows
-# Below r = _TAYLOR_RATE / t_max the factors e^{-r tau} are replaced by their
-# first _TAYLOR_TERMS Taylor terms in tau (remainder below 6e-15 of those
-# nodes' weight), which folds about two thirds of the nodes into 8 columns.
+# Below r = _TAYLOR_RATE / tau_max the factors e^{-r tau} are replaced by
+# their first _TAYLOR_TERMS Taylor terms in tau (remainder below 6e-15 of
+# those nodes' weight), which folds about two thirds of the nodes into 8
+# columns: the 4000-step table is 2.6 MB instead of 7.3 MB, and the
+# 16000-step one (10.9 MB instead of 29.7 MB) stays under _TABLE_MAX_BYTES.
 _TAYLOR_RATE = 1.0 / 16.0
 _TAYLOR_TERMS = 8
-# At and above this order the basis comes from one mittag_leffler_neg_real
-# batch. Up to it the two evaluations agree to 1e-13, so the basis stays
-# continuous in alpha; from about 0.988 they differ by more, with
-# mittag_leffler_neg_real the less accurate side as alpha -> 1.
-EXP_SUM_ALPHA_MAX = 0.985
 _ROW_BLOCK = 2048         # rows per block on grids without a shift table
 _TABLE_MAX_BYTES = 1 << 24
 
@@ -290,21 +286,25 @@ def _uniform_step(times: np.ndarray):
     return h
 
 
-def _exp_sum_profiles(alpha: float, lams: np.ndarray, cuts: np.ndarray,
-                      times: np.ndarray, moment: int) -> np.ndarray:
-    """P[i, j, b] = sum_q e^{-r_q tau} w_qj + tail + pole at tau = t_i - c_b > 0
-    (see relaxation_design), and 1 (moment 0) or 0 (moment 1) at tau <= 0."""
+def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
+    """P[i, j, b]: E_{alpha,1}(-lam_j tau^alpha) (moment 0) or
+    lam_j tau^(alpha-1) E_{alpha,alpha}(-lam_j tau^alpha) (moment 1) at
+    tau = t_i - c_b > 0, as sum_q e^{-r_q tau} w_qj + tail + pole (see
+    relaxation_design); 1 (moment 0) or 0 (moment 1) where tau <= 0."""
+    lams = np.asarray(lams, dtype=float)
+    cuts = np.asarray(cuts, dtype=float)
+    times = np.asarray(times, dtype=float)
     n = len(times)
     out = np.full((n, len(lams), len(cuts)), 1.0 if moment == 0 else 0.0)
     starts = np.searchsorted(times, cuts, side="right")   # first t_i > c
     if np.all(starts == n):
         return out
-    # below r_lo, e^{-r tau} rounds to 1 (every cut is >= 0, so tau <= t_max)
-    # and r^alpha <= 3e-9 lam, so the closed-form tail is exact to ~1e-17
-    t_max = float(times[-1])
-    u_lo = min(math.log(_TAU_LOW / t_max), math.log(3e-9 * float(np.min(lams))) / alpha)
+    # below r_lo, e^{-r tau} rounds to 1 (tau <= tau_max) and
+    # r^alpha <= 3e-9 lam, so the closed-form tail is exact to ~1e-17
+    tau_max = float(times[-1]) - min(float(np.min(cuts)), 0.0)
+    u_lo = min(math.log(_TAU_LOW / tau_max), math.log(3e-9 * float(np.min(lams))) / alpha)
     q_lo = math.floor(u_lo / _NODE_STEP)
-    q_fast = math.floor(math.log(_TAYLOR_RATE / t_max) / _NODE_STEP) + 1
+    q_fast = math.floor(math.log(_TAYLOR_RATE / tau_max) / _NODE_STEP) + 1
     n_slow = q_fast - q_lo
     live = starts < n
     deltas = times[starts[live]] - cuts[live]
@@ -367,65 +367,41 @@ def _exp_sum_profiles(alpha: float, lams: np.ndarray, cuts: np.ndarray,
     return out
 
 
-def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
-    """(n_t, J, len(cuts)) profiles of finite cuts: E_{alpha,1}(-lam_j tau^alpha)
-    (moment 0) or lam_j tau^(alpha-1) E_{alpha,alpha}(-lam_j tau^alpha)
-    (moment 1) at tau = t_i - c, with 1 or 0 where tau <= 0."""
-    lams = np.asarray(lams, dtype=float)
-    cuts = np.asarray(cuts, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if alpha < EXP_SUM_ALPHA_MAX and np.all(cuts >= 0):
-        return _exp_sum_profiles(alpha, lams, cuts, times, moment)
-    taus = np.clip(times - cuts[:, None], 0.0, None)
-    x = lams[:, None, None] * taus ** alpha
-    if moment == 0:
-        vals = mittag_leffler_neg_real(alpha, 1.0, x.ravel()).reshape(x.shape)
-    else:
-        # lam tau^(alpha-1) = x / tau
-        live = x > 0
-        vals = np.zeros(x.shape)
-        vals[live] = (x[live] / np.broadcast_to(taus, x.shape)[live]
-                      * mittag_leffler_neg_real(alpha, alpha, x[live]))
-    return vals.transpose(2, 0, 1)
-
-
 def relaxation_design(alpha: float, lams, bounds, times) -> np.ndarray:
     """The relaxation basis D[i, j, k] = A_{j,c_{k+1}}(t_i) - A_{j,c_k}(t_i),
     shape (n_t, J, K) for K + 1 bounds c_0 < ... < c_K, where
     A_{j,c}(t) = E_{alpha,1}(-lambda_j clip(t - c, 0)^alpha) and A = 1 for an
     infinite bound.
 
-    Representation: for alpha < EXP_SUM_ALPHA_MAX and bounds >= 0, at
-    tau = t - c > 0, A_{j,c} = sum_q e^{-r_q tau} w_qj + tail_j + pole_j(tau),
-    the trapezoidal rule in u = log r for E_{alpha,1}(-lambda tau^alpha) =
+    Representation: at tau = t - c > 0,
+    A_{j,c} = sum_q e^{-r_q tau} w_qj + tail_j + pole_j(tau), the trapezoidal
+    rule in u = log r for E_{alpha,1}(-lambda tau^alpha) =
     int_0^inf e^{-r tau} K(r) dr. Only the weights w_qj depend on alpha and
     lambda_j.
 
-    Nodes: the lattice u_q = q / 4, from log(1e-18 / t_max), below which
+    Nodes: the lattice u_q = q / 4, from log(1e-18 / tau_max), below which
     e^{-r tau} rounds to 1 and the rest of the lattice is summed in closed
     form (tail_j; lower still if r^alpha > 3e-9 lambda_min there), up to
-    log(800 / h), above which e^{-r h} underflows: 228
-    nodes on the 4000-step grid of [0, 4]. The 156 of them with
-    r t_max <= 1/16 enter through the first 8 Taylor terms of e^{-r tau}, so
-    the table there has 80 columns (2.6 MB). For alpha > 2/3,
-    pole_j removes the quadrature error of the integrand's pole in closed
-    form. On a uniform grid e^{-(t_i - c) r} = e^{-delta r} e^{-(i - i_c) h r},
-    with i_c the first row after c and delta = t_{i_c} - c, so one cached
-    table of the e^{-m h r_q} serves every cut and every order, and a build
-    is one matrix product for all finite bounds.
+    log(800 / h), above which e^{-r h} underflows: 228 nodes on the
+    4000-step grid of [0, 4]. The 156 of them with r tau_max <= 1/16 enter
+    through the first 8 Taylor terms of e^{-r tau}, so the table there has
+    80 columns (2.6 MB instead of 7.3 MB; see _TAYLOR_RATE). For
+    alpha > 2/3, pole_j removes the quadrature error of the integrand's
+    pole in closed form. On a uniform grid
+    e^{-(t_i - c) r} = e^{-delta r} e^{-(i - i_c) h r}, with i_c the first
+    row after c and delta = t_{i_c} - c, so one cached table of the
+    e^{-m h r_q} serves every cut and every order, and a build is one
+    matrix product for all finite bounds.
 
     Rows (times increasing): tau <= 0 gives exactly 1. The first row after
     a bound has 0 < tau = delta <= h and is summed at its own tau over nodes
     up to log(800 / delta). Grids that are not uniform, or whose table would
-    exceed 16 MB, are summed at their exact tau in row blocks. Each value
-    agrees with mittag_leffler_neg_real to about 1e-13 and does not depend
-    on the other bounds, eigenvalues or rows of the call.
-
-    Fallback: for alpha >= EXP_SUM_ALPHA_MAX (0.985), or a negative bound,
-    every finite profile comes from one mittag_leffler_neg_real batch. Up to
-    that order the two agree to 1e-13, so the basis stays continuous in alpha
-    across the switch; above it mittag_leffler_neg_real is the less accurate
-    of the two.
+    exceed 16 MB (the 30001-point grid of verify), are summed at their
+    exact tau in row blocks. Each value agrees with mittag_leffler_neg_real
+    to 1e-13 for alpha <= 0.985 and with mpmath to 1.4e-13 up to 0.999;
+    the error grows as alpha -> 1, to 7e-13 at 0.9999, where the pole lies
+    3e-4 off the real u axis. A value does not depend on the other bounds,
+    eigenvalues or rows of the call.
     """
     bounds = np.asarray(bounds, dtype=float)
     finite = np.isfinite(bounds)
