@@ -152,9 +152,9 @@ def build_spectrum(lambda_max: float, m_max: int | None = None) -> SpectrumTable
         zeros = zeros[zeros <= sq]
         if len(zeros) == 0:
             break  # j_{m,1} increases with m: higher orders cannot contribute
-        for k, z in enumerate(zeros, start=1):
+        omegas = 1.0 / (_SQRT_PI * np.abs(_bessel_j_unchecked(m + 1, zeros)))
+        for k, (z, omega) in enumerate(zip(zeros, omegas.tolist()), start=1):
             lam = z * z
-            omega = 1.0 / (_SQRT_PI * abs(float(_bessel_j_unchecked(m + 1, z))))
             modes.append(EigenMode(m=m, k=k, lam=lam, omega=omega))
             if m > 0:
                 modes.append(EigenMode(m=-m, k=k, lam=lam, omega=omega))

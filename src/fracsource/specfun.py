@@ -5,18 +5,23 @@ no randomized algorithms. The Mittag-Leffler evaluator is a three-regime
 global scheme (power series with a cancellation certificate, optimal-truncation
 asymptotics, and a collapsed-ray contour integral with adaptive panel
 refinement), plus a half-order split recursion for orders above one and for
-arguments too close to the contour rays.
+arguments too close to the contour rays. The vectorized negative-axis
+evaluator truncates the asymptotic series optimally: each point sums the
+terms up to the first one after which the largest of the next few terms (the
+window bound) is smallest over the first 160 terms. The evaluator takes
+1/Gamma from scipy.special, imported on its first call; nothing else here
+uses SciPy.
 
-The vectorized negative-axis evaluator truncates the asymptotic series
-optimally: each point sums the terms up to the first one after which the
-largest of the next few terms (the window bound) is smallest over the first
-160 terms. Most points stop the sum early instead, where a certificate
-proves that the remaining terms cannot change the double: the window bound
-has not yet reached its minimum, and the reflection envelope
-Gamma(1 - beta + alpha k) x^-k / pi of every later term lies below an eighth
-of the spacing of the partial sum. Points without the certificate take the
-full 160-term sum, so the result is bit-identical to it. The only caches are
-the per-(alpha, beta, tol) cutoff searches and the Gauss-Legendre rules.
+Bessel J_m of integer order is plain numpy. For x >= max(30, m^2/2) it is
+Hankel's asymptotic expansion with 24 terms, O(1) per point. Below that it
+is the trapezoidal rule on Bessel's integral
+J_m(x) = (2 pi)^-1 int_0^2pi cos(m tau - x sin tau) d tau, with about
+2(x + m) + 64 nodes: the integrand is periodic and entire, so the rule
+converges geometrically. J_m(0) is exact. The zeros come from one sign scan
+per order, polished by a vectorized safeguarded Newton iteration.
+
+The only caches are the per-(alpha, beta, tol) cutoff searches, the
+Gauss-Legendre rules and the Hankel coefficients.
 """
 from __future__ import annotations
 
@@ -26,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, jv, rgamma
 
 from .errors import AccuracyError, BracketingError, DomainError
 
@@ -86,6 +90,14 @@ class SampledTrace:
 # Mittag-Leffler machinery
 # ---------------------------------------------------------------------------
 
+def _rgamma(x):
+    """1/Gamma(x), elementwise, from scipy.special. SciPy is imported on the
+    first call: only the Mittag-Leffler evaluator needs it, and synth and
+    invert never call that, so they run without importing SciPy."""
+    from scipy.special import rgamma
+    return rgamma(x)
+
+
 def _ml_series(alpha: float, beta: float, z: complex, tol: float, max_terms: int):
     """Defining power series with a running cancellation certificate.
 
@@ -95,7 +107,7 @@ def _ml_series(alpha: float, beta: float, z: complex, tol: float, max_terms: int
     at that scale once cancellation is severe.
     """
     zc = complex(z)
-    term = complex(rgamma(beta))
+    term = complex(_rgamma(beta))
     total = term
     max_abs = abs(term)
     zk = 1.0 + 0.0j
@@ -108,7 +120,7 @@ def _ml_series(alpha: float, beta: float, z: complex, tol: float, max_terms: int
         zk *= zc
         if abs(zk) > 1e250:
             return None, math.inf
-        term = zk * float(rgamma(alpha * k + beta))
+        term = zk * float(_rgamma(alpha * k + beta))
         total += term
         ta = abs(term)
         if ta > max_abs:
@@ -140,7 +152,7 @@ def _ml_asymptotic(alpha: float, beta: float, z: complex, tol: float):
         return None, math.inf
     ks = np.arange(1, kmax + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = -np.power(1.0 / z, ks) * rgamma(beta - alpha * ks)
+        terms = -np.power(1.0 / z, ks) * _rgamma(beta - alpha * ks)
     mags = np.abs(terms)
     best_k, best_bound = None, math.inf
     for k in range(kmax - look):
@@ -244,7 +256,7 @@ def mittag_leffler(alpha: float, beta: float, z: complex,
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise DomainError("z must be finite")
     if z == 0:
-        return complex(rgamma(beta))
+        return complex(_rgamma(beta))
     if alpha == 1.0 and beta == 1.0:
         return complex(np.exp(z))
     if alpha > 1.0:
@@ -257,7 +269,7 @@ def mittag_leffler(alpha: float, beta: float, z: complex,
         # reduce beta below 1 so the ray integrand stays bounded at 0
         sub_acc = MLAccuracy(abs_tol=tol * abs(z) / 2, max_terms=acc.max_terms)
         sub = mittag_leffler(alpha, beta - alpha, z, sub_acc, _depth)
-        return (sub - complex(rgamma(beta - alpha))) / z
+        return (sub - complex(_rgamma(beta - alpha))) / z
 
     val, bound = _ml_series(alpha, beta, z, tol, acc.max_terms)
     if val is not None:
@@ -299,14 +311,7 @@ def mittag_leffler_neg_real(alpha: float, beta: float, x, tol: float = 1e-12) ->
 
     The asymptotic sum of each point is the optimal truncation of the first
     160 terms: it stops after the first term whose window bound (the largest
-    of the next `look` terms) is smallest. A batch first tries one short sum
-    of k0 + 1 terms, k0 picked at its smallest x, and keeps it for a point
-    when the window bound after it is strictly below every earlier one (so
-    the full search stops no earlier) and the reflection envelope of the
-    omitted terms, checked at the first and the last, lies below
-    spacing(sum)/8 (so adding them cannot change the double). Other points
-    take the full 160-term sum. Either way the value is bit-identical to the
-    full optimal-truncation sum.
+    of the next `look` terms) is smallest.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
@@ -316,7 +321,7 @@ def mittag_leffler_neg_real(alpha: float, beta: float, x, tol: float = 1e-12) ->
     if np.any(x < 0) or not np.all(np.isfinite(x)):
         raise DomainError("x must be finite and nonnegative")
     out = np.empty_like(x)
-    out[x == 0] = rgamma(beta)
+    out[x == 0] = _rgamma(beta)
     live = x > 0
     xs = x[live]
     if xs.size == 0:
@@ -331,7 +336,7 @@ def mittag_leffler_neg_real(alpha: float, beta: float, x, tol: float = 1e-12) ->
     if mser.any():
         xa = xs[mser]
         ks = np.arange(n_terms + 1, dtype=float)
-        rg = rgamma(alpha * ks + beta)
+        rg = _rgamma(alpha * ks + beta)
         lt = np.outer(np.log(xa), ks[1:])
         tmat = np.empty((xa.size, n_terms + 1))
         tmat[:, 0] = rg[0]
@@ -352,79 +357,34 @@ def mittag_leffler_neg_real(alpha: float, beta: float, x, tol: float = 1e-12) ->
 
 
 _ASYM_TERMS = 160  # asymptotic terms the optimal-truncation search spans
-_LOG_PI = math.log(math.pi)
+_ASYM_BLOCK = 2048  # points per block of the asymptotic term matrix
 
 
 def _ml_asym_batch(alpha: float, beta: float, xa: np.ndarray) -> np.ndarray:
     """Asymptotic region of mittag_leffler_neg_real: the optimally truncated
-    sum of the terms t_k = -(-x)^-k / Gamma(beta - alpha k).
-
-    Row j of a term matrix holds t_(j+1); the short sum S runs over rows
-    0 .. k0. (a) If the window bound of row k0 is strictly below every
-    earlier one, the full search stops at row k0 or later. (b) By the
-    reflection formula |t_k| <= Gamma(1 - beta + alpha k) x^-k / pi, whose
-    log is convex in k, so the bound at the first omitted term (k0 + 2) and
-    at the last (160) covers every omitted term. Below spacing(S)/8, each
-    omitted term is smaller than half the gap to either neighbour of S,
-    also when |S| is a power of two, so adding it rounds back to S. A zero
-    S never certifies, since a term could flip the sign of the zero.
-    """
+    sum of the terms t_k = -(-x)^-k / Gamma(beta - alpha k), in blocks of
+    points so the _ASYM_TERMS-row term matrix stays small. Each point's sum
+    depends on that point alone, so the blocks change no value."""
     logx = np.log(xa)
     look = max(3, int(math.ceil(1.0 / alpha)) + 1)
     out = np.empty_like(xa)
-    rest = np.ones(xa.shape, dtype=bool)
-    k0 = _asym_short_k0(alpha, beta, look, logx)
-    if k0 is not None:
-        tmat = _asym_terms(alpha, beta, logx, k0 + look + 1)
-        total = tmat[0].copy()
-        for row in tmat[1:k0 + 1]:  # sequential, as the reference cumsum
-            total += row
-        bound = _window_bounds(np.abs(tmat, out=tmat), look)
-        floor = np.log(np.abs(np.spacing(total)) / 8.0)
-        ok = (bound[k0] < bound[:k0].min(axis=0)) & (total != 0.0)
-        ok &= _asym_envelope(alpha, beta, k0 + 2, logx) < floor
-        ok &= _asym_envelope(alpha, beta, _ASYM_TERMS, logx) < floor
-        out[ok] = total[ok]
-        rest = ~ok
-    if rest.any():
-        out[rest] = _asym_full(alpha, beta, logx[rest], look)[0]
+    for lo in range(0, xa.size, _ASYM_BLOCK):
+        out[lo:lo + _ASYM_BLOCK] = _asym_full(alpha, beta, logx[lo:lo + _ASYM_BLOCK], look)
     return out
 
 
-def _asym_short_k0(alpha: float, beta: float, look: int, logx: np.ndarray):
-    """Index k0 of the last term of the short sum for a batch, or None.
-
-    The first k0 at which both certificates hold for the batch's smallest x.
-    Larger x shrink later terms faster than earlier ones and than the sum,
-    so the rest of the batch usually certifies too.
-    """
-    lx = logx.min(keepdims=True)
-    s, bound = _asym_full(alpha, beta, lx, look)
-    if s[0] == 0.0:
-        return None
-    floor = math.log(abs(float(np.spacing(s[0]))) / 8.0)
-    bound = bound[:, 0]
-    k0 = np.arange(1, bound.size)
-    ok = bound[1:] < np.minimum.accumulate(bound)[:-1]
-    ok &= _asym_envelope(alpha, beta, k0 + 2, lx[0]) < floor
-    hit = np.flatnonzero(ok)
-    return int(k0[hit[0]]) if hit.size else None
-
-
-def _asym_full(alpha: float, beta: float, logx: np.ndarray, look: int):
-    """Reference optimal truncation over all _ASYM_TERMS terms: the sequential
-    partial sum up to the first term with the smallest truncation bound.
-    Returns the sums and the bounds."""
+def _asym_full(alpha: float, beta: float, logx: np.ndarray, look: int) -> np.ndarray:
+    """Optimal truncation over all _ASYM_TERMS terms: the sequential partial
+    sum up to the first term with the smallest truncation bound."""
     tmat = _asym_terms(alpha, beta, logx, _ASYM_TERMS)
-    bound = _window_bounds(np.abs(tmat), look)
-    best_k = np.argmin(bound, axis=0)
-    return np.cumsum(tmat, axis=0)[best_k, np.arange(logx.size)], bound
+    best_k = np.argmin(_window_bounds(np.abs(tmat), look), axis=0)
+    return np.cumsum(tmat, axis=0)[best_k, np.arange(logx.size)]
 
 
 def _asym_terms(alpha: float, beta: float, logx: np.ndarray, rows: int) -> np.ndarray:
     """Terms -(-x)^-k / Gamma(beta - alpha k), one row per k = 1 .. rows."""
     ks = np.arange(1, rows + 1)
-    coef = np.where(ks % 2 == 0, -1.0, 1.0) * rgamma(beta - alpha * ks)
+    coef = np.where(ks % 2 == 0, -1.0, 1.0) * _rgamma(beta - alpha * ks)
     with np.errstate(over="ignore", under="ignore"):
         terms = np.multiply.outer(-ks, logx)  # exactly -(k log x)
         np.exp(terms, out=terms)
@@ -440,11 +400,6 @@ def _window_bounds(mags: np.ndarray, look: int) -> np.ndarray:
     for j in range(3, look + 1):
         np.maximum(bound, mags[j:n + j], out=bound)
     return bound
-
-
-def _asym_envelope(alpha: float, beta: float, k, logx):
-    """log(Gamma(1 - beta + alpha k) x^-k / pi), a bound on log|term k|."""
-    return gammaln(1.0 - beta + alpha * k) - _LOG_PI - k * logx
 
 
 def _ml_mid_band(alpha: float, beta: float, xk: np.ndarray, tol: float) -> np.ndarray:
@@ -498,7 +453,7 @@ def _series_certified(alpha: float, beta: float, x: float, tol: float):
     """
     lx = math.log(x)
     tail_arg = x ** (1.0 / alpha) + 2.0
-    max_abs = abs(float(rgamma(beta)))
+    max_abs = abs(float(_rgamma(beta)))
     for start in range(1, 400, 48):
         ks = np.arange(start, min(start + 48, 400))
         lt = ks * lx
@@ -507,7 +462,7 @@ def _series_certified(alpha: float, beta: float, x: float, tol: float):
         args = alpha * ks[:n] + beta
         # math.exp, not np.exp: the two differ in some last bits, and the
         # bisection in _series_cutoff would follow them
-        terms = np.fromiter(map(math.exp, lt[:n].tolist()), float, n) * np.abs(rgamma(args))
+        terms = np.fromiter(map(math.exp, lt[:n].tolist()), float, n) * np.abs(_rgamma(args))
         stop = np.flatnonzero((terms < tol * 1e-2) & (args > tail_arg))
         end = int(stop[0]) + 1 if stop.size else n
         if end:
@@ -524,7 +479,7 @@ def _series_certified(alpha: float, beta: float, x: float, tol: float):
 def _asym_cutoff(alpha: float, beta: float, tol: float) -> float:
     """Smallest x where optimal truncation of the asymptotic series meets tol."""
     ks = np.arange(1, _ASYM_TERMS + 1)
-    rg = rgamma(beta - alpha * ks)
+    rg = _rgamma(beta - alpha * ks)
     look = max(3, int(math.ceil(1.0 / alpha)) + 1)
 
     def certified(x):
@@ -598,6 +553,10 @@ def _ml_ray_batch(alpha: float, beta: float, xk: np.ndarray, tol: float) -> np.n
 # Bessel functions
 # ---------------------------------------------------------------------------
 
+_BESSEL_BLOCK = 1 << 16  # entries of one points x nodes block of the trapezoidal rule
+_HANKEL_TERMS = 24
+
+
 def bessel_j(m: int, x: float) -> float:
     """Bessel function of the first kind, integer order."""
     if not (isinstance(m, (int, np.integer)) and 0 <= m <= 200):
@@ -605,35 +564,101 @@ def bessel_j(m: int, x: float) -> float:
     x = float(x)
     if not 0.0 <= x <= 1e4:
         raise DomainError(f"argument x={x} outside supported range [0, 1e4]")
-    return float(jv(m, x))
+    return float(_bessel_j_unchecked(int(m), x))
 
 
 def _bessel_j_unchecked(m: int, x) -> np.ndarray:
-    return jv(m, np.asarray(x, dtype=float))
+    """J_m(x) elementwise for an integer m >= 0 and x >= 0; no range checks.
+
+    Hankel's expansion where x >= max(30, m^2/2), the trapezoidal rule on
+    Bessel's integral below that, and the exact values at x = 0. The rule's
+    error is absolute (below 1e-15 for x < 30, up to 2e-14 near x = 1e4),
+    so values far smaller than that (x << m) carry no relative accuracy.
+    """
+    x = np.asarray(x, dtype=float)
+    x_far = max(30.0, 0.5 * m * m)
+    if x.ndim == 0 and x >= x_far:  # in Python floats, ten times faster than 0-d arrays
+        return np.float64(_bessel_hankel(m, float(x)))
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    far = flat >= x_far
+    if far.any():
+        out[far] = _bessel_hankel(m, flat[far])
+    near = ~far
+    if near.any():
+        out[near] = _bessel_trapezoid(m, flat[near])
+    out[flat == 0.0] = 1.0 if m == 0 else 0.0
+    return out.reshape(x.shape)
 
 
-def _mcmahon_guess(m: int, k: int) -> float:
-    """McMahon expansion for the k-th positive zero of J_m."""
-    b = (k + 0.5 * m - 0.25) * np.pi
-    mu = 4.0 * m * m
-    b8 = 8.0 * b
-    return float(
-        b
-        - (mu - 1.0) / b8
-        - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * b8 ** 3)
-        - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * b8 ** 5)
-    )
+def _bessel_trapezoid(m: int, x: np.ndarray) -> np.ndarray:
+    """J_m(x) = (2 pi)^-1 int_0^2pi cos(m tau - x sin tau) d tau by the
+    trapezoidal rule on 2n points, folded onto [0, pi] by symmetry.
+
+    The integrand is periodic and entire, so the rule's error is the aliased
+    J_(2n-m)(x), negligible once 2n - m > 2x + m + 64; n > x + m + 32 grows
+    with x in steps of 16, so a value does not depend on the rest of its
+    batch. Distinct x are evaluated once, in blocks of at most _BESSEL_BLOCK
+    matrix entries.
+    """
+    xs, inv = np.unique(x, return_inverse=True)
+    halves = m + 48 + 16 * (xs // 16).astype(int)
+    out = np.empty_like(xs)
+    lo = 0
+    while lo < xs.size:
+        n = int(halves[lo])
+        hi = min(int(np.searchsorted(halves, n, side="right")),
+                 lo + max(1, _BESSEL_BLOCK // (n + 1)))
+        tau = np.arange(n + 1) * (math.pi / n)
+        w = np.full(n + 1, 1.0 / n)
+        w[[0, n]] = 0.5 / n
+        out[lo:hi] = np.cos(m * tau - np.multiply.outer(xs[lo:hi], np.sin(tau))) @ w
+        lo = hi
+    return out[inv]
+
+
+@functools.lru_cache(maxsize=256)
+def _hankel_coefficients(m: int):
+    """Coefficients of P and Q in Hankel's expansion, each a polynomial in
+    1/x^2, highest power first: a_k = prod_j (4m^2 - (2j - 1)^2) / (k! 8^k),
+    alternating in sign. For x >= max(30, m^2/2) the first omitted term is
+    below 1e-19."""
+    a = [1.0]
+    for k in range(1, _HANKEL_TERMS):
+        a.append(a[-1] * (4.0 * m * m - (2 * k - 1) ** 2) / (8.0 * k))
+    p = [a[2 * j] * (-1) ** j for j in range(_HANKEL_TERMS // 2)]
+    q = [a[2 * j + 1] * (-1) ** j for j in range(_HANKEL_TERMS // 2)]
+    return tuple(zip(p[::-1], q[::-1]))
+
+
+def _bessel_hankel(m: int, x):
+    """Hankel's expansion sqrt(2/(pi x)) (P cos chi - Q sin chi), with
+    chi = x - (2m + 1) pi/4, for an array or a float x. cos chi and sin chi
+    come from cos x, sin x and the exact values of the phase: rounding
+    x - phase would cost up to ulp(x) of the argument."""
+    y2 = 1.0 / (x * x)
+    p = q = 0.0
+    for cp, cq in _hankel_coefficients(m):  # Horner in 1/x^2
+        p = p * y2 + cp
+        q = q * y2 + cq
+    half = math.sqrt(0.5)
+    cos_ph = half if m % 4 in (0, 3) else -half  # cos((2m + 1) pi/4)
+    sin_ph = half if m % 4 in (0, 1) else -half
+    fn = math if isinstance(x, float) else np
+    cos_x, sin_x = fn.cos(x), fn.sin(x)
+    cos_chi = cos_x * cos_ph + sin_x * sin_ph
+    sin_chi = sin_x * cos_ph - cos_x * sin_ph
+    return fn.sqrt(2.0 / (math.pi * x)) * (p * cos_chi - q / x * sin_chi)
 
 
 def bessel_j_zeros(m: int, count: int) -> np.ndarray:
     """First `count` positive zeros of J_m, strictly increasing.
 
-    Each zero is bracketed by a sign scan from its predecessor (step 0.5,
-    always below the minimum zero spacing), then polished by Newton inside
-    the bracket with bisection as the safeguard. A bare McMahon guess plus
-    unguarded Newton mis-indexes zeros near the turning point of large
-    orders, so the bracket is authoritative and the McMahon/Olver estimates
-    only inform where scanning starts.
+    One sign scan with step 0.5 (below the smallest spacing of consecutive
+    zeros, which exceeds 3) brackets every zero between a start below
+    j_(m,1) (Olver's estimate minus 1.5) and (count + m/2 + 1) pi, which
+    lies above j_(m,count) for every m >= 0. Newton then polishes all
+    brackets at once, with bisection wherever a step leaves its bracket.
     """
     if not (isinstance(m, (int, np.integer)) and 0 <= m <= 200):
         raise DomainError(f"order m={m} outside supported integer range [0, 200]")
@@ -641,23 +666,18 @@ def bessel_j_zeros(m: int, count: int) -> np.ndarray:
     if count < 1:
         raise DomainError("count must be >= 1")
     m = int(m)
-    zeros = np.empty(count)
-    prev = max(float(m), 0.0)
-    for k in range(1, count + 1):
-        if k == 1:
-            if m >= 1:
-                mt = float(m) ** (1.0 / 3.0)
-                start = m + 1.8557571 * mt + 1.033150 / mt - 1.5
-            else:
-                start = _mcmahon_guess(0, 1) - 1.0
-            start = max(start, prev + 1e-6)
-        else:
-            start = prev + 0.05
-        bracket = _bracket_next_zero(m, start, prev)
-        if bracket is None:
-            raise BracketingError(f"could not bracket zero {k} of J_{m}")
-        zeros[k - 1] = _polish_zero(m, *bracket)
-        prev = zeros[k - 1]
+    if m >= 1:
+        mt = float(m) ** (1.0 / 3.0)
+        start = m + 1.8557571 * mt + 1.033150 / mt - 1.5
+    else:
+        start = 1.0
+    grid = start + 0.5 * np.arange(int(2.0 * ((count + 0.5 * m + 1.0) * math.pi - start)) + 2)
+    neg = _bessel_j_unchecked(m, grid) < 0.0
+    left = np.flatnonzero(neg[:-1] != neg[1:])
+    if left.size < count:
+        raise BracketingError(f"could not bracket zero {left.size + 1} of J_{m}")
+    left = left[:count]
+    zeros = _polish_zeros(m, grid[left], grid[left + 1])
     if count > 1 and not np.all(np.diff(zeros) > 2.0):
         raise BracketingError(f"zero spacing check failed for J_{m}")
     if np.any(np.abs(_bessel_j_unchecked(m, zeros)) > 1e-11):
@@ -665,46 +685,34 @@ def bessel_j_zeros(m: int, count: int) -> np.ndarray:
     return zeros
 
 
-def _bracket_next_zero(m: int, start: float, floor: float):
-    """First sign change of J_m after `start` (> floor); step 0.5 cannot skip
-    a pair of zeros because consecutive zeros of J_m are > pi apart."""
-    x0 = max(start, floor + 1e-9)
-    f0 = float(jv(m, x0))
-    if f0 == 0.0:  # started exactly on a zero; nudge
-        x0 += 1e-9
-        f0 = float(jv(m, x0))
-    step = 0.5
-    x = x0
-    for _ in range(40000):
-        x_next = x + step
-        f = float(jv(m, x_next))
-        if f == 0.0:
-            return (x_next - 1e-12, x_next + 1e-12)
-        if np.sign(f) != np.sign(f0):
-            return (x, x_next)
-        x, f0 = x_next, f
-    return None
-
-
-def _polish_zero(m: int, a: float, b: float) -> float:
-    """Newton from the bracket midpoint, bisection whenever Newton leaves it."""
-    fa = float(jv(m, a))
+def _polish_zeros(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton on every bracket [a, b] of a sign change at once:
+    start at the midpoints, shrink each bracket to the iterate's side, and
+    bisect wherever a Newton step leaves its bracket. A point stops on an
+    exact zero or a step below 5e-16 max(1, x). Updates a and b in place."""
+    neg_a = _bessel_j_unchecked(m, a) < 0.0
     x = 0.5 * (a + b)
+    live = np.arange(x.size)
     for _ in range(100):
-        f = float(jv(m, x))
-        if f == 0.0:
-            return x
-        if np.sign(f) == np.sign(fa):
-            a = x
-        else:
-            b = x
-        df = -float(jv(1, x)) if m == 0 else 0.5 * (float(jv(m - 1, x)) - float(jv(m + 1, x)))
-        x_new = x - f / df if df != 0.0 else 0.5 * (a + b)
-        if not (a < x_new < b):
-            x_new = 0.5 * (a + b)
-        if abs(x_new - x) < 5e-16 * max(1.0, x):
-            return x_new
-        x = x_new
+        xl = x[live]
+        f = _bessel_j_unchecked(m, xl)
+        if m == 0:
+            df = -_bessel_j_unchecked(1, xl)
+        else:  # J_m' = J_(m-1) - (m/x) J_m
+            df = _bessel_j_unchecked(m - 1, xl) - (m / xl) * f
+        right = (f < 0.0) == neg_a[live]  # the zero lies right of xl
+        a[live] = np.where(right, xl, a[live])
+        b[live] = np.where(right, b[live], xl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = xl - f / df
+        outside = ~((a[live] <= x_new) & (x_new <= b[live]))
+        x_new[outside] = 0.5 * (a[live] + b[live])[outside]
+        hit = f == 0.0
+        x[live] = np.where(hit, xl, x_new)
+        done = hit | (np.abs(x_new - xl) < 5e-16 * np.maximum(1.0, xl))
+        live = live[~done]
+        if live.size == 0:
+            break
     return x
 
 

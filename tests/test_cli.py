@@ -1,11 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import fracsource
+from fracsource import cli
 from fracsource.cli import main
 from fracsource.config import (
     build_source_model,
@@ -44,6 +48,10 @@ BASE_CONFIG = {
     "inversion": {"changepoint_min_gap": 0.3},
     "output": {"directory": "PLACEHOLDER"},
 }
+
+
+REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                "reference.json")
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -298,7 +306,43 @@ class TestInvertCommand:
         assert "[clause: trace-grid]" in capsys.readouterr().err
 
 
+class TestNoScipyImport:
+    def test_synth_and_invert_run_without_scipy(self, tmp_path):
+        # importing SciPy is most of a cold start; only the Mittag-Leffler
+        # evaluator (verify, laplace_model) may load it
+        script = (
+            "import sys\n"
+            "from fracsource.cli import main\n"
+            "cfg, out = sys.argv[1:]\n"
+            "assert main(['synth', '--config', cfg, '--out', out, '--quiet']) == 0\n"
+            "assert main(['invert', '--config', cfg, '--out', out, '--quiet',\n"
+            "             out + '/flux_sensor1.csv', out + '/flux_sensor2.csv']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        package_root = os.path.dirname(os.path.dirname(fracsource.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, REFERENCE_CONFIG, str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
 class TestVerifyCommand:
+    def test_quadrature_checks_detect_a_scaled_mittag_leffler(self, monkeypatch):
+        cfg = load_config(REFERENCE_CONFIG)
+        checks = {c["name"]: c for c in cli._verify_checks(cfg)}
+        assert checks["laplace_pair"]["measured"] <= 1e-9
+        assert checks["ml_unit_mass"]["measured"] <= 1e-9
+        ml = cli.mittag_leffler_neg_real
+        monkeypatch.setattr(cli, "mittag_leffler_neg_real",
+                            lambda *args, **kw: ml(*args, **kw) * (1.0 + 1e-5))
+        checks = {c["name"]: c for c in cli._verify_checks(cfg)}
+        assert not checks["laplace_pair"]["pass"]  # measures 5e-6, tolerance 1e-6
+        # the mass and 1 - tail scale together, so the gap is 1e-5 (mass + tail)
+        # = 1e-5, the tolerance, plus the rule's error of a few 1e-15
+        assert not checks["ml_unit_mass"]["pass"]
+
     def test_fault_injection_fails_normalizer(self, tmp_path):
         cfg_path = write_config(tmp_path, {
             "verify": {"fault_omega_scale": 1.001}, "grid.steps": 500})

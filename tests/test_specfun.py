@@ -7,7 +7,6 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import rgamma
 
-from fracsource import specfun
 from fracsource.errors import AccuracyError, DomainError
 from fracsource.specfun import (
     MLAccuracy,
@@ -321,7 +320,7 @@ def _assert_bits_equal(got, want, what):
 
 
 class TestNegRealMatchesReference:
-    """mittag_leffler_neg_real against the plain reference above: the short
+    """mittag_leffler_neg_real against the plain reference above: the blocked
     asymptotic sums, the vectorized searches and the cached quadrature rule
     change no bit of any value or cutoff."""
 
@@ -366,27 +365,6 @@ class TestNegRealMatchesReference:
             _assert_bits_equal(mittag_leffler_neg_real(alpha, beta, x),
                                _ref_neg_real(alpha, beta, x),
                                f"alpha={alpha} beta={beta}")
-
-    @pytest.mark.parametrize("k0", [1, 2, 5, 12, 30, 70, 156])
-    def test_any_short_sum_length_is_exact(self, monkeypatch, k0):
-        # the certificates, not the choice of k0, make the result exact: with
-        # k0 too small every point must fall back to the full sum
-        full_sizes = []
-        full = specfun._asym_full
-
-        def counting_full(alpha, beta, logx, look):
-            full_sizes.append(logx.size)
-            return full(alpha, beta, logx, look)
-
-        monkeypatch.setattr(specfun, "_asym_short_k0", lambda *args: k0)
-        monkeypatch.setattr(specfun, "_asym_full", counting_full)
-        for alpha, beta in [(0.501, 1.0), (0.75, 0.75), (0.9, 0.0), (0.999, 0.5)]:
-            x = np.geomspace(_ref_cutoffs(alpha, beta)[1], 1e4, 2000)
-            _assert_bits_equal(mittag_leffler_neg_real(alpha, beta, x),
-                               _ref_neg_real(alpha, beta, x),
-                               f"k0={k0} alpha={alpha} beta={beta}")
-        if k0 <= 2:
-            assert sum(full_sizes) == 4 * 2000
 
     def test_gauss_legendre_rule_is_shared_read_only(self):
         for nodes in (16, 20, 54):
