@@ -30,10 +30,17 @@ from .config import (
 )
 from .disc_spectrum import build_spectrum, eigenfunction_eval, project_function, spectrum_to_json
 from .errors import AccuracyError, ConditioningError, FracsourceError, ValidationError
-from .forward_model import FluxTrace, flux_trace, flux_traces, verify_measurement_identity
+from .forward_model import (
+    FluxTrace,
+    flux_trace,
+    flux_traces,
+    relaxation_design,
+    relaxation_rates,
+    verify_measurement_identity,
+)
 from .inversion import predicted_flux, reconstruct, result_to_json
 from .laplace_model import LaplacePoint, LaplaceSamples, laplace_flux_model, numeric_laplace
-from .specfun import _panel_nodes, bessel_j, mittag_leffler_neg_real
+from .specfun import _panel_nodes, bessel_j
 
 
 def _info(args, msg):
@@ -162,26 +169,33 @@ def _verify_checks(cfg: ExperimentConfig):
 
     # Laplace pair: int_0^inf e^(-st) t^(a-1) E_{a,a}(-lam t^a) dt = 1/(s^a + lam),
     # integrated in v = t^a by composite Gauss-Legendre on panels graded
-    # geometrically toward v = 0, where exp(-s v^(1/a)) has its cusp; one
-    # Mittag-Leffler batch per order serves every (s, lam)
+    # geometrically toward v = 0, where exp(-s v^(1/a)) has its cusp. One
+    # relaxation_rates call per order serves every (s, lam): at t = v^(1/a)
+    # it is lam t^(a-1) E_{a,a}(-lam v) = (lam v / t) E_{a,a}(-lam v)
     v, w = _panel_nodes(np.concatenate([[0.0], np.geomspace(1e-12, 200.0, 40)]), 20)
     lam1 = 5.783185962946785  # j_{0,1}^2, the first Dirichlet eigenvalue of the disc
+    lams = np.array([1.0, lam1])
     worst = 0.0
     for alpha in (0.6, 0.8):
-        e = mittag_leffler_neg_real(alpha, alpha, np.concatenate([v, lam1 * v]))
-        e = dict(zip((1.0, lam1), e.reshape(2, -1)))
+        t = v ** (1.0 / alpha)
+        e = relaxation_rates(alpha, lams, [0.0], t)[:, :, 0] * (t / v)[:, None] / lams
+        e = dict(zip(lams, e.T))
         for s, lam in ((1.0, 1.0), (2.0, lam1), (5.0, 1.0), (10.0, lam1)):
-            val = float(w @ (np.exp(-s * v ** (1.0 / alpha)) * e[lam])) / alpha
+            val = float(w @ (np.exp(-s * t) * e[lam])) / alpha
             worst = max(worst, abs(val - 1.0 / (s ** alpha + lam)))
     add("laplace_pair", worst, 1e-6)
 
-    # L1 unit mass via the exact antiderivative identity, on the same kind of rule
+    # L1 unit mass via the exact antiderivative identity, on the same kind of
+    # rule: lam/a int_0^(T^a) E_{a,a}(-lam v) dv = 1 - E_{a,1}(-lam T^a), the
+    # right side read from relaxation_design
     alpha, lam = 0.75, lam1
     v_max = 2.75e5 / lam  # T^alpha, with lam T^alpha = 2.75e5
-    tail = float(mittag_leffler_neg_real(alpha, 1.0, np.array([lam * v_max]))[0])
+    big_t = np.array([v_max ** (1.0 / alpha)])
+    one_minus_tail = float(relaxation_design(alpha, [lam], [0.0, math.inf], big_t)[0, 0, 0])
     v, w = _panel_nodes(np.concatenate([[0.0], np.geomspace(1e-6, v_max, 40)]), 20)
-    mass = float(w @ mittag_leffler_neg_real(alpha, alpha, lam * v)) * lam / alpha
-    add("ml_unit_mass", abs(mass - (1.0 - tail)), 1e-5)
+    t = v ** (1.0 / alpha)
+    mass = float(w @ (relaxation_rates(alpha, [lam], [0.0], t)[:, 0, 0] * t / v)) / alpha
+    add("ml_unit_mass", abs(mass - one_minus_tail), 1e-6)
 
     # measurement identity on the configured model
     model = build_source_model(cfg, spectrum)

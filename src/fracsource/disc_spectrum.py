@@ -219,12 +219,12 @@ def project_function(f, spectrum: SpectrumTable, quadrature_order: int = 64,
     if fv.shape != rr.shape:
         fv = np.broadcast_to(fv, rr.shape).astype(complex)
     vals = np.empty(len(spectrum), dtype=complex)
-    # angular transform once: integrate f * exp(-i m theta) over theta
-    ms = sorted({mo.m for mo in spectrum.modes})
-    ang = {m: (fv * np.exp(-1j * m * tt)).sum(axis=1) * wth for m in ms}
+    # angular transform once: the trapezoid sums of f * exp(-i m theta) over
+    # the equispaced angles are the DFT of f along theta, at index m mod N
+    ang = np.fft.fft(fv, axis=1) * wth
     for i, mo in enumerate(spectrum.modes):
         rad = mo.omega * _bessel_j_unchecked(abs(mo.m), math.sqrt(mo.lam) * r)
-        vals[i] = np.sum(ang[mo.m] * rad * wr)
+        vals[i] = np.sum(ang[:, mo.m % angular_points] * rad * wr)
     return ModeCoefficients(values=vals)
 
 

@@ -14,7 +14,11 @@ derivatives in the cuts. Both write each profile as an exponential sum
 does not depend on alpha, so on a uniform grid every build is a product with
 one cached table. Only relaxation_design builds the basis: synthesis
 (flux_traces), the order search, the amplitude solve, refinement and the
-residual curves of the inversion all use it.
+residual curves of the inversion all use it. verify_measurement_identity
+reads E_{alpha,alpha} from relaxation_rates at cut 0, on the shift table of
+its own flux_trace, so nothing here calls the batch Mittag-Leffler
+evaluator; the scalar mittag_leffler serves only the pointwise reference
+duhamel_mode_response.
 """
 from __future__ import annotations
 
@@ -35,7 +39,6 @@ from .specfun import (
     SampledTrace,
     fractional_integral,
     mittag_leffler,
-    mittag_leffler_neg_real,
 )
 
 __all__ = [
@@ -540,10 +543,13 @@ def verify_measurement_identity(model: SourceModel, sensor_angle: float,
     lams = np.array([lam for lam, _ in groups])
     b = grouped_amplitudes(model, sensor_angle).real
     inv_gamma_a = 1.0 / math.gamma(alpha)
-    # F_k(s) = sum_j b[j,k] (1/Gamma(a) - E_{a,a}(-lambda_j s^a)) on the grid
+    # F_k(s) = sum_j b[j,k] (1/Gamma(a) - E_{a,a}(-lambda_j s^a)) on the grid,
+    # E_{a,a} from the cut column lambda s^(a-1) E_{a,a}(-lambda s^a) at cut 0,
+    # whose shift table the flux_trace above has built
     e_aa = np.empty((len(lams), len(times)))
-    for j, lam in enumerate(lams):
-        e_aa[j] = mittag_leffler_neg_real(alpha, alpha, lam * times ** alpha)
+    e_aa[:, 0] = inv_gamma_a
+    e_aa[:, 1:] = (relaxation_rates(alpha, lams, [0.0], times)[1:, :, 0]
+                   * times[1:, None] ** (1.0 - alpha) / lams).T
     # peel two Taylor terms of 1/G(a) - E_{a,a}(-lam s^a) = lam s^a/G(2a) - ...
     # and integrate them exactly so the s=0 endpoint costs no accuracy order
     g2, g3 = math.gamma(2 * alpha), math.gamma(3 * alpha)

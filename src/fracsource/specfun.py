@@ -10,7 +10,10 @@ evaluator truncates the asymptotic series optimally: each point sums the
 terms up to the first one after which the largest of the next few terms (the
 window bound) is smallest over the first 160 terms. The evaluator takes
 1/Gamma from scipy.special, imported on its first call; nothing else here
-uses SciPy.
+uses SciPy. No CLI command calls the evaluator (the relaxation profiles,
+verify's included, are exponential sums in forward_model), so none imports
+SciPy; laplace_model.adjoint_weight_w, the scalar mittag_leffler and the
+tests do.
 
 Bessel J_m of integer order is plain numpy. For x >= max(30, m^2/2) it is
 Hankel's asymptotic expansion with 24 terms, O(1) per point. Below that it
@@ -92,8 +95,8 @@ class SampledTrace:
 
 def _rgamma(x):
     """1/Gamma(x), elementwise, from scipy.special. SciPy is imported on the
-    first call: only the Mittag-Leffler evaluator needs it, and synth and
-    invert never call that, so they run without importing SciPy."""
+    first call: only the Mittag-Leffler evaluator needs it, and no CLI
+    command calls that, so they all run without importing SciPy."""
     from scipy.special import rgamma
     return rgamma(x)
 
@@ -364,19 +367,30 @@ def _ml_asym_batch(alpha: float, beta: float, xa: np.ndarray) -> np.ndarray:
     """Asymptotic region of mittag_leffler_neg_real: the optimally truncated
     sum of the terms t_k = -(-x)^-k / Gamma(beta - alpha k), in blocks of
     points so the _ASYM_TERMS-row term matrix stays small. Each point's sum
-    depends on that point alone, so the blocks change no value."""
+    depends on that point alone, so the blocks change no value.
+
+    Rows with k log x > 746 hold exp(-k log x) = 0 exactly, so terms and
+    window bounds are 0 there. A block stops `look` + 1 rows past the first
+    such row of its smallest x: every bound up to the first zero bound is
+    unchanged, hence the argmin and the sum too, bit for bit."""
     logx = np.log(xa)
     look = max(3, int(math.ceil(1.0 / alpha)) + 1)
     out = np.empty_like(xa)
     for lo in range(0, xa.size, _ASYM_BLOCK):
-        out[lo:lo + _ASYM_BLOCK] = _asym_full(alpha, beta, logx[lo:lo + _ASYM_BLOCK], look)
+        block = logx[lo:lo + _ASYM_BLOCK]
+        rows = _ASYM_TERMS
+        log_min = float(block.min())
+        if log_min > 0.0:
+            rows = min(rows, math.ceil(746.0 / log_min) + look + 1)
+        out[lo:lo + _ASYM_BLOCK] = _asym_full(alpha, beta, block, look, rows)
     return out
 
 
-def _asym_full(alpha: float, beta: float, logx: np.ndarray, look: int) -> np.ndarray:
-    """Optimal truncation over all _ASYM_TERMS terms: the sequential partial
+def _asym_full(alpha: float, beta: float, logx: np.ndarray, look: int,
+               rows: int) -> np.ndarray:
+    """Optimal truncation over the first `rows` terms: the sequential partial
     sum up to the first term with the smallest truncation bound."""
-    tmat = _asym_terms(alpha, beta, logx, _ASYM_TERMS)
+    tmat = _asym_terms(alpha, beta, logx, rows)
     best_k = np.argmin(_window_bounds(np.abs(tmat), look), axis=0)
     return np.cumsum(tmat, axis=0)[best_k, np.arange(logx.size)]
 
@@ -753,7 +767,8 @@ def _frac_int_uniform(psi: np.ndarray, h: float, beta: float) -> np.ndarray:
 
     For output index i, interval j contributes psi_j*a(i-j) + psi_{j+1}*b(i-j)
     with lag-only weights, so the sum is a convolution up to one ghost
-    interval left of t=0 that is subtracted afterwards.
+    interval left of t=0 that is subtracted afterwards. The convolution is
+    taken by FFT, O(n log n) instead of the O(n^2) direct sum.
     """
     n = len(psi)
     d = np.arange(1, n + 1, dtype=float)
@@ -767,10 +782,18 @@ def _frac_int_uniform(psi: np.ndarray, h: float, beta: float) -> np.ndarray:
     c[0] = b[1]
     c[1:] = a[1:n]
     c[1:] += b[2:n + 1]
+    # the first n terms of the convolution psi * c, as a product of
+    # transforms zero-padded past 2n - 1 (so nothing wraps around)
+    size = 1 << (2 * n - 1).bit_length()
+    c_hat = np.fft.rfft(c, size)
+
+    def conv_real(x):
+        return np.fft.irfft(np.fft.rfft(x, size) * c_hat, size)[:n]
+
     if np.iscomplexobj(psi):
-        conv = (np.convolve(psi.real, c)[:n] + 1j * np.convolve(psi.imag, c)[:n])
+        conv = conv_real(psi.real) + 1j * conv_real(psi.imag)
     else:
-        conv = np.convolve(psi, c)[:n]
+        conv = conv_real(psi)
     conv[1:] -= psi[0] * b[2:n + 1]
     conv[0] = 0.0
     return conv / math.gamma(beta)

@@ -327,6 +327,31 @@ class TestNoScipyImport:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    def test_no_command_imports_scipy(self, tmp_path):
+        # every CLI command takes its Mittag-Leffler values from the
+        # relaxation basis; only the scalar evaluator and laplace_model's
+        # adjoint weight load SciPy
+        script = (
+            "import sys\n"
+            "from fracsource.cli import main\n"
+            "cfg, out = sys.argv[1:]\n"
+            "common = ['--config', cfg, '--out', out, '--quiet']\n"
+            "assert main(['spectrum'] + common) == 0\n"
+            "assert main(['synth'] + common) == 0\n"
+            "assert main(['invert'] + common + [out + '/flux_sensor1.csv',\n"
+            "                                   out + '/flux_sensor2.csv']) == 0\n"
+            "assert main(['verify'] + common) == 0\n"
+            "assert main(['plotdata', out, '--quiet']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        package_root = os.path.dirname(os.path.dirname(fracsource.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, REFERENCE_CONFIG, str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
 
 class TestVerifyCommand:
     def test_quadrature_checks_detect_a_scaled_mittag_leffler(self, monkeypatch):
@@ -334,14 +359,27 @@ class TestVerifyCommand:
         checks = {c["name"]: c for c in cli._verify_checks(cfg)}
         assert checks["laplace_pair"]["measured"] <= 1e-9
         assert checks["ml_unit_mass"]["measured"] <= 1e-9
-        ml = cli.mittag_leffler_neg_real
-        monkeypatch.setattr(cli, "mittag_leffler_neg_real",
-                            lambda *args, **kw: ml(*args, **kw) * (1.0 + 1e-5))
+        # scale every E_{alpha,alpha} value that the two quadratures integrate
+        rates = cli.relaxation_rates
+        monkeypatch.setattr(cli, "relaxation_rates",
+                            lambda *args, **kw: rates(*args, **kw) * (1.0 + 1e-5))
         checks = {c["name"]: c for c in cli._verify_checks(cfg)}
         assert not checks["laplace_pair"]["pass"]  # measures 5e-6, tolerance 1e-6
-        # the mass and 1 - tail scale together, so the gap is 1e-5 (mass + tail)
-        # = 1e-5, the tolerance, plus the rule's error of a few 1e-15
+        # only the mass scales, not 1 - tail, so the gap is 1e-5 times the mass
+        # (about 1e-5), against a tolerance of 1e-6
         assert not checks["ml_unit_mass"]["pass"]
+
+    def test_all_checks_pass_near_alpha_one(self, tmp_path):
+        # the relaxation basis stays accurate as alpha -> 1, where
+        # mittag_leffler_neg_real is off by up to 4e-4
+        cfg = load_config(write_config(tmp_path, {"model.alpha": 0.999}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            checks = cli._verify_checks(cfg)
+        assert [c["name"] for c in checks] == [
+            "laplace_pair", "ml_unit_mass", "measurement_identity",
+            "laplace_model_agreement", "orthonormality", "normalizer_identity"]
+        assert all(c["pass"] for c in checks), checks
 
     def test_fault_injection_fails_normalizer(self, tmp_path):
         cfg_path = write_config(tmp_path, {

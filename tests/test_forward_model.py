@@ -409,6 +409,39 @@ class TestExpSumBasis:
             assert abs(1.0 - design[i, 0, 0] - row["value"]) <= 3e-13
 
 
+def _rate_mpmath(alpha, lam, tau):
+    """lam tau^(alpha-1) E_{alpha,alpha}(-lam tau^alpha) from the power
+    series, with enough digits to absorb its cancellation (the largest term
+    is about exp((lam tau^alpha)^(1/alpha)))."""
+    mp = pytest.importorskip("mpmath")
+    x = lam * tau ** alpha
+    with mp.workdps(30 + int(x ** (1.0 / alpha) / 2.3)):
+        a, xm = mp.mpf(alpha), mp.mpf(x)
+        total, k = mp.mpf(0), 0
+        while True:
+            term = (-xm) ** k * mp.rgamma(a * k + a)
+            total += term
+            k += 1
+            if k > 2 * x ** (1.0 / alpha) / alpha + 10 and abs(term) < 1e-25 * abs(total):
+                return float(lam * mp.mpf(tau) ** (a - 1) * total)
+
+
+class TestRatesNearAlphaOne:
+    @pytest.mark.parametrize("alpha", (0.99, 0.999, 0.9995))
+    def test_rates_against_mpmath(self, alpha):
+        # the E_{alpha,alpha} values of verify; mittag_leffler_neg_real is
+        # off by up to 2.7e-3 here, the basis by 2e-13 relative
+        t = np.linspace(0.0, 4.0, 4001)
+        lams = (5.783185962946785, 100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relaxation_rates(alpha, lams, [0.0], t)
+        for j, lam in enumerate(lams):
+            for i in (1, 10, 54, 300, 1000, 4000):
+                want = _rate_mpmath(alpha, lam, t[i])
+                assert abs(got[i, j, 0] - want) <= 1e-12 * abs(want)
+
+
 class TestSolveField:
     def test_initial_condition(self, reference_model):
         vals = solve_field(reference_model, [(0.2, 0.5), (0.9, 3.0)], 0.0)
