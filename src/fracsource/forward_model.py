@@ -14,10 +14,10 @@ derivatives in the cuts. Both write each profile as an exponential sum
 does not depend on alpha, so on a uniform grid every build is a product with
 one cached table. Only relaxation_design builds the basis: synthesis
 (flux_traces), the order search, the amplitude solve, refinement and the
-residual curves of the inversion all use it. verify_measurement_identity
-reads E_{alpha,alpha} from relaxation_rates at cut 0, on the shift table of
-its own flux_trace, so nothing here calls the batch Mittag-Leffler
-evaluator; the scalar mittag_leffler serves only the pointwise reference
+residual curves of the inversion all use it. E_{alpha,alpha} is read from
+relaxation_rates at cut 0: here by verify_measurement_identity, on the shift
+table of its own flux_trace, and by laplace_model.adjoint_weight_w. The
+scalar mittag_leffler serves only the pointwise reference
 duhamel_mode_response.
 """
 from __future__ import annotations
@@ -400,8 +400,9 @@ def relaxation_design(alpha: float, lams, bounds, times) -> np.ndarray:
     a bound has 0 < tau = delta <= h and is summed at its own tau over nodes
     up to log(800 / delta). Grids that are not uniform, or whose table would
     exceed 16 MB (the 30001-point grid of verify), are summed at their
-    exact tau in row blocks. Each value agrees with mittag_leffler_neg_real
-    to 1e-13 for alpha <= 0.985 and with mpmath to 1.4e-13 up to 0.999;
+    exact tau in row blocks. Each value agrees with the scalar
+    mittag_leffler to 1e-13 for alpha <= 0.985 (5e-14 at most where measured)
+    and with mpmath to 1.4e-13 up to 0.999;
     the error grows as alpha -> 1, to 7e-13 at 0.9999, where the pole lies
     3e-4 off the real u axis. A value does not depend on the other bounds,
     eigenvalues or rows of the call.

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disc_spectrum import SpectrumTable, eigenfunction_eval, normalizer_sign
+from .disc_spectrum import SpectrumTable
 from .errors import DomainError, HorizonError, PoleProximityError, ShapeError
-from .forward_model import FluxTrace, SourceModel, grouped_amplitudes
-from .specfun import mittag_leffler_neg_real
+from .forward_model import FluxTrace, SourceModel, grouped_amplitudes, relaxation_rates
+from .specfun import _bessel_j_unchecked
 
 __all__ = [
     "LaplacePoint",
@@ -194,22 +194,34 @@ def adjoint_weight_w(spec: AdjointSpec, spectrum: SpectrumTable, r, theta,
     This is the adjoint solution through which the paper relates the
     unknowns to the boundary data; tests check its truncation, its decay and
     its boundary limit t^(a-1) delta_z^N / Gamma(a) (TestAdjointWeight).
+    E_{a,a} comes from the relaxation basis, and the Bessel factors of the
+    modes (J_|m|(sqrt(lam_n) r), and the sign of J_|m|+1(sqrt(lam_n)) in
+    a-bar_n) from one call per order |m|.
     """
     if not t > 0:
         raise DomainError("t must be positive")
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if np.any(r < 0) or np.any(r > 1):
+        raise DomainError("r must lie in [0, 1]")
+    r, theta = np.broadcast_arrays(r, theta)
     alpha = spec.alpha
-    inv_g = 1.0 / math.gamma(alpha)
     modes = [mo for mo in spectrum.modes if abs(mo.m) <= spec.N]
+    total = np.zeros(r.shape, dtype=complex)
+    if not modes:  # a table built by hand may hold no order |m| <= N
+        return complex(total) if total.ndim == 0 else total
+    m = np.array([mo.m for mo in modes])
     lam = np.array([mo.lam for mo in modes])
-    e_aa = mittag_leffler_neg_real(alpha, alpha, lam * t ** alpha)
-    total = None
-    for mo, e in zip(modes, e_aa):
-        a_bar = (normalizer_sign(mo) * np.exp(-1j * mo.m * spec.theta_z)
-                 / (math.sqrt(math.pi) * math.sqrt(mo.lam)))
-        term = a_bar * t ** (alpha - 1.0) * (inv_g - e) * eigenfunction_eval(mo, r, theta)
-        total = term if total is None else total + term
-    if total is None:
-        shape = np.broadcast(np.asarray(r, dtype=float),
-                             np.asarray(theta, dtype=float)).shape
-        return complex(0) if shape == () else np.zeros(shape, dtype=complex)
-    return total
+    omega = np.array([mo.omega for mo in modes])
+    # the cut-0 rate at t is lam t^(a-1) E_{a,a}(-lam t^a)
+    e_aa = relaxation_rates(alpha, lam, [0.0], [t])[0, :, 0] * t ** (1.0 - alpha) / lam
+    weight = (t ** (alpha - 1.0) * (1.0 / math.gamma(alpha) - e_aa) * omega
+              / (math.sqrt(math.pi) * np.sqrt(lam)))
+    for order in np.unique(np.abs(m)).tolist():
+        sel = np.abs(m) == order
+        k = np.sqrt(lam[sel])
+        sign = np.where(_bessel_j_unchecked(order + 1, k) >= 0, 1.0, -1.0)
+        radial = _bessel_j_unchecked(order, np.multiply.outer(k, r))
+        phase = np.exp(1j * np.multiply.outer(m[sel], theta - spec.theta_z))
+        total += np.tensordot(sign * weight[sel], radial * phase, axes=1)
+    return complex(total) if total.ndim == 0 else total

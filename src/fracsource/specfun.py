@@ -5,15 +5,13 @@ no randomized algorithms. The Mittag-Leffler evaluator is a three-regime
 global scheme (power series with a cancellation certificate, optimal-truncation
 asymptotics, and a collapsed-ray contour integral with adaptive panel
 refinement), plus a half-order split recursion for orders above one and for
-arguments too close to the contour rays. The vectorized negative-axis
-evaluator truncates the asymptotic series optimally: each point sums the
-terms up to the first one after which the largest of the next few terms (the
-window bound) is smallest over the first 160 terms. The evaluator takes
-1/Gamma from scipy.special, imported on its first call; nothing else here
-uses SciPy. No CLI command calls the evaluator (the relaxation profiles,
-verify's included, are exponential sums in forward_model), so none imports
-SciPy; laplace_model.adjoint_weight_w, the scalar mittag_leffler and the
-tests do.
+arguments too close to the contour rays. It is a scalar evaluator for complex
+arguments: the reference for forward_model.duhamel_mode_response and the tests.
+Batches on the negative real axis (synthesis, inversion, verify and
+laplace_model.adjoint_weight_w) come from the exponential-sum relaxation basis
+of forward_model instead. The evaluator takes 1/Gamma from scipy.special,
+imported on its first call; it is the only part of the package that loads
+SciPy, and no CLI command calls it.
 
 Bessel J_m of integer order is plain numpy. For x >= max(30, m^2/2) it is
 Hankel's asymptotic expansion with 24 terms, O(1) per point. Below that it
@@ -23,8 +21,7 @@ J_m(x) = (2 pi)^-1 int_0^2pi cos(m tau - x sin tau) d tau, with about
 converges geometrically. J_m(0) is exact. The zeros come from one sign scan
 per order, polished by a vectorized safeguarded Newton iteration.
 
-The only caches are the per-(alpha, beta, tol) cutoff searches, the
-Gauss-Legendre rules and the Hankel coefficients.
+The only caches are the Gauss-Legendre rules and the Hankel coefficients.
 """
 from __future__ import annotations
 
@@ -43,7 +40,6 @@ __all__ = [
     "MLAccuracy",
     "SampledTrace",
     "mittag_leffler",
-    "mittag_leffler_neg_real",
     "bessel_j",
     "bessel_j_zeros",
     "fractional_integral",
@@ -95,7 +91,7 @@ class SampledTrace:
 
 def _rgamma(x):
     """1/Gamma(x), elementwise, from scipy.special. SciPy is imported on the
-    first call: only the Mittag-Leffler evaluator needs it, and no CLI
+    first call: only the scalar Mittag-Leffler evaluator needs it, and no CLI
     command calls that, so they all run without importing SciPy."""
     from scipy.special import rgamma
     return rgamma(x)
@@ -302,265 +298,6 @@ def mittag_leffler(alpha: float, beta: float, z: complex,
     if arg < wedge:
         total += (1.0 / alpha) * z ** ((1.0 - beta) / alpha) * np.exp(z ** (1.0 / alpha))
     return total
-
-
-def mittag_leffler_neg_real(alpha: float, beta: float, x, tol: float = 1e-12) -> np.ndarray:
-    """E_{alpha,beta}(-x) for an array of x >= 0, vectorized.
-
-    Restricted to 0 < alpha < 1 and beta <= 1 (the hot path of the forward
-    model); the result is real. Regions: power series where the cancellation
-    certificate allows, optimal-truncation asymptotics for large x, and a
-    batched ray integral on a shared panel grid in between.
-
-    The asymptotic sum of each point is the optimal truncation of the first
-    160 terms: it stops after the first term whose window bound (the largest
-    of the next `look` terms) is smallest.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha={alpha} outside (0, 1)")
-    if beta > 1.0:
-        raise DomainError("vectorized path requires beta <= 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0) or not np.all(np.isfinite(x)):
-        raise DomainError("x must be finite and nonnegative")
-    out = np.empty_like(x)
-    out[x == 0] = _rgamma(beta)
-    live = x > 0
-    xs = x[live]
-    if xs.size == 0:
-        return out
-
-    x_series, n_terms = _series_cutoff(alpha, beta, tol)
-    x_asym = _asym_cutoff(alpha, beta, tol)
-    res = np.full(xs.shape, np.nan)
-
-    # --- power series region
-    mser = xs <= x_series
-    if mser.any():
-        xa = xs[mser]
-        ks = np.arange(n_terms + 1, dtype=float)
-        rg = _rgamma(alpha * ks + beta)
-        lt = np.outer(np.log(xa), ks[1:])
-        tmat = np.empty((xa.size, n_terms + 1))
-        tmat[:, 0] = rg[0]
-        tmat[:, 1:] = np.exp(lt) * rg[1:] * np.where(ks[1:] % 2 == 0, 1.0, -1.0)
-        res[mser] = tmat.sum(axis=1)
-
-    # --- asymptotic region
-    masy = (~mser) & (xs >= x_asym)
-    if masy.any():
-        res[masy] = _ml_asym_batch(alpha, beta, xs[masy])
-
-    # --- ray integral for the middle band, via Chebyshev-in-log-x when large
-    mmid = ~(mser | masy)
-    if mmid.any():
-        res[mmid] = _ml_mid_band(alpha, beta, xs[mmid], tol)
-    out[live] = res
-    return out
-
-
-_ASYM_TERMS = 160  # asymptotic terms the optimal-truncation search spans
-_ASYM_BLOCK = 2048  # points per block of the asymptotic term matrix
-
-
-def _ml_asym_batch(alpha: float, beta: float, xa: np.ndarray) -> np.ndarray:
-    """Asymptotic region of mittag_leffler_neg_real: the optimally truncated
-    sum of the terms t_k = -(-x)^-k / Gamma(beta - alpha k), in blocks of
-    points so the _ASYM_TERMS-row term matrix stays small. Each point's sum
-    depends on that point alone, so the blocks change no value.
-
-    Rows with k log x > 746 hold exp(-k log x) = 0 exactly, so terms and
-    window bounds are 0 there. A block stops `look` + 1 rows past the first
-    such row of its smallest x: every bound up to the first zero bound is
-    unchanged, hence the argmin and the sum too, bit for bit."""
-    logx = np.log(xa)
-    look = max(3, int(math.ceil(1.0 / alpha)) + 1)
-    out = np.empty_like(xa)
-    for lo in range(0, xa.size, _ASYM_BLOCK):
-        block = logx[lo:lo + _ASYM_BLOCK]
-        rows = _ASYM_TERMS
-        log_min = float(block.min())
-        if log_min > 0.0:
-            rows = min(rows, math.ceil(746.0 / log_min) + look + 1)
-        out[lo:lo + _ASYM_BLOCK] = _asym_full(alpha, beta, block, look, rows)
-    return out
-
-
-def _asym_full(alpha: float, beta: float, logx: np.ndarray, look: int,
-               rows: int) -> np.ndarray:
-    """Optimal truncation over the first `rows` terms: the sequential partial
-    sum up to the first term with the smallest truncation bound."""
-    tmat = _asym_terms(alpha, beta, logx, rows)
-    best_k = np.argmin(_window_bounds(np.abs(tmat), look), axis=0)
-    return np.cumsum(tmat, axis=0)[best_k, np.arange(logx.size)]
-
-
-def _asym_terms(alpha: float, beta: float, logx: np.ndarray, rows: int) -> np.ndarray:
-    """Terms -(-x)^-k / Gamma(beta - alpha k), one row per k = 1 .. rows."""
-    ks = np.arange(1, rows + 1)
-    coef = np.where(ks % 2 == 0, -1.0, 1.0) * _rgamma(beta - alpha * ks)
-    with np.errstate(over="ignore", under="ignore"):
-        terms = np.multiply.outer(-ks, logx)  # exactly -(k log x)
-        np.exp(terms, out=terms)
-        terms *= coef[:, None]
-    return terms
-
-
-def _window_bounds(mags: np.ndarray, look: int) -> np.ndarray:
-    """Truncation bounds along axis 0: entry k is the largest of rows
-    k + 1 .. k + look, the terms left out first when the sum stops at row k."""
-    n = max(len(mags) - look, 0)
-    bound = np.maximum(mags[1:n + 1], mags[2:n + 2])
-    for j in range(3, look + 1):
-        np.maximum(bound, mags[j:n + j], out=bound)
-    return bound
-
-
-def _ml_mid_band(alpha: float, beta: float, xk: np.ndarray, tol: float) -> np.ndarray:
-    """Middle-band evaluation. E_{a,b}(-e^u) is entire in u, so for large
-    batches a Chebyshev interpolant through ray-integral values at <=48 nodes
-    is certified by trailing-coefficient decay; small batches go direct."""
-    n_nodes = 48
-    if xk.size <= n_nodes + 16:
-        return _ml_ray_batch(alpha, beta, xk, tol)
-    u_lo, u_hi = float(np.log(xk.min())), float(np.log(xk.max()))
-    if u_hi - u_lo < 1e-12:
-        return _ml_ray_batch(alpha, beta, xk, tol)
-    k = np.arange(n_nodes)
-    u_nodes = 0.5 * (u_lo + u_hi) + 0.5 * (u_hi - u_lo) * np.cos(np.pi * k / (n_nodes - 1))
-    f_nodes = _ml_ray_batch(alpha, beta, np.exp(u_nodes), tol)
-    coef = np.polynomial.chebyshev.chebfit(
-        (2 * u_nodes - (u_lo + u_hi)) / (u_hi - u_lo), f_nodes, n_nodes - 1)
-    if float(np.max(np.abs(coef[-6:]))) > 0.1 * tol:
-        return _ml_ray_batch(alpha, beta, xk, tol)
-    u = (2 * np.log(xk) - (u_lo + u_hi)) / (u_hi - u_lo)
-    return np.polynomial.chebyshev.chebval(u, coef)
-
-
-@functools.lru_cache(maxsize=512)
-def _series_cutoff(alpha: float, beta: float, tol: float):
-    """Largest x whose series cancellation certificate stays below tol,
-    plus the term count needed there."""
-    lo, hi = 0.5, 400.0
-    if not _series_certified(alpha, beta, lo, tol)[0]:
-        return 0.0, 8
-    while _series_certified(alpha, beta, hi, tol)[0] and hi < 1e6:
-        hi *= 2
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if _series_certified(alpha, beta, mid, tol)[0]:
-            lo = mid
-        else:
-            hi = mid
-    _, n_terms = _series_certified(alpha, beta, lo, tol)
-    return lo, n_terms
-
-
-def _series_certified(alpha: float, beta: float, x: float, tol: float):
-    """(certified?, terms needed) for the alternating series at -x.
-
-    Term k is x^k / |Gamma(alpha k + beta)|. The series stops at the first k
-    whose term is below tol/100 once alpha k + beta exceeds x^(1/alpha) + 2,
-    and is certified when eps (k + 5) times its largest term stays below
-    tol/4. A term with k log x > 500 ends the search uncertified. Terms are
-    evaluated in blocks of k; the first block usually holds the stop.
-    """
-    lx = math.log(x)
-    tail_arg = x ** (1.0 / alpha) + 2.0
-    max_abs = abs(float(_rgamma(beta)))
-    for start in range(1, 400, 48):
-        ks = np.arange(start, min(start + 48, 400))
-        lt = ks * lx
-        over = np.flatnonzero(lt > 500)
-        n = int(over[0]) if over.size else ks.size
-        args = alpha * ks[:n] + beta
-        # math.exp, not np.exp: the two differ in some last bits, and the
-        # bisection in _series_cutoff would follow them
-        terms = np.fromiter(map(math.exp, lt[:n].tolist()), float, n) * np.abs(_rgamma(args))
-        stop = np.flatnonzero((terms < tol * 1e-2) & (args > tail_arg))
-        end = int(stop[0]) + 1 if stop.size else n
-        if end:
-            max_abs = max(max_abs, float(terms[:end].max()))
-        if stop.size:
-            k = int(ks[stop[0]])
-            return max_abs * _EPS * (k + 5) <= tol / 4.0, k
-        if over.size:
-            return False, int(ks[n])
-    return False, 400
-
-
-@functools.lru_cache(maxsize=512)
-def _asym_cutoff(alpha: float, beta: float, tol: float) -> float:
-    """Smallest x where optimal truncation of the asymptotic series meets tol."""
-    ks = np.arange(1, _ASYM_TERMS + 1)
-    rg = _rgamma(beta - alpha * ks)
-    look = max(3, int(math.ceil(1.0 / alpha)) + 1)
-
-    def certified(x):
-        if math.exp(-0.35 * x ** (1.0 / alpha)) > tol / 10.0:
-            return False
-        with np.errstate(over="ignore", under="ignore"):
-            mags = np.abs(np.exp(-ks * math.log(x)) * rg)
-        return float(_window_bounds(mags, look).min(initial=np.inf)) <= tol / 5.0
-
-    lo, hi = 1.0, 2.0
-    while not certified(hi):
-        hi *= 2
-        if hi > 1e12:
-            break
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if certified(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _ml_ray_batch(alpha: float, beta: float, xk: np.ndarray, tol: float) -> np.ndarray:
-    """Shared-grid ray integral for a batch of negative-axis arguments.
-
-    The denominator peaks (for alpha > 1/2) at chi = x|cos(alpha pi)| with
-    half-width x sin(alpha pi), so a linear cluster across the band's peak
-    range plus a geometric ladder toward 0 resolves every point at once.
-    """
-    ia = 1.0 / alpha
-    x_min, x_max = float(xk.min()), float(xk.max())
-    cut = max((np.log(10.0 / tol) + 2.0) ** alpha, 1.4 * x_max + 2.0)
-    cos_a = np.cos(alpha * np.pi)
-    sin_a = np.sin(alpha * np.pi)
-    chi_min = 0.0 if beta == 1.0 else 1e-10
-    es = [chi_min]
-    es += list(np.geomspace(max(chi_min, 1e-10), cut, 30))
-    if cos_a < 0:  # alpha > 1/2: peaks on the positive axis
-        r_lo, r_hi = -cos_a * x_min, -cos_a * x_max
-        width = max(x_min * sin_a, 1e-3)
-        n_clu = 20 + int(min(40, 2.0 * (r_hi - r_lo) / width))
-        es += list(np.linspace(max(0.0, r_lo - 3 * width),
-                               min(cut, r_hi + 3 * x_max * sin_a), n_clu))
-    edges = np.unique(np.clip(np.asarray(es), chi_min, cut))
-    sin_b = np.sin(np.pi * (1 - beta))
-    sin_ba = np.sin(np.pi * (1 - beta + alpha))
-    xcol = xk[:, None]
-    stub = 0.0
-    if chi_min > 0:
-        p = (1.0 - beta) * ia
-        stub = (ia / np.pi) * (sin_ba / xk) * chi_min ** (1.0 + p) / (1.0 + p)
-    prev = None
-    vals = None
-    for nodes in (20, 32, 48):
-        chi, w = _panel_nodes(edges, nodes)
-        pref = np.exp(((1.0 - beta) * ia) * np.log(chi)) if beta != 1.0 else 1.0
-        decay = (ia / np.pi) * pref * np.exp(-(chi ** ia))
-        num = chi * sin_b + xcol * sin_ba
-        den = (chi + cos_a * xcol) ** 2 + (sin_a * sin_a) * xcol * xcol
-        kern = num / den
-        kern *= decay
-        vals = stub + kern @ w
-        if prev is not None and float(np.max(np.abs(vals - prev))) < 0.2 * tol:
-            return vals
-        prev = vals
-    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from fracsource.disc_spectrum import ModeCoefficients, build_spectrum
-from fracsource.forward_model import SourceModel, flux_trace
+from fracsource.forward_model import (
+    SourceModel,
+    flux_trace,
+    relaxation_design,
+    relaxation_rates,
+)
+from fracsource.specfun import _panel_nodes
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +31,35 @@ def make_coeffs(spectrum, entries):
         if m != 0:
             vals[spectrum.index_of(-m, k)] = np.conj(c)
     return ModeCoefficients(values=vals)
+
+
+def basis_ml(alpha, beta, x):
+    """E_{alpha,beta}(-x) for beta = 1 or beta = alpha from the relaxation
+    basis, with lambda = x at t = 1: there the design column is
+    1 - E_{alpha,1}(-x) and the cut-0 rate is x E_{alpha,alpha}(-x). The
+    basis takes lambda > 0 only, so x = 0 gets 1/Gamma(beta)."""
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, 1.0 / math.gamma(beta))
+    live = x > 0
+    if beta == 1.0:
+        out[live] = 1.0 - relaxation_design(alpha, x[live], [0.0, math.inf], [1.0])[0, :, 0]
+    elif beta == alpha:
+        out[live] = relaxation_rates(alpha, x[live], [0.0], [1.0])[0, :, 0] / x[live]
+    else:
+        raise ValueError("the basis holds beta = 1 and beta = alpha only")
+    return out
+
+
+def ml_aa_on_panels(alpha, lams, edges, nodes=20):
+    """Composite Gauss-Legendre nodes v and weights w on the panels `edges`
+    of v = t^alpha, and E_{alpha,alpha}(-lam v) at the nodes, one row per
+    lam, from one relaxation_rates call: at t = v^(1/alpha) the cut-0 rate
+    is lam t^(alpha-1) E_{alpha,alpha}(-lam v)."""
+    v, w = _panel_nodes(np.asarray(edges, dtype=float), nodes)
+    t = v ** (1.0 / alpha)
+    lams = np.asarray(lams, dtype=float)
+    e = relaxation_rates(alpha, lams, [0.0], t)[:, :, 0] * (t / v)[:, None] / lams
+    return v, w, e.T
 
 
 REF_PIECE_1 = {(0, 1): 1.0, (1, 1): 0.5 + 0.3j, (2, 1): -0.4 + 0.2j}

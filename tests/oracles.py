@@ -2,14 +2,17 @@
 
 Everything here deliberately avoids the implementation paths it checks:
 Bessel values come from the plain power series, Bessel zeros from bisection
-on that series, Mittag-Leffler reference values from the erfcx identity or
-the frozen high-precision file, and integrals from generic quadrature.
+on that series, Mittag-Leffler reference values from the erfcx identity, the
+frozen high-precision file or the power series in mpmath, and integrals from
+generic quadrature.
 """
+import functools
 import json
 import math
 import os
 
 import numpy as np
+import pytest
 from scipy.special import erfcx
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -84,6 +87,28 @@ def frozen_ml_near_one():
         return json.load(fh)
 
 
+def ml_mpmath(alpha: float, beta: float, x: float):
+    """E_{alpha,beta}(-x) as an mpmath number, from the power series with
+    enough digits to absorb its cancellation (the largest term is about
+    exp(x^(1/alpha)))."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30 + int(x ** (1.0 / alpha) / 2.3)):
+        a, b, xm = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x)
+        total, k = mp.mpf(0), 0
+        while True:
+            term = (-xm) ** k * mp.rgamma(a * k + b)
+            total += term
+            k += 1
+            if k > 2 * x ** (1.0 / alpha) / alpha + 10 and abs(term) < 1e-25 * abs(total):
+                return total
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(nodes: int):
+    """Gauss-Legendre rule on [-1, 1]; leggauss(400) takes about 20 ms."""
+    return np.polynomial.legendre.leggauss(nodes)
+
+
 def duhamel_quadrature(lam, alpha, piece, c_lo, c_hi, t, ml_aa, nodes=400):
     """Mode amplitude by direct quadrature of the Duhamel convolution.
 
@@ -96,7 +121,7 @@ def duhamel_quadrature(lam, alpha, piece, c_lo, c_hi, t, ml_aa, nodes=400):
     hi = min(c_hi, t)
     v_lo = (t - hi) ** alpha
     v_hi = (t - c_lo) ** alpha
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _leggauss(nodes)
     v = 0.5 * (v_lo + v_hi) + 0.5 * (v_hi - v_lo) * x
     wv = 0.5 * (v_hi - v_lo) * w
     vals = ml_aa(alpha, lam * v) / alpha

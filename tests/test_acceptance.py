@@ -7,7 +7,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from fracsource.cli import main
 from fracsource.disc_spectrum import (
@@ -20,6 +19,7 @@ from fracsource.forward_model import (
     FluxTrace,
     flux_trace,
     grouped_amplitudes,
+    relaxation_design,
     verify_measurement_identity,
 )
 from fracsource.inversion import (
@@ -28,10 +28,10 @@ from fracsource.inversion import (
     split_multiplicity,
 )
 from fracsource.laplace_model import LaplacePoint, laplace_flux_model, numeric_laplace
-from fracsource.specfun import bessel_j, mittag_leffler, mittag_leffler_neg_real
+from fracsource.specfun import bessel_j, mittag_leffler
 
 import oracles
-from conftest import random_source_model
+from conftest import ml_aa_on_panels, random_source_model
 
 INV_CFG = InversionConfig(changepoint_min_gap=0.3)
 
@@ -64,16 +64,18 @@ class TestA1SpecialFunctions:
                 f"{count} points, worst {worst:.2e} (tol 1e-9)")
 
     def test_a1_laplace_pair(self):
+        # E_{a,a} from the relaxation basis, integrated in v = t^a on panels
+        # graded toward v = 0, one basis call per order
         worst = 0.0
         combos = 0
+        lam1 = 5.783185962946785
         for alpha in (0.6, 0.8):
-            for s, lam in ((1.0, 1.0), (2.0, 5.783185962946785),
-                           (5.0, 1.0), (10.0, 5.783185962946785)):
-                def integrand(v):
-                    t = v ** (1.0 / alpha)
-                    e = mittag_leffler_neg_real(alpha, alpha, np.array([lam * v]))[0]
-                    return math.exp(-s * t) * e / alpha
-                val, _ = quad(integrand, 0.0, 300.0, limit=500)
+            v, w, e = ml_aa_on_panels(
+                alpha, (1.0, lam1), np.concatenate([[0.0], np.geomspace(1e-12, 300.0, 40)]))
+            t = v ** (1.0 / alpha)
+            e = {1.0: e[0], lam1: e[1]}
+            for s, lam in ((1.0, 1.0), (2.0, lam1), (5.0, 1.0), (10.0, lam1)):
+                val = float(w @ (np.exp(-s * t) * e[lam])) / alpha
                 worst = max(worst, abs(val - 1.0 / (s ** alpha + lam)))
                 combos += 1
         _report("A1b laplace-pair", combos == 8 and worst <= 1e-6,
@@ -82,14 +84,10 @@ class TestA1SpecialFunctions:
     def test_a1_unit_mass(self):
         alpha, lam = 0.75, 5.783185962946785
         big_t = (3.2e5 / lam) ** (1.0 / alpha)
-        tail = mittag_leffler_neg_real(alpha, 1.0,
-                                       np.array([lam * big_t ** alpha]))[0]
-
-        def integrand(v):
-            return lam * mittag_leffler_neg_real(alpha, alpha,
-                                                 np.array([lam * v]))[0] / alpha
-
-        mass, _ = quad(integrand, 0.0, big_t ** alpha, limit=800)
+        tail = 1.0 - relaxation_design(alpha, [lam], [0.0, math.inf], [big_t])[0, 0, 0]
+        v, w, e = ml_aa_on_panels(
+            alpha, [lam], np.concatenate([[0.0], np.geomspace(1e-6, big_t ** alpha, 40)]))
+        mass = lam * float(w @ e[0]) / alpha
         err = abs(mass - 1.0)
         _report("A1c unit-mass", tail <= 1e-6 and err <= 1e-5 + tail,
                 f"mass {mass:.8f}, tail {tail:.1e} (tol 1e-5)")

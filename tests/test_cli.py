@@ -307,33 +307,15 @@ class TestInvertCommand:
 
 
 class TestNoScipyImport:
-    def test_synth_and_invert_run_without_scipy(self, tmp_path):
-        # importing SciPy is most of a cold start; only the Mittag-Leffler
-        # evaluator (verify, laplace_model) may load it
-        script = (
-            "import sys\n"
-            "from fracsource.cli import main\n"
-            "cfg, out = sys.argv[1:]\n"
-            "assert main(['synth', '--config', cfg, '--out', out, '--quiet']) == 0\n"
-            "assert main(['invert', '--config', cfg, '--out', out, '--quiet',\n"
-            "             out + '/flux_sensor1.csv', out + '/flux_sensor2.csv']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        package_root = os.path.dirname(os.path.dirname(fracsource.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run(
-            [sys.executable, "-c", script, REFERENCE_CONFIG, str(tmp_path / "run")],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
-
     def test_no_command_imports_scipy(self, tmp_path):
-        # every CLI command takes its Mittag-Leffler values from the
-        # relaxation basis; only the scalar evaluator and laplace_model's
-        # adjoint weight load SciPy
+        # importing SciPy is most of a cold start. Every CLI command and the
+        # adjoint weight take their Mittag-Leffler values from the relaxation
+        # basis; only the scalar mittag_leffler loads SciPy
         script = (
             "import sys\n"
             "from fracsource.cli import main\n"
+            "from fracsource.disc_spectrum import build_spectrum\n"
+            "from fracsource.laplace_model import AdjointSpec, adjoint_weight_w\n"
             "cfg, out = sys.argv[1:]\n"
             "common = ['--config', cfg, '--out', out, '--quiet']\n"
             "assert main(['spectrum'] + common) == 0\n"
@@ -342,6 +324,8 @@ class TestNoScipyImport:
             "                                   out + '/flux_sensor2.csv']) == 0\n"
             "assert main(['verify'] + common) == 0\n"
             "assert main(['plotdata', out, '--quiet']) == 0\n"
+            "adjoint_weight_w(AdjointSpec(theta_z=0.3, N=2, alpha=0.75),\n"
+            "                 build_spectrum(30.0), 0.5, 0.3, 1.0)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         package_root = os.path.dirname(os.path.dirname(fracsource.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -370,8 +354,7 @@ class TestVerifyCommand:
         assert not checks["ml_unit_mass"]["pass"]
 
     def test_all_checks_pass_near_alpha_one(self, tmp_path):
-        # the relaxation basis stays accurate as alpha -> 1, where
-        # mittag_leffler_neg_real is off by up to 4e-4
+        # the relaxation basis stays accurate as alpha -> 1
         cfg = load_config(write_config(tmp_path, {"model.alpha": 0.999}))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

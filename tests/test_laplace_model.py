@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsource.disc_spectrum import build_spectrum
+from fracsource.disc_spectrum import build_spectrum, eigenfunction_eval
 from fracsource.errors import DomainError, HorizonError, PoleProximityError
 from fracsource.forward_model import FluxTrace, SourceModel, flux_trace, grouped_amplitudes
 from fracsource.laplace_model import (
@@ -18,7 +18,10 @@ from fracsource.laplace_model import (
     pole_locations,
 )
 
+from fracsource.specfun import mittag_leffler
+
 from conftest import make_coeffs, random_source_model
+import oracles
 
 
 class TestBranchAndPoles:
@@ -223,13 +226,11 @@ class TestAdjointWeight:
         spec = AdjointSpec(theta_z=0.3, N=0, alpha=0.75)
         got = adjoint_weight_w(spec, spectrum30, 0.5, 0.3, 1.0)
         # only m=0 modes contribute
-        from fracsource.disc_spectrum import eigenfunction_eval
         total = 0.0 + 0.0j
         for mo in spectrum30.modes:
             if mo.m != 0:
                 continue
-            from fracsource.specfun import mittag_leffler_neg_real
-            e = mittag_leffler_neg_real(0.75, 0.75, np.array([mo.lam]))[0]
+            e = mittag_leffler(0.75, 0.75, -mo.lam).real
             a_bar = 1.0 / (math.sqrt(math.pi) * math.sqrt(mo.lam))
             total += a_bar * (1 / math.gamma(0.75) - e) * eigenfunction_eval(mo, 0.5, 0.3)
         assert got == pytest.approx(total, rel=1e-12)
@@ -256,3 +257,36 @@ class TestAdjointWeight:
         spec = AdjointSpec(theta_z=0.3, N=1, alpha=0.75)
         with pytest.raises(DomainError):
             adjoint_weight_w(spec, spectrum30, 0.5, 0.3, 0.0)
+
+    def test_r_in_unit_interval_required(self, spectrum30):
+        spec = AdjointSpec(theta_z=0.3, N=1, alpha=0.75)
+        with pytest.raises(DomainError):
+            adjoint_weight_w(spec, spectrum30, np.array([0.5, 1.2]), 0.3, 1.0)
+
+    def test_broadcasts_over_r_and_theta(self, spectrum30):
+        spec = AdjointSpec(theta_z=0.3, N=2, alpha=0.75)
+        r = np.linspace(0.0, 1.0, 4)[:, None]
+        theta = np.linspace(0.0, 6.0, 3)[None, :]
+        got = adjoint_weight_w(spec, spectrum30, r, theta, 2.0)
+        assert got.shape == (4, 3)
+        for i in range(4):
+            for j in range(3):
+                one = adjoint_weight_w(spec, spectrum30, r[i, 0], theta[0, j], 2.0)
+                assert abs(got[i, j] - one) <= 1e-15
+
+    @pytest.mark.parametrize("x", (5.2, 5.4, 5.6))
+    def test_mittag_leffler_term_near_alpha_one(self, x):
+        # one mode (m = 0, lam = j_{0,1}^2) at lam t^a = x: the field is
+        # a-bar t^(a-1) [1/Gamma(a) - E_{a,a}(-x)] phi(r, theta), and the
+        # E_{a,a} read back from it must match mpmath to 1e-12 relative
+        alpha = 0.9995
+        sp = build_spectrum(6.0)
+        (mo,) = sp.modes
+        t = (x / mo.lam) ** (1.0 / alpha)
+        spec = AdjointSpec(theta_z=0.3, N=0, alpha=alpha)
+        got = adjoint_weight_w(spec, sp, 0.5, 0.3, t)
+        scale = (t ** (alpha - 1.0) * eigenfunction_eval(mo, 0.5, 0.3).real
+                 / math.sqrt(math.pi * mo.lam))
+        e_aa = 1.0 / math.gamma(alpha) - got.real / scale
+        want = float(oracles.ml_mpmath(alpha, alpha, mo.lam * t ** alpha))
+        assert abs(e_aa - want) <= 1e-12 * abs(want)

@@ -1,13 +1,12 @@
-import functools
 import math
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
-from scipy.special import rgamma
 
 from fracsource.errors import AccuracyError, DomainError
+from fracsource.forward_model import relaxation_design
 from fracsource.specfun import (
     MLAccuracy,
     SampledTrace,
@@ -15,15 +14,14 @@ from fracsource.specfun import (
     bessel_j_zeros,
     fractional_integral,
     mittag_leffler,
-    mittag_leffler_neg_real,
-    _asym_cutoff,
     _gauss_legendre,
-    _ml_mid_band,
+    _ml_asymptotic,
     _ml_ray_integral,
-    _series_cutoff,
+    _ml_series,
 )
 
 import oracles
+from conftest import basis_ml, ml_aa_on_panels
 
 
 class TestMittagLeffler:
@@ -57,34 +55,47 @@ class TestMittagLeffler:
             got = mittag_leffler(row["alpha"], row["beta"], z)
             assert abs(got - ref) <= 1e-12 * (1 + abs(ref)), row
 
-    def test_vectorized_matches_scalar(self):
+    def test_basis_matches_scalar(self):
+        # the relaxation basis (every batch on the negative axis) against
+        # the scalar evaluator
         x = np.concatenate([[0.0], np.geomspace(1e-3, 80.0, 50)])
         for alpha, beta in ((0.6, 1.0), (0.75, 0.75), (0.9, 0.9)):
-            vec = mittag_leffler_neg_real(alpha, beta, x)
+            got = basis_ml(alpha, beta, x)
             ref = np.array([mittag_leffler(alpha, beta, -xi).real for xi in x])
-            assert np.max(np.abs(vec - ref)) < 1e-12
+            assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_positivity_and_range_on_negative_axis(self):
         # E_{a,1}(-x) in (0, 1] and E_{a,a}(-x) >= 0
         x = np.geomspace(1e-6, 1e4, 200)
         for alpha in (0.6, 0.75, 0.9):
-            e1 = mittag_leffler_neg_real(alpha, 1.0, x)
-            ea = mittag_leffler_neg_real(alpha, alpha, x)
+            e1 = basis_ml(alpha, 1.0, x)
+            ea = basis_ml(alpha, alpha, x)
             assert np.all(e1 > 0.0) and np.all(e1 <= 1.0)
             assert np.all(ea >= 0.0)
 
+    # annuli around the scalar evaluator's switches, per alpha: from the
+    # series to the contour integral (near x = 2.3-4.2 for these orders and
+    # beta in {alpha, 1}), and from the contour integral to the asymptotics
+    # (near x = 14.4, 28.1 and 54.9)
+    SERIES_ANNULI = {0.6: (1.8, 3.0), 0.75: (2.4, 4.0), 0.9: (3.2, 5.4)}
+    ASYM_ANNULI = {0.6: (12.0, 17.0), 0.75: (24.0, 33.0), 0.9: (48.0, 64.0)}
+
     def test_regime_overlap_agreement(self):
         # series vs contour integral, and asymptotics vs contour integral,
-        # compared on annuli straddling the internal switch points
+        # compared on annuli straddling the evaluator's own switch points
         for alpha in (0.6, 0.75, 0.9):
             for beta in (alpha, 1.0):
-                x_ser, _ = _series_cutoff(alpha, beta, 1e-12)
-                x_asy = _asym_cutoff(alpha, beta, 1e-12)
-                for x in np.linspace(0.6 * x_ser, x_ser, 5):
+                lo, hi = self.SERIES_ANNULI[alpha]
+                assert _ml_series(alpha, beta, complex(-lo), 1e-12, 600)[0] is not None
+                assert _ml_series(alpha, beta, complex(-hi), 1e-12, 600)[0] is None
+                for x in np.linspace(lo, hi, 5):
                     ray, _ = _ml_ray_integral(alpha, beta, complex(-x), 1e-12)
                     assert mittag_leffler(alpha, beta, -x).real == pytest.approx(
                         ray.real, abs=1e-9)
-                for x in np.linspace(x_asy, 1.5 * x_asy, 5):
+                lo, hi = self.ASYM_ANNULI[alpha]
+                assert _ml_asymptotic(alpha, beta, complex(-lo), 1e-12)[0] is None
+                assert _ml_asymptotic(alpha, beta, complex(-hi), 1e-12)[0] is not None
+                for x in np.linspace(lo, hi, 5):
                     ray, _ = _ml_ray_integral(alpha, beta, complex(-x), 1e-12)
                     assert mittag_leffler(alpha, beta, -x).real == pytest.approx(
                         ray.real, abs=1e-9)
@@ -94,7 +105,7 @@ class TestMittagLeffler:
         x = np.geomspace(1e-3, 1e4, 400)
         for alpha in (0.6, 0.75, 0.9):
             for beta in (alpha, 1.0):
-                vals = np.abs(mittag_leffler_neg_real(alpha, beta, x))
+                vals = np.abs(basis_ml(alpha, beta, x))
                 scaled = vals * (1.0 + x)
                 c_fit = float(np.max(scaled[::2]))
                 assert np.all(scaled <= 1.01 * c_fit)
@@ -105,36 +116,36 @@ class TestMittagLeffler:
         h = 1e-6
         for lam in (1.0, 5.783, 30.0):
             for t in np.geomspace(0.1, 10.0, 12):
-                fd = (mittag_leffler_neg_real(alpha, 1.0, np.array([lam * (t + h) ** alpha]))[0]
-                      - mittag_leffler_neg_real(alpha, 1.0, np.array([lam * (t - h) ** alpha]))[0]) / (2 * h)
-                exact = -lam * t ** (alpha - 1.0) * mittag_leffler_neg_real(
+                e1 = basis_ml(alpha, 1.0, lam * np.array([t + h, t - h]) ** alpha)
+                fd = (e1[0] - e1[1]) / (2 * h)
+                exact = -lam * t ** (alpha - 1.0) * basis_ml(
                     alpha, alpha, np.array([lam * t ** alpha]))[0]
                 assert fd == pytest.approx(exact, rel=1e-5)
 
     def test_unit_l1_mass(self):
-        # int_0^T lam t^(a-1) E_{a,a}(-lam t^a) dt = 1 - E_{a,1}(-lam T^a)
+        # int_0^T lam t^(a-1) E_{a,a}(-lam t^a) dt = 1 - E_{a,1}(-lam T^a),
+        # integrated in v = t^a on panels graded toward v = 0
         alpha, lam = 0.75, 5.783185962946785
         big_t = (3.2e5 / lam) ** (1.0 / alpha)
-        tail = mittag_leffler_neg_real(alpha, 1.0, np.array([lam * big_t ** alpha]))[0]
+        tail = 1.0 - relaxation_design(alpha, [lam], [0.0, math.inf], [big_t])[0, 0, 0]
         assert tail <= 1e-6
-
-        def integrand(v):
-            return lam * mittag_leffler_neg_real(alpha, alpha, np.array([lam * v]))[0] / alpha
-
-        mass, _ = quad(integrand, 0.0, big_t ** alpha, limit=800)
+        v, w, e = ml_aa_on_panels(
+            alpha, [lam], np.concatenate([[0.0], np.geomspace(1e-6, big_t ** alpha, 40)]))
+        mass = lam * float(w @ e[0]) / alpha
         assert mass == pytest.approx(1.0 - tail, abs=1e-5)
         assert mass == pytest.approx(1.0, abs=2e-5)
 
     def test_laplace_pair(self):
-        # L{t^(a-1) E_{a,a}(-lam t^a)}(s) = 1/(s^a + lam)
+        # L{t^(a-1) E_{a,a}(-lam t^a)}(s) = 1/(s^a + lam), in v = t^a on
+        # panels graded toward v = 0, where exp(-s v^(1/a)) has its cusp
+        lams = (1.0, 5.783)
         for alpha in (0.6, 0.9):
+            v, w, e = ml_aa_on_panels(
+                alpha, lams, np.concatenate([[0.0], np.geomspace(1e-12, 300.0, 40)]))
+            t = v ** (1.0 / alpha)
             for s in (1.0, 2.0, 5.0, 10.0):
-                for lam in (1.0, 5.783):
-                    def integrand(v):
-                        t = v ** (1.0 / alpha)
-                        e = mittag_leffler_neg_real(alpha, alpha, np.array([lam * v]))[0]
-                        return math.exp(-s * t) * e / alpha
-                    val, _ = quad(integrand, 0.0, 300.0, limit=500)
+                for lam, e_lam in zip(lams, e):
+                    val = float(w @ (np.exp(-s * t) * e_lam)) / alpha
                     assert val == pytest.approx(1.0 / (s ** alpha + lam), abs=1e-6)
 
     def test_alpha_between_one_and_two(self):
@@ -153,8 +164,6 @@ class TestMittagLeffler:
             mittag_leffler(2.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             mittag_leffler(0.75, 1.0, complex(np.inf, 0.0))
-        with pytest.raises(DomainError):
-            mittag_leffler_neg_real(0.75, 1.0, np.array([-1.0]))
 
     def test_accuracy_error_carries_bound(self):
         with pytest.raises(AccuracyError) as err:
@@ -168,210 +177,14 @@ class TestMittagLeffler:
             MLAccuracy(max_terms=0)
 
 
-# ---------------------------------------------------------------------------
-# Reference negative-axis batch: the plain optimal-truncation code (all 160
-# asymptotic terms, Python loops over the truncation windows, a scalar series
-# certificate). mittag_leffler_neg_real must return the same doubles, bit for
-# bit, and its cutoff searches the same cutoffs.
-# ---------------------------------------------------------------------------
-
-_EPS = float(np.finfo(float).eps)
-
-
-def _ref_series_certified(alpha, beta, x, tol):
-    term = abs(float(rgamma(beta)))
-    max_abs = term
-    lx = math.log(x)
-    tail_arg = x ** (1.0 / alpha) + 2.0
-    for k in range(1, 400):
-        lt = k * lx
-        if lt > 500:
-            return False, k
-        term = math.exp(lt) * abs(float(rgamma(alpha * k + beta)))
-        if term > max_abs:
-            max_abs = term
-        if term < tol * 1e-2 and alpha * k + beta > tail_arg:
-            return max_abs * _EPS * (k + 5) <= tol / 4.0, k
-    return False, 400
-
-
-def _ref_series_cutoff(alpha, beta, tol):
-    lo, hi = 0.5, 400.0
-    if not _ref_series_certified(alpha, beta, lo, tol)[0]:
-        return 0.0, 8
-    while _ref_series_certified(alpha, beta, hi, tol)[0] and hi < 1e6:
-        hi *= 2
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if _ref_series_certified(alpha, beta, mid, tol)[0]:
-            lo = mid
-        else:
-            hi = mid
-    _, n_terms = _ref_series_certified(alpha, beta, lo, tol)
-    return lo, n_terms
-
-
-def _ref_asym_cutoff(alpha, beta, tol):
-    kmax = 160
-    ks = np.arange(1, kmax + 1)
-    rg = rgamma(beta - alpha * ks)
-    look = max(3, int(math.ceil(1.0 / alpha)) + 1)
-
-    def certified(x):
-        if math.exp(-0.35 * x ** (1.0 / alpha)) > tol / 10.0:
-            return False
-        with np.errstate(over="ignore", under="ignore"):
-            mags = np.abs(np.exp(-ks * math.log(x)) * rg)
-        best = np.inf
-        for kk in range(kmax - look):
-            best = min(best, float(np.max(mags[kk + 1:kk + 1 + look])))
-        return best <= tol / 5.0
-
-    lo, hi = 1.0, 2.0
-    while not certified(hi):
-        hi *= 2
-        if hi > 1e12:
-            break
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if certified(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _ref_asym_branch(alpha, beta, xa):
-    kmax = 160
-    ks = np.arange(1, kmax + 1)
-    rg = rgamma(beta - alpha * ks)
-    sgn = np.where(ks % 2 == 0, 1.0, -1.0)
-    with np.errstate(over="ignore", under="ignore"):
-        lt = -np.outer(ks, np.log(xa))
-        tmat = -(sgn[:, None]) * np.exp(lt) * rg[:, None]
-    mags = np.abs(tmat)
-    look = max(3, int(math.ceil(1.0 / alpha)) + 1)
-    best_bound = np.full(xa.shape, np.inf)
-    best_k = np.zeros(xa.shape, dtype=int)
-    for kk in range(kmax - look):
-        b = mags[kk + 1:kk + 1 + look].max(axis=0)
-        upd = b < best_bound
-        best_bound[upd] = b[upd]
-        best_k[upd] = kk
-    csum = np.cumsum(tmat, axis=0)
-    return csum[best_k, np.arange(xa.size)]
-
-
-@functools.lru_cache(maxsize=None)
-def _ref_cutoffs(alpha, beta, tol=1e-12):
-    return _ref_series_cutoff(alpha, beta, tol), _ref_asym_cutoff(alpha, beta, tol)
-
-
-def _ref_neg_real(alpha, beta, x, tol=1e-12):
-    (x_series, n_terms), x_asym = _ref_cutoffs(alpha, beta, tol)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    out[x == 0] = rgamma(beta)
-    live = x > 0
-    xs = x[live]
-    if xs.size == 0:
-        return out
-    res = np.full(xs.shape, np.nan)
-    mser = xs <= x_series
-    if mser.any():
-        xa = xs[mser]
-        ks = np.arange(n_terms + 1, dtype=float)
-        rg = rgamma(alpha * ks + beta)
-        lt = np.outer(np.log(xa), ks[1:])
-        tmat = np.empty((xa.size, n_terms + 1))
-        tmat[:, 0] = rg[0]
-        tmat[:, 1:] = np.exp(lt) * rg[1:] * np.where(ks[1:] % 2 == 0, 1.0, -1.0)
-        res[mser] = tmat.sum(axis=1)
-    masy = (~mser) & (xs >= x_asym)
-    if masy.any():
-        res[masy] = _ref_asym_branch(alpha, beta, xs[masy])
-    mmid = ~(mser | masy)
-    if mmid.any():
-        res[mmid] = _ml_mid_band(alpha, beta, xs[mmid], tol)
-    out[live] = res
-    return out
-
-
-_SWEEP_ALPHAS = [0.501, 0.6, 0.75, 0.9, 0.999] + [
-    float(a) for a in np.random.default_rng(20261017).uniform(0.5, 1.0, 20)]
-_SWEEP = [(a, b) for a in _SWEEP_ALPHAS for b in (1.0, a, 0.5, 0.0)]
-
-
-def _sweep_points(alpha, beta):
-    """x from below the series cutoff to 1e4, through both cutoffs and
-    their neighbouring doubles."""
-    (x_ser, _), x_asy = _ref_cutoffs(alpha, beta)
-    edges = [x_asy, np.nextafter(x_asy, 0.0), np.nextafter(x_asy, np.inf)]
-    if x_ser > 0:
-        edges += [x_ser, np.nextafter(x_ser, 0.0), np.nextafter(x_ser, np.inf)]
-    return np.concatenate([[0.0], np.geomspace(0.25, 2.0 * x_asy, 97), edges,
-                           np.geomspace(x_asy, 1e4, 97)])
-
-
-def _assert_bits_equal(got, want, what):
-    assert got.shape == want.shape, what
-    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
-        f"{what}: {np.count_nonzero(got != want)} of {got.size} values differ")
-
-
-class TestNegRealMatchesReference:
-    """mittag_leffler_neg_real against the plain reference above: the blocked
-    asymptotic sums, the vectorized searches and the cached quadrature rule
-    change no bit of any value or cutoff."""
-
-    def test_cutoffs(self):
-        for alpha, beta in _SWEEP:
-            ref_series, ref_asym = _ref_cutoffs(alpha, beta)
-            assert _series_cutoff(alpha, beta, 1e-12) == ref_series, (alpha, beta)
-            assert _asym_cutoff(alpha, beta, 1e-12) == ref_asym, (alpha, beta)
-
-    def test_sweep_batches_and_single_points(self):
-        for alpha, beta in _SWEEP:
-            x = _sweep_points(alpha, beta)
-            want = _ref_neg_real(alpha, beta, x)
-            _assert_bits_equal(mittag_leffler_neg_real(alpha, beta, x), want,
-                               f"batch alpha={alpha} beta={beta}")
-            # the middle band of a batch depends on the batch (one Chebyshev
-            # interpolant over its range), so single points get their own
-            # reference
-            for xi in x[::9]:
-                point = np.array([xi])
-                _assert_bits_equal(mittag_leffler_neg_real(alpha, beta, point),
-                                   _ref_neg_real(alpha, beta, point),
-                                   f"x={xi!r} alpha={alpha} beta={beta}")
-
-    def test_orders_below_one_half_and_negative_beta(self):
-        # the forward model stays in alpha > 1/2; the function takes (0, 1)
-        for alpha in (0.01, 0.05, 0.2, 0.45):
-            for beta in (1.0, alpha, 0.0, -2.0):
-                ref_series, ref_asym = _ref_cutoffs(alpha, beta)
-                assert _series_cutoff(alpha, beta, 1e-12) == ref_series, (alpha, beta)
-                assert _asym_cutoff(alpha, beta, 1e-12) == ref_asym, (alpha, beta)
-                x = _sweep_points(alpha, beta)
-                _assert_bits_equal(mittag_leffler_neg_real(alpha, beta, x),
-                                   _ref_neg_real(alpha, beta, x),
-                                   f"alpha={alpha} beta={beta}")
-
-    def test_large_asymptotic_batches(self):
-        rng = np.random.default_rng(7)
-        for alpha, beta in _SWEEP[:20]:  # the five fixed orders
-            x_asy = _ref_cutoffs(alpha, beta)[1]
-            x = np.exp(rng.uniform(math.log(x_asy), math.log(1e4), 10_000))
-            _assert_bits_equal(mittag_leffler_neg_real(alpha, beta, x),
-                               _ref_neg_real(alpha, beta, x),
-                               f"alpha={alpha} beta={beta}")
-
-    def test_gauss_legendre_rule_is_shared_read_only(self):
+class TestGaussLegendre:
+    def test_rule_is_shared_read_only(self):
+        # every caller (contour panels, verify's quadratures) shares one rule
         for nodes in (16, 20, 54):
             x, w = _gauss_legendre(nodes)
             x_ref, w_ref = leggauss(nodes)
-            _assert_bits_equal(x, x_ref, "nodes")
-            _assert_bits_equal(w, w_ref, "weights")
+            assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
+            assert np.array_equal(w.view(np.int64), w_ref.view(np.int64))
             assert _gauss_legendre(nodes)[0] is x
             with pytest.raises(ValueError):
                 x[0] = 0.0
