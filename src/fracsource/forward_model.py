@@ -360,13 +360,28 @@ def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
         phase = np.mod(u_star.real / _NODE_STEP, 1.0) + 1j * u_star.imag / _NODE_STEP
         coef = 2j * r_star ** moment / (alpha * (np.exp(-2j * math.pi * phase) - 1.0))
         # the term Im(coef e^{-r* tau}) decays like e^{-tau Re r*}; it is
-        # summed, in real arithmetic, while it can exceed 1e-18
+        # summed while it can exceed 1e-18
         tau_stop = float(np.max(np.log(np.abs(coef) * 1e18) / r_star.real))
-        for b, (c, i0) in enumerate(zip(cuts, starts)):
-            tau = times[i0:np.searchsorted(times, c + tau_stop, side="right"), None] - c
-            arg = tau * r_star.imag
-            out[i0:i0 + len(tau), :, b] -= np.exp(-tau * r_star.real) * (
-                coef.imag * np.cos(arg) - coef.real * np.sin(arg))
+        stops = np.searchsorted(times, cuts + tau_stop, side="right")
+        if h is not None:
+            # tau = delta + m h, so e^{-r* tau} = e^{-r* delta} z^m with
+            # z = e^{-r* h} for every cut; z^m = z^(m mod 64) (z^64)^(m div 64),
+            # whose rounding, unlike a running product's, does not grow with
+            # m, and which does not depend on the other bounds or rows
+            rows = int(np.max(stops - starts))
+            z_lo = np.exp(np.multiply.outer(np.arange(64) * -h, r_star))
+            z_hi = np.exp(np.multiply.outer(np.arange(0, rows, 64) * -h, r_star))
+            zm = (z_hi[:, None] * z_lo).reshape(-1, len(lams))
+        for b in np.flatnonzero(stops > starts):
+            c, i0, i1 = cuts[b], starts[b], stops[b]
+            if h is not None:
+                g = coef * np.exp(-r_star * (times[i0] - c))
+                out[i0:i1, :, b] -= g.real * zm[:i1 - i0].imag + g.imag * zm[:i1 - i0].real
+            else:
+                tau = times[i0:i1, None] - c
+                arg = tau * r_star.imag
+                out[i0:i1, :, b] -= np.exp(-tau * r_star.real) * (
+                    coef.imag * np.cos(arg) - coef.real * np.sin(arg))
     return out
 
 
@@ -394,7 +409,9 @@ def relaxation_design(alpha: float, lams, bounds, times) -> np.ndarray:
     e^{-(t_i - c) r} = e^{-delta r} e^{-(i - i_c) h r}, with i_c the first
     row after c and delta = t_{i_c} - c, so one cached table of the
     e^{-m h r_q} serves every cut and every order, and a build is one
-    matrix product for all finite bounds.
+    matrix product for all finite bounds; the pole term, Im(coef_j
+    e^{-r*_j delta} z_j^(i - i_c)) with z_j = e^{-r*_j h}, is a geometric
+    sequence in the row, one for all bounds. Other grids sum it at exact tau.
 
     Rows (times increasing): tau <= 0 gives exactly 1. The first row after
     a bound has 0 < tau = delta <= h and is summed at its own tau over nodes

@@ -425,24 +425,28 @@ def _sensor_phase_matrix(spectrum: SpectrumTable, theta: float):
     return mat
 
 
-def _model_flux_matrix(design: np.ndarray, phases):
-    """Linear operator L_ell with model -flux_ell = L_ell @ p_vec, for the
-    (n_t, J, K) relaxation_design and one phase matrix per sensor."""
+def _project(design: np.ndarray, phases, y: np.ndarray):
+    """(r, p, q, svals) for the two-sensor operator op = (I_2 x D) [M_1; M_2],
+    D the (n_t, J, K) design as n_t x JK, M_l the map of sensor l's phase
+    rows: p the least-squares coefficients, r = op @ p - y, q an orthonormal
+    basis of the range of op and svals its singular values, all from QRs of
+    D = Q_D R_D and of the small [R_D M_1; R_D M_2] = Q_G R_G."""
     n_t, n_lams, n_pieces = design.shape
-    ops = []
-    for phase in phases:
-        # op[:, k, :] accumulates design[:, j, k] x phase row j over j
-        op = np.zeros((n_t, n_pieces, phase.shape[1]))
-        for j in range(n_lams):
-            op += design[:, j, :, None] * phase[j]
-        ops.append(op.reshape(n_t, -1))
-    return ops
+    qd, rd = np.linalg.qr(design.reshape(n_t, -1))
+    rd = rd.reshape(-1, n_lams, n_pieces)
+    # R_D M_l[:, (k, d)] = sum_j R_D[:, (j, k)] phase_l[j, d]
+    qg, rg = np.linalg.qr(np.vstack([np.einsum("ajk,jd->akd", rd, phase)
+                                     .reshape(len(rd), -1) for phase in phases]))
+    q = np.vstack([qd @ blk for blk in np.split(qg, len(phases))])
+    p, _, _, svals = np.linalg.lstsq(rg, q.T @ y, rcond=None)
+    return q @ (rg @ p) - y, p, q, svals
 
 
-def _cut_jacobian(alpha: float, lams: np.ndarray, cuts, t: np.ndarray, phases,
-                  pvec: np.ndarray):
-    """d(op @ pvec)/dc_k for the sensor stack of _model_flux_matrix, one
-    column per cut, from one relaxation_rates call.
+def _cut_jacobian(alpha: float, lams: np.ndarray, cuts, t: np.ndarray,
+                  w: np.ndarray):
+    """d(op @ p)/dc_k for the sensor stack of _project, one column per cut,
+    from one relaxation_rates call; w[l, j, k] = (phase_l @ p_k)_j is the
+    weight of design column (j, k) at sensor l.
 
     dA_{j,c}/dc = lam_j (t-c)^(alpha-1) E_{alpha,alpha}(-lam_j (t-c)^alpha) for
     t > c and 0 for t <= c, where A_{j,c} = 1. Design column (j, k) is
@@ -450,8 +454,6 @@ def _cut_jacobian(alpha: float, lams: np.ndarray, cuts, t: np.ndarray, phases,
     column (j, k-1) with sign +."""
     n_pieces = len(cuts)
     deriv = relaxation_rates(alpha, lams, cuts, t)
-    # w[l, j, k] multiplies design column (j, k) at sensor l
-    w = np.stack([phase @ pvec.reshape(n_pieces, -1).T for phase in phases])
     jump = -w
     jump[:, :, 1:] += w[:, :, :-1]
     return np.einsum("tjk,ljk->ltk", deriv, jump).reshape(-1, n_pieces)
@@ -464,12 +466,13 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     residual of the staged start.
 
     The coefficients are eliminated (Golub and Pereyra, 1973): for each theta
-    the two-sensor operator op is built once and the real coefficient vector
-    is its undamped least-squares solution, through a QR of op (the staged
+    the relaxation basis D is built once and the real coefficient vector is
+    the undamped least-squares solution for the two-sensor operator, through
+    one QR of D and one of a small stacked matrix (_project; the staged
     tikhonov_scale ridge stays out: inside the projection it biased
-    noiseless fits and slowed their convergence). The Jacobian
-    is Kaufman's (1975), J = (I - QQ^T) [d(op p)/d alpha, d(op p)/dc_k]: the
-    alpha column is a central difference at fixed p, the cut columns are
+    noiseless fits and slowed their convergence). The Jacobian is Kaufman's
+    (1975), J = (I - QQ^T) [d(op p)/d alpha, d(op p)/dc_k]: the alpha column
+    is a central difference of D at fixed p, the cut columns are
     closed-form (_cut_jacobian). Each step is line-searched over twelve
     halvings; a step with no decrease leaves theta unchanged, so the loop
     stops there.
@@ -491,9 +494,8 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     phases = [_sensor_phase_matrix(spectrum, tr.sensor_angle) for tr in traces]
     y = np.concatenate([-tr.values for tr in traces])
 
-    def operator(alpha, cuts):
-        design = relaxation_design(alpha, lams, list(cuts) + [math.inf], t)
-        return np.vstack(_model_flux_matrix(design, phases))
+    def design(alpha, cuts):
+        return relaxation_design(alpha, lams, list(cuts) + [math.inf], t)
 
     def feasible(theta):
         alpha, cuts = theta[0], theta[1:]
@@ -502,20 +504,16 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
                         for a, b in zip(cuts[:-1], cuts[1:])))
 
     def project(theta):
-        """(r, p, q, rmat, svals) with op = q @ rmat, p the least-squares
-        coefficients at theta and r = op @ p - y; None outside the feasible
-        region."""
+        """_project at theta; None outside the feasible region."""
         if not feasible(theta):
             return None
-        q, rmat = np.linalg.qr(operator(theta[0], theta[1:]))
-        p, _, _, svals = np.linalg.lstsq(rmat, q.T @ y, rcond=None)
-        return q @ (rmat @ p) - y, p, q, rmat, svals
+        return _project(design(theta[0], theta[1:]), phases, y)
 
     theta = np.concatenate([[initial.alpha_hat], initial.cuts_hat])
     if not feasible(theta):
         raise ValidationError("initial refine point outside the feasible region",
                               clause="refine-start")
-    r, p, q, rmat, svals = project(theta)
+    r, p, q, svals = project(theta)
     start = predicted_flux(initial, spectrum, t, [tr.sensor_angle for tr in traces])
     r0 = np.concatenate([tr.values - f for tr, f in zip(traces, start)])
     log = {"iterations": 0, "initial_residual": math.sqrt(float(r0 @ r0))}
@@ -528,10 +526,11 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
         up, down = theta.copy(), theta.copy()
         up[0] += fd_step
         down[0] -= fd_step
+        w = np.stack([phase @ p.reshape(n_pieces, -1).T for phase in phases])
         if feasible(up) and feasible(down):
-            cols[:, 0] = ((operator(up[0], up[1:]) - operator(down[0], down[1:])) @ p
-                          / (2 * fd_step))
-        cols[:, 1:] = _cut_jacobian(theta[0], lams, theta[1:], t, phases, p)
+            diff = design(up[0], up[1:]) - design(down[0], down[1:])
+            cols[:, 0] = np.einsum("tjk,ljk->lt", diff, w).reshape(-1) / (2 * fd_step)
+        cols[:, 1:] = _cut_jacobian(theta[0], lams, theta[1:], t, w)
         jac = cols - q @ (q.T @ cols)
         step = np.linalg.lstsq(jac, -r, rcond=None)[0]
         scale = 1.0
@@ -547,7 +546,7 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
                 log["warning"] = "divergence: 10 consecutive rejected steps"
             stop = "no-decrease"
             break
-        r, p, q, rmat, svals = got
+        r, p, q, svals = got
         cc = float(r @ r)
         rel_change = (cost - cc) / max(cost, 1e-300)
         theta, cost = cand, cc

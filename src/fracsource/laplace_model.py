@@ -213,8 +213,10 @@ def adjoint_weight_w(spec: AdjointSpec, spectrum: SpectrumTable, r, theta,
     m = np.array([mo.m for mo in modes])
     lam = np.array([mo.lam for mo in modes])
     omega = np.array([mo.omega for mo in modes])
-    # the cut-0 rate at t is lam t^(a-1) E_{a,a}(-lam t^a)
-    e_aa = relaxation_rates(alpha, lam, [0.0], [t])[0, :, 0] * t ** (1.0 - alpha) / lam
+    # the cut-0 rate at t is lam t^(a-1) E_{a,a}(-lam t^a); a +-m pair
+    # shares its eigenvalue, so each distinct one is evaluated once
+    lam_u, group = np.unique(lam, return_inverse=True)
+    e_aa = relaxation_rates(alpha, lam_u, [0.0], [t])[0, group, 0] * t ** (1.0 - alpha) / lam
     weight = (t ** (alpha - 1.0) * (1.0 / math.gamma(alpha) - e_aa) * omega
               / (math.sqrt(math.pi) * np.sqrt(lam)))
     for order in np.unique(np.abs(m)).tolist():

@@ -387,6 +387,25 @@ class TestExpSumBasis:
         t = np.sort(np.random.default_rng(5).uniform(0.0, 4.0, 3000))
         self._check(0.8, [0.2, 1.2, math.inf], np.concatenate([[0.0], t]))
 
+    @pytest.mark.parametrize("alpha", (0.67, 0.75, 0.9, 0.985, 0.999))
+    def test_pole_sequence_matches_exact_tau(self, alpha):
+        # on a uniform grid the pole term is summed as a geometric sequence
+        # in the row index; a grid with every seventh row dropped is not
+        # uniform, so there every row is summed at its exact tau
+        t = np.linspace(0.0, 4.0, 4001)
+        keep = np.ones(len(t), dtype=bool)
+        keep[1::7] = False
+        bounds = [0.2, 1.2, math.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            design = relaxation_design(alpha, LAMS_TO_100, bounds, t)
+            exact = relaxation_design(alpha, LAMS_TO_100, bounds, t[keep])
+            rates = relaxation_rates(alpha, LAMS_TO_100, bounds[:-1], t)
+            rates_exact = relaxation_rates(alpha, LAMS_TO_100, bounds[:-1], t[keep])
+        assert np.max(np.abs(design[keep] - exact)) <= 1e-13
+        assert np.max(np.abs(rates[keep] - rates_exact)
+                      / np.maximum(1.0, np.abs(rates_exact))) <= 1e-13
+
     @pytest.mark.parametrize("alpha", (0.55, 0.75, 0.9, 0.985))
     def test_rates_match_mittag_leffler(self, alpha):
         # lam tau^(alpha-1) E_{alpha,alpha}(-lam tau^alpha), the cut columns

@@ -352,8 +352,9 @@ class TestPredictedFlux:
             assert np.array_equal(g, w.values)
 
 
-# Reference copy of _model_flux_matrix as it was before the flux operator was
-# built with broadcasts. The current code must give the same bits.
+# The dense two-sensor operator, one block per sensor: the reference for
+# _project and for the cut columns. Row 2 j of a phase matrix is the real row
+# of eigenvalue j.
 
 def _reference_model_flux_matrix(design, phases, n_lams, n_pieces, n_dof_per_piece):
     n_t = design.shape[0]
@@ -400,12 +401,16 @@ class TestCutJacobian:
         phases = [inversion._sensor_phase_matrix(spectrum30, th) for th in (0.3, 1.3)]
         cuts = [0.2013, 1.2047]
         pvec = np.random.default_rng(3).normal(size=len(cuts) * per)
+        wide = [np.repeat(phase, 2, axis=0) for phase in phases]
 
         def model(cs):
             design = relaxation_design(alpha, lams, list(cs) + [math.inf], t)
-            return np.vstack(inversion._model_flux_matrix(design, phases)) @ pvec
+            ops = _reference_model_flux_matrix(design.reshape(len(t), -1), wide,
+                                               len(lams), len(cuts), per)
+            return np.vstack(ops) @ pvec
 
-        got = inversion._cut_jacobian(alpha, lams, cuts, t, phases, pvec)
+        w = np.stack([phase @ pvec.reshape(len(cuts), -1).T for phase in phases])
+        got = inversion._cut_jacobian(alpha, lams, cuts, t, w)
         assert got.shape == (2 * len(t), len(cuts))
         far = np.tile(np.all([np.abs(t - c) >= 5 * h for c in cuts], axis=0), 2)
         step = 1e-6
@@ -446,6 +451,18 @@ class TestRefineNoisy:
         assert "warning" not in log
         assert log["final_residual"] <= log["initial_residual"]
 
+    def test_final_residual_is_that_of_the_reported_result(self, spectrum30,
+                                                            noisy_staged):
+        # the residual of the projection belongs to the coefficients that
+        # refine reports, not only to its internal factors
+        traces, staged = noisy_staged
+        got = refine_joint(staged, traces, spectrum30, CFG)
+        log = dict(got.stage_log)["refine_joint"]
+        flux = predicted_flux(got, spectrum30, traces[0].times,
+                              [tr.sensor_angle for tr in traces])
+        resid = np.concatenate([tr.values - f for tr, f in zip(traces, flux)])
+        assert log["final_residual"] == pytest.approx(np.linalg.norm(resid), rel=1e-9)
+
 
 class TestRefineSixModes:
     def test_staged_start_converges_in_few_iterations(self, spectrum50):
@@ -468,19 +485,29 @@ class TestRefineSixModes:
         assert _coeff_rel_err(got, model) <= 1e-6
 
 
-class TestFluxMatrixMatchesReference:
-    # (n_t, J, K, real dofs per piece) of the ref_noisy and six_modes inverts
-    @pytest.mark.parametrize("n_t, n_lams, n_pieces, per",
-                             [(4001, 3, 2, 5), (2001, 6, 2, 10)],
+class TestProjectMatchesDenseLstsq:
+    # (n_t, spectrum) of the ref_noisy and six_modes inverts: J = 3 with 5
+    # real dofs per piece, J = 6 with 10
+    @pytest.mark.parametrize("n_t, spectrum", [(4001, "spectrum30"), (2001, "spectrum50")],
                              ids=["ref_noisy", "six_modes"])
-    def test_bitwise_equal(self, n_t, n_lams, n_pieces, per):
+    def test_same_solution(self, n_t, spectrum, request):
+        spec = request.getfixturevalue(spectrum)
+        n_lams, n_pieces = len(spec.distinct_eigenvalues), 2
+        per = len(inversion._real_dofs(spec))
+        phases = [inversion._sensor_phase_matrix(spec, th) for th in (0.3, 1.3)]
         rng = np.random.default_rng(5)
         design = rng.normal(size=(n_t, n_lams * n_pieces))
-        phases = [rng.normal(size=(2 * n_lams, per)) for _ in range(2)]
-        # the operator takes the (n_t, J, K) design and the real phase rows
-        got = inversion._model_flux_matrix(design.reshape(n_t, n_lams, n_pieces),
-                                           [phase[0::2] for phase in phases])
-        want = _reference_model_flux_matrix(design, phases, n_lams, n_pieces, per)
-        assert len(got) == len(want) == 2
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        y = rng.normal(size=2 * n_t)
+        op = np.vstack(_reference_model_flux_matrix(
+            design, [np.repeat(phase, 2, axis=0) for phase in phases],
+            n_lams, n_pieces, per))
+        want_p, _, _, want_s = np.linalg.lstsq(op, y, rcond=None)
+        want_r = op @ want_p - y
+        r, p, q, svals = inversion._project(design.reshape(n_t, n_lams, n_pieces),
+                                            phases, y)
+        assert np.linalg.norm(p - want_p) <= 1e-12 * np.linalg.norm(want_p)
+        assert np.linalg.norm(r - want_r) <= 1e-12 * np.linalg.norm(want_r)
+        assert np.max(np.abs(svals - want_s)) <= 1e-12 * want_s[0]
+        # q is an orthonormal basis of the range of op (Kaufman's projection)
+        assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-12
+        assert np.linalg.norm(op - q @ (q.T @ op)) <= 1e-12 * np.linalg.norm(op)
