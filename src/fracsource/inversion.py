@@ -108,10 +108,31 @@ def _common_grid(traces) -> np.ndarray:
     return t
 
 
+def _median(values: np.ndarray):
+    """np.median of a 1-D array without its NaN check, which imports
+    numpy.ma (about 10 ms of a cold start)."""
+    s = np.sort(values)
+    k = len(s) // 2
+    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
+
+
 def _noise_sigma(values: np.ndarray) -> float:
     """Robust noise scale from first differences (smooth drift cancels)."""
     d = np.diff(values)
-    return float(1.4826 * np.median(np.abs(d - np.median(d))) / math.sqrt(2.0))
+    return float(1.4826 * _median(np.abs(d - _median(d))) / math.sqrt(2.0))
+
+
+def _pre_onset_sigma(traces, c0: float) -> float:
+    """Noise scale from the samples of both sensors before the onset c0,
+    where the model is exactly zero: the root mean square of those samples,
+    or 0 with fewer than 16 of them per sensor. Noiseless synthesis writes
+    exact zeros there, so its estimate is exactly 0."""
+    t = _common_grid(traces)
+    pre = t < c0 - 1e-12
+    if np.count_nonzero(pre) < 16:
+        return 0.0
+    samples = np.concatenate([tr.values[pre] for tr in traces])
+    return math.sqrt(float(samples @ samples) / len(samples))
 
 
 def detect_onset(traces, cfg: InversionConfig) -> float:
@@ -270,7 +291,7 @@ def detect_change_points(traces, c0_hat: float, cfg: InversionConfig):
         work = summed
     d2 = np.abs(work[:-2 * lag] - 2.0 * work[lag:-lag] + work[2 * lag:])
     centers = t[lag:-lag]
-    mad = 1.4826 * float(np.median(np.abs(d2 - np.median(d2))))
+    mad = 1.4826 * float(_median(np.abs(d2 - _median(d2))))
     thresh = max(8.0 * mad, 1e-4 * float(np.max(d2)))
     cands = []
     for i in range(1, len(d2) - 1):
@@ -477,15 +498,26 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     halvings; a step with no decrease leaves theta unchanged, so the loop
     stops there.
 
+    The loop also stops at the noise floor, before the line search, when
+    the Gauss-Newton predicted decrease ||J step||^2 of the squared residual
+    is below sigma^2, less than one unit of chi^2: further steps would fit
+    the noise (on noisy data they chase the cusp that every cut has at each
+    grid point). sigma is _pre_onset_sigma, the root mean square of both
+    sensors' samples before the first cut, where the model is exactly zero;
+    it is 0 on noiseless data and with fewer than 16 such samples, and the
+    rule is then off.
+
     The log entry holds initial_residual (of the staged start, coefficients
-    included), final_residual, iterations (accepted steps), sigma_ratio
-    (smallest over largest singular value of the final op) and stop:
-    "converged" (relative decrease below refine_tol, or residual at the
-    1e-13 * ||y|| floor), "no-decrease" (no line-search candidate lowered
-    the residual) or "cap" (max_refine_iterations reached). A no-decrease
-    stop with ten iterations still to go also writes the warning
-    "divergence: 10 consecutive rejected steps"; it means the line search
-    found no decrease, not that the iterates diverged.
+    included), noise_sigma (sigma above), final_residual, iterations
+    (accepted steps), sigma_ratio (smallest over largest singular value of
+    the final op) and stop: "converged" (relative decrease below
+    refine_tol, or residual at the 1e-13 * ||y|| floor), "noise-floor"
+    (predicted decrease below sigma^2), "no-decrease" (no line-search
+    candidate lowered the residual) or "cap" (max_refine_iterations
+    reached). A no-decrease stop with ten iterations still to go also
+    writes the warning "divergence: 10 consecutive rejected steps"; it
+    means the line search found no decrease, not that the iterates
+    diverged.
     """
     t = _common_grid(traces)
     groups = spectrum.distinct_eigenvalues
@@ -516,7 +548,9 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     r, p, q, svals = project(theta)
     start = predicted_flux(initial, spectrum, t, [tr.sensor_angle for tr in traces])
     r0 = np.concatenate([tr.values - f for tr, f in zip(traces, start)])
-    log = {"iterations": 0, "initial_residual": math.sqrt(float(r0 @ r0))}
+    sigma = _pre_onset_sigma(traces, theta[1])
+    log = {"iterations": 0, "initial_residual": math.sqrt(float(r0 @ r0)),
+           "noise_sigma": sigma}
     cost = float(r @ r)
     fd_step = 1e-5
     floor = (1e-13 * float(np.linalg.norm(y))) ** 2
@@ -533,6 +567,10 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
         cols[:, 1:] = _cut_jacobian(theta[0], lams, theta[1:], t, w)
         jac = cols - q @ (q.T @ cols)
         step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        predicted = jac @ step
+        if float(predicted @ predicted) < sigma * sigma:
+            stop = "noise-floor"
+            break
         scale = 1.0
         for _ in range(12):
             cand = theta + scale * step

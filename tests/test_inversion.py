@@ -436,11 +436,45 @@ class TestRefineNoisy:
         assert abs(got.cuts_hat[1] - 1.2) <= 3 * h
         assert _coeff_rel_err(got, reference_model) <= 0.15
         assert log["final_residual"] <= log["initial_residual"]
-        assert log["stop"] in ("converged", "no-decrease")
-        # the warning keeps its meaning: no decrease with ten iterations to go
-        assert ("warning" in log) == (log["stop"] == "no-decrease" and
-                                      log["iterations"] + 9 < CFG.max_refine_iterations)
+        # the fit reaches the noise floor before the cusps of the cuts stall
+        # the line search, so no warning is written
+        assert log["stop"] == "noise-floor"
+        assert "warning" not in log
         assert 0 < log["sigma_ratio"] < 1
+
+    def test_noise_floor_agrees_with_the_no_decrease_stop(self, spectrum30,
+                                                          noisy_staged, monkeypatch):
+        # with the estimator at 0 the rule is off and refine runs on until
+        # the line search finds no decrease; the extra iterations fit noise
+        traces, staged = noisy_staged
+        got = refine_joint(staged, traces, spectrum30, CFG)
+        monkeypatch.setattr(inversion, "_pre_onset_sigma", lambda *args: 0.0)
+        full = refine_joint(staged, traces, spectrum30, CFG)
+        log = dict(full.stage_log)["refine_joint"]
+        assert log["noise_sigma"] == 0.0
+        assert log["stop"] == "no-decrease"
+        # the warning keeps its meaning: no decrease with ten iterations to go
+        assert ("warning" in log) == (log["iterations"] + 9 < CFG.max_refine_iterations)
+        assert abs(got.alpha_hat - full.alpha_hat) <= 2e-3
+        assert np.max(np.abs(np.subtract(got.cuts_hat, full.cuts_hat))) <= 4.0 / 1000
+        for pg, pf in zip(got.coeffs_hat, full.coeffs_hat):
+            assert (np.linalg.norm(pg.values - pf.values)
+                    <= 0.05 * np.linalg.norm(pf.values))
+
+    def test_design_builds(self, spectrum30, noisy_staged, monkeypatch):
+        # the no-decrease stop took 85 builds here, most of them rejected
+        # halvings toward the grid-point cusp of a cut
+        traces, staged = noisy_staged
+        calls = []
+        build = inversion.relaxation_design
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return build(*args, **kw)
+
+        monkeypatch.setattr(inversion, "relaxation_design", counting)
+        refine_joint(staged, traces, spectrum30, CFG)
+        assert len(calls) <= 20
 
     def test_cap_stop(self, spectrum30, noisy_staged):
         traces, staged = noisy_staged
@@ -462,6 +496,32 @@ class TestRefineNoisy:
                               [tr.sensor_angle for tr in traces])
         resid = np.concatenate([tr.values - f for tr, f in zip(traces, flux)])
         assert log["final_residual"] == pytest.approx(np.linalg.norm(resid), rel=1e-9)
+
+
+class TestPreOnsetSigma:
+    def test_noiseless_is_zero(self, reference_traces):
+        assert inversion._pre_onset_sigma(reference_traces, 0.2) == 0.0
+
+    def test_noisy_matches_the_drawn_level(self, reference_traces):
+        noisy = _noisy(reference_traces, 0.01, 3)
+        want = math.sqrt(np.mean([(0.01 * np.max(np.abs(tr.values))) ** 2
+                                  for tr in reference_traces]))
+        # 200 samples per sensor before the onset at 0.2
+        assert inversion._pre_onset_sigma(noisy, 0.2) == pytest.approx(want, rel=0.15)
+
+    def test_fewer_than_16_samples_turn_the_rule_off(self, reference_traces):
+        noisy = _noisy(reference_traces, 0.01, 3)
+        h = 4.0 / 4000
+        # t < c0 - 1e-12 holds at the 15 grid points 0, h, ..., 14 h
+        assert inversion._pre_onset_sigma(noisy, 15 * h) == 0.0
+        assert inversion._pre_onset_sigma(noisy, 16 * h) > 0.0
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 3999, 4000])
+    def test_matches_numpy(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        assert inversion._median(x) == np.median(x)
 
 
 class TestRefineSixModes:
