@@ -21,6 +21,7 @@ from .config import (
     build_inversion_config,
     build_source_model,
     check_trace_grid,
+    columns_to_csv,
     dump_config,
     load_config,
     trace_from_csv,
@@ -144,12 +145,9 @@ def cmd_invert(args) -> int:
     _emit(manifest, directory, "reconstruction.json",
           result_to_json(result, spectrum))
     model_flux = predicted_flux(result, spectrum, traces[0].times, sensors.angles)
-    lines = ["t,residual_sensor1,residual_sensor2"]
-    for i, t in enumerate(traces[0].times):
-        r1 = model_flux[0][i] - traces[0].values[i]
-        r2 = model_flux[1][i] - traces[1].values[i]
-        lines.append(f"{float(t)!r},{float(r1)!r},{float(r2)!r}")
-    _emit(manifest, directory, "residual_curve.csv", "\n".join(lines) + "\n")
+    _emit(manifest, directory, "residual_curve.csv", columns_to_csv(
+        "t,residual_sensor1,residual_sensor2", traces[0].times,
+        *(f - tr.values for f, tr in zip(model_flux, traces))))
     _finish(manifest, directory)
     _info(args, f"invert: alpha_hat={result.alpha_hat:.6f} "
                 f"cuts={['%.4f' % c for c in result.cuts_hat]} K={result.K_hat}")

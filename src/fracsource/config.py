@@ -29,6 +29,7 @@ __all__ = [
     "build_source_model",
     "build_inversion_config",
     "write_atomic",
+    "columns_to_csv",
     "trace_to_csv",
     "trace_from_csv",
     "check_trace_grid",
@@ -236,11 +237,16 @@ def write_atomic(path: str, data: str) -> None:
         raise
 
 
+def columns_to_csv(header: str, *columns) -> str:
+    """The header line, then one line per sample of the columns, each
+    number written as the repr of a Python float."""
+    row = ",".join(["{!r}"] * len(columns)).format
+    cells = [np.asarray(c, dtype=float).tolist() for c in columns]
+    return "\n".join([header, *map(row, *cells)]) + "\n"
+
+
 def trace_to_csv(times: np.ndarray, values: np.ndarray) -> str:
-    lines = ["t,flux"]
-    for t, v in zip(times, values):
-        lines.append(f"{float(t)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    return columns_to_csv("t,flux", times, values)
 
 
 def trace_from_csv(text: str):

@@ -3,11 +3,12 @@ two-sensor boundary flux traces.
 
 Stage order mirrors the identifiability structure: onset first, then the
 order alpha from the leading window where only the first piece acts, then
-interior change points from second-difference kinks, then a linear solve for
-the grouped amplitudes b_{j,k,l} = sum_{lam_n=lam_j} a_n(z_l) p_{k,n}, then
-the exact 2x2 split across each eigenvalue pair, then an optional joint
+interior change points from second-difference kinks, then the coefficients
+by one least-squares solve of the two-sensor operator (_project: the
+relaxation basis times each sensor's grouped amplitudes
+b_{j,k,l} = sum_{lam_n=lam_j} a_n(z_l) p_{k,n}), then an optional joint
 polish: variable-projection Gauss-Newton over alpha and the cuts, with the
-coefficients eliminated by an undamped least-squares solve.
+coefficients eliminated by the same solve.
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ __all__ = [
     "estimate_alpha",
     "fit_log_slope",
     "detect_change_points",
-    "solve_mode_amplitudes",
     "split_multiplicity",
     "refine_joint",
     "reconstruct",
@@ -62,10 +62,6 @@ class InversionConfig:
     alpha_leading_delta: float = 0.2      # cap on the leading-window length
     margin_min: float = 1e-3
     refine: bool = True
-    # mu = scale * trace(D^T D); close eigenvalues give nearly collinear
-    # relaxation profiles (sigma_min^2/trace ~ 1e-12 at J=6), so the ridge
-    # must sit well below that to keep noiseless recovery unbiased
-    tikhonov_scale: float = 1e-16
     max_refine_iterations: int = 50
     refine_tol: float = 1e-10
     merge_norm_ratio: float = 1e-3        # K-hat degenerate-piece pruning
@@ -314,42 +310,6 @@ def _sigma_ratio(svals: np.ndarray) -> float:
     return float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0
 
 
-def solve_mode_amplitudes(traces, alpha_hat: float, cuts_hat, spectrum: SpectrumTable,
-                          cfg: InversionConfig):
-    """Tikhonov-damped least squares for the grouped amplitudes, one solve per
-    sensor. cuts_hat lists the K piece starts; the final piece runs to the
-    horizon. Returns (b[l, j, k], diagnostics)."""
-    t = _common_grid(traces)
-    groups = spectrum.distinct_eigenvalues
-    lams = np.array([lam for lam, _ in groups])
-    bounds = list(cuts_hat) + [math.inf]
-    design = relaxation_design(alpha_hat, lams, bounds, t).reshape(len(t), -1)
-    n_pieces = len(bounds) - 1
-    n_cols = design.shape[1]
-    mu = cfg.tikhonov_scale * float(np.sum(design * design))
-    svals = np.linalg.svd(design, compute_uv=False)
-    if svals[0] > 0 and (svals[-1] ** 2 + mu) < 1e-14 * svals[0] ** 2:
-        raise ConditioningError(
-            "design matrix rank-deficient beyond damping; closest eigenvalue "
-            f"window around lambda = {lams[-1]:.4f}")
-    # damped minimization solved in augmented least-squares form: the normal
-    # equations would square a ~1e11 condition number
-    aug = np.vstack([design, math.sqrt(mu) * np.eye(n_cols)])
-    b = np.empty((len(traces), len(lams), n_pieces), dtype=complex)
-    residuals = []
-    for ell, tr in enumerate(traces):
-        y = -tr.values
-        sol, *_ = np.linalg.lstsq(aug, np.concatenate([y, np.zeros(n_cols)]),
-                                  rcond=None)
-        fit = design @ sol
-        denom = float(np.linalg.norm(y)) or 1.0
-        residuals.append(float(np.linalg.norm(y - fit)) / denom)
-        b[ell] = sol.reshape(len(lams), n_pieces)
-    diag = {"relative_residuals": residuals, "tikhonov_mu": mu,
-            "sigma_ratio": _sigma_ratio(svals)}
-    return b, diag
-
-
 def split_multiplicity(grouped: np.ndarray, spectrum: SpectrumTable, sensors,
                        cfg: InversionConfig):
     """Recover p_{k,n} from grouped amplitudes.
@@ -357,6 +317,11 @@ def split_multiplicity(grouped: np.ndarray, spectrum: SpectrumTable, sensors,
     m = 0: p = sqrt(pi lam) * b (sensor-averaged). Pairs: the exact 2x2 solve
     with determinant 2i sin(|m| (theta1 - theta2)); raises when the margin
     guard fails. Returns (list of ModeCoefficients, condition_report).
+
+    This is the paper's two-sensor construction, kept as its reference and
+    as the subject of the sensor-geometry check. The pipeline does not call
+    it: reconstruct solves for the coefficients of both sensors at once
+    (_project), and its irrationality_margin check guards the geometry.
     """
     theta1, theta2 = sensors
     groups = spectrum.distinct_eigenvalues
@@ -392,58 +357,42 @@ def split_multiplicity(grouped: np.ndarray, spectrum: SpectrumTable, sensors,
     return coeffs, condition_report
 
 
-def _real_dofs(spectrum: SpectrumTable):
-    """Real parametrization of one conjugate-symmetric coefficient set:
-    (mode index, kind) with kind in {re0, re, im}."""
-    dofs = []
-    for _, idx in spectrum.distinct_eigenvalues:
-        if len(idx) == 1:
-            dofs.append((idx[0], "re0"))
-        else:
-            dofs.append((idx[0], "re"))
-            dofs.append((idx[0], "im"))
-    return dofs
-
-
-def _vector_to_coeffs(vec, n_pieces, spectrum):
-    dofs = _real_dofs(spectrum)
-    per = len(dofs)
-    out = []
-    for k in range(n_pieces):
-        vals = np.zeros(len(spectrum), dtype=complex)
-        chunk = vec[k * per:(k + 1) * per]
-        pos = 0
-        for _, idx in spectrum.distinct_eigenvalues:
-            if len(idx) == 1:
-                vals[idx[0]] = chunk[pos]
-                pos += 1
-            else:
-                vals[idx[0]] = chunk[pos] + 1j * chunk[pos + 1]
-                vals[idx[1]] = chunk[pos] - 1j * chunk[pos + 1]
-                pos += 2
-        out.append(ModeCoefficients(values=vals))
-    return out
-
-
-def _sensor_phase_matrix(spectrum: SpectrumTable, theta: float):
-    """Maps the real dof vector of one piece to the grouped amplitudes
-    b_j = sum a_n(z) p_n over the group, which are real for a
-    conjugate-symmetric piece."""
+def _dof_map(spectrum: SpectrumTable):
+    """(C, G) of the real parametrization of one conjugate-symmetric
+    coefficient set: dof i is the coefficient of an m = 0 mode i, and a
+    +-m pair (i, i + 1) has dofs (Re p, Im p) of its +m coefficient p.
+    C (dofs x modes) is complex, and a piece's coefficients are its dof
+    row times C. G (eigenvalues x modes) is the group incidence signed by
+    each mode's normalizer sign, so Re((G a(z)) C^T), with a(z) the
+    boundary coefficients, maps the dofs of a piece to its grouped
+    amplitudes b_j = sum s_n a_n(z) p_n at z, which are real."""
     groups = spectrum.distinct_eigenvalues
-    dofs = _real_dofs(spectrum)
-    mat = np.zeros((len(groups), len(dofs)))
-    for pos, (i, kind) in enumerate(dofs):
-        mo = spectrum.modes[i]
-        j = next(jj for jj, (_, idx) in enumerate(groups) if i in idx)
-        a = normalizer_sign(mo) * boundary_coefficient(mo, theta)
-        if kind == "re0":
-            contrib = a
-        elif kind == "re":
-            contrib = a + np.conj(a)            # p and conj(p) at -m
-        else:
-            contrib = 1j * a - 1j * np.conj(a)
-        mat[j, pos] = contrib.real
-    return mat
+    c = np.zeros((len(spectrum), len(spectrum)), dtype=complex)
+    g = np.zeros((len(groups), len(spectrum)))
+    for j, (_, idx) in enumerate(groups):
+        g[j, idx] = [normalizer_sign(spectrum.modes[i]) for i in idx]
+        c[idx[0], idx] = 1.0
+        if len(idx) == 2:
+            c[idx[1], idx] = (1j, -1j)
+    return c, g
+
+
+def _phases(spectrum: SpectrumTable, dof_map, angles) -> list:
+    """One phase matrix Re((G a(z)) C^T) per sensor angle."""
+    c, g = dof_map
+    return [((g * [boundary_coefficient(mo, theta) for mo in spectrum.modes])
+             @ c.T).real for theta in angles]
+
+
+def _two_sensor_problem(traces, spectrum: SpectrumTable):
+    """(t, lams, C, phases, y) of the least-squares problem of _project:
+    the common grid, the distinct eigenvalues, C of the dof map, one phase
+    matrix per sensor and the stacked negated traces."""
+    c, g = _dof_map(spectrum)
+    return (_common_grid(traces),
+            np.array([lam for lam, _ in spectrum.distinct_eigenvalues]), c,
+            _phases(spectrum, (c, g), [tr.sensor_angle for tr in traces]),
+            np.concatenate([-tr.values for tr in traces]))
 
 
 def _project(design: np.ndarray, phases, y: np.ndarray):
@@ -488,10 +437,9 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
 
     The coefficients are eliminated (Golub and Pereyra, 1973): for each theta
     the relaxation basis D is built once and the real coefficient vector is
-    the undamped least-squares solution for the two-sensor operator, through
-    one QR of D and one of a small stacked matrix (_project; the staged
-    tikhonov_scale ridge stays out: inside the projection it biased
-    noiseless fits and slowed their convergence). The Jacobian is Kaufman's
+    the least-squares solution for the two-sensor operator, through one QR
+    of D and one of a small stacked matrix (_project, which also gives the
+    staged coefficients). The Jacobian is Kaufman's
     (1975), J = (I - QQ^T) [d(op p)/d alpha, d(op p)/dc_k]: the alpha column
     is a central difference of D at fixed p, the cut columns are
     closed-form (_cut_jacobian). Each step is line-searched over twelve
@@ -507,9 +455,9 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     it is 0 on noiseless data and with fewer than 16 such samples, and the
     rule is then off.
 
-    The log entry holds initial_residual (of the staged start, coefficients
-    included), noise_sigma (sigma above), final_residual, iterations
-    (accepted steps), sigma_ratio (smallest over largest singular value of
+    The log entry holds initial_residual (the projected residual at the
+    staged alpha and cuts), noise_sigma (sigma above), final_residual,
+    iterations (accepted steps), sigma_ratio (smallest over largest singular value of
     the final op) and stop: "converged" (relative decrease below
     refine_tol, or residual at the 1e-13 * ||y|| floor), "noise-floor"
     (predicted decrease below sigma^2), "no-decrease" (no line-search
@@ -519,12 +467,8 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     means the line search found no decrease, not that the iterates
     diverged.
     """
-    t = _common_grid(traces)
-    groups = spectrum.distinct_eigenvalues
-    lams = np.array([lam for lam, _ in groups])
+    t, lams, c, phases, y = _two_sensor_problem(traces, spectrum)
     n_pieces = initial.K_hat
-    phases = [_sensor_phase_matrix(spectrum, tr.sensor_angle) for tr in traces]
-    y = np.concatenate([-tr.values for tr in traces])
 
     def design(alpha, cuts):
         return relaxation_design(alpha, lams, list(cuts) + [math.inf], t)
@@ -546,12 +490,10 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
         raise ValidationError("initial refine point outside the feasible region",
                               clause="refine-start")
     r, p, q, svals = project(theta)
-    start = predicted_flux(initial, spectrum, t, [tr.sensor_angle for tr in traces])
-    r0 = np.concatenate([tr.values - f for tr, f in zip(traces, start)])
-    sigma = _pre_onset_sigma(traces, theta[1])
-    log = {"iterations": 0, "initial_residual": math.sqrt(float(r0 @ r0)),
-           "noise_sigma": sigma}
     cost = float(r @ r)
+    sigma = _pre_onset_sigma(traces, theta[1])
+    log = {"iterations": 0, "initial_residual": math.sqrt(cost),
+           "noise_sigma": sigma}
     fd_step = 1e-5
     floor = (1e-13 * float(np.linalg.norm(y))) ** 2
     stop = "cap"
@@ -599,7 +541,7 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     return ReconstructionResult(
         alpha_hat=float(theta[0]),
         cuts_hat=[float(c) for c in theta[1:]],
-        coeffs_hat=_vector_to_coeffs(p, n_pieces, spectrum),
+        coeffs_hat=[ModeCoefficients(values=v) for v in p.reshape(n_pieces, -1) @ c],
         K_hat=n_pieces,
         residual_norm=math.sqrt(cost) / denom,
         stage_log=initial.stage_log + [("refine_joint", log)],
@@ -608,30 +550,41 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
 
 
 def _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat, interior, stage_log):
+    """The coefficients at the staged alpha and cuts, from the same
+    projection that refine_joint iterates on, after degenerate-piece
+    pruning."""
+    t, lams, c, phases, y = _two_sensor_problem(traces, spectrum)
+
+    def solve(cuts):
+        """(coefficient rows of the pieces, diagnostics) at alpha_hat, cuts."""
+        design = relaxation_design(alpha_hat, lams, cuts + [math.inf], t)
+        svals = np.linalg.svd(design.reshape(len(t), -1), compute_uv=False)
+        if svals[0] > 0 and svals[-1] ** 2 < 1e-14 * svals[0] ** 2:
+            raise ConditioningError(
+                "design matrix rank-deficient; closest eigenvalue window "
+                f"around lambda = {lams[-1]:.4f}")
+        r, p, _, _ = _project(design, phases, y)
+        residuals = [float(np.linalg.norm(rl)) / (float(np.linalg.norm(yl)) or 1.0)
+                     for rl, yl in zip(np.split(r, len(traces)), np.split(y, len(traces)))]
+        return p.reshape(len(cuts), -1) @ c, {
+            "relative_residuals": residuals, "sigma_ratio": _sigma_ratio(svals)}
+
     cuts_hat = [c0_hat] + list(interior)
-    grouped, diag = solve_mode_amplitudes(traces, alpha_hat, cuts_hat, spectrum, cfg)
-    coeffs, condition_report = split_multiplicity(
-        grouped, spectrum, (traces[0].sensor_angle, traces[1].sensor_angle), cfg)
+    values, diag = solve(cuts_hat)
     # degenerate-piece pruning: a vanishing piece norm or a vanishing jump
     # between neighbors means the change point was spurious
-    norms = [float(np.linalg.norm(pc.values)) for pc in coeffs]
-    top = max(norms) if norms else 0.0
-    drop = set()
-    for k, nv in enumerate(norms):
-        if nv <= cfg.merge_norm_ratio * top and k > 0:
-            drop.add(k)
-    for k in range(len(coeffs) - 1):
-        jump = float(np.linalg.norm(coeffs[k].values - coeffs[k + 1].values))
-        if jump <= cfg.merge_norm_ratio * top:
-            drop.add(k + 1)
-    if drop:
-        interior2 = [c for i, c in enumerate(interior) if (i + 1) not in drop]
-        stage_log.append(("merge_pieces", {"dropped_cuts": sorted(drop)}))
-        cuts_hat = [c0_hat] + interior2
-        grouped, diag = solve_mode_amplitudes(traces, alpha_hat, cuts_hat, spectrum, cfg)
-        coeffs, condition_report = split_multiplicity(
-            grouped, spectrum, (traces[0].sensor_angle, traces[1].sensor_angle), cfg)
-    stage_log.append(("solve_mode_amplitudes", diag))
+    tol = cfg.merge_norm_ratio * float(np.max(np.linalg.norm(values, axis=1)))
+    drop = 1 + np.flatnonzero((np.linalg.norm(values[1:], axis=1) <= tol)
+                              | (np.linalg.norm(np.diff(values, axis=0), axis=1) <= tol))
+    if len(drop):
+        stage_log.append(("merge_pieces", {"dropped_cuts": drop.tolist()}))
+        cuts_hat = [cut for k, cut in enumerate(cuts_hat) if k not in drop]
+        values, diag = solve(cuts_hat)
+    stage_log.append(("staged_coefficients", diag))
+    delta = traces[0].sensor_angle - traces[1].sensor_angle
+    condition_report = {mo.m: abs(2.0 * math.sin(mo.m * delta))
+                        for mo in spectrum.modes if mo.m > 0}
+    coeffs = [ModeCoefficients(values=v) for v in values]
     return ReconstructionResult(
         alpha_hat=alpha_hat,
         cuts_hat=cuts_hat,
@@ -645,7 +598,7 @@ def _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat, interior, stage_log
 
 def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = None
                 ) -> ReconstructionResult:
-    """Full staged pipeline: onset, order, change points, amplitudes, split,
+    """Full staged pipeline: onset, order, change points, coefficients,
     then the optional joint polish."""
     cfg = cfg or InversionConfig()
     if len(traces) != 2:

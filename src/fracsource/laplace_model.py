@@ -219,7 +219,8 @@ def adjoint_weight_w(spec: AdjointSpec, spectrum: SpectrumTable, r, theta,
     e_aa = relaxation_rates(alpha, lam_u, [0.0], [t])[0, group, 0] * t ** (1.0 - alpha) / lam
     weight = (t ** (alpha - 1.0) * (1.0 / math.gamma(alpha) - e_aa) * omega
               / (math.sqrt(math.pi) * np.sqrt(lam)))
-    for order in np.unique(np.abs(m)).tolist():
+    # sorted(set(...)), not np.unique, which imports numpy.ma
+    for order in sorted(set(np.abs(m).tolist())):
         sel = np.abs(m) == order
         k = np.sqrt(lam[sel])
         sign = np.where(_bessel_j_unchecked(order + 1, k) >= 0, 1.0, -1.0)

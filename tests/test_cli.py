@@ -14,6 +14,7 @@ from fracsource.cli import main
 from fracsource.config import (
     build_source_model,
     check_trace_grid,
+    columns_to_csv,
     dump_config,
     load_config,
     trace_from_csv,
@@ -102,6 +103,20 @@ class TestConfig:
         text = trace_to_csv(t, v)
         t2, v2 = trace_from_csv(text)
         assert np.array_equal(t, t2) and np.array_equal(v, v2)
+
+    def test_csv_bytes_match_the_row_by_row_format(self):
+        # the whole-column format writes what a repr per number and row wrote,
+        # signed zeros and subnormals included
+        t = np.linspace(0.0, 1.0, 9)
+        v = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1.0 / 3.0,
+                      1.7976931348623157e308, 0.1, np.nextafter(1.0, 2.0)])
+        w = np.float32([0.1, -0.0, 1e-40, 3.0, -2.5, 7.0, 1e-8, 0.5, 6.0])
+        rows = ["t,flux"] + [f"{float(a)!r},{float(b)!r}" for a, b in zip(t, v)]
+        assert trace_to_csv(t, v) == "\n".join(rows) + "\n"
+        rows = ["t,a,b"] + [f"{float(a)!r},{float(b)!r},{float(c)!r}"
+                            for a, b, c in zip(t, v, w)]
+        assert columns_to_csv("t,a,b", t, v, w) == "\n".join(rows) + "\n"
+        assert "-0.0" in trace_to_csv(t, v) and "5e-324" in trace_to_csv(t, v)
 
 
 class TestSpectrumCommand:
@@ -324,11 +339,12 @@ class TestNoScipyImport:
             "                                   out + '/flux_sensor2.csv']) == 0\n"
             "assert main(['verify'] + common) == 0\n"
             "assert main(['plotdata', out, '--quiet']) == 0\n"
-            # np.median's NaN check imports numpy.ma (about 10 ms cold);
-            # numpy.matrixlib is always loaded, so the name is matched exactly
-            "print('numpy.ma' in sys.modules)\n"
             "adjoint_weight_w(AdjointSpec(theta_z=0.3, N=2, alpha=0.75),\n"
             "                 build_spectrum(30.0), 0.5, 0.3, 1.0)\n"
+            # np.median's NaN check and np.unique import numpy.ma (about
+            # 10 ms cold); numpy.matrixlib is always loaded, so the name is
+            # matched exactly
+            "print('numpy.ma' in sys.modules)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         package_root = os.path.dirname(os.path.dirname(fracsource.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

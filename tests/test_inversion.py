@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracsource import inversion
-from fracsource.disc_spectrum import build_spectrum
+from fracsource.disc_spectrum import ModeCoefficients, build_spectrum
 from fracsource.errors import (
     EmptySignalError,
     SensorGeometryError,
@@ -29,7 +29,6 @@ from fracsource.inversion import (
     reconstruct,
     refine_joint,
     result_to_json,
-    solve_mode_amplitudes,
     split_multiplicity,
 )
 
@@ -151,6 +150,8 @@ class TestDetectChangePoints:
 
 
 class TestSolveAmplitudes:
+    # the staged coefficients: one _project solve at the staged alpha and cuts
+
     def test_recovers_grouped_truth_j6(self, spectrum50, reference_grid):
         # 6 distinct eigenvalues below 50
         assert len(spectrum50.distinct_eigenvalues) == 6
@@ -159,16 +160,22 @@ class TestSolveAmplitudes:
         model = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
                             piece_coeffs=(p1, p2), spectrum=spectrum50)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        b, diag = solve_mode_amplitudes(traces, 0.75, [0.2, 1.2], spectrum50, CFG)
-        for ell, theta in enumerate((0.3, 1.3)):
+        got = inversion._staged_result(traces, spectrum50, CFG, 0.2, 0.75, [1.2], [])
+        assert got.K_hat == 2
+        rebuilt = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
+                              piece_coeffs=tuple(got.coeffs_hat), spectrum=spectrum50)
+        for theta in (0.3, 1.3):
             truth = grouped_amplitudes(model, theta)
-            rel = np.abs(b[ell] - truth) / (np.abs(truth) + 1e-12)
+            rel = (np.abs(grouped_amplitudes(rebuilt, theta) - truth)
+                   / (np.abs(truth) + 1e-12))
             assert np.max(rel) <= 1e-3
-        assert max(diag["relative_residuals"]) < 1e-6
+        assert _coeff_rel_err(got, model) <= 1e-3
+        assert max(dict(got.stage_log)["staged_coefficients"]["relative_residuals"]) < 1e-6
 
     def test_sigma_ratio_recorded(self, spectrum30, reference_traces):
-        _, diag = solve_mode_amplitudes(reference_traces, 0.75, [0.2, 1.2],
-                                        spectrum30, CFG)
+        got = inversion._staged_result(reference_traces, spectrum30, CFG,
+                                       0.2, 0.75, [1.2], [])
+        diag = dict(got.stage_log)["staged_coefficients"]
         lams = np.array([lam for lam, _ in spectrum30.distinct_eigenvalues])
         t = reference_traces[0].times
         design = relaxation_design(0.75, lams, [0.2, 1.2, math.inf], t).reshape(len(t), -1)
@@ -178,8 +185,9 @@ class TestSolveAmplitudes:
     def test_zero_traces_zero_amplitudes(self, spectrum30, reference_grid):
         traces = (FluxTrace(0.3, reference_grid, np.zeros_like(reference_grid)),
                   FluxTrace(1.3, reference_grid, np.zeros_like(reference_grid)))
-        b, _ = solve_mode_amplitudes(traces, 0.75, [0.2], spectrum30, CFG)
-        assert np.all(b == 0)
+        got = inversion._staged_result(traces, spectrum30, CFG, 0.2, 0.75, [], [])
+        assert got.K_hat == 1
+        assert np.all(got.coeffs_hat[0].values == 0)
 
     def test_single_mode_recovery(self, reference_grid):
         sp = build_spectrum(6.0)
@@ -187,9 +195,24 @@ class TestSolveAmplitudes:
         model = SourceModel(alpha=0.8, cuts=(0.0, math.inf), piece_coeffs=(p,),
                             spectrum=sp)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        b, _ = solve_mode_amplitudes(traces, 0.8, [0.0], sp, CFG)
-        truth = grouped_amplitudes(model, 0.3)[0, 0]
-        assert abs(b[0, 0, 0] - truth) <= 1e-6
+        got = reconstruct(traces, sp, InversionConfig(refine=False))
+        assert got.K_hat == 1
+        assert got.cuts_hat == [0.0]
+        assert abs(got.alpha_hat - 0.8) <= 1e-6
+        assert abs(got.coeffs_hat[0].values[0] - 1.7) <= 1e-6
+
+    def test_relative_residuals_are_those_of_the_reported_coefficients(
+            self, spectrum30, noisy_staged):
+        # each sensor's entry is the misfit of the staged coefficients that
+        # the result reports, as residual_curve.csv writes it
+        traces, staged = noisy_staged
+        diag = dict(staged.stage_log)["staged_coefficients"]
+        flux = predicted_flux(staged, spectrum30, traces[0].times,
+                              [tr.sensor_angle for tr in traces])
+        for got, tr, f in zip(diag["relative_residuals"], traces, flux):
+            want = np.linalg.norm(tr.values - f) / np.linalg.norm(tr.values)
+            assert got == pytest.approx(want, rel=1e-9)
+        assert staged.residual_norm == max(diag["relative_residuals"])
 
 
 class TestSplitMultiplicity:
@@ -389,6 +412,25 @@ def _coeff_rel_err(result, model):
                for pc, truth in zip(result.coeffs_hat, model.piece_coeffs))
 
 
+class TestDofMap:
+    @pytest.mark.parametrize("spectrum", ["spectrum30", "spectrum50"])
+    def test_phases_give_the_grouped_amplitudes(self, spectrum, request):
+        # a real dof vector maps to conjugate-symmetric coefficients P C, and
+        # the phase rows give the grouped amplitudes that synthesis sums
+        spec = request.getfixturevalue(spectrum)
+        dof_map = inversion._dof_map(spec)
+        pvec = np.random.default_rng(11).normal(size=2 * len(spec))
+        coeffs = pvec.reshape(2, -1) @ dof_map[0]
+        model = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
+                            piece_coeffs=tuple(map(ModeCoefficients, coeffs)),
+                            spectrum=spec)
+        assert model.is_real_field(tol=0.0)
+        for theta, phase in zip((0.3, 1.3), inversion._phases(spec, dof_map, (0.3, 1.3))):
+            want = grouped_amplitudes(model, theta)
+            got = phase @ pvec.reshape(2, -1).T
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestCutJacobian:
     @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
     def test_matches_central_difference(self, spectrum30, alpha):
@@ -397,8 +439,8 @@ class TestCutJacobian:
         t = np.linspace(0.0, 4.0, 1001)
         h = t[1] - t[0]
         lams = np.array([lam for lam, _ in spectrum30.distinct_eigenvalues])
-        per = len(inversion._real_dofs(spectrum30))
-        phases = [inversion._sensor_phase_matrix(spectrum30, th) for th in (0.3, 1.3)]
+        per = len(spectrum30)
+        phases = inversion._phases(spectrum30, inversion._dof_map(spectrum30), (0.3, 1.3))
         cuts = [0.2013, 1.2047]
         pvec = np.random.default_rng(3).normal(size=len(cuts) * per)
         wide = [np.repeat(phase, 2, axis=0) for phase in phases]
@@ -553,8 +595,8 @@ class TestProjectMatchesDenseLstsq:
     def test_same_solution(self, n_t, spectrum, request):
         spec = request.getfixturevalue(spectrum)
         n_lams, n_pieces = len(spec.distinct_eigenvalues), 2
-        per = len(inversion._real_dofs(spec))
-        phases = [inversion._sensor_phase_matrix(spec, th) for th in (0.3, 1.3)]
+        per = len(spec)
+        phases = inversion._phases(spec, inversion._dof_map(spec), (0.3, 1.3))
         rng = np.random.default_rng(5)
         design = rng.normal(size=(n_t, n_lams * n_pieces))
         y = rng.normal(size=2 * n_t)
