@@ -23,6 +23,7 @@ from .config import (
     check_trace_grid,
     columns_to_csv,
     dump_config,
+    float_strings,
     load_config,
     trace_from_csv,
     trace_to_csv,
@@ -39,7 +40,7 @@ from .forward_model import (
     relaxation_rates,
     verify_measurement_identity,
 )
-from .inversion import predicted_flux, reconstruct, result_to_json
+from .inversion import _window_transform, predicted_flux, reconstruct, result_to_json
 from .laplace_model import LaplacePoint, LaplaceSamples, laplace_flux_model, numeric_laplace
 from .specfun import _panel_nodes, bessel_j
 
@@ -92,14 +93,15 @@ def cmd_synth(args) -> int:
     manifest = RunManifest.for_config(cfg)
     _emit(manifest, directory, "config.json", dump_config(cfg))
     _emit(manifest, directory, "spectrum.json", spectrum_to_json(spectrum))
+    t_str = float_strings(times)   # each array is formatted once, for every file
     formats = cfg.output["formats"]
     for i, tr in enumerate(traces, start=1):
+        v_str = float_strings(tr.values)
         if "csv" in formats:
-            _emit(manifest, directory, f"flux_sensor{i}.csv",
-                  trace_to_csv(tr.times, tr.values))
+            _emit(manifest, directory, f"flux_sensor{i}.csv", trace_to_csv(t_str, v_str))
         if "json" in formats:
             _emit(manifest, directory, f"flux_sensor{i}.json",
-                  trace_to_json(tr.sensor_angle, tr.times, tr.values))
+                  trace_to_json(tr.sensor_angle, t_str, v_str))
     level = float(cfg.noise["level"])
     if level > 0:
         rng = np.random.default_rng(int(cfg.noise["seed"]))
@@ -107,7 +109,7 @@ def cmd_synth(args) -> int:
             sigma = level * float(np.max(np.abs(tr.values)))
             noisy = tr.values + rng.normal(0.0, sigma, size=len(tr.values))
             _emit(manifest, directory, f"flux_sensor{i}_noisy.csv",
-                  trace_to_csv(tr.times, noisy))
+                  trace_to_csv(t_str, float_strings(noisy)))
     s_list = [float(s) for s in cfg.output.get("laplace_s", [])]
     if s_list:
         horizon_ok = math.exp(-min(s_list) * times[-1]) <= 1e-10
@@ -265,40 +267,32 @@ def cmd_plotdata(args) -> int:
 
     outputs = []
     # tidy flux curves
-    lines = ["t,sensor,flux"]
+    traces = []
     for i in (1, 2):
         trace_path = os.path.join(run_dir, f"flux_sensor{i}.csv")
         if os.path.exists(trace_path):
             with open(trace_path) as fh:
-                t, v = trace_from_csv(fh.read())
-            for tt, vv in zip(t, v):
-                lines.append(f"{tt!r},{i},{vv!r}")
-    write_atomic(os.path.join(run_dir, "plot_flux_vs_t.csv"),
-                 "\n".join(lines) + "\n")
+                traces.append((i, *trace_from_csv(fh.read())))
+    rows = [(float_strings(t), [str(i)] * len(t), float_strings(v)) for i, t, v in traces]
+    write_atomic(os.path.join(run_dir, "plot_flux_vs_t.csv"), columns_to_csv(
+        "t,sensor,flux", *(sum(col, []) for col in zip(*rows))))
     outputs.append("plot_flux_vs_t.csv")
 
-    # log|G| against log s with the fitted alpha line
-    alpha_hat = float(recon["alpha_hat"])
-    c0 = float(recon["cuts_hat"][0])
-    window = (cfg.inversion["alpha_fit_window"] if cfg else [20.0, 200.0])
-    npts = int(cfg.inversion["alpha_fit_points"]) if cfg else 40
-    s = np.geomspace(float(window[0]), float(window[1]), npts)
-    trace_path = os.path.join(run_dir, "flux_sensor1.csv")
-    lines = ["log_s,log_G,fit,slope"]
-    if os.path.exists(trace_path):
-        with open(trace_path) as fh:
-            t, v = trace_from_csv(fh.read())
-        delta = min(0.2, (t[-1] - c0) / 4)
-        from .inversion import _window_transform
-        gv = np.abs(_window_transform(t, -v, c0, delta, s))
-        gv = np.maximum(gv, 1e-300)
-        slope = -(1.0 + alpha_hat)
-        intercept = float(np.mean(np.log(gv) - slope * np.log(s)))
-        for si, gi in zip(s, gv):
-            fit = slope * math.log(si) + intercept
-            lines.append(f"{math.log(si)!r},{math.log(gi)!r},{fit!r},{slope!r}")
+    # log|G| against log s with the fitted alpha line: the window and the
+    # transform summed over both sensors that estimate_alpha fits
+    inv = build_inversion_config(cfg or load_config("{}"))
+    c0, delta = float(recon["cuts_hat"][0]), min(inv.changepoint_min_gap, inv.alpha_leading_delta)
+    s = np.geomspace(*inv.alpha_fit_window, inv.alpha_fit_points)
+    log_s = np.log(s)
+    columns = []
+    if len(traces) == 2:
+        gv = sum(_window_transform(t, -v, c0, delta, s) for _, t, v in traces)
+        log_g = np.log(np.maximum(np.abs(gv), 1e-300))
+        slope = -(1.0 + float(recon["alpha_hat"]))
+        fit = slope * log_s + float(np.mean(log_g - slope * log_s))
+        columns = [log_s, log_g, fit, np.full(len(log_s), slope)]
     write_atomic(os.path.join(run_dir, "plot_alpha_fit.csv"),
-                 "\n".join(lines) + "\n")
+                 columns_to_csv("log_s,log_G,fit,slope", *columns))
     outputs.append("plot_alpha_fit.csv")
 
     # reconstructed vs configured cuts

@@ -29,6 +29,7 @@ __all__ = [
     "build_source_model",
     "build_inversion_config",
     "write_atomic",
+    "float_strings",
     "columns_to_csv",
     "trace_to_csv",
     "trace_from_csv",
@@ -237,15 +238,20 @@ def write_atomic(path: str, data: str) -> None:
         raise
 
 
+def float_strings(values) -> list:
+    """repr(float(v)) for each value, from one repr of the whole list."""
+    values = np.asarray(values, dtype=float).tolist()
+    return repr(values)[1:-1].split(", ") if values else []
+
+
 def columns_to_csv(header: str, *columns) -> str:
-    """The header line, then one line per sample of the columns, each
-    number written as the repr of a Python float."""
-    row = ",".join(["{!r}"] * len(columns)).format
-    cells = [np.asarray(c, dtype=float).tolist() for c in columns]
-    return "\n".join([header, *map(row, *cells)]) + "\n"
+    """The header line, then one line per sample of the columns: arrays,
+    written as float_strings, or lists of the cells' strings."""
+    cells = [c if isinstance(c, list) else float_strings(c) for c in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
-def trace_to_csv(times: np.ndarray, values: np.ndarray) -> str:
+def trace_to_csv(times, values) -> str:
     return columns_to_csv("t,flux", times, values)
 
 
@@ -293,12 +299,15 @@ def check_trace_grid(times: np.ndarray, expected: np.ndarray, source: str):
             f"samples, t from {expected[0]!r} to {expected[-1]!r})", clause="trace-grid")
 
 
-def trace_to_json(sensor_angle: float, times: np.ndarray, values: np.ndarray) -> str:
-    return json.dumps({
-        "sensor_angle": float(sensor_angle),
-        "times": [float(t) for t in times],
-        "values": [float(v) for v in values],
-    }, indent=None)
+def trace_to_json(sensor_angle: float, times, values) -> str:
+    """json.dumps of the trace envelope byte for byte, joined from float_strings (or
+    such lists); a nan or inf falls back to json.dumps, which writes NaN, Infinity."""
+    cols = [c if isinstance(c, list) else float_strings(c) for c in (times, values)]
+    parts = (repr(float(sensor_angle)), *map(", ".join, cols))
+    if any("n" in part for part in parts):   # no finite repr holds an n
+        floats = [float(sensor_angle)] + [[float(v) for v in c] for c in cols]
+        return json.dumps(dict(zip(("sensor_angle", "times", "values"), floats)))
+    return '{"sensor_angle": %s, "times": [%s], "values": [%s]}' % parts
 
 
 @dataclass
@@ -317,10 +326,11 @@ class RunManifest:
         return cls(config_sha256=digest)
 
     def add(self, path: str, data: str) -> None:
+        encoded = data.encode()
         self.outputs.append({
             "path": os.path.basename(path),
-            "sha256": hashlib.sha256(data.encode()).hexdigest(),
-            "bytes": len(data.encode()),
+            "sha256": hashlib.sha256(encoded).hexdigest(),
+            "bytes": len(encoded),
         })
 
     def to_json(self) -> str:

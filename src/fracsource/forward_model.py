@@ -221,6 +221,7 @@ _TAU_HIGH = 800.0         # above r = _TAU_HIGH / tau_min, e^{-r tau} underflows
 _TAYLOR_RATE = 1.0 / 16.0
 _TAYLOR_TERMS = 8
 _ROW_BLOCK = 2048         # rows per block on grids without a shift table
+_LAM_BLOCK = 1024         # eigenvalues per node-sum block; a power of two (_profiles)
 _TABLE_MAX_BYTES = 1 << 24
 
 
@@ -319,28 +320,33 @@ def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
         if n * (q_tab - q_fast + 1 + _TAYLOR_TERMS) * 8 <= _TABLE_MAX_BYTES:
             table = _shift_table(n, h, q_fast, q_tab)
             q_hi = max(q_hi, q_tab)   # a cut before t_0 may have delta > h
-    r, w = _node_weights(alpha, lams, q_lo, q_hi, moment)
-    # rows summed at their exact tau: the first row after each cut, whose tau
-    # may lie anywhere in (0, h], and without a table all later rows
-    for b, c, i0 in zip(np.flatnonzero(live), cuts[live], starts[live]):
-        blocks = [(i0, i0 + 1)]
-        if table is None:
-            blocks += [(lo, lo + _ROW_BLOCK) for lo in range(i0 + 1, n, _ROW_BLOCK)]
-        for lo, hi in blocks:
-            tau = times[lo:hi] - c
-            if len(tau):
-                top = _q_top(float(tau[0])) - q_lo + 1
-                out[lo:lo + len(tau), :, b] = (_basis(tau, r[n_slow:top])
-                                               @ _fold(r[:top], w[:top], n_slow))
-    if table is not None and np.min(starts) + 1 < n:
-        # later rows: t_i - c = delta + m h with delta = t_{i0} - c, so
-        # e^{-(t_i - c) r} = e^{-delta r} e^{-m h r}, one product for all cuts
-        top = n_slow + table.shape[1] - _TAYLOR_TERMS
-        shifted = np.exp(-np.multiply.outer(r[:top], deltas))[:, None, :] * w[:top, :, None]
-        folded = _fold(r[:top], shifted.reshape(top, -1), n_slow)
-        body = (table[1:n - int(np.min(starts))] @ folded).reshape(-1, len(lams), len(deltas))
-        for col, b in enumerate(np.flatnonzero(live)):
-            out[starts[b] + 1:, :, b] = body[:n - starts[b] - 1, :, col]
+    # node sums over blocks of _LAM_BLOCK eigenvalues (the last up to twice that) to
+    # bound memory; each starts at a multiple of it, on the BLAS column tiles
+    # of an unblocked call, so the blocking changes no value
+    for j0 in range(0, max(len(lams) - _LAM_BLOCK, 0) + 1, _LAM_BLOCK):
+        js = slice(j0, j0 + _LAM_BLOCK if j0 + 2 * _LAM_BLOCK <= len(lams) else None)
+        r, w = _node_weights(alpha, lams[js], q_lo, q_hi, moment)
+        # rows summed at their exact tau: the first row after each cut, whose
+        # tau may lie anywhere in (0, h], and without a table all later rows
+        for b, c, i0 in zip(np.flatnonzero(live), cuts[live], starts[live]):
+            blocks = [(i0, i0 + 1)]
+            if table is None:
+                blocks += [(lo, lo + _ROW_BLOCK) for lo in range(i0 + 1, n, _ROW_BLOCK)]
+            for lo, hi in blocks:
+                tau = times[lo:hi] - c
+                if len(tau):
+                    top = _q_top(float(tau[0])) - q_lo + 1
+                    out[lo:lo + len(tau), js, b] = (_basis(tau, r[n_slow:top])
+                                                    @ _fold(r[:top], w[:top], n_slow))
+        if table is not None and np.min(starts) + 1 < n:
+            # later rows: t_i - c = delta + m h with delta = t_{i0} - c, so
+            # e^{-(t_i - c) r} = e^{-delta r} e^{-m h r}, one product for all cuts
+            top = n_slow + table.shape[1] - _TAYLOR_TERMS
+            shifted = np.exp(-np.multiply.outer(r[:top], deltas))[:, None, :] * w[:top, :, None]
+            folded = _fold(r[:top], shifted.reshape(top, -1), n_slow)
+            body = (table[1:n - int(np.min(starts))] @ folded).reshape(-1, w.shape[1], len(deltas))
+            for col, b in enumerate(np.flatnonzero(live)):
+                out[starts[b] + 1:, js, b] = body[:n - starts[b] - 1, :, col]
     # closed forms: the lattice below q_lo, where e^{-r tau} = 1 and
     # r K(r) ~ sin(alpha pi) r^alpha / (pi lam), summed as a geometric series;
     # and for alpha > 2/3 the trapezoidal error of the pole of the integrand

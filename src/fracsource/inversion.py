@@ -396,11 +396,11 @@ def _two_sensor_problem(traces, spectrum: SpectrumTable):
 
 
 def _project(design: np.ndarray, phases, y: np.ndarray):
-    """(r, p, q, svals) for the two-sensor operator op = (I_2 x D) [M_1; M_2],
+    """(r, p, q, svals, R_D) for the two-sensor operator op = (I_2 x D) [M_1; M_2],
     D the (n_t, J, K) design as n_t x JK, M_l the map of sensor l's phase
     rows: p the least-squares coefficients, r = op @ p - y, q an orthonormal
     basis of the range of op and svals its singular values, all from QRs of
-    D = Q_D R_D and of the small [R_D M_1; R_D M_2] = Q_G R_G."""
+    D = Q_D R_D (R_D as (JK, J, K)) and of the small [R_D M_1; R_D M_2] = Q_G R_G."""
     n_t, n_lams, n_pieces = design.shape
     qd, rd = np.linalg.qr(design.reshape(n_t, -1))
     rd = rd.reshape(-1, n_lams, n_pieces)
@@ -409,7 +409,7 @@ def _project(design: np.ndarray, phases, y: np.ndarray):
                                      .reshape(len(rd), -1) for phase in phases]))
     q = np.vstack([qd @ blk for blk in np.split(qg, len(phases))])
     p, _, _, svals = np.linalg.lstsq(rg, q.T @ y, rcond=None)
-    return q @ (rg @ p) - y, p, q, svals
+    return q @ (rg @ p) - y, p, q, svals, rd
 
 
 def _cut_jacobian(alpha: float, lams: np.ndarray, cuts, t: np.ndarray,
@@ -489,7 +489,7 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     if not feasible(theta):
         raise ValidationError("initial refine point outside the feasible region",
                               clause="refine-start")
-    r, p, q, svals = project(theta)
+    r, p, q, svals, _ = project(theta)
     cost = float(r @ r)
     sigma = _pre_onset_sigma(traces, theta[1])
     log = {"iterations": 0, "initial_residual": math.sqrt(cost),
@@ -526,7 +526,7 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
                 log["warning"] = "divergence: 10 consecutive rejected steps"
             stop = "no-decrease"
             break
-        r, p, q, svals = got
+        r, p, q, svals, _ = got
         cc = float(r @ r)
         rel_change = (cost - cc) / max(cost, 1e-300)
         theta, cost = cand, cc
@@ -558,12 +558,12 @@ def _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat, interior, stage_log
     def solve(cuts):
         """(coefficient rows of the pieces, diagnostics) at alpha_hat, cuts."""
         design = relaxation_design(alpha_hat, lams, cuts + [math.inf], t)
-        svals = np.linalg.svd(design.reshape(len(t), -1), compute_uv=False)
+        r, p, _, _, rd = _project(design, phases, y)
+        svals = np.linalg.svd(rd.reshape(len(rd), -1), compute_uv=False)  # D's
         if svals[0] > 0 and svals[-1] ** 2 < 1e-14 * svals[0] ** 2:
             raise ConditioningError(
                 "design matrix rank-deficient; closest eigenvalue window "
                 f"around lambda = {lams[-1]:.4f}")
-        r, p, _, _ = _project(design, phases, y)
         residuals = [float(np.linalg.norm(rl)) / (float(np.linalg.norm(yl)) or 1.0)
                      for rl, yl in zip(np.split(r, len(traces)), np.split(y, len(traces)))]
         return p.reshape(len(cuts), -1) @ c, {

@@ -7,22 +7,28 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import fracsource
-from fracsource import cli
+from fracsource import cli, config
 from fracsource.cli import main
 from fracsource.config import (
+    build_inversion_config,
     build_source_model,
     check_trace_grid,
     columns_to_csv,
     dump_config,
+    float_strings,
     load_config,
     trace_from_csv,
     trace_to_csv,
+    trace_to_json,
 )
 from fracsource.disc_spectrum import build_spectrum
 from fracsource.errors import ValidationError
 from fracsource.forward_model import flux_trace
+from fracsource.inversion import _window_transform
 
 
 BASE_CONFIG = {
@@ -118,6 +124,31 @@ class TestConfig:
         assert columns_to_csv("t,a,b", t, v, w) == "\n".join(rows) + "\n"
         assert "-0.0" in trace_to_csv(t, v) and "5e-324" in trace_to_csv(t, v)
 
+    @given(st.lists(st.floats()))
+    @example([0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan, 1e16, 0.1])
+    def test_float_strings_are_the_reprs(self, values):
+        x = np.array(values, dtype=float)
+        assert float_strings(x) == [repr(float(v)) for v in x]
+
+    @given(st.lists(st.floats(width=32)))
+    def test_float_strings_of_float32(self, values):
+        x = np.array(values, dtype=np.float32)
+        assert float_strings(x) == [repr(float(v)) for v in x]
+
+    def test_empty_arrays(self):
+        assert float_strings(np.array([])) == []
+        assert columns_to_csv("t,flux", np.array([]), np.array([])) == "t,flux\n"
+        assert columns_to_csv("t,flux", [], []) == "t,flux\n"
+
+    @given(st.floats(), st.lists(st.floats(), max_size=12))
+    @example(0.3, [math.nan, math.inf, -math.inf, -0.0])
+    def test_trace_to_json_is_json_dumps(self, angle, values):
+        times = np.arange(len(values)) * 0.1
+        want = json.dumps({"sensor_angle": angle, "times": times.tolist(),
+                           "values": values}, indent=None)
+        assert trace_to_json(angle, times, np.array(values)) == want
+        assert trace_to_json(angle, float_strings(times), float_strings(values)) == want
+
 
 class TestSpectrumCommand:
     def test_single_mode_export(self, tmp_path):
@@ -182,6 +213,28 @@ class TestSynthCommand:
             t, v = trace_from_csv((tmp_path / "run" / f"flux_sensor{i}.csv").read_text())
             alone = flux_trace(model, theta, times)
             assert np.array_equal(t, alone.times) and np.array_equal(v, alone.values)
+
+    @pytest.mark.parametrize("level, calls", [(0.01, 5), (0.0, 3)])
+    def test_each_array_formatted_once(self, tmp_path, monkeypatch, level, calls):
+        # the grid once for every file, then each clean and each noisy trace
+        formatted = []
+
+        def counting(values):
+            formatted.append(len(values))
+            return float_strings(values)
+
+        monkeypatch.setattr(cli, "float_strings", counting)
+        monkeypatch.setattr(config, "float_strings", counting)
+        doc = json.load(open(REFERENCE_CONFIG))
+        doc["noise"]["level"] = level
+        doc["output"]["directory"] = str(tmp_path / "run")
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert main(["synth", "--config", str(tmp_path / "cfg.json"), "--quiet"]) == 0
+        assert formatted == [4001] * calls
+        for i in (1, 2):
+            t, v = trace_from_csv((tmp_path / "run" / f"flux_sensor{i}.csv").read_text())
+            envelope = json.loads((tmp_path / "run" / f"flux_sensor{i}.json").read_text())
+            assert envelope["times"] == t.tolist() and envelope["values"] == v.tolist()
 
     def test_laplace_samples_emitted(self, tmp_path):
         cfg_path = write_config(tmp_path, {"grid.steps": 400,
@@ -424,3 +477,28 @@ class TestPlotdataCommand:
         expected_slope = -(1.0 + recon["alpha_hat"])
         slopes = {float(line.split(",")[3]) for line in lines[1:]}
         assert slopes == {expected_slope}
+
+    def test_alpha_fit_is_the_estimators_transform(self, tmp_path):
+        # log_G is log|sum over both sensors of the leading-window transform|
+        # on the window estimate_alpha fits: delta = min(changepoint_min_gap,
+        # alpha_leading_delta), here 0.1, over alpha_fit_window
+        cfg_path = write_config(tmp_path, {"grid.steps": 2000,
+                                           "inversion.changepoint_min_gap": 0.1})
+        assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
+        run = tmp_path / "run"
+        (run / "reconstruction.json").write_text(json.dumps(
+            {"alpha_hat": 0.75, "cuts_hat": [0.2, 1.2]}))
+        assert main(["plotdata", str(run), "--quiet"]) == 0
+        inv = build_inversion_config(load_config(cfg_path))
+        delta = min(inv.changepoint_min_gap, inv.alpha_leading_delta)
+        s = np.geomspace(*inv.alpha_fit_window, inv.alpha_fit_points)
+        traces = [trace_from_csv((run / f"flux_sensor{i}.csv").read_text()) for i in (1, 2)]
+        gv = sum(_window_transform(t, -v, 0.2, delta, s) for t, v in traces)
+        got = np.loadtxt(run / "plot_alpha_fit.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(got[:, 0], np.log(s))
+        assert np.array_equal(got[:, 1], np.log(np.abs(gv)))
+        # the tidy flux file holds plain numbers, sensor 1 then sensor 2
+        flux = np.loadtxt(run / "plot_flux_vs_t.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(flux[:, 0], np.concatenate([traces[0][0], traces[1][0]]))
+        assert np.array_equal(flux[:, 1], np.repeat([1.0, 2.0], len(traces[0][0])))
+        assert np.array_equal(flux[:, 2], np.concatenate([traces[0][1], traces[1][1]]))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from fracsource import forward_model
 from fracsource.disc_spectrum import ModeCoefficients, build_spectrum, eigenfunction_eval
 from fracsource.errors import ShapeError, ValidationError
 from fracsource.forward_model import (
@@ -294,6 +295,38 @@ class TestRelaxationDesign:
         want = _ml_design(0.75, lams, [c, math.inf], t[rows])
         assert np.max(np.abs(got[rows] - want)) <= 1e-13
         assert np.all(got[:1001] == 0.0)
+
+
+class TestEigenvalueBlocks:
+    """The node sums run over blocks of eigenvalues, which bounds the memory
+    of a call over many of them; the blocking changes no value."""
+
+    @pytest.mark.parametrize("times", [np.array([1.0]), np.linspace(0.0, 4.0, 401)],
+                             ids=["one-time", "uniform-grid"])
+    def test_blocked_equals_unblocked(self, monkeypatch, times):
+        lams = np.sort(np.random.default_rng(3).uniform(5.0, 3e4, 3000))
+        calls = []
+        node_weights = forward_model._node_weights
+        monkeypatch.setattr(forward_model, "_node_weights",
+                            lambda *a: calls.append(len(a[1])) or node_weights(*a))
+        blocked = [relaxation_design(0.75, lams, [0.2, 1.2, math.inf], times),
+                   relaxation_rates(0.6, lams, [0.0, 0.5], times)]
+        assert calls == [1024, 1976] * 2
+        monkeypatch.setattr(forward_model, "_LAM_BLOCK", 1 << 30)
+        whole = [relaxation_design(0.75, lams, [0.2, 1.2, math.inf], times),
+                 relaxation_rates(0.6, lams, [0.0, 0.5], times)]
+        assert calls[4:] == [3000] * 2
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want)
+
+    def test_cli_spectra_are_one_block(self, monkeypatch, spectrum50):
+        calls = []
+        node_weights = forward_model._node_weights
+        monkeypatch.setattr(forward_model, "_node_weights",
+                            lambda *a: calls.append(len(a[1])) or node_weights(*a))
+        lams = [lam for lam, _ in spectrum50.distinct_eigenvalues]
+        relaxation_design(0.75, lams, [0.2, 1.2, math.inf], np.linspace(0.0, 4.0, 2001))
+        assert calls == [6]
 
 
 LAMS_TO_100 = np.array([5.783185962946785, 14.681970642123893, 26.37461642716339,

@@ -605,9 +605,12 @@ class TestProjectMatchesDenseLstsq:
             n_lams, n_pieces, per))
         want_p, _, _, want_s = np.linalg.lstsq(op, y, rcond=None)
         want_r = op @ want_p - y
-        r, p, q, svals = inversion._project(design.reshape(n_t, n_lams, n_pieces),
-                                            phases, y)
+        r, p, q, svals, rd = inversion._project(design.reshape(n_t, n_lams, n_pieces),
+                                                phases, y)
         assert np.linalg.norm(p - want_p) <= 1e-12 * np.linalg.norm(want_p)
+        # R_D carries the singular values of the design (the staged rank check)
+        want_d = np.linalg.svd(design, compute_uv=False)
+        assert np.max(np.abs(np.linalg.svd(rd.reshape(len(rd), -1), compute_uv=False) - want_d)) <= 1e-12 * want_d[0]
         assert np.linalg.norm(r - want_r) <= 1e-12 * np.linalg.norm(want_r)
         assert np.max(np.abs(svals - want_s)) <= 1e-12 * want_s[0]
         # q is an orthonormal basis of the range of op (Kaufman's projection)

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracsource
 from fracsource.disc_spectrum import build_spectrum, eigenfunction_eval
 from fracsource.errors import DomainError, HorizonError, PoleProximityError
 from fracsource.forward_model import FluxTrace, SourceModel, flux_trace, grouped_amplitudes
@@ -252,6 +256,26 @@ class TestAdjointWeight:
         got = adjoint_weight_w(spec, sp_tall, 0.999, theta_z, t)
         target = t ** (alpha - 1.0) * delta_z_eval(spec, 0.999, theta_z) / math.gamma(alpha)
         assert abs(got - target) / abs(target) <= 0.05
+
+    def test_boundary_limit_study_memory(self):
+        # the relaxation basis sums its nodes over blocks of eigenvalues, so
+        # the call over the 28320 distinct eigenvalues above adds less than
+        # 50 MB of max RSS (unblocked, it went from 50 to 179 MB)
+        script = (
+            "import resource\n"
+            "from fracsource.disc_spectrum import build_spectrum\n"
+            "from fracsource.laplace_model import AdjointSpec, adjoint_weight_w\n"
+            "sp = build_spectrum(2.2e8, m_max=5)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "adjoint_weight_w(AdjointSpec(theta_z=0.4, N=5, alpha=0.75), sp, 0.999, 0.4, 1.0)\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)\n")
+        package_root = os.path.dirname(os.path.dirname(fracsource.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 50.0
 
     def test_t_positive_required(self, spectrum30):
         spec = AdjointSpec(theta_z=0.3, N=1, alpha=0.75)
