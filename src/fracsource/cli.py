@@ -145,7 +145,7 @@ def cmd_invert(args) -> int:
     result = reconstruct(tuple(traces), spectrum, inv_cfg)
     manifest = RunManifest.for_config(cfg)
     _emit(manifest, directory, "reconstruction.json",
-          result_to_json(result, spectrum))
+          result_to_json(result, spectrum, [os.path.basename(p) for p in args.traces]))
     model_flux = predicted_flux(result, spectrum, traces[0].times, sensors.angles)
     _emit(manifest, directory, "residual_curve.csv", columns_to_csv(
         "t,residual_sensor1,residual_sensor2", traces[0].times,
@@ -266,10 +266,12 @@ def cmd_plotdata(args) -> int:
     cfg = load_config(config_path) if os.path.exists(config_path) else None
 
     outputs = []
-    # tidy flux curves
+    # tidy flux curves of the traces that invert fitted, found by name in
+    # the run directory (the clean synth traces for runs without the key)
+    names = recon.get("traces") or [f"flux_sensor{i}.csv" for i in (1, 2)]
     traces = []
-    for i in (1, 2):
-        trace_path = os.path.join(run_dir, f"flux_sensor{i}.csv")
+    for i, name in enumerate(names, start=1):
+        trace_path = os.path.join(run_dir, os.path.basename(name))
         if os.path.exists(trace_path):
             with open(trace_path) as fh:
                 traces.append((i, *trace_from_csv(fh.read())))

@@ -12,11 +12,11 @@ relaxation_design builds that relaxation basis, and relaxation_rates its
 derivatives in the cuts. Both write each profile as an exponential sum
 (E_{alpha,1}(-lambda t^alpha) is completely monotone) on one node lattice that
 does not depend on alpha, so on a uniform grid every build is a product with
-one cached table. Only relaxation_design builds the basis: synthesis
+cached shift tables. Only relaxation_design builds the basis: synthesis
 (flux_traces), the order search, the amplitude solve, refinement and the
 residual curves of the inversion all use it. E_{alpha,alpha} is read from
 relaxation_rates at cut 0: here by verify_measurement_identity, on the shift
-table of its own flux_trace, and by laplace_model.adjoint_weight_w. The
+tables of its own flux_trace, and by laplace_model.adjoint_weight_w. The
 scalar mittag_leffler serves only the pointwise reference
 duhamel_mode_response.
 """
@@ -216,13 +216,24 @@ _TAU_HIGH = 800.0         # above r = _TAU_HIGH / tau_min, e^{-r tau} underflows
 # Below r = _TAYLOR_RATE / tau_max the factors e^{-r tau} are replaced by
 # their first _TAYLOR_TERMS Taylor terms in tau (remainder below 6e-15 of
 # those nodes' weight), which folds about two thirds of the nodes into 8
-# columns: the 4000-step table is 2.6 MB instead of 7.3 MB, and the
-# 16000-step one (10.9 MB instead of 29.7 MB) stays under _TABLE_MAX_BYTES.
+# columns: 77 of the 233 nodes stay exponentials on the 16000-step grid of
+# [0, 4].
 _TAYLOR_RATE = 1.0 / 16.0
 _TAYLOR_TERMS = 8
-_ROW_BLOCK = 2048         # rows per block on grids without a shift table
+_ROW_BLOCK = 2048         # rows per block on grids without shift tables
 _LAM_BLOCK = 1024         # eigenvalues per node-sum block; a power of two (_profiles)
-_TABLE_MAX_BYTES = 1 << 24
+# The accuracy route: a uniform grid gets shift tables only while
+# n * (fast nodes + _TAYLOR_TERMS) <= _SHIFT_MAX_CELLS (about 24000 steps
+# on [0, t_max] with t_max / h = n). The shift m h differs from the grid's
+# own t_i - t_{i_c} by the rounding of the times, about ulp(t_max), and next
+# to a late cut, where a profile is steep, that cost 1.8e-13 on the
+# 30001-point grid of verify (bound 1e-13); longer grids are summed at exact
+# tau. The bound is the old 16 MB cap of the unfactored table, in cells.
+_SHIFT_MAX_CELLS = 1 << 21
+# Shift factors are clipped at e^_EXP_FLOOR (2.5e-96): a product of three of
+# them (e^{-delta r}, baby, giant) and a node weight stays a normal float,
+# and BLAS products that meet subnormal numbers run about ten times slower.
+_EXP_FLOOR = -220.0
 
 
 def _node_weights(alpha: float, lams: np.ndarray, q_lo: int, q_hi: int, moment: int):
@@ -268,14 +279,37 @@ def _fold(r: np.ndarray, w: np.ndarray, n_slow: int) -> np.ndarray:
     return np.vstack([moments, w[n_slow:]])
 
 
+def _stride(n: int) -> int:
+    """Rows per giant step of _stride_powers on an n-row grid: the power of
+    two nearest sqrt(n), so both tables have about sqrt(n) rows."""
+    return 1 << round(math.log2(n) / 2)
+
+
+def _stride_powers(rates: np.ndarray, h: float, rows: int, stride: int):
+    """(baby, giant): baby[b] = e^{-b h rates} for b < stride and
+    giant[g] = e^{-g stride h rates} for g < ceil(rows / stride), so that
+    e^{-m h rates} = baby[m mod stride] giant[m div stride] for m < rows.
+    Unlike a running product's, its rounding does not grow with m."""
+    return [np.exp(np.multiply.outer(np.arange(0, top, by) * -h, rates))
+            for top, by in ((stride, 1), (rows, stride))]
+
+
 @functools.lru_cache(maxsize=2)
-def _shift_table(n: int, h: float, q_lo: int, q_hi: int) -> np.ndarray:
-    """_basis at x = m h, m < n, over the fast nodes q_lo <= q <= q_hi:
-    read-only, shared by every cut and order."""
+def _shift_tables(n: int, h: float, q_lo: int, q_hi: int):
+    """(taylor, baby, giant) for the shifts x = m h, with m below n rounded
+    up to a multiple of the stride: the Taylor columns of _basis, transposed
+    to _TAYLOR_TERMS rows, and _stride_powers of the fast nodes
+    q_lo <= q <= q_hi, clipped at e^_EXP_FLOOR, with baby transposed to one
+    row per node. Read-only and shared by every cut and order; at 16001
+    rows they hold 1.2 MB, where the unfactored n x 85 table held 10.9 MB."""
     r = np.exp(np.arange(q_lo, q_hi + 1) * _NODE_STEP)
-    table = _basis(np.arange(n) * h, r)
-    table.flags.writeable = False
-    return table
+    baby, giant = (np.maximum(p, math.exp(_EXP_FLOOR))
+                   for p in _stride_powers(r, h, n, _stride(n)))
+    taylor = _basis(np.arange(len(baby) * len(giant)) * h, r[:0])
+    tables = (np.ascontiguousarray(taylor.T), np.ascontiguousarray(baby.T), giant)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _uniform_step(times: np.ndarray):
@@ -314,11 +348,11 @@ def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
     deltas = times[starts[live]] - cuts[live]
     q_hi = _q_top(float(np.min(deltas)))
     h = _uniform_step(times)
-    table = None
+    tables = None
     if h is not None:
         q_tab = _q_top(h)
-        if n * (q_tab - q_fast + 1 + _TAYLOR_TERMS) * 8 <= _TABLE_MAX_BYTES:
-            table = _shift_table(n, h, q_fast, q_tab)
+        if n * (q_tab - q_fast + 1 + _TAYLOR_TERMS) <= _SHIFT_MAX_CELLS:
+            tables = _shift_tables(n, h, q_fast, q_tab)
             q_hi = max(q_hi, q_tab)   # a cut before t_0 may have delta > h
     # node sums over blocks of _LAM_BLOCK eigenvalues (the last up to twice that) to
     # bound memory; each starts at a multiple of it, on the BLAS column tiles
@@ -327,10 +361,10 @@ def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
         js = slice(j0, j0 + _LAM_BLOCK if j0 + 2 * _LAM_BLOCK <= len(lams) else None)
         r, w = _node_weights(alpha, lams[js], q_lo, q_hi, moment)
         # rows summed at their exact tau: the first row after each cut, whose
-        # tau may lie anywhere in (0, h], and without a table all later rows
+        # tau may lie anywhere in (0, h], and without shift tables all later rows
         for b, c, i0 in zip(np.flatnonzero(live), cuts[live], starts[live]):
             blocks = [(i0, i0 + 1)]
-            if table is None:
+            if tables is None:
                 blocks += [(lo, lo + _ROW_BLOCK) for lo in range(i0 + 1, n, _ROW_BLOCK)]
             for lo, hi in blocks:
                 tau = times[lo:hi] - c
@@ -338,15 +372,26 @@ def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
                     top = _q_top(float(tau[0])) - q_lo + 1
                     out[lo:lo + len(tau), js, b] = (_basis(tau, r[n_slow:top])
                                                     @ _fold(r[:top], w[:top], n_slow))
-        if table is not None and np.min(starts) + 1 < n:
+        if tables is not None and np.min(starts) + 1 < n:
             # later rows: t_i - c = delta + m h with delta = t_{i0} - c, so
-            # e^{-(t_i - c) r} = e^{-delta r} e^{-m h r}, one product for all cuts
-            top = n_slow + table.shape[1] - _TAYLOR_TERMS
-            shifted = np.exp(-np.multiply.outer(r[:top], deltas))[:, None, :] * w[:top, :, None]
-            folded = _fold(r[:top], shifted.reshape(top, -1), n_slow)
-            body = (table[1:n - int(np.min(starts))] @ folded).reshape(-1, w.shape[1], len(deltas))
+            # e^{-(t_i - c) r} = e^{-delta r} baby[m mod s] giant[m div s],
+            # for all cuts at once: the Taylor columns are one product, and
+            # entry [m div s, (column, m mod s)] of giant @ (folded weights x
+            # baby) is row m of the exponentials
+            taylor, baby, giant = tables
+            stride = baby.shape[1]
+            steps = -(-(n - int(np.min(starts))) // stride)
+            top = n_slow + len(baby)
+            shifted = np.exp(np.maximum(-np.multiply.outer(r[:top], deltas), _EXP_FLOOR))
+            folded = _fold(r[:top], (shifted[:, None, :] * w[:top, :, None]).reshape(top, -1),
+                           n_slow)
+            fast = giant[:steps] @ (folded[_TAYLOR_TERMS:, :, None]
+                                    * baby[:, None, :]).reshape(len(baby), -1)
+            body = folded[:_TAYLOR_TERMS].T @ taylor[:, :steps * stride]
+            body.reshape(-1, steps, stride)[:] += fast.reshape(steps, -1, stride).transpose(1, 0, 2)
+            body = body.reshape(w.shape[1], len(deltas), -1)
             for col, b in enumerate(np.flatnonzero(live)):
-                out[starts[b] + 1:, js, b] = body[:n - starts[b] - 1, :, col]
+                out[starts[b] + 1:, js, b] = body[:, col, 1:n - starts[b]].T
     # closed forms: the lattice below q_lo, where e^{-r tau} = 1 and
     # r K(r) ~ sin(alpha pi) r^alpha / (pi lam), summed as a geometric series;
     # and for alpha > 2/3 the trapezoidal error of the pole of the integrand
@@ -371,12 +416,9 @@ def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
         stops = np.searchsorted(times, cuts + tau_stop, side="right")
         if h is not None:
             # tau = delta + m h, so e^{-r* tau} = e^{-r* delta} z^m with
-            # z = e^{-r* h} for every cut; z^m = z^(m mod 64) (z^64)^(m div 64),
-            # whose rounding, unlike a running product's, does not grow with
-            # m, and which does not depend on the other bounds or rows
+            # z = e^{-r* h} for every cut, from the strided powers of the grid
             rows = int(np.max(stops - starts))
-            z_lo = np.exp(np.multiply.outer(np.arange(64) * -h, r_star))
-            z_hi = np.exp(np.multiply.outer(np.arange(0, rows, 64) * -h, r_star))
+            z_lo, z_hi = _stride_powers(r_star, h, rows, _stride(n))
             zm = (z_hi[:, None] * z_lo).reshape(-1, len(lams))
         for b in np.flatnonzero(stops > starts):
             c, i0, i1 = cuts[b], starts[b], stops[b]
@@ -408,27 +450,32 @@ def relaxation_design(alpha: float, lams, bounds, times) -> np.ndarray:
     form (tail_j; lower still if r^alpha > 3e-9 lambda_min there), up to
     log(800 / h), above which e^{-r h} underflows: 228 nodes on the
     4000-step grid of [0, 4]. The 156 of them with r tau_max <= 1/16 enter
-    through the first 8 Taylor terms of e^{-r tau}, so the table there has
-    80 columns (2.6 MB instead of 7.3 MB; see _TAYLOR_RATE). For
-    alpha > 2/3, pole_j removes the quadrature error of the integrand's
-    pole in closed form. On a uniform grid
+    through the first 8 Taylor terms of e^{-r tau} (see _TAYLOR_RATE), so
+    72 stay exponentials. For alpha > 2/3, pole_j removes the quadrature
+    error of the integrand's pole in closed form. On a uniform grid
     e^{-(t_i - c) r} = e^{-delta r} e^{-(i - i_c) h r}, with i_c the first
-    row after c and delta = t_{i_c} - c, so one cached table of the
-    e^{-m h r_q} serves every cut and every order, and a build is one
-    matrix product for all finite bounds; the pole term, Im(coef_j
-    e^{-r*_j delta} z_j^(i - i_c)) with z_j = e^{-r*_j h}, is a geometric
-    sequence in the row, one for all bounds. Other grids sum it at exact tau.
+    row after c and delta = t_{i_c} - c, so cached shift tables serve every
+    cut and every order: the Taylor columns at m h, and the factors
+    e^{-m h r_q} = e^{-(m mod s) h r_q} e^{-(m div s) s h r_q} as two tables
+    of s and ceil(n / s) rows, s the power of two nearest sqrt(n)
+    (_stride_powers; 1.2 MB at 16001 rows). A build is then two matrix
+    products for all finite bounds. The pole term, Im(coef_j e^{-r*_j delta}
+    z_j^(i - i_c)) with z_j = e^{-r*_j h}, is a geometric sequence in the
+    row, from the same strided powers, one for all bounds. Other grids sum
+    it at exact tau.
 
     Rows (times increasing): tau <= 0 gives exactly 1. The first row after
     a bound has 0 < tau = delta <= h and is summed at its own tau over nodes
-    up to log(800 / delta). Grids that are not uniform, or whose table would
-    exceed 16 MB (the 30001-point grid of verify), are summed at their
-    exact tau in row blocks. Each value agrees with the scalar
-    mittag_leffler to 1e-13 for alpha <= 0.985 (5e-14 at most where measured)
-    and with mpmath to 1.4e-13 up to 0.999;
+    up to log(800 / delta). Grids that are not uniform, or longer than the
+    accuracy route _SHIFT_MAX_CELLS allows (the 30001-point grid of verify),
+    are summed at their exact tau in row blocks. Each value agrees with the
+    scalar mittag_leffler to 1e-13 for alpha <= 0.985 (5e-14 at most where
+    measured) and with mpmath to 1.4e-13 up to 0.999;
     the error grows as alpha -> 1, to 7e-13 at 0.9999, where the pole lies
-    3e-4 off the real u axis. A value does not depend on the other bounds,
-    eigenvalues or rows of the call.
+    3e-4 off the real u axis. A value can depend in its last bits on the
+    other bounds, eigenvalues and rows of the call (4.4e-16 where
+    measured): the BLAS products round by their tiling, and the stride
+    follows the number of rows.
     """
     bounds = np.asarray(bounds, dtype=float)
     finite = np.isfinite(bounds)
@@ -569,7 +616,7 @@ def verify_measurement_identity(model: SourceModel, sensor_angle: float,
     inv_gamma_a = 1.0 / math.gamma(alpha)
     # F_k(s) = sum_j b[j,k] (1/Gamma(a) - E_{a,a}(-lambda_j s^a)) on the grid,
     # E_{a,a} from the cut column lambda s^(a-1) E_{a,a}(-lambda s^a) at cut 0,
-    # whose shift table the flux_trace above has built
+    # whose shift tables the flux_trace above has built
     e_aa = np.empty((len(lams), len(times)))
     e_aa[:, 0] = inv_gamma_a
     e_aa[:, 1:] = (relaxation_rates(alpha, lams, [0.0], times)[1:, :, 0]

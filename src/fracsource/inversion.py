@@ -430,7 +430,7 @@ def _cut_jacobian(alpha: float, lams: np.ndarray, cuts, t: np.ndarray,
 
 
 def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
-                 cfg: InversionConfig) -> ReconstructionResult:
+                 cfg: InversionConfig, start=None) -> ReconstructionResult:
     """Variable-projection Gauss-Newton on theta = (alpha, cuts), minimizing
     the stacked two-sensor time-domain residual; never increases the
     residual of the staged start.
@@ -454,6 +454,10 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     sensors' samples before the first cut, where the model is exactly zero;
     it is 0 on noiseless data and with fewer than 16 such samples, and the
     rule is then off.
+
+    start, when given, is the _project result (r, p, q, svals) at the
+    staged alpha and cuts, which reconstruct has from _staged_result;
+    without it refine_joint projects there itself.
 
     The log entry holds initial_residual (the projected residual at the
     staged alpha and cuts), noise_sigma (sigma above), final_residual,
@@ -489,7 +493,7 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     if not feasible(theta):
         raise ValidationError("initial refine point outside the feasible region",
                               clause="refine-start")
-    r, p, q, svals, _ = project(theta)
+    r, p, q, svals = start or project(theta)[:4]
     cost = float(r @ r)
     sigma = _pre_onset_sigma(traces, theta[1])
     log = {"iterations": 0, "initial_residual": math.sqrt(cost),
@@ -550,15 +554,16 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
 
 
 def _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat, interior, stage_log):
-    """The coefficients at the staged alpha and cuts, from the same
-    projection that refine_joint iterates on, after degenerate-piece
-    pruning."""
+    """(result, projection): the coefficients at the staged alpha and cuts,
+    after degenerate-piece pruning, and the _project result (r, p, q, svals)
+    they come from, which is where refine_joint starts."""
     t, lams, c, phases, y = _two_sensor_problem(traces, spectrum)
 
     def solve(cuts):
-        """(coefficient rows of the pieces, diagnostics) at alpha_hat, cuts."""
+        """(coefficient rows of the pieces, diagnostics, projection) at
+        alpha_hat, cuts."""
         design = relaxation_design(alpha_hat, lams, cuts + [math.inf], t)
-        r, p, _, _, rd = _project(design, phases, y)
+        r, p, q, op_svals, rd = _project(design, phases, y)
         svals = np.linalg.svd(rd.reshape(len(rd), -1), compute_uv=False)  # D's
         if svals[0] > 0 and svals[-1] ** 2 < 1e-14 * svals[0] ** 2:
             raise ConditioningError(
@@ -566,11 +571,11 @@ def _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat, interior, stage_log
                 f"around lambda = {lams[-1]:.4f}")
         residuals = [float(np.linalg.norm(rl)) / (float(np.linalg.norm(yl)) or 1.0)
                      for rl, yl in zip(np.split(r, len(traces)), np.split(y, len(traces)))]
-        return p.reshape(len(cuts), -1) @ c, {
-            "relative_residuals": residuals, "sigma_ratio": _sigma_ratio(svals)}
+        diag = {"relative_residuals": residuals, "sigma_ratio": _sigma_ratio(svals)}
+        return p.reshape(len(cuts), -1) @ c, diag, (r, p, q, op_svals)
 
     cuts_hat = [c0_hat] + list(interior)
-    values, diag = solve(cuts_hat)
+    values, diag, projection = solve(cuts_hat)
     # degenerate-piece pruning: a vanishing piece norm or a vanishing jump
     # between neighbors means the change point was spurious
     tol = cfg.merge_norm_ratio * float(np.max(np.linalg.norm(values, axis=1)))
@@ -579,7 +584,7 @@ def _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat, interior, stage_log
     if len(drop):
         stage_log.append(("merge_pieces", {"dropped_cuts": drop.tolist()}))
         cuts_hat = [cut for k, cut in enumerate(cuts_hat) if k not in drop]
-        values, diag = solve(cuts_hat)
+        values, diag, projection = solve(cuts_hat)
     stage_log.append(("staged_coefficients", diag))
     delta = traces[0].sensor_angle - traces[1].sensor_angle
     condition_report = {mo.m: abs(2.0 * math.sin(mo.m * delta))
@@ -593,7 +598,7 @@ def _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat, interior, stage_log
         residual_norm=max(diag["relative_residuals"]),
         stage_log=stage_log,
         condition_report=condition_report,
-    )
+    ), projection
 
 
 def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = None
@@ -616,10 +621,10 @@ def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = N
     stage_log.append(("estimate_alpha", diag))
     interior = detect_change_points(traces, c0_hat, cfg)
     stage_log.append(("detect_change_points", {"cuts": list(interior)}))
-    result = _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat,
-                            interior, stage_log)
+    result, projection = _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat,
+                                        interior, stage_log)
     if cfg.refine:
-        result = refine_joint(result, traces, spectrum, cfg)
+        result = refine_joint(result, traces, spectrum, cfg, projection)
     return result
 
 
@@ -633,7 +638,10 @@ def predicted_flux(result: ReconstructionResult, spectrum: SpectrumTable,
     return [f.real for f in fluxes]
 
 
-def result_to_json(result: ReconstructionResult, spectrum: SpectrumTable) -> str:
+def result_to_json(result: ReconstructionResult, spectrum: SpectrumTable,
+                   traces=None) -> str:
+    """The reconstruction.json document; traces, when given, are the file
+    names of the input traces, recorded under "traces"."""
     coeff_rows = []
     for k, pc in enumerate(result.coeffs_hat):
         for i, mo in enumerate(spectrum.modes):
@@ -650,6 +658,8 @@ def result_to_json(result: ReconstructionResult, spectrum: SpectrumTable) -> str
         "condition_report": {str(k): v for k, v in result.condition_report.items()},
         "stage_log": [[name, _jsonable(d)] for name, d in result.stage_log],
     }
+    if traces is not None:
+        payload["traces"] = list(traces)
     return json.dumps(payload, indent=1)
 
 

@@ -502,3 +502,28 @@ class TestPlotdataCommand:
         assert np.array_equal(flux[:, 0], np.concatenate([traces[0][0], traces[1][0]]))
         assert np.array_equal(flux[:, 1], np.repeat([1.0, 2.0], len(traces[0][0])))
         assert np.array_equal(flux[:, 2], np.concatenate([traces[0][1], traces[1][1]]))
+
+    def test_plots_the_traces_that_invert_fitted(self, tmp_path):
+        # after a fit to the 1 %-noise traces, reconstruction.json names them
+        # and plotdata plots and transforms those, not the clean ones
+        cfg_path = write_config(tmp_path, {"grid.steps": 2000, "noise.level": 0.01,
+                                           "inversion.refine": False})
+        assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
+        run = tmp_path / "run"
+        names = [f"flux_sensor{i}_noisy.csv" for i in (1, 2)]
+        assert main(["invert", "--config", cfg_path, "--quiet",
+                     *(str(run / name) for name in names)]) == 0
+        recon = json.loads((run / "reconstruction.json").read_text())
+        assert recon["traces"] == names
+        assert main(["plotdata", str(run), "--quiet"]) == 0
+        noisy = [trace_from_csv((run / name).read_text()) for name in names]
+        clean = [trace_from_csv((run / f"flux_sensor{i}.csv").read_text()) for i in (1, 2)]
+        assert not np.array_equal(noisy[0][1], clean[0][1])
+        flux = np.loadtxt(run / "plot_flux_vs_t.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(flux[:, 2], np.concatenate([noisy[0][1], noisy[1][1]]))
+        inv = build_inversion_config(load_config(cfg_path))
+        delta = min(inv.changepoint_min_gap, inv.alpha_leading_delta)
+        s = np.geomspace(*inv.alpha_fit_window, inv.alpha_fit_points)
+        gv = sum(_window_transform(t, -v, recon["cuts_hat"][0], delta, s) for t, v in noisy)
+        got = np.loadtxt(run / "plot_alpha_fit.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(got[:, 1], np.log(np.abs(gv)))

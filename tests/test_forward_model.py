@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -329,6 +332,57 @@ class TestEigenvalueBlocks:
         assert calls == [6]
 
 
+class TestShiftTables:
+    """Uniform grids up to the accuracy route sum their later rows through
+    the factored shift tables; longer and non-uniform grids are summed at
+    exact tau, without building any."""
+
+    @pytest.mark.parametrize("times, builds", [
+        (np.linspace(0.0, 4.0, 16001), [16001]),
+        (np.linspace(0.0, 30.0, 30001), []),
+        (np.concatenate([[0.0], np.sort(np.random.default_rng(5).uniform(0.0, 4.0, 3000))]), []),
+    ], ids=["16000-steps", "verify-30001-points", "non-uniform"])
+    def test_routing(self, monkeypatch, times, builds):
+        calls = []
+        tables = forward_model._shift_tables
+        monkeypatch.setattr(forward_model, "_shift_tables",
+                            lambda *a: calls.append(a[0]) or tables(*a))
+        relaxation_design(0.75, LAMS_TO_100, [0.2, 1.2, math.inf], times)
+        relaxation_rates(0.75, LAMS_TO_100, [0.0, 1.2], times)
+        assert calls == builds * 2
+
+    def test_flux_traces_memory(self):
+        # flux_traces on the reference model with 16000 steps raises the peak
+        # RSS by less than 12 MB (about 7 MB; 25 MB with an unfactored n x 85
+        # table). The peak is VmHWM, the child's own: its ru_maxrss would
+        # include the RSS that pytest had when it started the child.
+        script = (
+            "import json, sys\n"
+            "from fracsource.config import build_source_model, load_config\n"
+            "from fracsource.disc_spectrum import build_spectrum\n"
+            "from fracsource.forward_model import flux_traces\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(row.split()[1]) for row in fh if row.startswith('VmHWM:'))\n"
+            "doc = json.load(open(sys.argv[1]))\n"
+            "doc['grid']['steps'] = 16000\n"
+            "cfg = load_config(json.dumps(doc))\n"
+            "spectrum = build_spectrum(float(cfg.spectrum['lambda_max']))\n"
+            "model = build_source_model(cfg, spectrum)\n"
+            "times = cfg.times()\n"
+            "before = peak()\n"
+            "flux_traces(model, cfg.sensor_config().angles, times)\n"
+            "print((peak() - before) / 1024)\n")
+        package_root = os.path.dirname(os.path.dirname(forward_model.__file__))
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.json")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", script, config], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 12.0
+
+
 LAMS_TO_100 = np.array([5.783185962946785, 14.681970642123893, 26.37461642716339,
                         49.21845632169460, 100.0])
 
@@ -402,6 +456,12 @@ class TestExpSumBasis:
         # 30001 points on [0, 30]: no shift table, rows in blocks
         t = np.linspace(0.0, 30.0, 30001)
         self._check(alpha, [0.2, 1.2, float(np.nextafter(t[25300], 0.0)), math.inf], t)
+
+    @pytest.mark.parametrize("alpha", (0.55, 0.75, 0.9, 0.985))
+    def test_grid_of_16000_steps(self, alpha):
+        # the largest grid that takes the factored shift tables
+        t = np.linspace(0.0, 4.0, 16001)
+        self._check(alpha, [0.2, 1.2, float(np.nextafter(t[12000], 0.0)), math.inf], t)
 
     def test_window_after_a_bound(self):
         # the order search builds on a window of the grid, and a bound may

@@ -160,7 +160,7 @@ class TestSolveAmplitudes:
         model = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
                             piece_coeffs=(p1, p2), spectrum=spectrum50)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        got = inversion._staged_result(traces, spectrum50, CFG, 0.2, 0.75, [1.2], [])
+        got, _ = inversion._staged_result(traces, spectrum50, CFG, 0.2, 0.75, [1.2], [])
         assert got.K_hat == 2
         rebuilt = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
                               piece_coeffs=tuple(got.coeffs_hat), spectrum=spectrum50)
@@ -173,8 +173,8 @@ class TestSolveAmplitudes:
         assert max(dict(got.stage_log)["staged_coefficients"]["relative_residuals"]) < 1e-6
 
     def test_sigma_ratio_recorded(self, spectrum30, reference_traces):
-        got = inversion._staged_result(reference_traces, spectrum30, CFG,
-                                       0.2, 0.75, [1.2], [])
+        got, _ = inversion._staged_result(reference_traces, spectrum30, CFG,
+                                          0.2, 0.75, [1.2], [])
         diag = dict(got.stage_log)["staged_coefficients"]
         lams = np.array([lam for lam, _ in spectrum30.distinct_eigenvalues])
         t = reference_traces[0].times
@@ -185,7 +185,7 @@ class TestSolveAmplitudes:
     def test_zero_traces_zero_amplitudes(self, spectrum30, reference_grid):
         traces = (FluxTrace(0.3, reference_grid, np.zeros_like(reference_grid)),
                   FluxTrace(1.3, reference_grid, np.zeros_like(reference_grid)))
-        got = inversion._staged_result(traces, spectrum30, CFG, 0.2, 0.75, [], [])
+        got, _ = inversion._staged_result(traces, spectrum30, CFG, 0.2, 0.75, [], [])
         assert got.K_hat == 1
         assert np.all(got.coeffs_hat[0].values == 0)
 
@@ -483,6 +483,27 @@ class TestRefineNoisy:
         assert log["stop"] == "noise-floor"
         assert "warning" not in log
         assert 0 < log["sigma_ratio"] < 1
+
+    def test_starts_from_the_staged_projection(self, spectrum30, noisy_staged,
+                                               monkeypatch):
+        # reconstruct hands the staged projection to refine_joint, which then
+        # builds one relaxation basis fewer and returns the same result
+        traces, staged = noisy_staged
+        cfg = InversionConfig(changepoint_min_gap=0.3)
+        result, start = inversion._staged_result(traces, spectrum30, cfg, staged.cuts_hat[0],
+                                                 staged.alpha_hat, staged.cuts_hat[1:], [])
+        builds = []
+        design = inversion.relaxation_design
+        monkeypatch.setattr(inversion, "relaxation_design",
+                            lambda *args: builds.append(1) or design(*args))
+        own = refine_joint(result, traces, spectrum30, cfg)
+        own_builds = len(builds)
+        handed = refine_joint(result, traces, spectrum30, cfg, start)
+        assert len(builds) - own_builds == own_builds - 1
+        assert (handed.alpha_hat, handed.cuts_hat) == (own.alpha_hat, own.cuts_hat)
+        assert all(np.array_equal(a.values, b.values)
+                   for a, b in zip(handed.coeffs_hat, own.coeffs_hat))
+        assert handed.stage_log == own.stage_log
 
     def test_noise_floor_agrees_with_the_no_decrease_stop(self, spectrum30,
                                                           noisy_staged, monkeypatch):

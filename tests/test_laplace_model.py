@@ -259,16 +259,20 @@ class TestAdjointWeight:
 
     def test_boundary_limit_study_memory(self):
         # the relaxation basis sums its nodes over blocks of eigenvalues, so
-        # the call over the 28320 distinct eigenvalues above adds less than
-        # 50 MB of max RSS (unblocked, it went from 50 to 179 MB)
+        # the call over the 28320 distinct eigenvalues above raises the peak
+        # RSS by less than 50 MB (unblocked, it went from 50 to 179 MB). The
+        # peak is VmHWM, the child's own: its ru_maxrss would include the RSS
+        # that pytest had when it started the child, and read 0 in a full run
         script = (
-            "import resource\n"
             "from fracsource.disc_spectrum import build_spectrum\n"
             "from fracsource.laplace_model import AdjointSpec, adjoint_weight_w\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(row.split()[1]) for row in fh if row.startswith('VmHWM:'))\n"
             "sp = build_spectrum(2.2e8, m_max=5)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
             "adjoint_weight_w(AdjointSpec(theta_z=0.4, N=5, alpha=0.75), sp, 0.999, 0.4, 1.0)\n"
-            "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)\n")
+            "print((peak() - before) / 1024)\n")
         package_root = os.path.dirname(os.path.dirname(fracsource.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
