@@ -351,6 +351,8 @@ class TestShiftTables:
         relaxation_rates(0.75, LAMS_TO_100, [0.0, 1.2], times)
         assert calls == builds * 2
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM, which only Linux reports")
     def test_flux_traces_memory(self):
         # flux_traces on the reference model with 16000 steps raises the peak
         # RSS by less than 12 MB (about 7 MB; 25 MB with an unfactored n x 85
