@@ -461,7 +461,8 @@ class TestExpSumBasis:
 
     @pytest.mark.parametrize("alpha", (0.55, 0.75, 0.9, 0.985))
     def test_grid_of_16000_steps(self, alpha):
-        # the largest grid that takes the factored shift tables
+        # the 16000-step grid of the benchmark, the longest in use that takes
+        # the factored shift tables
         t = np.linspace(0.0, 4.0, 16001)
         self._check(alpha, [0.2, 1.2, float(np.nextafter(t[12000], 0.0)), math.inf], t)
 
