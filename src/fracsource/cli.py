@@ -34,6 +34,7 @@ from .disc_spectrum import build_spectrum, eigenfunction_eval, project_function,
 from .errors import AccuracyError, ConditioningError, FracsourceError, ValidationError
 from .forward_model import (
     FluxTrace,
+    check_sensor_geometry,
     flux_trace,
     flux_traces,
     relaxation_design,
@@ -87,7 +88,8 @@ def cmd_synth(args) -> int:
     spectrum = build_spectrum(float(cfg.spectrum["lambda_max"]))
     model = build_source_model(cfg, spectrum)
     sensors = cfg.sensor_config()
-    sensors.validate_margin(spectrum, float(cfg.inversion["margin_min"]))
+    check_sensor_geometry(spectrum, sensors.theta1 - sensors.theta2,
+                          float(cfg.inversion["margin_min"]))
     times = cfg.times()
     traces = flux_traces(model, sensors.angles, times)
     manifest = RunManifest.for_config(cfg)

@@ -48,16 +48,20 @@ class EmptySignalError(FracsourceError, ValueError):
     """No trace sample exceeds the onset detection threshold."""
 
 
-class SensorGeometryError(FracsourceError, ValueError):
-    """The two-sensor determinant 2i*sin(|m|(theta1-theta2)) is degenerate."""
+class SensorGeometryError(ValidationError):
+    """The two-sensor determinant 2i*sin(|m|(theta1-theta2)) is degenerate.
+
+    Carries the offending order |m| as m, and the clause "sensor-margin".
+    """
 
     def __init__(self, message, m=None):
-        super().__init__(message)
+        super().__init__(message, clause="sensor-margin")
         self.m = m
 
 
 class ConditioningError(FracsourceError):
-    """Least-squares system rank-deficient beyond what damping can absorb."""
+    """The design matrix is rank-deficient: its smallest singular value is
+    below 1e-7 of its largest, so the coefficients are not determined."""
 
 
 class BracketingError(FracsourceError, RuntimeError):

@@ -34,7 +34,7 @@ from .disc_spectrum import (
     eigenfunction_eval,
     normalizer_sign,
 )
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import DomainError, SensorGeometryError, ShapeError, ValidationError
 from .specfun import (
     SampledTrace,
     fractional_integral,
@@ -45,7 +45,7 @@ __all__ = [
     "SourceModel",
     "SensorConfig",
     "FluxTrace",
-    "irrationality_margin",
+    "check_sensor_geometry",
     "duhamel_mode_response",
     "flux_trace",
     "flux_traces",
@@ -127,13 +127,25 @@ class SourceModel:
         return all(pc.is_real_field(self.spectrum, tol) for pc in self.piece_coeffs)
 
 
-def irrationality_margin(spectrum: SpectrumTable, delta_theta: float) -> float:
-    """min over represented |m| != 0 of |sin(|m| * delta_theta)|; infinite
-    when only m=0 modes are present."""
-    ms = sorted({abs(mo.m) for mo in spectrum.modes if mo.m != 0})
-    if not ms:
-        return math.inf
-    return float(min(abs(math.sin(m * delta_theta)) for m in ms))
+def check_sensor_geometry(spectrum: SpectrumTable, delta_theta: float,
+                          margin_min: float) -> dict:
+    """The sensor-geometry guard of synthesis and inversion: the condition
+    report {|m|: |2 sin(|m| delta_theta)|} over the represented |m| != 0, in
+    the order of the modes. Each value is the modulus of the determinant
+    2i sin(|m| delta_theta) of the two-sensor solve of a +-m pair, and half
+    the smallest is the irrationality margin min |sin(|m| delta_theta)|.
+
+    Raises SensorGeometryError naming the |m| of that margin when it is
+    below margin_min."""
+    report = {mo.m: abs(2.0 * math.sin(mo.m * delta_theta))
+              for mo in spectrum.modes if mo.m > 0}
+    if report:
+        m = min(report, key=report.get)
+        if report[m] < 2.0 * margin_min:
+            raise SensorGeometryError(
+                f"sensor margin |sin({m} * delta_theta)| = {report[m] / 2:.3g} "
+                f"below {margin_min} at |m| = {m}, delta_theta = {delta_theta}", m=m)
+    return report
 
 
 @dataclass(frozen=True)
@@ -148,14 +160,6 @@ class SensorConfig:
             if not 0.0 <= th < 2.0 * np.pi:
                 raise ValidationError(f"sensor angle {th} outside [0, 2pi)",
                                       clause="sensor-range")
-
-    def validate_margin(self, spectrum: SpectrumTable, margin_min: float = 1e-3):
-        margin = irrationality_margin(spectrum, self.theta1 - self.theta2)
-        if margin < margin_min:
-            raise ValidationError(
-                f"sensor margin {margin:.3g} below {margin_min} for "
-                f"delta_theta={self.theta1 - self.theta2}", clause="sensor-margin")
-        return margin
 
     @property
     def angles(self):

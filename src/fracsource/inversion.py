@@ -27,12 +27,11 @@ from .disc_spectrum import (
 from .errors import (
     ConditioningError,
     EmptySignalError,
-    SensorGeometryError,
     ShapeError,
     ValidationError,
 )
 from .forward_model import (
-    irrationality_margin,
+    check_sensor_geometry,
     relaxation_design,
     relaxation_flux,
     relaxation_rates,
@@ -45,7 +44,6 @@ __all__ = [
     "estimate_alpha",
     "fit_log_slope",
     "detect_change_points",
-    "split_multiplicity",
     "refine_joint",
     "reconstruct",
     "result_to_json",
@@ -310,53 +308,6 @@ def _sigma_ratio(svals: np.ndarray) -> float:
     return float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0
 
 
-def split_multiplicity(grouped: np.ndarray, spectrum: SpectrumTable, sensors,
-                       cfg: InversionConfig):
-    """Recover p_{k,n} from grouped amplitudes.
-
-    m = 0: p = sqrt(pi lam) * b (sensor-averaged). Pairs: the exact 2x2 solve
-    with determinant 2i sin(|m| (theta1 - theta2)); raises when the margin
-    guard fails. Returns (list of ModeCoefficients, condition_report).
-
-    This is the paper's two-sensor construction, kept as its reference and
-    as the subject of the sensor-geometry check. The pipeline does not call
-    it: reconstruct solves for the coefficients of both sensors at once
-    (_project), and its irrationality_margin check guards the geometry.
-    """
-    theta1, theta2 = sensors
-    groups = spectrum.distinct_eigenvalues
-    n_pieces = grouped.shape[2]
-    if grouped.shape[0] != 2 or grouped.shape[1] != len(groups):
-        raise ShapeError("grouped amplitudes must be (2, J, K)")
-    condition_report = {}
-    values = np.zeros((n_pieces, len(spectrum)), dtype=complex)
-    for j, (lam, idx) in enumerate(groups):
-        sign = normalizer_sign(spectrum.modes[idx[0]])
-        scale = sign * math.sqrt(math.pi) * math.sqrt(lam)
-        if len(idx) == 1:
-            for k in range(n_pieces):
-                values[k, idx[0]] = scale * 0.5 * (grouped[0, j, k] + grouped[1, j, k])
-            continue
-        m = abs(spectrum.modes[idx[0]].m)
-        det = 2j * math.sin(m * (theta1 - theta2))
-        condition_report[m] = abs(det)
-        if abs(math.sin(m * (theta1 - theta2))) < cfg.margin_min:
-            raise SensorGeometryError(
-                f"determinant 2 sin({m} * delta_theta) = {abs(det):.3g} below "
-                f"margin {cfg.margin_min}", m=m)
-        e1p, e1m = np.exp(1j * m * theta1), np.exp(-1j * m * theta1)
-        e2p, e2m = np.exp(1j * m * theta2), np.exp(-1j * m * theta2)
-        for k in range(n_pieces):
-            rhs1 = scale * grouped[0, j, k]
-            rhs2 = scale * grouped[1, j, k]
-            p_plus = (e2m * rhs1 - e1m * rhs2) / det
-            p_minus = (-e2p * rhs1 + e1p * rhs2) / det
-            values[k, idx[0]] = p_plus
-            values[k, idx[1]] = p_minus
-    coeffs = [ModeCoefficients(values=values[k]) for k in range(n_pieces)]
-    return coeffs, condition_report
-
-
 def _dof_map(spectrum: SpectrumTable):
     """(C, G) of the real parametrization of one conjugate-symmetric
     coefficient set: dof i is the coefficient of an m = 0 mode i, and a
@@ -400,7 +351,17 @@ def _project(design: np.ndarray, phases, y: np.ndarray):
     D the (n_t, J, K) design as n_t x JK, M_l the map of sensor l's phase
     rows: p the least-squares coefficients, r = op @ p - y, q an orthonormal
     basis of the range of op and svals its singular values, all from QRs of
-    D = Q_D R_D (R_D as (JK, J, K)) and of the small [R_D M_1; R_D M_2] = Q_G R_G."""
+    D = Q_D R_D (R_D as (JK, J, K)) and of the small [R_D M_1; R_D M_2] = Q_G R_G.
+
+    This is the paper's two-sensor elimination, solved for every piece and
+    time at once. With a_n(z) = exp(i m theta) / sqrt(pi lam), the grouped
+    amplitude b_l of a +-m pair at sensor l, scaled to
+    s_l = sign * sqrt(pi lam) * b_l, is exp(i m theta_l) p_+ + exp(-i m theta_l) p_-,
+    and the 2x2 solve is
+        p_+ = (exp(-i m theta_2) s_1 - exp(-i m theta_1) s_2) / d,
+        p_- = (exp(i m theta_1) s_2 - exp(i m theta_2) s_1) / d,
+    with determinant d = 2i sin(|m| (theta_1 - theta_2)), which
+    check_sensor_geometry keeps away from 0. An m = 0 mode has p = s_l."""
     n_t, n_lams, n_pieces = design.shape
     qd, rd = np.linalg.qr(design.reshape(n_t, -1))
     rd = rd.reshape(-1, n_lams, n_pieces)
@@ -553,10 +514,12 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     )
 
 
-def _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat, interior, stage_log):
+def _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat, interior, stage_log,
+                   condition_report):
     """(result, projection): the coefficients at the staged alpha and cuts,
     after degenerate-piece pruning, and the _project result (r, p, q, svals)
-    they come from, which is where refine_joint starts."""
+    they come from, which is where refine_joint starts. condition_report is
+    that of check_sensor_geometry."""
     t, lams, c, phases, y = _two_sensor_problem(traces, spectrum)
 
     def solve(cuts):
@@ -586,9 +549,6 @@ def _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat, interior, stage_log
         cuts_hat = [cut for k, cut in enumerate(cuts_hat) if k not in drop]
         values, diag, projection = solve(cuts_hat)
     stage_log.append(("staged_coefficients", diag))
-    delta = traces[0].sensor_angle - traces[1].sensor_angle
-    condition_report = {mo.m: abs(2.0 * math.sin(mo.m * delta))
-                        for mo in spectrum.modes if mo.m > 0}
     coeffs = [ModeCoefficients(values=v) for v in values]
     return ReconstructionResult(
         alpha_hat=alpha_hat,
@@ -609,11 +569,8 @@ def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = N
     if len(traces) != 2:
         raise ValidationError("exactly two sensor traces required",
                               clause="sensor-count")
-    margin = irrationality_margin(
-        spectrum, traces[0].sensor_angle - traces[1].sensor_angle)
-    if margin < cfg.margin_min:
-        raise SensorGeometryError(
-            f"sensor margin {margin:.3g} below {cfg.margin_min}")
+    condition_report = check_sensor_geometry(
+        spectrum, traces[0].sensor_angle - traces[1].sensor_angle, cfg.margin_min)
     stage_log = []
     c0_hat = detect_onset(traces, cfg)
     stage_log.append(("detect_onset", {"c0_hat": c0_hat}))
@@ -622,7 +579,7 @@ def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = N
     interior = detect_change_points(traces, c0_hat, cfg)
     stage_log.append(("detect_change_points", {"cuts": list(interior)}))
     result, projection = _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat,
-                                        interior, stage_log)
+                                        interior, stage_log, condition_report)
     if cfg.refine:
         result = refine_joint(result, traces, spectrum, cfg, projection)
     return result

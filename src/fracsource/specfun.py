@@ -9,9 +9,8 @@ arguments too close to the contour rays. It is a scalar evaluator for complex
 arguments: the reference for forward_model.duhamel_mode_response and the tests.
 Batches on the negative real axis (synthesis, inversion, verify and
 laplace_model.adjoint_weight_w) come from the exponential-sum relaxation basis
-of forward_model instead. The evaluator takes 1/Gamma from scipy.special,
-imported on its first call; it is the only part of the package that loads
-SciPy, and no CLI command calls it.
+of forward_model instead. The evaluator takes 1/Gamma from math.gamma, and
+no CLI command calls it.
 
 Bessel J_m of integer order is plain numpy. For x >= max(30, m^2/2) it is
 Hankel's asymptotic expansion with 24 terms, O(1) per point. Below that it
@@ -90,11 +89,21 @@ class SampledTrace:
 # ---------------------------------------------------------------------------
 
 def _rgamma(x):
-    """1/Gamma(x), elementwise, from scipy.special. SciPy is imported on the
-    first call: only the scalar Mittag-Leffler evaluator needs it, and no CLI
-    command calls that, so they all run without importing SciPy."""
-    from scipy.special import rgamma
-    return rgamma(x)
+    """1/Gamma(x) of a float, or elementwise of an array, from math.gamma.
+
+    It is 0 at the poles of Gamma (the non-positive integers) and above
+    x = 171.62, where Gamma overflows. Below about -171.09, Gamma is
+    subnormal or underflows to a signed 0, and the result is the infinity of
+    Gamma's sign. scipy.special.rgamma already returns that infinity below
+    about -170.64; between there and -171.09 this returns the finite 1/Gamma
+    instead, of the same sign and with a modulus above 5e307."""
+    if np.ndim(x):
+        return np.array([_rgamma(v) for v in np.ravel(x)]).reshape(np.shape(x))
+    try:
+        g = math.gamma(x)
+    except (ValueError, OverflowError):  # a pole, or x above 171.62
+        return 0.0
+    return 1.0 / g if g else math.copysign(math.inf, g)
 
 
 def _ml_series(alpha: float, beta: float, z: complex, tol: float, max_terms: int):

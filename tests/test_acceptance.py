@@ -18,15 +18,10 @@ from fracsource.errors import SensorGeometryError
 from fracsource.forward_model import (
     FluxTrace,
     flux_trace,
-    grouped_amplitudes,
     relaxation_design,
     verify_measurement_identity,
 )
-from fracsource.inversion import (
-    InversionConfig,
-    reconstruct,
-    split_multiplicity,
-)
+from fracsource.inversion import InversionConfig, reconstruct
 from fracsource.laplace_model import LaplacePoint, laplace_flux_model, numeric_laplace
 from fracsource.specfun import bessel_j, mittag_leffler
 
@@ -229,12 +224,13 @@ class TestA5EndToEnd:
 
 
 class TestA7SensorGeometry:
-    def test_a7_degenerate_determinant(self, spectrum30, reference_model):
-        sensors = (0.3, 0.3 + math.pi / 2)
-        grouped = np.stack([grouped_amplitudes(reference_model, th)
-                            for th in sensors])
+    def test_a7_degenerate_determinant(self, spectrum30, reference_model,
+                                       reference_grid):
+        # the guard that reconstruct runs before any stage
+        traces = tuple(flux_trace(reference_model, th, reference_grid)
+                       for th in (0.3, 0.3 + math.pi / 2))
         with pytest.raises(SensorGeometryError) as err:
-            split_multiplicity(grouped, spectrum30, sensors, INV_CFG)
+            reconstruct(traces, spectrum30, INV_CFG)
         ok = err.value.m == 2
         _report("A7 sensor-geometry guard", ok,
                 f"raised for |m|={err.value.m} at delta_theta=pi/2")

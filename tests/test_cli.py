@@ -252,7 +252,9 @@ class TestInvertCommand:
         assert main(["invert", "--config", cfg_path, "--quiet",
                      str(tmp_path / "run" / "flux_sensor1.csv")]) == 2
 
-    def test_sensor_geometry_exit_2(self, tmp_path):
+    def test_sensor_geometry_exit_2(self, tmp_path, capsys):
+        # at delta_theta = pi/2, sin(2 delta_theta) = 0: synth and invert run
+        # the same guard, and both name the order and the clause
         cfg_path = write_config(tmp_path, {"grid.steps": 2000})
         main(["synth", "--config", cfg_path, "--quiet"])
         bad_cfg = write_config(tmp_path,
@@ -260,10 +262,35 @@ class TestInvertCommand:
                                 "sensors.theta2": 0.3 + math.pi / 2},
                                name="bad.json")
         run = str(tmp_path / "run")
-        code = main(["invert", "--config", bad_cfg, "--quiet",
-                     os.path.join(run, "flux_sensor1.csv"),
-                     os.path.join(run, "flux_sensor2.csv")])
-        assert code == 2
+        capsys.readouterr()
+        for argv in (["synth", "--config", bad_cfg, "--quiet", "--out",
+                      str(tmp_path / "bad_run")],
+                     ["invert", "--config", bad_cfg, "--quiet",
+                      os.path.join(run, "flux_sensor1.csv"),
+                      os.path.join(run, "flux_sensor2.csv")]):
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("validation error: "), err
+            assert "|m| = 2" in err and "[clause: sensor-margin]" in err, err
+        assert not (tmp_path / "bad_run").exists()
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_condition_report(self, tmp_path, refine):
+        # the reference geometry, delta_theta = 0.3 - 1.3 = -1 with |m| in
+        # {1, 2}: the report holds |2 sin(|m| delta_theta)|, bit for bit
+        doc = json.load(open(REFERENCE_CONFIG))
+        doc["inversion"]["refine"] = refine
+        doc["output"]["directory"] = str(tmp_path / "run")
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        cfg_path = str(tmp_path / "cfg.json")
+        run = tmp_path / "run"
+        assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
+        assert main(["invert", "--config", cfg_path, "--quiet",
+                     str(run / "flux_sensor1.csv"), str(run / "flux_sensor2.csv")]) == 0
+        recon = json.loads((run / "reconstruction.json").read_text())
+        assert recon["condition_report"] == {"1": abs(2 * math.sin(1.0)),
+                                             "2": abs(2 * math.sin(2.0))}
+        assert ("refine_joint" in dict(recon["stage_log"])) == refine
 
     def test_onset_one_ulp_past_a_grid_point(self, tmp_path):
         # the flux first crosses the threshold at t = 1.001, and 1.001 - h
@@ -376,14 +403,15 @@ class TestInvertCommand:
 
 class TestNoScipyImport:
     def test_no_command_imports_scipy(self, tmp_path):
-        # importing SciPy is most of a cold start. Every CLI command and the
-        # adjoint weight take their Mittag-Leffler values from the relaxation
-        # basis; only the scalar mittag_leffler loads SciPy
+        # SciPy is a test-only dependency: every CLI command and the adjoint
+        # weight take their Mittag-Leffler values from the relaxation basis,
+        # and the scalar mittag_leffler takes 1/Gamma from math.gamma
         script = (
             "import sys\n"
             "from fracsource.cli import main\n"
             "from fracsource.disc_spectrum import build_spectrum\n"
             "from fracsource.laplace_model import AdjointSpec, adjoint_weight_w\n"
+            "from fracsource.specfun import mittag_leffler\n"
             "cfg, out = sys.argv[1:]\n"
             "common = ['--config', cfg, '--out', out, '--quiet']\n"
             "assert main(['spectrum'] + common) == 0\n"
@@ -394,6 +422,8 @@ class TestNoScipyImport:
             "assert main(['plotdata', out, '--quiet']) == 0\n"
             "adjoint_weight_w(AdjointSpec(theta_z=0.3, N=2, alpha=0.75),\n"
             "                 build_spectrum(30.0), 0.5, 0.3, 1.0)\n"
+            "mittag_leffler(0.75, 1.0, -2.0)\n"
+            "mittag_leffler(0.75, 1.0, -40.0)\n"
             # np.median's NaN check and np.unique import numpy.ma (about
             # 10 ms cold); numpy.matrixlib is always loaded, so the name is
             # matched exactly

@@ -10,15 +10,15 @@ from numpy.polynomial.legendre import leggauss
 
 from fracsource import forward_model
 from fracsource.disc_spectrum import ModeCoefficients, build_spectrum, eigenfunction_eval
-from fracsource.errors import ShapeError, ValidationError
+from fracsource.errors import SensorGeometryError, ShapeError, ValidationError
 from fracsource.forward_model import (
     FluxTrace,
     SensorConfig,
     SourceModel,
+    check_sensor_geometry,
     duhamel_mode_response,
     flux_trace,
     grouped_amplitudes,
-    irrationality_margin,
     relaxation_design,
     relaxation_rates,
     solve_field,
@@ -92,17 +92,25 @@ class TestSourceModelValidation:
 
 class TestSensorConfig:
     def test_margin(self, spectrum30):
-        cfg = SensorConfig(theta1=0.3, theta2=1.3)
-        assert cfg.validate_margin(spectrum30) > 0.5
-        degenerate = SensorConfig(theta1=0.0, theta2=math.pi / 2)
-        with pytest.raises(ValidationError):
-            degenerate.validate_margin(spectrum30)
+        # the sensor-geometry guard of synth and invert
+        assert min(check_sensor_geometry(spectrum30, 0.3 - 1.3, 1e-3).values()) > 1.0
+        with pytest.raises(ValidationError) as err:
+            check_sensor_geometry(spectrum30, 0.0 - math.pi / 2, 1e-3)
+        assert isinstance(err.value, SensorGeometryError)
+        assert err.value.m == 2 and err.value.clause == "sensor-margin"
+        assert "|m| = 2" in str(err.value)
 
     def test_margin_value(self, spectrum30):
-        # represented |m| are {1, 2}: margin = min |sin(m)| over those
-        got = irrationality_margin(spectrum30, 1.0)
-        assert got == pytest.approx(min(abs(math.sin(1.0)), abs(math.sin(2.0))),
-                                    rel=1e-12)
+        # represented |m| are {1, 2}: the report holds |2 sin(m delta_theta)|,
+        # and the margin min |sin(m delta_theta)| is half its smallest value
+        got = check_sensor_geometry(spectrum30, 1.0, 1e-3)
+        assert got == {1: abs(2.0 * math.sin(1.0)), 2: abs(2.0 * math.sin(2.0))}
+        assert min(got.values()) / 2 == pytest.approx(
+            min(abs(math.sin(1.0)), abs(math.sin(2.0))), rel=1e-12)
+        # the guard compares that margin with margin_min
+        check_sensor_geometry(spectrum30, 1.0, abs(math.sin(1.0)))
+        with pytest.raises(SensorGeometryError):
+            check_sensor_geometry(spectrum30, 1.0, abs(math.sin(1.0)) * (1 + 1e-15))
 
     def test_angle_range(self):
         with pytest.raises(ValidationError):

@@ -29,7 +29,6 @@ from fracsource.inversion import (
     reconstruct,
     refine_joint,
     result_to_json,
-    split_multiplicity,
 )
 
 from conftest import REF_PIECE_1, REF_PIECE_2, make_coeffs
@@ -160,7 +159,7 @@ class TestSolveAmplitudes:
         model = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
                             piece_coeffs=(p1, p2), spectrum=spectrum50)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        got, _ = inversion._staged_result(traces, spectrum50, CFG, 0.2, 0.75, [1.2], [])
+        got, _ = inversion._staged_result(traces, spectrum50, CFG, 0.2, 0.75, [1.2], [], {})
         assert got.K_hat == 2
         rebuilt = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
                               piece_coeffs=tuple(got.coeffs_hat), spectrum=spectrum50)
@@ -174,7 +173,7 @@ class TestSolveAmplitudes:
 
     def test_sigma_ratio_recorded(self, spectrum30, reference_traces):
         got, _ = inversion._staged_result(reference_traces, spectrum30, CFG,
-                                          0.2, 0.75, [1.2], [])
+                                          0.2, 0.75, [1.2], [], {})
         diag = dict(got.stage_log)["staged_coefficients"]
         lams = np.array([lam for lam, _ in spectrum30.distinct_eigenvalues])
         t = reference_traces[0].times
@@ -185,7 +184,7 @@ class TestSolveAmplitudes:
     def test_zero_traces_zero_amplitudes(self, spectrum30, reference_grid):
         traces = (FluxTrace(0.3, reference_grid, np.zeros_like(reference_grid)),
                   FluxTrace(1.3, reference_grid, np.zeros_like(reference_grid)))
-        got, _ = inversion._staged_result(traces, spectrum30, CFG, 0.2, 0.75, [], [])
+        got, _ = inversion._staged_result(traces, spectrum30, CFG, 0.2, 0.75, [], [], {})
         assert got.K_hat == 1
         assert np.all(got.coeffs_hat[0].values == 0)
 
@@ -213,41 +212,6 @@ class TestSolveAmplitudes:
             want = np.linalg.norm(tr.values - f) / np.linalg.norm(tr.values)
             assert got == pytest.approx(want, rel=1e-9)
         assert staged.residual_norm == max(diag["relative_residuals"])
-
-
-class TestSplitMultiplicity:
-    def test_round_trip_exactness(self, spectrum30, reference_model):
-        # grouped -> split -> regroup reproduces the amplitudes to 1e-12
-        sensors = (0.3, 1.3)
-        grouped = np.stack([grouped_amplitudes(reference_model, th)
-                            for th in sensors])
-        coeffs, report = split_multiplicity(grouped, spectrum30, sensors, CFG)
-        rebuilt = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
-                              piece_coeffs=tuple(coeffs), spectrum=spectrum30)
-        regrouped = np.stack([grouped_amplitudes(rebuilt, th) for th in sensors])
-        assert np.max(np.abs(regrouped - grouped)) <= 1e-12
-        for k, pc in enumerate(coeffs):
-            truth = reference_model.piece_coeffs[k].values
-            assert np.max(np.abs(pc.values - truth)) <= 1e-12
-
-    def test_determinant_value(self):
-        assert abs(2j * math.sin(1.0)) == pytest.approx(1.6829, abs=5e-5)
-
-    def test_conjugate_symmetry_preserved(self, spectrum30, reference_model):
-        sensors = (0.3, 1.3)
-        grouped = np.stack([grouped_amplitudes(reference_model, th)
-                            for th in sensors])
-        coeffs, _ = split_multiplicity(grouped, spectrum30, sensors, CFG)
-        for pc in coeffs:
-            assert pc.is_real_field(spectrum30, tol=1e-8)
-
-    def test_geometry_guard_names_m(self, spectrum30, reference_model):
-        sensors = (0.3, 0.3 + math.pi / 2)  # sin(2 * pi/2) = 0
-        grouped = np.stack([grouped_amplitudes(reference_model, th)
-                            for th in sensors])
-        with pytest.raises(SensorGeometryError) as err:
-            split_multiplicity(grouped, spectrum30, sensors, CFG)
-        assert err.value.m == 2
 
 
 class TestRefineJoint:
@@ -491,7 +455,8 @@ class TestRefineNoisy:
         traces, staged = noisy_staged
         cfg = InversionConfig(changepoint_min_gap=0.3)
         result, start = inversion._staged_result(traces, spectrum30, cfg, staged.cuts_hat[0],
-                                                 staged.alpha_hat, staged.cuts_hat[1:], [])
+                                                 staged.alpha_hat, staged.cuts_hat[1:], [],
+                                                 staged.condition_report)
         builds = []
         design = inversion.relaxation_design
         monkeypatch.setattr(inversion, "relaxation_design",

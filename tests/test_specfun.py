@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.special import rgamma
 
 from fracsource.errors import AccuracyError, DomainError
 from fracsource.forward_model import relaxation_design
@@ -18,6 +19,7 @@ from fracsource.specfun import (
     _ml_asymptotic,
     _ml_ray_integral,
     _ml_series,
+    _rgamma,
 )
 
 import oracles
@@ -175,6 +177,42 @@ class TestMittagLeffler:
             MLAccuracy(abs_tol=0.0)
         with pytest.raises(DomainError):
             MLAccuracy(max_terms=0)
+
+
+class TestReciprocalGamma:
+    # 1/Gamma from math.gamma; SciPy serves as the oracle in tests only
+    X = np.concatenate([np.linspace(-205.0, 205.0, 82001), -np.arange(206.0)])
+
+    def test_matches_scipy_where_finite(self):
+        got, want = _rgamma(self.X), rgamma(self.X)
+        assert got.shape == self.X.shape
+        finite = np.isfinite(want) & (want != 0)
+        rel = np.abs(got[finite] - want[finite]) / np.abs(want[finite])
+        assert np.max(rel) <= 2e-13
+
+    def test_zero_at_the_poles_and_above_overflow(self):
+        got, want = _rgamma(self.X), rgamma(self.X)
+        zero = want == 0
+        assert np.all(zero[self.X > 171.63]) and np.all(zero[-np.arange(206) - 1])
+        assert np.all(got[zero] == 0)
+        assert [_rgamma(float(x)) for x in (0.0, -1.0, -170.0, 171.63, 1e300)] == [0.0] * 5
+
+    def test_where_scipy_overflows(self):
+        # SciPy returns +-inf below about -170.64; here the result has the
+        # same sign, and is the finite 1/Gamma down to -171.09, with a
+        # modulus above 5e307, then the infinity
+        got, want = _rgamma(self.X), rgamma(self.X)
+        over = np.isinf(want)
+        assert np.all(self.X[over] < -170.6)
+        assert np.all(np.sign(got[over]) == np.sign(want[over]))
+        finite = over & np.isfinite(got)
+        assert np.all(self.X[finite] > -171.1) and np.all(np.abs(got[finite]) > 5e307)
+        assert np.all(np.isinf(got[over & (self.X < -171.1)]))
+
+    def test_scalars(self):
+        assert _rgamma(1.0) == 1.0 and _rgamma(5.0) == 1.0 / 24.0
+        assert isinstance(_rgamma(0.5), float)
+        assert _rgamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
 
 
 class TestGaussLegendre:
