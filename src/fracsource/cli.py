@@ -41,7 +41,8 @@ from .forward_model import (
     relaxation_rates,
     verify_measurement_identity,
 )
-from .inversion import _window_transform, predicted_flux, reconstruct, result_to_json
+from .inversion import (ALPHA_FIT_POINTS, ALPHA_FIT_WINDOW, ALPHA_LEADING_DELTA, InversionConfig,
+                        _window_transform, predicted_flux, reconstruct, result_to_json)
 from .laplace_model import LaplacePoint, LaplaceSamples, laplace_flux_model, numeric_laplace
 from .specfun import _panel_nodes, bessel_j
 
@@ -89,7 +90,7 @@ def cmd_synth(args) -> int:
     model = build_source_model(cfg, spectrum)
     sensors = cfg.sensor_config()
     check_sensor_geometry(spectrum, sensors.theta1 - sensors.theta2,
-                          float(cfg.inversion["margin_min"]))
+                          build_inversion_config(cfg).margin_min)
     times = cfg.times()
     traces = flux_traces(model, sensors.angles, times)
     manifest = RunManifest.for_config(cfg)
@@ -139,12 +140,15 @@ def cmd_invert(args) -> int:
     grid = cfg.times()
     traces = []
     for path, theta in zip(args.traces, sensors.angles):
-        with open(path) as fh:
-            t, v = trace_from_csv(fh.read())
+        try:
+            with open(path) as fh:
+                t, v = trace_from_csv(fh.read())
+        except OSError as exc:
+            raise ValidationError(f"cannot read trace {path}: {exc.strerror}",
+                                  clause="trace-file") from None
         check_trace_grid(t, grid, path)
         traces.append(FluxTrace(sensor_angle=theta, times=t, values=v))
-    inv_cfg = build_inversion_config(cfg)
-    result = reconstruct(tuple(traces), spectrum, inv_cfg)
+    result = reconstruct(tuple(traces), spectrum, build_inversion_config(cfg))
     manifest = RunManifest.for_config(cfg)
     _emit(manifest, directory, "reconstruction.json",
           result_to_json(result, spectrum, [os.path.basename(p) for p in args.traces]))
@@ -284,9 +288,9 @@ def cmd_plotdata(args) -> int:
 
     # log|G| against log s with the fitted alpha line: the window and the
     # transform summed over both sensors that estimate_alpha fits
-    inv = build_inversion_config(cfg or load_config("{}"))
-    c0, delta = float(recon["cuts_hat"][0]), min(inv.changepoint_min_gap, inv.alpha_leading_delta)
-    s = np.geomspace(*inv.alpha_fit_window, inv.alpha_fit_points)
+    gap = cfg.inversion["changepoint_min_gap"] if cfg else InversionConfig.changepoint_min_gap
+    c0, delta = float(recon["cuts_hat"][0]), min(gap, ALPHA_LEADING_DELTA)
+    s = np.geomspace(*ALPHA_FIT_WINDOW, ALPHA_FIT_POINTS)
     log_s = np.log(s)
     columns = []
     if len(traces) == 2:
@@ -322,9 +326,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="noise seed override")
         p.add_argument("--quiet", action="store_true")

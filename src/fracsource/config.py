@@ -48,38 +48,45 @@ _DEFAULTS = {
     "sensors": {"theta1": 0.3, "theta2": 1.3},
     "grid": {"t_max": 4.0, "steps": 4000},
     "noise": {"level": 0.0, "seed": 1},
-    "inversion": {
-        "onset_threshold": 5.0,
-        "onset_floor": 1e-9,
-        "changepoint_min_gap": 0.1,
-        "alpha_fit_window": [20.0, 200.0],
-        "alpha_fit_points": 40,
-        "margin_min": 1e-3,
-        "refine": True,
-    },
+    "inversion": {"changepoint_min_gap": 0.1, "margin_min": 1e-3, "refine": True},
     "output": {"directory": "runs/out", "formats": ["csv", "json"], "laplace_s": []},
     "verify": {"fault_omega_scale": 1.0},
 }
+
+
+# the JSON types that a value may have, and their name, by its default's type
+_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+          float: ((int, float), "a number"), str: ((str,), "a string"),
+          list: ((list,), "a list"), type(None): ((int, float, type(None)), "a number or null")}
+
+
+def _check_kind(name: str, default, value) -> None:
+    """Raise ValidationError (clause config-schema) unless value has a JSON
+    type that _KINDS allows for its default; a bool is no number."""
+    types, kind = _KINDS[type(default)]
+    if not isinstance(value, types) or isinstance(value, bool) != isinstance(default, bool):
+        raise ValidationError(f"config key {name} must be {kind}, got {value!r}",
+                              clause="config-schema")
 
 
 def _merge(defaults, override, path=""):
     if not isinstance(override, dict):
         raise ValidationError(f"config section {path or '<root>'} must be an object",
                               clause="config-schema")
-    out = {}
-    for key, dval in defaults.items():
-        if key in override:
-            oval = override[key]
-            if isinstance(dval, dict):
-                out[key] = _merge(dval, oval, f"{path}.{key}" if path else key)
-            else:
-                out[key] = oval
-        else:
-            out[key] = json.loads(json.dumps(dval))  # deep copy
     for key in override:
         if key not in defaults:
             raise ValidationError(f"unknown config key {path + '.' if path else ''}{key}",
                                   clause="config-schema")
+    out = {}
+    for key, dval in defaults.items():
+        name = f"{path}.{key}" if path else key
+        if key not in override:
+            out[key] = json.loads(json.dumps(dval))  # deep copy
+        elif isinstance(dval, dict):
+            out[key] = _merge(dval, override[key], name)
+        else:
+            _check_kind(name, dval, override[key])
+            out[key] = override[key]
     return out
 
 
@@ -133,12 +140,18 @@ class ExperimentConfig:
 
 
 def load_config(text_or_path) -> ExperimentConfig:
+    """The config of a JSON file or text, merged over the defaults; _merge
+    checks the keys and types, and noise.level must be finite and >= 0."""
     if isinstance(text_or_path, (str, os.PathLike)) and os.path.exists(text_or_path):
         with open(text_or_path) as fh:
             doc = json.load(fh)
     else:
         doc = json.loads(text_or_path)
     merged = _merge(_DEFAULTS, doc)
+    level = merged["noise"]["level"]
+    if not 0 <= level < math.inf:
+        raise ValidationError(f"noise.level must be a finite number >= 0, got {level!r}",
+                              clause="config-schema")
     return ExperimentConfig(raw=merged)
 
 
@@ -207,16 +220,9 @@ def build_source_model(cfg: ExperimentConfig, spectrum: SpectrumTable) -> Source
 
 
 def build_inversion_config(cfg: ExperimentConfig) -> InversionConfig:
-    inv = cfg.inversion
-    return InversionConfig(
-        onset_threshold=float(inv["onset_threshold"]),
-        onset_floor=float(inv["onset_floor"]),
-        changepoint_min_gap=float(inv["changepoint_min_gap"]),
-        alpha_fit_window=tuple(float(v) for v in inv["alpha_fit_window"]),
-        alpha_fit_points=int(inv["alpha_fit_points"]),
-        margin_min=float(inv["margin_min"]),
-        refine=bool(inv["refine"]),
-    )
+    """The inversion section as an InversionConfig, which checks the ranges
+    (clause inversion-config)."""
+    return InversionConfig(**cfg.inversion)
 
 
 # ---------------------------------------------------------------------------

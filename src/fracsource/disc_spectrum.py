@@ -202,18 +202,17 @@ def normal_derivative_weight(mode: EigenMode, theta: float) -> complex:
     return -normalizer_sign(mode) * mode.lam * boundary_coefficient(mode, theta)
 
 
-def project_function(f, spectrum: SpectrumTable, quadrature_order: int = 64,
-                     angular_points: int = 256) -> ModeCoefficients:
+def project_function(f, spectrum: SpectrumTable) -> ModeCoefficients:
     """Quadrature inner products <f, phi_n> over the disc.
 
-    Gauss-Legendre in radius (with the r dr weight), trapezoid in angle
-    (spectrally accurate for periodic integrands).
+    64-point Gauss-Legendre in radius (with the r dr weight), trapezoid on
+    256 angles (spectrally accurate for periodic integrands).
     """
-    xg, wg = leggauss(quadrature_order)
+    xg, wg = leggauss(64)
     r = 0.5 * (xg + 1.0)
     wr = 0.5 * wg * r
-    theta = np.linspace(0.0, 2.0 * np.pi, angular_points, endpoint=False)
-    wth = 2.0 * np.pi / angular_points
+    theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    wth = 2.0 * np.pi / 256
     rr, tt = np.meshgrid(r, theta, indexing="ij")
     fv = np.asarray(f(rr, tt), dtype=complex)
     if fv.shape != rr.shape:
@@ -224,7 +223,7 @@ def project_function(f, spectrum: SpectrumTable, quadrature_order: int = 64,
     ang = np.fft.fft(fv, axis=1) * wth
     for i, mo in enumerate(spectrum.modes):
         rad = mo.omega * _bessel_j_unchecked(abs(mo.m), math.sqrt(mo.lam) * r)
-        vals[i] = np.sum(ang[:, mo.m % angular_points] * rad * wr)
+        vals[i] = np.sum(ang[:, mo.m % 256] * rad * wr)
     return ModeCoefficients(values=vals)
 
 

@@ -50,30 +50,31 @@ __all__ = [
 ]
 
 
+ONSET_THRESHOLD = 5.0            # noise-sigma multiplier of the onset threshold
+ONSET_FLOOR = 1e-9               # absolute floor of the onset threshold
+ALPHA_FIT_WINDOW = (20.0, 200.0)  # Laplace points of the order stage's slope fit
+ALPHA_FIT_POINTS = 40
+ALPHA_LEADING_DELTA = 0.2        # cap on the leading-window length
+MAX_REFINE_ITERATIONS = 50
+REFINE_TOL = 1e-10               # relative-decrease stop of refine_joint
+MERGE_NORM_RATIO = 1e-3          # K-hat degenerate-piece pruning
+
+
 @dataclass(frozen=True)
 class InversionConfig:
-    onset_threshold: float = 5.0          # noise-sigma multiplier
-    onset_floor: float = 1e-9             # absolute threshold floor
-    changepoint_min_gap: float = 0.1      # must be <= the true minimum gap
-    alpha_fit_window: tuple = (20.0, 200.0)
-    alpha_fit_points: int = 40
-    alpha_leading_delta: float = 0.2      # cap on the leading-window length
-    margin_min: float = 1e-3
-    refine: bool = True
-    max_refine_iterations: int = 50
-    refine_tol: float = 1e-10
-    merge_norm_ratio: float = 1e-3        # K-hat degenerate-piece pruning
+    changepoint_min_gap: float = 0.1      # the paper's eta: <= the true minimum gap
+    margin_min: float = 1e-3              # threshold of the sensor-geometry guard
+    refine: bool = True                   # run the joint polish refine_joint
 
     def __post_init__(self):
-        if self.onset_threshold <= 0 or self.onset_floor <= 0:
-            raise ValidationError("onset thresholds must be positive",
-                                  clause="inversion-config")
-        if self.changepoint_min_gap <= 0:
-            raise ValidationError("changepoint_min_gap must be positive",
-                                  clause="inversion-config")
-        lo, hi = self.alpha_fit_window
-        if not (0 < lo < hi):
-            raise ValidationError("alpha_fit_window must be increasing and positive",
+        for name, hi in (("changepoint_min_gap", math.inf), ("margin_min", 1.0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 < value < hi):
+                raise ValidationError(f"{name} must be a number in (0, {hi}), got {value!r}",
+                                      clause="inversion-config")
+        if not isinstance(self.refine, bool):
+            raise ValidationError(f"refine must be true or false, got {self.refine!r}",
                                   clause="inversion-config")
 
 
@@ -129,15 +130,15 @@ def _pre_onset_sigma(traces, c0: float) -> float:
     return math.sqrt(float(samples @ samples) / len(samples))
 
 
-def detect_onset(traces, cfg: InversionConfig) -> float:
-    """First grid time where either |flux| exceeds the threshold, minus one
-    grid step, clamped at 0."""
+def detect_onset(traces) -> float:
+    """First grid time where either |flux| exceeds max(ONSET_THRESHOLD *
+    _noise_sigma, ONSET_FLOOR), minus one grid step, clamped at 0."""
     t = _common_grid(traces)
     h = float(t[1] - t[0])
     crossing = None
     for tr in traces:
         sigma = _noise_sigma(tr.values)
-        thresh = max(cfg.onset_threshold * sigma, cfg.onset_floor)
+        thresh = max(ONSET_THRESHOLD * sigma, ONSET_FLOOR)
         idx = np.flatnonzero(np.abs(tr.values) > thresh)
         if len(idx):
             tc = t[idx[0]]
@@ -178,33 +179,26 @@ def _window_transform(t, y, c0, delta, s_points):
 
 
 def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
-                   spectrum: SpectrumTable | None = None):
-    """Order estimate from the leading window t in [c0, c0 + delta].
-
-    The documented large-s fit log|G~(s)| ~ -(1+alpha) log s + const seeds the
-    estimate; when the spectrum is available the estimate is sharpened by a
-    variable-projection fit of the exact relaxation basis
-    {1 - E_{alpha,1}(-lambda_j tau^alpha)} on the same window, which is what
-    the staged 5e-3 accuracy target actually requires. Returns
-    (alpha_hat, diagnostics dict).
-    """
+                   spectrum: SpectrumTable):
+    """Order estimate from the leading window t in [c0, c0 + delta], delta =
+    min(changepoint_min_gap, ALPHA_LEADING_DELTA): a variable-projection fit
+    of the relaxation basis {1 - E_{alpha,1}(-lambda_j tau^alpha)} on the
+    window, golden-section searched within 0.025 of the best point of a 0.02
+    grid over [0.52, 0.98]. The large-s fit log|G~(s)| ~ -(1+alpha) log s
+    of the window's transform at ALPHA_FIT_POINTS points spaced geometrically
+    over ALPHA_FIT_WINDOW gives the diagnostic alpha_slope, which does not
+    enter the estimate. Returns (alpha_hat, diagnostics dict)."""
     t = _common_grid(traces)
-    delta = min(cfg.changepoint_min_gap, cfg.alpha_leading_delta)
-    lo, hi = cfg.alpha_fit_window
-    s = np.geomspace(lo, hi, cfg.alpha_fit_points)
+    delta = min(cfg.changepoint_min_gap, ALPHA_LEADING_DELTA)
+    s = np.geomspace(*ALPHA_FIT_WINDOW, ALPHA_FIT_POINTS)
     gv = np.zeros(len(s))
     for tr in traces:
         gv += _window_transform(t, -tr.values, c0_hat, delta, s)
-    diag = {}
     slope, _, resid = fit_log_slope(s, np.maximum(np.abs(gv), 1e-300))
-    alpha_slope = float(np.clip(-slope - 1.0, 0.501, 0.999))
-    diag["slope"] = slope
-    diag["alpha_slope"] = alpha_slope
-    diag["slope_fit_rms"] = resid
+    diag = {"slope": slope, "alpha_slope": float(np.clip(-slope - 1.0, 0.501, 0.999)),
+            "slope_fit_rms": resid}
     if resid > 0.5:
         diag["warning"] = "ill-posed-fit: large residual in the log-log slope fit"
-    if spectrum is None:
-        return alpha_slope, diag
 
     lams = np.array([lam for lam, _ in spectrum.distinct_eigenvalues])
     mask = (t >= c0_hat - 1e-12) & (t <= c0_hat + delta + 1e-12)
@@ -221,27 +215,24 @@ def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
             total += float(r @ r)
         return total
 
-    grid = np.arange(0.52, 0.995, 0.02)
-    start = min(grid, key=lambda a: abs(a - alpha_slope))
-    vals = {a: vp_residual(a) for a in
-            sorted(set(list(grid) + [start]))}
+    vals = {a: vp_residual(a) for a in np.arange(0.52, 0.995, 0.02)}
     best = min(vals, key=vals.get)
     lo_b = max(0.5005, best - 0.025)
     hi_b = min(0.9995, best + 0.025)
-    alpha_hat = _brent_min(vp_residual, lo_b, hi_b, xatol=1e-8)
+    alpha_hat = _brent_min(vp_residual, lo_b, hi_b)
     diag["vp_residual"] = vp_residual(alpha_hat)
     diag["alpha_vp"] = alpha_hat
     return float(np.clip(alpha_hat, 0.5005, 0.9995)), diag
 
 
-def _brent_min(f, lo, hi, xatol=1e-8):
-    """Golden-section minimization on [lo, hi]."""
+def _brent_min(f, lo, hi):
+    """Golden-section minimization on [lo, hi], to a bracket of 1e-8."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > xatol:
+    while abs(b - a) > 1e-8:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -424,10 +415,10 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     staged alpha and cuts), noise_sigma (sigma above), final_residual,
     iterations (accepted steps), sigma_ratio (smallest over largest singular value of
     the final op) and stop: "converged" (relative decrease below
-    refine_tol, or residual at the 1e-13 * ||y|| floor), "noise-floor"
+    REFINE_TOL = 1e-10, or residual at the 1e-13 * ||y|| floor), "noise-floor"
     (predicted decrease below sigma^2), "no-decrease" (no line-search
-    candidate lowered the residual) or "cap" (max_refine_iterations
-    reached). A no-decrease stop with ten iterations still to go also
+    candidate lowered the residual) or "cap" (MAX_REFINE_ITERATIONS = 50
+    accepted steps). A no-decrease stop with ten iterations still to go also
     writes the warning "divergence: 10 consecutive rejected steps"; it
     means the line search found no decrease, not that the iterates
     diverged.
@@ -462,7 +453,7 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     fd_step = 1e-5
     floor = (1e-13 * float(np.linalg.norm(y))) ** 2
     stop = "cap"
-    for it in range(cfg.max_refine_iterations):
+    for it in range(MAX_REFINE_ITERATIONS):
         cols = np.zeros((len(y), 1 + n_pieces))
         up, down = theta.copy(), theta.copy()
         up[0] += fd_step
@@ -487,7 +478,7 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
             scale *= 0.5
         else:
             # a rejected step is a fixed point: the loop would repeat it
-            if it + 9 < cfg.max_refine_iterations:
+            if it + 9 < MAX_REFINE_ITERATIONS:
                 log["warning"] = "divergence: 10 consecutive rejected steps"
             stop = "no-decrease"
             break
@@ -496,7 +487,7 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
         rel_change = (cost - cc) / max(cost, 1e-300)
         theta, cost = cand, cc
         log["iterations"] = it + 1
-        if rel_change < cfg.refine_tol or cost <= floor:
+        if rel_change < REFINE_TOL or cost <= floor:
             stop = "converged"
             break
     denom = float(np.linalg.norm(y)) or 1.0
@@ -514,7 +505,7 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     )
 
 
-def _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat, interior, stage_log,
+def _staged_result(traces, spectrum, c0_hat, alpha_hat, interior, stage_log,
                    condition_report):
     """(result, projection): the coefficients at the staged alpha and cuts,
     after degenerate-piece pruning, and the _project result (r, p, q, svals)
@@ -541,7 +532,7 @@ def _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat, interior, stage_log
     values, diag, projection = solve(cuts_hat)
     # degenerate-piece pruning: a vanishing piece norm or a vanishing jump
     # between neighbors means the change point was spurious
-    tol = cfg.merge_norm_ratio * float(np.max(np.linalg.norm(values, axis=1)))
+    tol = MERGE_NORM_RATIO * float(np.max(np.linalg.norm(values, axis=1)))
     drop = 1 + np.flatnonzero((np.linalg.norm(values[1:], axis=1) <= tol)
                               | (np.linalg.norm(np.diff(values, axis=0), axis=1) <= tol))
     if len(drop):
@@ -572,13 +563,13 @@ def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = N
     condition_report = check_sensor_geometry(
         spectrum, traces[0].sensor_angle - traces[1].sensor_angle, cfg.margin_min)
     stage_log = []
-    c0_hat = detect_onset(traces, cfg)
+    c0_hat = detect_onset(traces)
     stage_log.append(("detect_onset", {"c0_hat": c0_hat}))
     alpha_hat, diag = estimate_alpha(traces, c0_hat, cfg, spectrum)
     stage_log.append(("estimate_alpha", diag))
     interior = detect_change_points(traces, c0_hat, cfg)
     stage_log.append(("detect_change_points", {"cuts": list(interior)}))
-    result, projection = _staged_result(traces, spectrum, cfg, c0_hat, alpha_hat,
+    result, projection = _staged_result(traces, spectrum, c0_hat, alpha_hat,
                                         interior, stage_log, condition_report)
     if cfg.refine:
         result = refine_joint(result, traces, spectrum, cfg, projection)

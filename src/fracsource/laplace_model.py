@@ -54,11 +54,11 @@ class LaplacePoint:
             raise DomainError(f"Re s must be positive, got {s}")
         object.__setattr__(self, "s", s)
 
-    def check_poles(self, alpha: float, distinct_lambdas, eps_pole: float = 1e-6):
+    def check_poles(self, alpha: float, distinct_lambdas):
+        """Raise PoleProximityError within 1e-6 of a pole of the transform."""
         for p in pole_locations(alpha, distinct_lambdas):
-            if abs(self.s - p) < eps_pole:
-                raise PoleProximityError(
-                    f"s={self.s} within {eps_pole} of pole {p}")
+            if abs(self.s - p) < 1e-6:
+                raise PoleProximityError(f"s={self.s} within 1e-6 of pole {p}")
 
 
 @dataclass(frozen=True)
@@ -108,14 +108,13 @@ def pole_locations(alpha: float, distinct_lambdas) -> list:
     return out
 
 
-def laplace_flux_model(model: SourceModel, theta_z: float, s: LaplacePoint,
-                       eps_pole: float = 1e-6) -> complex:
+def laplace_flux_model(model: SourceModel, theta_z: float, s: LaplacePoint) -> complex:
     """L{-du/dnu}(z, s) in closed form:
 
     s^-1 sum_k (e^(-c_{k-1} s) - e^(-c_k s)) sum_j b_{j,k} lambda_j/(s^a+lambda_j).
     """
     lams = [lam for lam, _ in model.spectrum.distinct_eigenvalues]
-    s.check_poles(model.alpha, lams, eps_pole)
+    s.check_poles(model.alpha, lams)
     sv = s.s
     sa = branch_power(sv, model.alpha)
     b = grouped_amplitudes(model, theta_z)

@@ -14,7 +14,6 @@ import fracsource
 from fracsource import cli, config
 from fracsource.cli import main
 from fracsource.config import (
-    build_inversion_config,
     build_source_model,
     check_trace_grid,
     columns_to_csv,
@@ -28,7 +27,12 @@ from fracsource.config import (
 from fracsource.disc_spectrum import build_spectrum
 from fracsource.errors import ValidationError
 from fracsource.forward_model import flux_trace
-from fracsource.inversion import _window_transform
+from fracsource.inversion import (
+    ALPHA_FIT_POINTS,
+    ALPHA_FIT_WINDOW,
+    ALPHA_LEADING_DELTA,
+    _window_transform,
+)
 
 
 BASE_CONFIG = {
@@ -148,6 +152,99 @@ class TestConfig:
                            "values": values}, indent=None)
         assert trace_to_json(angle, times, np.array(values)) == want
         assert trace_to_json(angle, float_strings(times), float_strings(values)) == want
+
+
+# inversion keys of earlier versions, with the values they held; the
+# settings are constants of inversion.py, and the keys are unknown keys
+REMOVED_INVERSION_KEYS = [("onset_threshold", 5.0), ("onset_floor", 1e-9),
+                          ("alpha_fit_window", [20.0, 200.0]), ("alpha_fit_points", 40)]
+
+
+def _exit_and_error(capsys, argv):
+    capsys.readouterr()
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+class TestConfigValidation:
+    def test_inversion_section_has_three_keys(self):
+        assert set(load_config("{}").inversion) == {"changepoint_min_gap", "margin_min",
+                                                    "refine"}
+
+    @pytest.mark.parametrize("key, value", REMOVED_INVERSION_KEYS)
+    def test_removed_key_exit_2(self, tmp_path, capsys, key, value):
+        # invert rejects a config that still holds the key, and plotdata a
+        # run directory whose config.json holds it
+        cfg_path = write_config(tmp_path, {"grid.steps": 400})
+        assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
+        run = tmp_path / "run"
+        old = write_config(tmp_path, {"grid.steps": 400, f"inversion.{key}": value},
+                           name="old.json")
+        code, err = _exit_and_error(capsys, [
+            "invert", "--config", old, "--quiet",
+            str(run / "flux_sensor1.csv"), str(run / "flux_sensor2.csv")])
+        assert code == 2
+        assert f"inversion.{key}" in err and "[clause: config-schema]" in err, err
+        (run / "reconstruction.json").write_text(json.dumps(
+            {"alpha_hat": 0.75, "cuts_hat": [0.2, 1.2]}))
+        (run / "config.json").write_text(open(old).read())
+        code, err = _exit_and_error(capsys, ["plotdata", str(run), "--quiet"])
+        assert code == 2
+        assert f"inversion.{key}" in err and "[clause: config-schema]" in err, err
+
+    @pytest.mark.parametrize("key, value, clause", [
+        ("inversion.refine", "false", "config-schema"),
+        ("inversion.changepoint_min_gap", "x", "config-schema"),
+        ("inversion.changepoint_min_gap", math.nan, "inversion-config"),
+        ("inversion.margin_min", math.nan, "inversion-config"),
+        ("inversion.margin_min", -1.0, "inversion-config"),
+    ])
+    def test_bad_inversion_setting_exit_2(self, tmp_path, capsys, key, value, clause):
+        # at the sensor geometry of A7 (delta_theta = pi/2): a margin_min
+        # outside (0, 1) would switch the guard off, and both commands check it
+        cfg_path = write_config(tmp_path, {"grid.steps": 400})
+        assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
+        run = tmp_path / "run"
+        bad = write_config(tmp_path, {"grid.steps": 400, key: value,
+                                      "sensors.theta2": 0.3 + math.pi / 2}, name="bad.json")
+        for argv in (["synth", "--config", bad, "--quiet", "--out", str(tmp_path / "bad")],
+                     ["invert", "--config", bad, "--quiet",
+                      str(run / "flux_sensor1.csv"), str(run / "flux_sensor2.csv")]):
+            code, err = _exit_and_error(capsys, argv)
+            assert code == 2, argv[0]
+            assert key.split(".")[1] in err and f"[clause: {clause}]" in err, err
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid.steps", "x"), ("grid.steps", 4000.7), ("grid.steps", True),
+        ("noise.level", "x"), ("noise.level", math.nan), ("noise.level", -0.1),
+        ("spectrum.lambda_max", "x"), ("sensors.theta1", "x"), ("model.alpha", "x"),
+        ("model.eta", "x"), ("model.cuts", "inf"), ("output.directory", 3),
+    ])
+    def test_bad_value_exit_2(self, tmp_path, capsys, key, value):
+        # a value of another JSON type than its default, or a noise level that
+        # is not finite and >= 0: unchecked, each ends in a traceback (exit 1)
+        # or in a run that silently differs from the config
+        cfg_path = write_config(tmp_path, {key: value})
+        code, err = _exit_and_error(capsys, ["synth", "--config", cfg_path, "--quiet"])
+        assert code == 2
+        assert key in err and "[clause: config-schema]" in err, err
+        assert not (tmp_path / "run").exists()
+
+    def test_accepted_types(self):
+        # an int where the default is a float, a number where it is null
+        cfg = load_config(json.dumps({"grid": {"t_max": 4, "steps": 400},
+                                      "model": {"eta": 1}, "noise": {"level": 0}}))
+        assert (cfg.grid["t_max"], cfg.model["eta"], cfg.noise["level"]) == (4, 1, 0)
+
+    def test_unreadable_trace_exit_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"grid.steps": 400})
+        assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
+        missing = str(tmp_path / "missing.csv")
+        code, err = _exit_and_error(capsys, [
+            "invert", "--config", cfg_path, "--quiet",
+            missing, str(tmp_path / "run" / "flux_sensor2.csv")])
+        assert code == 2
+        assert missing in err and "[clause: trace-file]" in err, err
 
 
 class TestSpectrumCommand:
@@ -511,7 +608,8 @@ class TestPlotdataCommand:
     def test_alpha_fit_is_the_estimators_transform(self, tmp_path):
         # log_G is log|sum over both sensors of the leading-window transform|
         # on the window estimate_alpha fits: delta = min(changepoint_min_gap,
-        # alpha_leading_delta), here 0.1, over alpha_fit_window
+        # ALPHA_LEADING_DELTA), here 0.1, at the ALPHA_FIT_POINTS points spaced
+        # geometrically over ALPHA_FIT_WINDOW
         cfg_path = write_config(tmp_path, {"grid.steps": 2000,
                                            "inversion.changepoint_min_gap": 0.1})
         assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
@@ -519,14 +617,18 @@ class TestPlotdataCommand:
         (run / "reconstruction.json").write_text(json.dumps(
             {"alpha_hat": 0.75, "cuts_hat": [0.2, 1.2]}))
         assert main(["plotdata", str(run), "--quiet"]) == 0
-        inv = build_inversion_config(load_config(cfg_path))
-        delta = min(inv.changepoint_min_gap, inv.alpha_leading_delta)
-        s = np.geomspace(*inv.alpha_fit_window, inv.alpha_fit_points)
+        delta = min(0.1, ALPHA_LEADING_DELTA)
+        s = np.geomspace(*ALPHA_FIT_WINDOW, ALPHA_FIT_POINTS)
         traces = [trace_from_csv((run / f"flux_sensor{i}.csv").read_text()) for i in (1, 2)]
         gv = sum(_window_transform(t, -v, 0.2, delta, s) for t, v in traces)
         got = np.loadtxt(run / "plot_alpha_fit.csv", delimiter=",", skiprows=1)
         assert np.array_equal(got[:, 0], np.log(s))
         assert np.array_equal(got[:, 1], np.log(np.abs(gv)))
+        # without config.json, the default gap (also 0.1) gives the same file
+        first = (run / "plot_alpha_fit.csv").read_bytes()
+        (run / "config.json").unlink()
+        assert main(["plotdata", str(run), "--quiet"]) == 0
+        assert (run / "plot_alpha_fit.csv").read_bytes() == first
         # the tidy flux file holds plain numbers, sensor 1 then sensor 2
         flux = np.loadtxt(run / "plot_flux_vs_t.csv", delimiter=",", skiprows=1)
         assert np.array_equal(flux[:, 0], np.concatenate([traces[0][0], traces[1][0]]))
@@ -551,9 +653,8 @@ class TestPlotdataCommand:
         assert not np.array_equal(noisy[0][1], clean[0][1])
         flux = np.loadtxt(run / "plot_flux_vs_t.csv", delimiter=",", skiprows=1)
         assert np.array_equal(flux[:, 2], np.concatenate([noisy[0][1], noisy[1][1]]))
-        inv = build_inversion_config(load_config(cfg_path))
-        delta = min(inv.changepoint_min_gap, inv.alpha_leading_delta)
-        s = np.geomspace(*inv.alpha_fit_window, inv.alpha_fit_points)
+        delta = min(BASE_CONFIG["inversion"]["changepoint_min_gap"], ALPHA_LEADING_DELTA)
+        s = np.geomspace(*ALPHA_FIT_WINDOW, ALPHA_FIT_POINTS)
         gv = sum(_window_transform(t, -v, recon["cuts_hat"][0], delta, s) for t, v in noisy)
         got = np.loadtxt(run / "plot_alpha_fit.csv", delimiter=",", skiprows=1)
         assert np.array_equal(got[:, 1], np.log(np.abs(gv)))
