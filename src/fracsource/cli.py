@@ -269,9 +269,11 @@ def cmd_plotdata(args) -> int:
                               clause="plotdata-input")
     with open(recon_path) as fh:
         recon = json.load(fh)
+    for key in ("alpha_hat", "cuts_hat"):
+        if not isinstance(recon, dict) or key not in recon:
+            raise ValidationError(f"{recon_path} holds no {key}", clause="plotdata-input")
     cfg = load_config(config_path) if os.path.exists(config_path) else None
 
-    outputs = []
     # tidy flux curves of the traces that invert fitted, found by name in
     # the run directory (the clean synth traces for runs without the key)
     names = recon.get("traces") or [f"flux_sensor{i}.csv" for i in (1, 2)]
@@ -284,7 +286,6 @@ def cmd_plotdata(args) -> int:
     rows = [(float_strings(t), [str(i)] * len(t), float_strings(v)) for i, t, v in traces]
     write_atomic(os.path.join(run_dir, "plot_flux_vs_t.csv"), columns_to_csv(
         "t,sensor,flux", *(sum(col, []) for col in zip(*rows))))
-    outputs.append("plot_flux_vs_t.csv")
 
     # log|G| against log s with the fitted alpha line: the window and the
     # transform summed over both sensors that estimate_alpha fits
@@ -301,7 +302,6 @@ def cmd_plotdata(args) -> int:
         columns = [log_s, log_g, fit, np.full(len(log_s), slope)]
     write_atomic(os.path.join(run_dir, "plot_alpha_fit.csv"),
                  columns_to_csv("log_s,log_G,fit,slope", *columns))
-    outputs.append("plot_alpha_fit.csv")
 
     # reconstructed vs configured cuts
     lines = ["kind,index,time"]
@@ -313,8 +313,8 @@ def cmd_plotdata(args) -> int:
         lines.append(f"reconstructed,{i},{float(c)!r}")
     write_atomic(os.path.join(run_dir, "plot_cuts_compare.csv"),
                  "\n".join(lines) + "\n")
-    outputs.append("plot_cuts_compare.csv")
-    _info(args, f"plotdata: wrote {', '.join(outputs)} in {run_dir}")
+    _info(args, "plotdata: wrote plot_flux_vs_t.csv, plot_alpha_fit.csv, "
+                f"plot_cuts_compare.csv in {run_dir}")
     return 0
 
 

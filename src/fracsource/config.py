@@ -92,39 +92,15 @@ def _merge(defaults, override, path=""):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The merged config document; each of its sections is an attribute
+    (cfg.spectrum, cfg.model, ...), the dict raw[section]."""
+
     raw: dict
 
-    @property
-    def spectrum(self):
-        return self.raw["spectrum"]
-
-    @property
-    def model(self):
-        return self.raw["model"]
-
-    @property
-    def sensors(self):
-        return self.raw["sensors"]
-
-    @property
-    def grid(self):
-        return self.raw["grid"]
-
-    @property
-    def noise(self):
-        return self.raw["noise"]
-
-    @property
-    def inversion(self):
-        return self.raw["inversion"]
-
-    @property
-    def output(self):
-        return self.raw["output"]
-
-    @property
-    def verify(self):
-        return self.raw["verify"]
+    def __getattr__(self, name):
+        if name in _DEFAULTS:
+            return self.raw[name]
+        raise AttributeError(name)
 
     def times(self) -> np.ndarray:
         steps = int(self.grid["steps"])
@@ -139,15 +115,52 @@ class ExperimentConfig:
                             theta2=float(self.sensors["theta2"]))
 
 
+# the keys of a piece, a coefficient row and a density, with values of their JSON type
+_PIECE = {"coefficients": [], "density": {"kind": "", "r0": 0.0, "theta0": 0.0,
+                                          "width": 0.0, "amplitude": 0.0}}
+_ROW = {"m": 0, "k": 0, "re": 0.0, "im": 0.0}
+
+
+def _check_model(model: dict) -> None:
+    """The elements of model.cuts and model.pieces, clause config-schema: a
+    cut is a number, "inf" or null; the pieces, their coefficient rows (m
+    and k required) and densities hold only the keys and types of _PIECE
+    and _ROW, checked by _merge."""
+    for i, cut in enumerate(model["cuts"]):
+        if cut not in ("inf", None) and type(cut) not in (int, float):
+            raise ValidationError(f'config key model.cuts[{i}] must be a number, "inf" or null, '
+                                  f"got {cut!r}", clause="config-schema")
+    for p, piece in enumerate(model["pieces"]):
+        _merge(_PIECE, piece, f"model.pieces[{p}]")
+        for r, row in enumerate(piece.get("coefficients", [])):
+            name = f"model.pieces[{p}].coefficients[{r}]"
+            _merge(_ROW, row, name)
+            if not {"m", "k"} <= row.keys():
+                raise ValidationError(f"config key {name} needs m and k", clause="config-schema")
+
+
 def load_config(text_or_path) -> ExperimentConfig:
-    """The config of a JSON file or text, merged over the defaults; _merge
-    checks the keys and types, and noise.level must be finite and >= 0."""
-    if isinstance(text_or_path, (str, os.PathLike)) and os.path.exists(text_or_path):
-        with open(text_or_path) as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.loads(text_or_path)
+    """The config of a JSON file, or of JSON text (a str that starts with
+    "{"), merged over the defaults. A file that cannot be read or does not
+    hold JSON raises ValidationError (clause config-file) naming it; _merge
+    and _check_model check the keys and types, and noise.level must be
+    finite and >= 0."""
+    source, text = "text", text_or_path
+    if not (isinstance(text, str) and text.lstrip().startswith("{")):
+        source = os.fspath(text_or_path)
+        try:
+            with open(source, "rb") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read config {source}: {exc.strerror}",
+                                  clause="config-file") from None
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"config {source} is not valid JSON: {exc}",
+                              clause="config-file") from None
     merged = _merge(_DEFAULTS, doc)
+    _check_model(merged["model"])
     level = merged["noise"]["level"]
     if not 0 <= level < math.inf:
         raise ValidationError(f"noise.level must be a finite number >= 0, got {level!r}",
@@ -171,7 +184,11 @@ def _coeffs_from_spec(piece_spec, spectrum: SpectrumTable) -> ModeCoefficients:
                     "specify coefficients for m >= 0 only; the conjugate pair "
                     "is implied", clause="piece-coefficients")
             c = complex(float(row.get("re", 0.0)), float(row.get("im", 0.0)))
-            vals[spectrum.index_of(m, k)] = c
+            try:
+                vals[spectrum.index_of(m, k)] = c
+            except KeyError:
+                raise ValidationError(f"no mode (m={m}, k={k}) in the spectrum",
+                                      clause="piece-coefficients") from None
             if m > 0:
                 vals[spectrum.index_of(-m, k)] = np.conj(c)
         return ModeCoefficients(values=vals)

@@ -27,6 +27,7 @@ __all__ = [
     "eigenfunction_eval",
     "boundary_coefficient",
     "normalizer_sign",
+    "sensor_weights",
     "normal_derivative_weight",
     "project_function",
     "sobolev_norm",
@@ -179,14 +180,20 @@ def boundary_coefficient(mode: EigenMode, theta_z: float) -> complex:
 
 
 def normalizer_sign(mode: EigenMode) -> float:
-    """Sign of J_{|m|+1}(sqrt(lambda)) for this mode.
+    """Sign of J_{|m|+1}(sqrt(lambda)) for this mode, (-1)^(k+1): the zeros
+    of J_|m| and J_{|m|+1} interlace (DLMF 10.21(i)). With the positive
+    normalizer convention (omega > 0) every pairing of an eigenfunction with
+    the closed-form coefficients a_n picks up this sign; the measurement
+    takes it from sensor_weights, and adjoint_weight_w from here."""
+    return 1.0 if mode.k % 2 else -1.0
 
-    With the positive normalizer convention (omega > 0) every pairing of an
-    eigenfunction with the closed-form coefficients a_n picks up this sign;
-    it is +1 for every first radial mode and alternates with k.
-    """
-    return 1.0 if float(_bessel_j_unchecked(abs(mode.m) + 1,
-                                            math.sqrt(mode.lam))) >= 0 else -1.0
+
+def sensor_weights(spectrum: SpectrumTable, theta_z: float) -> np.ndarray:
+    """The one definition of the sensor weights s_n a_n(z) of the boundary
+    measurement du/dnu(z, t) = -sum_n lambda_n s_n a_n(z) u_n(t), for every
+    mode at z = (1, theta_z); s_n is normalizer_sign."""
+    return np.array([normalizer_sign(mo) * boundary_coefficient(mo, theta_z)
+                     for mo in spectrum.modes])
 
 
 def normal_derivative_weight(mode: EigenMode, theta: float) -> complex:
@@ -195,10 +202,10 @@ def normal_derivative_weight(mode: EigenMode, theta: float) -> complex:
     signed normalizer that the closed form implicitly assumes.
 
     This is the modal weight of the paper's sparse boundary measurement
-    du/dnu(z, t) = sum_n u_n(t) d phi_n/d nu(z): the forward model applies
-    it per distinct eigenvalue (grouped_amplitudes), and the tests check it
-    against finite differences of eigenfunction_eval to pin the sign
-    convention of boundary_coefficient and normalizer_sign."""
+    du/dnu(z, t) = sum_n u_n(t) d phi_n/d nu(z) for one mode; the forward
+    model takes -1/lambda_n times it from sensor_weights, and the tests
+    check it against finite differences of eigenfunction_eval to pin the
+    sign convention of boundary_coefficient and normalizer_sign."""
     return -normalizer_sign(mode) * mode.lam * boundary_coefficient(mode, theta)
 
 

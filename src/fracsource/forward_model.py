@@ -5,8 +5,9 @@ Each eigenmode obeys a fractional relaxation ODE whose Duhamel integral has
 the exact antiderivative (1/lambda)(1 - E_{alpha,1}(-lambda t^alpha)), so the
 mode amplitude under a source that is constant on [c_{k-1}, c_k) is a finite
 difference of Mittag-Leffler relaxation profiles. The boundary flux weights
-each mode by -lambda_n * a_n(z), so it is a sum of these differences, one
-per (distinct eigenvalue, piece), weighted by the grouped amplitudes.
+each mode by -lambda_n s_n a_n(z) (disc_spectrum.sensor_weights, their one
+definition), so it is a sum of these differences, one per (distinct
+eigenvalue, piece), weighted by the grouped amplitudes (_grouped).
 
 relaxation_design builds that relaxation basis, and relaxation_rates its
 derivatives in the cuts. Both write each profile as an exponential sum
@@ -28,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disc_spectrum import (
-    SpectrumTable,
-    boundary_coefficient,
-    eigenfunction_eval,
-    normalizer_sign,
-)
+from .disc_spectrum import SpectrumTable, eigenfunction_eval, sensor_weights
 from .errors import DomainError, SensorGeometryError, ShapeError, ValidationError
 from .specfun import (
     SampledTrace,
@@ -186,24 +182,23 @@ class FluxTrace:
 
 
 def grouped_amplitudes(model: SourceModel, theta_z: float) -> np.ndarray:
+    """_grouped of the model's pieces."""
+    return _grouped(model.spectrum, [pc.values for pc in model.piece_coeffs], theta_z)
+
+
+def _grouped(spectrum: SpectrumTable, rows, theta_z: float) -> np.ndarray:
     """b[j, k] = sum over modes with lambda_n = lambda_j of s_n a_n(z) p_{k,n},
-    s_n the normalizer sign of the mode.
-
-    These grouped amplitudes are the only combinations of the coefficients a
-    single sensor sees, one per (distinct eigenvalue, piece).
-    """
-    return _grouped(model.spectrum, model.piece_coeffs, theta_z)
-
-
-def _grouped(spectrum: SpectrumTable, piece_coeffs, theta_z: float) -> np.ndarray:
+    s_n a_n(z) the sensor_weights and p_k the coefficient row k (an array
+    over the modes). These grouped amplitudes are the only combinations of
+    the coefficients a single sensor sees, one per (distinct eigenvalue,
+    piece)."""
+    weights = sensor_weights(spectrum, theta_z)
     groups = spectrum.distinct_eigenvalues
-    out = np.zeros((len(groups), len(piece_coeffs)), dtype=complex)
+    out = np.zeros((len(groups), len(rows)), dtype=complex)
     for j, (_, idx) in enumerate(groups):
-        a = np.array([normalizer_sign(spectrum.modes[i])
-                      * boundary_coefficient(spectrum.modes[i], theta_z)
-                      for i in idx])
-        for k, pc in enumerate(piece_coeffs):
-            out[j, k] = np.sum(a * pc.values[list(idx)])
+        idx = list(idx)
+        for k, row in enumerate(rows):
+            out[j, k] = np.sum(weights[idx] * row[idx])
     return out
 
 
@@ -508,7 +503,7 @@ def relaxation_flux(alpha: float, bounds, piece_coeffs, spectrum: SpectrumTable,
     design = relaxation_design(alpha, lams, bounds, times)
     out = []
     for theta in sensor_angles:
-        b = _grouped(spectrum, piece_coeffs, theta)
+        b = _grouped(spectrum, [pc.values for pc in piece_coeffs], theta)
         vals = np.zeros(design.shape[0], dtype=complex)
         for j in range(design.shape[1]):
             for k in range(design.shape[2]):

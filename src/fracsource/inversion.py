@@ -6,7 +6,7 @@ order alpha from the leading window where only the first piece acts, then
 interior change points from second-difference kinks, then the coefficients
 by one least-squares solve of the two-sensor operator (_project: the
 relaxation basis times each sensor's grouped amplitudes
-b_{j,k,l} = sum_{lam_n=lam_j} a_n(z_l) p_{k,n}), then an optional joint
+b_{j,k,l} = sum_{lam_n=lam_j} s_n a_n(z_l) p_{k,n}), then an optional joint
 polish: variable-projection Gauss-Newton over alpha and the cuts, with the
 coefficients eliminated by the same solve.
 """
@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disc_spectrum import (
-    ModeCoefficients,
-    SpectrumTable,
-    boundary_coefficient,
-    normalizer_sign,
-)
+from .disc_spectrum import ModeCoefficients, SpectrumTable
 from .errors import (
     ConditioningError,
     EmptySignalError,
@@ -31,11 +26,13 @@ from .errors import (
     ValidationError,
 )
 from .forward_model import (
+    _grouped,
     check_sensor_geometry,
     relaxation_design,
     relaxation_flux,
     relaxation_rates,
 )
+from .laplace_model import _laplace_pwlinear
 
 __all__ = [
     "InversionConfig",
@@ -158,24 +155,16 @@ def fit_log_slope(s: np.ndarray, magnitudes: np.ndarray):
     return float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(resid ** 2)))
 
 
+def _window(t, c0, delta):
+    """Mask of the leading window [c0, c0 + delta] of the grid t."""
+    return (t >= c0 - 1e-12) & (t <= c0 + delta + 1e-12)
+
+
 def _window_transform(t, y, c0, delta, s_points):
-    """Laplace transform of the time-shifted leading window, piecewise-linear
-    interpolant integrated exactly."""
-    mask = (t >= c0 - 1e-12) & (t <= c0 + delta + 1e-12)
-    tau = t[mask] - c0
-    g = y[mask]
-    t0, t1 = tau[:-1], tau[1:]
-    g0, g1 = g[:-1], g[1:]
-    h = t1 - t0
-    slope = (g1 - g0) / h
-    out = np.empty(len(s_points))
-    for i, sv in enumerate(s_points):
-        x = sv * h
-        emx = np.exp(-x)
-        f0 = (1 - emx) / sv
-        f1 = (1 - (1 + x) * emx) / (sv * sv)
-        out[i] = float(np.sum(np.exp(-sv * t0) * (g0 * f0 + slope * f1)))
-    return out
+    """Laplace transform of the time-shifted leading window at each real s,
+    by laplace_model's exact transform of the piecewise-linear interpolant."""
+    mask = _window(t, c0, delta)
+    return np.array([_laplace_pwlinear(t[mask] - c0, y[mask], sv) for sv in s_points])
 
 
 def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
@@ -191,9 +180,7 @@ def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
     t = _common_grid(traces)
     delta = min(cfg.changepoint_min_gap, ALPHA_LEADING_DELTA)
     s = np.geomspace(*ALPHA_FIT_WINDOW, ALPHA_FIT_POINTS)
-    gv = np.zeros(len(s))
-    for tr in traces:
-        gv += _window_transform(t, -tr.values, c0_hat, delta, s)
+    gv = sum(_window_transform(t, -tr.values, c0_hat, delta, s) for tr in traces)
     slope, _, resid = fit_log_slope(s, np.maximum(np.abs(gv), 1e-300))
     diag = {"slope": slope, "alpha_slope": float(np.clip(-slope - 1.0, 0.501, 0.999)),
             "slope_fit_rms": resid}
@@ -201,7 +188,7 @@ def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
         diag["warning"] = "ill-posed-fit: large residual in the log-log slope fit"
 
     lams = np.array([lam for lam, _ in spectrum.distinct_eigenvalues])
-    mask = (t >= c0_hat - 1e-12) & (t <= c0_hat + delta + 1e-12)
+    mask = _window(t, c0_hat, delta)
     window = t[mask]
     targets = [-tr.values[mask] for tr in traces]
 
@@ -299,41 +286,33 @@ def _sigma_ratio(svals: np.ndarray) -> float:
     return float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0
 
 
-def _dof_map(spectrum: SpectrumTable):
-    """(C, G) of the real parametrization of one conjugate-symmetric
-    coefficient set: dof i is the coefficient of an m = 0 mode i, and a
-    +-m pair (i, i + 1) has dofs (Re p, Im p) of its +m coefficient p.
-    C (dofs x modes) is complex, and a piece's coefficients are its dof
-    row times C. G (eigenvalues x modes) is the group incidence signed by
-    each mode's normalizer sign, so Re((G a(z)) C^T), with a(z) the
-    boundary coefficients, maps the dofs of a piece to its grouped
-    amplitudes b_j = sum s_n a_n(z) p_n at z, which are real."""
-    groups = spectrum.distinct_eigenvalues
+def _dof_map(spectrum: SpectrumTable) -> np.ndarray:
+    """C of the real parametrization of one conjugate-symmetric coefficient
+    set: dof i is the coefficient of an m = 0 mode i, and a +-m pair
+    (i, i + 1) has dofs (Re p, Im p) of its +m coefficient p. C (dofs x
+    modes) is complex, and a piece's coefficients are its dof row times C."""
     c = np.zeros((len(spectrum), len(spectrum)), dtype=complex)
-    g = np.zeros((len(groups), len(spectrum)))
-    for j, (_, idx) in enumerate(groups):
-        g[j, idx] = [normalizer_sign(spectrum.modes[i]) for i in idx]
+    for _, idx in spectrum.distinct_eigenvalues:
         c[idx[0], idx] = 1.0
         if len(idx) == 2:
             c[idx[1], idx] = (1j, -1j)
-    return c, g
+    return c
 
 
-def _phases(spectrum: SpectrumTable, dof_map, angles) -> list:
-    """One phase matrix Re((G a(z)) C^T) per sensor angle."""
-    c, g = dof_map
-    return [((g * [boundary_coefficient(mo, theta) for mo in spectrum.modes])
-             @ c.T).real for theta in angles]
+def _phases(spectrum: SpectrumTable, c: np.ndarray, angles) -> list:
+    """One phase matrix per sensor angle: _grouped of the rows of C (real),
+    which maps the dofs of a piece to its grouped amplitudes."""
+    return [_grouped(spectrum, c, theta).real for theta in angles]
 
 
 def _two_sensor_problem(traces, spectrum: SpectrumTable):
     """(t, lams, C, phases, y) of the least-squares problem of _project:
     the common grid, the distinct eigenvalues, C of the dof map, one phase
     matrix per sensor and the stacked negated traces."""
-    c, g = _dof_map(spectrum)
+    c = _dof_map(spectrum)
     return (_common_grid(traces),
             np.array([lam for lam, _ in spectrum.distinct_eigenvalues]), c,
-            _phases(spectrum, (c, g), [tr.sensor_angle for tr in traces]),
+            _phases(spectrum, c, [tr.sensor_angle for tr in traces]),
             np.concatenate([-tr.values for tr in traces]))
 
 

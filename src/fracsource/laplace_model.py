@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disc_spectrum import SpectrumTable
+from .disc_spectrum import SpectrumTable, normalizer_sign
 from .errors import DomainError, HorizonError, PoleProximityError, ShapeError
 from .forward_model import FluxTrace, SourceModel, grouped_amplitudes, relaxation_rates
 from .specfun import _bessel_j_unchecked
@@ -131,9 +131,9 @@ def laplace_flux_model(model: SourceModel, theta_z: float, s: LaplacePoint) -> c
 
 
 def numeric_laplace(trace: FluxTrace, s: LaplacePoint) -> complex:
-    """Quadrature of int_0^T e^(-s t) (-flux)(t) dt with the piecewise-linear
-    interpolant integrated exactly per interval; the horizon e^(-Re s T) must
-    already be negligible."""
+    """int_0^T e^(-s t) (-flux)(t) dt by _laplace_pwlinear, the one exact
+    transform of a piecewise-linear trace (the order stage's alpha_slope and
+    plotdata use it too); the horizon e^(-Re s T) must already be negligible."""
     sv = s.s
     t = trace.times
     horizon = float(np.exp(-sv.real * t[-1]))
@@ -141,11 +141,12 @@ def numeric_laplace(trace: FluxTrace, s: LaplacePoint) -> complex:
         raise HorizonError(
             f"exp(-Re s * T) = {horizon:.2e} > 1e-10 at T={t[-1]}; "
             "extend the trace")
-    return _laplace_pwlinear(t, -trace.values, sv)
+    return complex(_laplace_pwlinear(t, -trace.values, sv))
 
 
-def _laplace_pwlinear(t: np.ndarray, g: np.ndarray, s: complex) -> complex:
-    """Exact transform of the piecewise-linear interpolant of g."""
+def _laplace_pwlinear(t: np.ndarray, g: np.ndarray, s):
+    """Exact transform of the piecewise-linear interpolant of g at s; real
+    for a real s, whose arithmetic stays real."""
     t0, t1 = t[:-1], t[1:]
     g0, g1 = g[:-1], g[1:]
     h = t1 - t0
@@ -163,7 +164,7 @@ def _laplace_pwlinear(t: np.ndarray, g: np.ndarray, s: complex) -> complex:
         f1 = np.where(small,
                       h * h * (0.5 - x / 3 + x * x / 8 - x ** 3 / 30),
                       (1 - (1 + x) * emx) / (s * s))
-    return complex(np.sum(e0 * (g0 * f0 + slope * f1)))
+    return np.sum(e0 * (g0 * f0 + slope * f1))
 
 
 def delta_z_eval(spec: AdjointSpec, r, theta):
@@ -193,9 +194,9 @@ def adjoint_weight_w(spec: AdjointSpec, spectrum: SpectrumTable, r, theta,
     This is the adjoint solution through which the paper relates the
     unknowns to the boundary data; tests check its truncation, its decay and
     its boundary limit t^(a-1) delta_z^N / Gamma(a) (TestAdjointWeight).
-    E_{a,a} comes from the relaxation basis, and the Bessel factors of the
-    modes (J_|m|(sqrt(lam_n) r), and the sign of J_|m|+1(sqrt(lam_n)) in
-    a-bar_n) from one call per order |m|.
+    E_{a,a} comes from the relaxation basis, J_|m|(sqrt(lam_n) r) from one
+    Bessel call per order |m|, and the sign s_n of a-bar_n from
+    normalizer_sign, which defines it once for this and sensor_weights.
     """
     if not t > 0:
         raise DomainError("t must be positive")
@@ -212,18 +213,18 @@ def adjoint_weight_w(spec: AdjointSpec, spectrum: SpectrumTable, r, theta,
     m = np.array([mo.m for mo in modes])
     lam = np.array([mo.lam for mo in modes])
     omega = np.array([mo.omega for mo in modes])
+    sign = np.array([normalizer_sign(mo) for mo in modes])
     # the cut-0 rate at t is lam t^(a-1) E_{a,a}(-lam t^a); a +-m pair
     # shares its eigenvalue, so each distinct one is evaluated once
     lam_u, group = np.unique(lam, return_inverse=True)
     e_aa = relaxation_rates(alpha, lam_u, [0.0], [t])[0, group, 0] * t ** (1.0 - alpha) / lam
-    weight = (t ** (alpha - 1.0) * (1.0 / math.gamma(alpha) - e_aa) * omega
+    weight = (sign * t ** (alpha - 1.0) * (1.0 / math.gamma(alpha) - e_aa) * omega
               / (math.sqrt(math.pi) * np.sqrt(lam)))
     # sorted(set(...)), not np.unique, which imports numpy.ma
     for order in sorted(set(np.abs(m).tolist())):
         sel = np.abs(m) == order
         k = np.sqrt(lam[sel])
-        sign = np.where(_bessel_j_unchecked(order + 1, k) >= 0, 1.0, -1.0)
         radial = _bessel_j_unchecked(order, np.multiply.outer(k, r))
         phase = np.exp(1j * np.multiply.outer(m[sel], theta - spec.theta_z))
-        total += np.tensordot(sign * weight[sel], radial * phase, axes=1)
+        total += np.tensordot(weight[sel], radial * phase, axes=1)
     return complex(total) if total.ndim == 0 else total

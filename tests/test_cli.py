@@ -236,6 +236,54 @@ class TestConfigValidation:
                                       "model": {"eta": 1}, "noise": {"level": 0}}))
         assert (cfg.grid["t_max"], cfg.model["eta"], cfg.noise["level"]) == (4, 1, 0)
 
+    @pytest.mark.parametrize("case", ["missing", "unreadable", "invalid-json"])
+    def test_config_file_exit_2(self, tmp_path, capsys, case):
+        # unchecked, a missing path was parsed as JSON text and, like a file
+        # of invalid JSON, ended in a JSONDecodeError traceback (exit 1)
+        path = tmp_path / "config.json"
+        if case == "unreadable":
+            path.mkdir()
+        elif case == "invalid-json":
+            path.write_text('{"model": ')
+        code, err = _exit_and_error(capsys, ["synth", "--config", str(path), "--quiet"])
+        assert code == 2
+        assert str(path) in err and "[clause: config-file]" in err, err
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda m: m["cuts"].__setitem__(1, "x"), "model.cuts[1]"),
+        (lambda m: m["cuts"].__setitem__(0, True), "model.cuts[0]"),
+        (lambda m: m["pieces"][0]["coefficients"][0].__setitem__("re", "x"),
+         "model.pieces[0].coefficients[0].re"),
+        (lambda m: m["pieces"][1]["coefficients"][2].__setitem__("m", 1.5),
+         "model.pieces[1].coefficients[2].m"),
+        (lambda m: m["pieces"][0]["coefficients"][1].pop("k"),
+         "model.pieces[0].coefficients[1]"),
+        (lambda m: m["pieces"][0]["coefficients"].__setitem__(0, 3),
+         "model.pieces[0].coefficients[0]"),
+        (lambda m: m["pieces"].__setitem__(1, {"density": {"kind": "gaussian", "width": "x"}}),
+         "model.pieces[1].density.width"),
+        (lambda m: m["pieces"].__setitem__(1, "x"), "model.pieces[1]"),
+    ], ids=["cut", "bool-cut", "re", "m", "no-k", "row", "density-width", "piece"])
+    def test_bad_model_element_exit_2(self, tmp_path, capsys, edit, key):
+        # unchecked, each ended in a ValueError, KeyError or TypeError
+        # traceback (exit 1) while the model was built
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        edit(doc["model"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, err = _exit_and_error(capsys, ["synth", "--config", str(path), "--quiet",
+                                             "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert key in err and "[clause: config-schema]" in err, err
+        assert not (tmp_path / "run").exists()
+
+    def test_mode_outside_the_spectrum_exit_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"model.pieces": [
+            {"coefficients": [{"m": 7, "k": 1, "re": 1.0}]}], "model.cuts": [0.2, "inf"]})
+        code, err = _exit_and_error(capsys, ["synth", "--config", cfg_path, "--quiet"])
+        assert code == 2
+        assert "(m=7, k=1)" in err and "[clause: piece-coefficients]" in err, err
+
     def test_unreadable_trace_exit_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"grid.steps": 400})
         assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
@@ -586,6 +634,17 @@ class TestVerifyCommand:
 class TestPlotdataCommand:
     def test_missing_run_exit_2(self, tmp_path):
         assert main(["plotdata", str(tmp_path / "nope"), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("recon, key", [({}, "alpha_hat"), ({"alpha_hat": 0.75}, "cuts_hat"),
+                                            ([], "alpha_hat")],
+                             ids=["empty", "no-cuts", "not-an-object"])
+    def test_incomplete_reconstruction_exit_2(self, tmp_path, capsys, recon, key):
+        # unchecked, a reconstruction.json without the key ended in a
+        # KeyError traceback (exit 1)
+        (tmp_path / "reconstruction.json").write_text(json.dumps(recon))
+        code, err = _exit_and_error(capsys, ["plotdata", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert key in err and "[clause: plotdata-input]" in err, err
 
     def test_full_run_emits_three_csvs(self, tmp_path):
         cfg_path = write_config(tmp_path, {"grid.steps": 2000,

@@ -11,12 +11,14 @@ from fracsource.disc_spectrum import (
     build_spectrum,
     eigenfunction_eval,
     normal_derivative_weight,
+    normalizer_sign,
     project_function,
+    sensor_weights,
     sobolev_norm,
     spectrum_to_json,
 )
 from fracsource.errors import DomainError, EmptySpectrumError, ShapeError
-from fracsource.specfun import bessel_j
+from fracsource.specfun import _bessel_j_unchecked, bessel_j
 
 import oracles
 
@@ -153,6 +155,15 @@ class TestNormalizers:
                                                            math.sqrt(mo.lam))
             assert abs(abs(val) - 1.0) <= 1e-10
 
+    def test_sign_is_that_of_the_bessel_function(self):
+        # (-1)^(k+1) is the sign of J_{|m|+1} at the k-th zero of J_|m|
+        # (interlacing zeros); the Bessel evaluator is the reference
+        sp = build_spectrum(400.0)
+        for mo in sp.modes:
+            value = float(_bessel_j_unchecked(abs(mo.m) + 1, math.sqrt(mo.lam)))
+            assert normalizer_sign(mo) == math.copysign(1.0, value), (mo.m, mo.k)
+        assert {mo.k for mo in sp.modes} >= {1, 2, 3, 4}
+
     def test_norm_by_quadrature(self, spectrum30):
         for mo in spectrum30.modes[:3]:
             coeffs = project_function(
@@ -208,6 +219,17 @@ class TestNormalDerivative:
         for mo in spectrum30.modes:
             assert abs(normal_derivative_weight(mo, 1.23)) == pytest.approx(
                 math.sqrt(mo.lam / math.pi), rel=1e-12)
+
+    def test_sensor_weights_scale_it(self):
+        # the forward model's weight vector is -1/lambda times d phi_n/d nu,
+        # mode by mode, with the k = 2 signs of lambda_max 40
+        sp = build_spectrum(40.0)
+        for theta in (0.0, 2.2):
+            weights = sensor_weights(sp, theta)
+            assert weights.shape == (len(sp),)
+            for mo, w in zip(sp.modes, weights):
+                assert w == pytest.approx(-normal_derivative_weight(mo, theta) / mo.lam,
+                                          rel=1e-15, abs=0)
 
 
 class TestProjection:

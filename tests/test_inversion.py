@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fracsource import inversion
-from fracsource.disc_spectrum import ModeCoefficients, build_spectrum
+from fracsource.disc_spectrum import ModeCoefficients, build_spectrum, sensor_weights
 from fracsource.errors import (
     EmptySignalError,
     SensorGeometryError,
@@ -393,19 +393,24 @@ class TestDofMap:
     @pytest.mark.parametrize("spectrum", ["spectrum30", "spectrum50"])
     def test_phases_give_the_grouped_amplitudes(self, spectrum, request):
         # a real dof vector maps to conjugate-symmetric coefficients P C, and
-        # the phase rows give the grouped amplitudes that synthesis sums
+        # the phase rows give the grouped amplitudes that synthesis sums: the
+        # sensor weights summed over each eigenvalue group
         spec = request.getfixturevalue(spectrum)
-        dof_map = inversion._dof_map(spec)
+        c = inversion._dof_map(spec)
         pvec = np.random.default_rng(11).normal(size=2 * len(spec))
-        coeffs = pvec.reshape(2, -1) @ dof_map[0]
+        coeffs = pvec.reshape(2, -1) @ c
         model = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
                             piece_coeffs=tuple(map(ModeCoefficients, coeffs)),
                             spectrum=spec)
         assert model.is_real_field(tol=0.0)
-        for theta, phase in zip((0.3, 1.3), inversion._phases(spec, dof_map, (0.3, 1.3))):
-            want = grouped_amplitudes(model, theta)
+        for theta, phase in zip((0.3, 1.3), inversion._phases(spec, c, (0.3, 1.3))):
+            weights = sensor_weights(spec, theta)
+            want = np.array([[sum(weights[i] * row[i] for i in idx) for row in coeffs]
+                             for _, idx in spec.distinct_eigenvalues])
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(grouped_amplitudes(model, theta) - want)) <= 1e-15 * scale
             got = phase @ pvec.reshape(2, -1).T
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 class TestCutJacobian:
