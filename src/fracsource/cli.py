@@ -43,7 +43,7 @@ from .forward_model import (
 )
 from .inversion import (ALPHA_FIT_POINTS, ALPHA_FIT_WINDOW, ALPHA_LEADING_DELTA, InversionConfig,
                         _window_transform, predicted_flux, reconstruct, result_to_json)
-from .laplace_model import LaplacePoint, LaplaceSamples, laplace_flux_model, numeric_laplace
+from .laplace_model import LaplacePoint, laplace_flux_model, numeric_laplace
 from .specfun import _panel_nodes, bessel_j
 
 
@@ -97,14 +97,11 @@ def cmd_synth(args) -> int:
     _emit(manifest, directory, "config.json", dump_config(cfg))
     _emit(manifest, directory, "spectrum.json", spectrum_to_json(spectrum))
     t_str = float_strings(times)   # each array is formatted once, for every file
-    formats = cfg.output["formats"]
     for i, tr in enumerate(traces, start=1):
         v_str = float_strings(tr.values)
-        if "csv" in formats:
-            _emit(manifest, directory, f"flux_sensor{i}.csv", trace_to_csv(t_str, v_str))
-        if "json" in formats:
-            _emit(manifest, directory, f"flux_sensor{i}.json",
-                  trace_to_json(tr.sensor_angle, t_str, v_str))
+        _emit(manifest, directory, f"flux_sensor{i}.csv", trace_to_csv(t_str, v_str))
+        _emit(manifest, directory, f"flux_sensor{i}.json",
+              trace_to_json(tr.sensor_angle, t_str, v_str))
     level = float(cfg.noise["level"])
     if level > 0:
         rng = np.random.default_rng(int(cfg.noise["seed"]))
@@ -113,17 +110,12 @@ def cmd_synth(args) -> int:
             noisy = tr.values + rng.normal(0.0, sigma, size=len(tr.values))
             _emit(manifest, directory, f"flux_sensor{i}_noisy.csv",
                   trace_to_csv(t_str, float_strings(noisy)))
-    s_list = [float(s) for s in cfg.output.get("laplace_s", [])]
-    if s_list:
-        horizon_ok = math.exp(-min(s_list) * times[-1]) <= 1e-10
-        for i, (tr, th) in enumerate(zip(traces, sensors.angles), start=1):
-            pts = [LaplacePoint(s) for s in s_list]
-            vals = [laplace_flux_model(model, th, p) for p in pts]
-            _emit(manifest, directory, f"laplace_sensor{i}.csv",
-                  LaplaceSamples(points=tuple(pts), values=np.array(vals)).to_csv())
-        if not horizon_ok:
-            _info(args, "note: laplace samples computed from the closed form "
-                        "(trace horizon too short for quadrature)")
+    s_real = np.array(cfg.output["laplace_s"], dtype=float)
+    if len(s_real):
+        for i, th in enumerate(sensors.angles, start=1):
+            g = np.array([laplace_flux_model(model, th, LaplacePoint(s)) for s in s_real])
+            _emit(manifest, directory, f"laplace_sensor{i}.csv", columns_to_csv(
+                "re_s,im_s,re_G,im_G", s_real, np.zeros(len(s_real)), g.real, g.imag))
     _finish(manifest, directory)
     _info(args, f"synth: {len(times)} samples x {len(traces)} sensors -> {directory}")
     return 0
@@ -267,11 +259,25 @@ def cmd_plotdata(args) -> int:
     if not os.path.isdir(run_dir) or not os.path.exists(recon_path):
         raise ValidationError(f"{run_dir} is not a completed run directory",
                               clause="plotdata-input")
-    with open(recon_path) as fh:
-        recon = json.load(fh)
-    for key in ("alpha_hat", "cuts_hat"):
+    try:
+        with open(recon_path) as fh:
+            recon = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {recon_path}: {exc}",
+                              clause="plotdata-input") from None
+
+    def finite(v):
+        return type(v) in (int, float) and math.isfinite(v)
+
+    for key, kind, ok in (
+            ("alpha_hat", "a finite number", finite),
+            ("cuts_hat", "a non-empty list of finite numbers",
+             lambda v: isinstance(v, list) and len(v) > 0 and all(map(finite, v)))):
         if not isinstance(recon, dict) or key not in recon:
             raise ValidationError(f"{recon_path} holds no {key}", clause="plotdata-input")
+        if not ok(recon[key]):
+            raise ValidationError(f"{recon_path}: {key} must be {kind}, got {recon[key]!r}",
+                                  clause="plotdata-input")
     cfg = load_config(config_path) if os.path.exists(config_path) else None
 
     # tidy flux curves of the traces that invert fitted, found by name in

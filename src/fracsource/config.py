@@ -49,7 +49,7 @@ _DEFAULTS = {
     "grid": {"t_max": 4.0, "steps": 4000},
     "noise": {"level": 0.0, "seed": 1},
     "inversion": {"changepoint_min_gap": 0.1, "margin_min": 1e-3, "refine": True},
-    "output": {"directory": "runs/out", "formats": ["csv", "json"], "laplace_s": []},
+    "output": {"directory": "runs/out", "laplace_s": []},
     "verify": {"fault_omega_scale": 1.0},
 }
 
@@ -143,8 +143,8 @@ def load_config(text_or_path) -> ExperimentConfig:
     """The config of a JSON file, or of JSON text (a str that starts with
     "{"), merged over the defaults. A file that cannot be read or does not
     hold JSON raises ValidationError (clause config-file) naming it; _merge
-    and _check_model check the keys and types, and noise.level must be
-    finite and >= 0."""
+    and _check_model check the keys and types, noise.level must be finite
+    and >= 0, and each output.laplace_s entry a finite number > 0."""
     source, text = "text", text_or_path
     if not (isinstance(text, str) and text.lstrip().startswith("{")):
         source = os.fspath(text_or_path)
@@ -165,6 +165,10 @@ def load_config(text_or_path) -> ExperimentConfig:
     if not 0 <= level < math.inf:
         raise ValidationError(f"noise.level must be a finite number >= 0, got {level!r}",
                               clause="config-schema")
+    for i, s in enumerate(merged["output"]["laplace_s"]):
+        if type(s) not in (int, float) or not 0 < s < math.inf:
+            raise ValidationError(f"config key output.laplace_s[{i}] must be a finite number "
+                                  f"> 0, got {s!r}", clause="config-schema")
     return ExperimentConfig(raw=merged)
 
 

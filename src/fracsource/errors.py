@@ -40,10 +40,6 @@ class HorizonError(FracsourceError, ValueError):
     """Trace horizon too short for a Laplace transform."""
 
 
-class PoleProximityError(DomainError):
-    """A Laplace point is too close to a pole of the transformed flux."""
-
-
 class EmptySignalError(FracsourceError, ValueError):
     """No trace sample exceeds the onset detection threshold."""
 

@@ -1,10 +1,11 @@
 """Laplace-domain measurement representation, numeric transforms of traces,
-the adjoint mollifier constructions, and pole bookkeeping in the cut plane.
+and the adjoint mollifier constructions.
 
-Branch convention: arguments live in [0, 2pi), so s^alpha means
-exp(alpha*(ln|s| + i*arg s)) under that convention and the transform's poles
-(-lambda_j)^(1/alpha) = lambda_j^(1/alpha) exp(i pi/alpha) sit inside the
-branch whenever alpha > 1/2.
+Branch convention: s^alpha is the principal power,
+exp(alpha*(ln|s| + i*Arg s)) with Arg s in (-pi, pi], on which the transform
+is analytic in Re s > 0 and G(conj s) = conj G(s). There |Arg s^alpha| <
+alpha pi/2 < pi/2, so Re s^alpha > 0 and |s^alpha + lambda_j| > lambda_j:
+no pole lies in the half-plane that LaplacePoint admits.
 """
 from __future__ import annotations
 
@@ -14,16 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disc_spectrum import SpectrumTable, normalizer_sign
-from .errors import DomainError, HorizonError, PoleProximityError, ShapeError
+from .errors import DomainError, HorizonError
 from .forward_model import FluxTrace, SourceModel, grouped_amplitudes, relaxation_rates
 from .specfun import _bessel_j_unchecked
 
 __all__ = [
     "LaplacePoint",
-    "LaplaceSamples",
     "AdjointSpec",
-    "branch_power",
-    "pole_locations",
     "laplace_flux_model",
     "numeric_laplace",
     "delta_z_eval",
@@ -31,20 +29,9 @@ __all__ = [
 ]
 
 
-def branch_power(s: complex, alpha: float) -> complex:
-    """s^alpha with the argument taken in [0, 2pi)."""
-    s = complex(s)
-    if s == 0:
-        raise DomainError("s=0 is outside the branch")
-    arg = math.atan2(s.imag, s.real)
-    if arg < 0:
-        arg += 2.0 * math.pi
-    return complex(np.exp(alpha * (np.log(abs(s)) + 1j * arg)))
-
-
 @dataclass(frozen=True)
 class LaplacePoint:
-    """A point of the right half-plane, kept away from transform poles."""
+    """A point of the right half-plane, where the transform is analytic."""
 
     s: complex
 
@@ -53,32 +40,6 @@ class LaplacePoint:
         if not s.real > 0:
             raise DomainError(f"Re s must be positive, got {s}")
         object.__setattr__(self, "s", s)
-
-    def check_poles(self, alpha: float, distinct_lambdas):
-        """Raise PoleProximityError within 1e-6 of a pole of the transform."""
-        for p in pole_locations(alpha, distinct_lambdas):
-            if abs(self.s - p) < 1e-6:
-                raise PoleProximityError(f"s={self.s} within 1e-6 of pole {p}")
-
-
-@dataclass(frozen=True)
-class LaplaceSamples:
-    points: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        pts = tuple(self.points)
-        vals = np.asarray(self.values, dtype=complex)
-        if len(pts) != len(vals):
-            raise ShapeError("points and values must align")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-
-    def to_csv(self) -> str:
-        lines = ["re_s,im_s,re_G,im_G"]
-        for p, v in zip(self.points, self.values):
-            lines.append(f"{p.s.real!r},{p.s.imag!r},{v.real!r},{v.imag!r}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -94,29 +55,14 @@ class AdjointSpec:
             raise DomainError("N must be >= 0")
 
 
-def pole_locations(alpha: float, distinct_lambdas) -> list:
-    """(-lambda_j)^(1/alpha) on the branch: modulus lambda_j^(1/alpha),
-    argument pi/alpha (inside (pi, 2pi) for alpha in (1/2, 1))."""
-    if not 0.5 < alpha < 1.0:
-        raise DomainError(f"alpha={alpha} outside (1/2, 1)")
-    out = []
-    for lam in distinct_lambdas:
-        if lam <= 0:
-            raise DomainError("eigenvalues must be positive")
-        rho = lam ** (1.0 / alpha)
-        out.append(complex(rho * np.exp(1j * math.pi / alpha)))
-    return out
-
-
 def laplace_flux_model(model: SourceModel, theta_z: float, s: LaplacePoint) -> complex:
     """L{-du/dnu}(z, s) in closed form:
 
     s^-1 sum_k (e^(-c_{k-1} s) - e^(-c_k s)) sum_j b_{j,k} lambda_j/(s^a+lambda_j).
     """
     lams = [lam for lam, _ in model.spectrum.distinct_eigenvalues]
-    s.check_poles(model.alpha, lams)
     sv = s.s
-    sa = branch_power(sv, model.alpha)
+    sa = np.exp(model.alpha * (np.log(abs(sv)) + 1j * math.atan2(sv.imag, sv.real)))
     b = grouped_amplitudes(model, theta_z)
     lam_arr = np.array(lams)
     frac = lam_arr / (sa + lam_arr)

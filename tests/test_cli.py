@@ -33,6 +33,7 @@ from fracsource.inversion import (
     ALPHA_LEADING_DELTA,
     _window_transform,
 )
+from fracsource.laplace_model import LaplacePoint, laplace_flux_model
 
 
 BASE_CONFIG = {
@@ -230,6 +231,28 @@ class TestConfigValidation:
         assert key in err and "[clause: config-schema]" in err, err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("laplace_s, key", [
+        (["x"], "output.laplace_s[0]"), ([True], "output.laplace_s[0]"),
+        ([-1], "output.laplace_s[0]"), ([1.0, 0.0], "output.laplace_s[1]"),
+        ([1.0, math.inf], "output.laplace_s[1]"),
+    ], ids=["string", "bool", "negative", "zero", "inf"])
+    def test_bad_laplace_point_exit_2(self, tmp_path, capsys, laplace_s, key):
+        # unchecked, "x" ended in a ValueError traceback (exit 1) and -1 in an
+        # exit 2 without a clause, both after writing the traces; true ran as s = 1
+        cfg_path = write_config(tmp_path, {"output.laplace_s": laplace_s})
+        code, err = _exit_and_error(capsys, ["synth", "--config", cfg_path, "--quiet"])
+        assert code == 2
+        assert key in err and "[clause: config-schema]" in err, err
+        assert not (tmp_path / "run").exists()
+
+    def test_output_formats_is_unknown(self, tmp_path, capsys):
+        # synth always writes the CSV and the JSON trace; the setting is gone
+        cfg_path = write_config(tmp_path, {"output.formats": ["csv"]})
+        code, err = _exit_and_error(capsys, ["synth", "--config", cfg_path, "--quiet"])
+        assert code == 2
+        assert "unknown config key output.formats" in err, err
+        assert "[clause: config-schema]" in err, err
+
     def test_accepted_types(self):
         # an int where the default is a float, a number where it is null
         cfg = load_config(json.dumps({"grid": {"t_max": 4, "steps": 400},
@@ -382,12 +405,21 @@ class TestSynthCommand:
             assert envelope["times"] == t.tolist() and envelope["values"] == v.tolist()
 
     def test_laplace_samples_emitted(self, tmp_path):
+        # every cell is a plain repr decimal: im_s is 0.0, and re_G and im_G
+        # are those of the closed form at s
         cfg_path = write_config(tmp_path, {"grid.steps": 400,
                                            "output.laplace_s": [1.0, 5.0]})
-        main(["synth", "--config", cfg_path, "--quiet"])
-        lines = (tmp_path / "run" / "laplace_sensor1.csv").read_text().splitlines()
-        assert lines[0] == "re_s,im_s,re_G,im_G"
-        assert len(lines) == 3
+        assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
+        model = build_source_model(load_config(cfg_path), build_spectrum(30.0))
+        for i, theta in enumerate((0.3, 1.3), start=1):
+            lines = (tmp_path / "run" / f"laplace_sensor{i}.csv").read_text().splitlines()
+            assert lines[0] == "re_s,im_s,re_G,im_G"
+            assert len(lines) == 3
+            for line, s in zip(lines[1:], (1.0, 5.0)):
+                cells = line.split(",")
+                assert [float(c) for c in cells[:2]] == [s, 0.0]
+                g = laplace_flux_model(model, theta, LaplacePoint(s))
+                assert cells[2:] == [repr(g.real), repr(g.imag)]
 
 
 class TestInvertCommand:
@@ -635,13 +667,18 @@ class TestPlotdataCommand:
     def test_missing_run_exit_2(self, tmp_path):
         assert main(["plotdata", str(tmp_path / "nope"), "--quiet"]) == 2
 
-    @pytest.mark.parametrize("recon, key", [({}, "alpha_hat"), ({"alpha_hat": 0.75}, "cuts_hat"),
-                                            ([], "alpha_hat")],
-                             ids=["empty", "no-cuts", "not-an-object"])
-    def test_incomplete_reconstruction_exit_2(self, tmp_path, capsys, recon, key):
-        # unchecked, a reconstruction.json without the key ended in a
-        # KeyError traceback (exit 1)
-        (tmp_path / "reconstruction.json").write_text(json.dumps(recon))
+    @pytest.mark.parametrize("text, key", [
+        ("{}", "alpha_hat"), ('{"alpha_hat": 0.75}', "cuts_hat"), ("[]", "alpha_hat"),
+        ('{"alpha_hat": ', "reconstruction.json"),
+        ('{"alpha_hat": 0.75, "cuts_hat": []}', "cuts_hat"),
+        ('{"alpha_hat": "x", "cuts_hat": [0.2]}', "alpha_hat"),
+        ('{"alpha_hat": 0.75, "cuts_hat": [0.2, "x"]}', "cuts_hat"),
+    ], ids=["empty", "no-cuts", "not-an-object", "not-json", "empty-cuts",
+            "alpha-not-a-number", "cut-not-a-number"])
+    def test_incomplete_reconstruction_exit_2(self, tmp_path, capsys, text, key):
+        # unchecked, each ended in a KeyError, JSONDecodeError, IndexError or
+        # ValueError traceback (exit 1)
+        (tmp_path / "reconstruction.json").write_text(text)
         code, err = _exit_and_error(capsys, ["plotdata", str(tmp_path), "--quiet"])
         assert code == 2
         assert key in err and "[clause: plotdata-input]" in err, err

@@ -7,19 +7,17 @@ import numpy as np
 import pytest
 
 import fracsource
+from fracsource.config import columns_to_csv
 from fracsource.disc_spectrum import build_spectrum, eigenfunction_eval
-from fracsource.errors import DomainError, HorizonError, PoleProximityError
+from fracsource.errors import DomainError, HorizonError
 from fracsource.forward_model import FluxTrace, SourceModel, flux_trace, grouped_amplitudes
 from fracsource.laplace_model import (
     AdjointSpec,
     LaplacePoint,
-    LaplaceSamples,
     adjoint_weight_w,
-    branch_power,
     delta_z_eval,
     laplace_flux_model,
     numeric_laplace,
-    pole_locations,
 )
 
 from fracsource.specfun import mittag_leffler
@@ -28,50 +26,49 @@ from conftest import make_coeffs, random_source_model
 import oracles
 
 
+def _first_mode_model(spectrum, alpha):
+    """The mode (m, k) = (0, 1) alone, with coefficient 1 from t = 0 on."""
+    p = make_coeffs(spectrum, {(0, 1): 1.0})
+    return SourceModel(alpha=alpha, cuts=(0.0, math.inf), piece_coeffs=(p,),
+                       spectrum=spectrum)
+
+
 class TestBranchAndPoles:
-    def test_branch_power_negative_axis(self):
-        got = branch_power(complex(-1.0, 0.0), 0.75)
-        assert got == pytest.approx(np.exp(1j * 0.75 * np.pi), abs=1e-14)
-
-    def test_pole_modulus_and_argument(self):
-        poles = pole_locations(0.8, [5.7832])
-        assert abs(poles[0]) == pytest.approx(5.7832 ** 1.25, rel=1e-12)
-        assert abs(poles[0]) == pytest.approx(8.9683, abs=2e-4)
-        assert math.atan2(poles[0].imag, poles[0].real) % (2 * math.pi) == \
-            pytest.approx(1.25 * math.pi, abs=1e-12)
-
-    def test_unit_modulus_case(self):
-        poles = pole_locations(0.75, [1.0])
-        assert poles[0] == pytest.approx(np.exp(1j * 4 * np.pi / 3), abs=1e-12)
-
-    def test_disjoint_pole_sets_for_distinct_alpha(self):
-        lams = [5.7832, 14.682, 26.374]
-        a = pole_locations(0.6, lams)
-        b = pole_locations(0.9, lams)
-        for pa in a:
-            for pb in b:
-                assert abs(pa - pb) > 1e-6
-
-    def test_alpha_domain(self):
-        with pytest.raises(DomainError):
-            pole_locations(0.5, [1.0])
-        with pytest.raises(DomainError):
-            pole_locations(1.0, [1.0])
-
     def test_laplace_point_validation(self):
         with pytest.raises(DomainError):
             LaplacePoint(-1.0)
         with pytest.raises(DomainError):
             LaplacePoint(1j)
 
-    def test_pole_proximity_guard(self):
-        # for alpha in (1/2, 2/3) the poles sit in the right half plane
+    @pytest.mark.parametrize("alpha", (0.6, 0.75))
+    @pytest.mark.parametrize("s", (2 - 1j, 1 - 0.5j))
+    def test_numeric_agreement_below_the_real_axis(self, spectrum30, alpha, s):
+        # s^alpha is the principal power, so the closed form is the transform
+        # of the trace at Im s < 0 too (the [0, 2 pi) branch missed by 0.04-0.08)
+        model = _first_mode_model(spectrum30, alpha)
+        tr = flux_trace(model, 0.7, np.linspace(0.0, 30.0, 30001))
+        gm = laplace_flux_model(model, 0.7, LaplacePoint(s))
+        assert abs(gm - numeric_laplace(tr, LaplacePoint(s))) <= 1e-4
+
+    def test_conjugate_symmetry(self, reference_model):
+        for s in (2 + 1j, 1 + 0.5j, 0.3 + 7j, 20 + 0.01j):
+            g = laplace_flux_model(reference_model, 0.3, LaplacePoint(s))
+            g_bar = laplace_flux_model(reference_model, 0.3, LaplacePoint(s.conjugate()))
+            assert abs(g_bar - g.conjugate()) <= 1e-15 * abs(g)
+
+    def test_finite_where_another_sheet_has_a_pole(self, spectrum30):
+        # at alpha = 0.6, (-lambda_1)^(1/alpha) = lambda_1^(1/alpha) e^(i pi/alpha)
+        # has Re > 0, but the principal s^alpha there is lambda_1 e^(-0.2 i pi),
+        # not -lambda_1: the transform is finite and the numeric one agrees
         alpha = 0.6
-        pole = pole_locations(alpha, [5.7832])[0]
-        assert pole.real > 0
-        pt = LaplacePoint(pole + 1e-8)
-        with pytest.raises(PoleProximityError):
-            pt.check_poles(alpha, [5.7832])
+        model = _first_mode_model(spectrum30, alpha)
+        lam = spectrum30.modes[spectrum30.index_of(0, 1)].lam
+        s = LaplacePoint(lam ** (1 / alpha) * np.exp(1j * math.pi / alpha) + 1e-8)
+        assert s.s.real > 0
+        gm = laplace_flux_model(model, 0.7, s)
+        assert np.isfinite(gm)
+        tr = flux_trace(model, 0.7, np.linspace(0.0, 30.0, 30001))
+        assert abs(gm - numeric_laplace(tr, s)) <= 1e-4
 
 
 class TestLaplaceFluxModel:
@@ -167,11 +164,17 @@ class TestNumericLaplace:
             numeric_laplace(reference_traces[0], LaplacePoint(1.0))
 
     def test_csv_schema(self):
-        pts = (LaplacePoint(1.0), LaplacePoint(2.0 + 1.0j))
-        samples = LaplaceSamples(points=pts, values=np.array([1 + 2j, 3 + 4j]))
-        lines = samples.to_csv().splitlines()
+        # the laplace_sensor<i>.csv layout: one row per real s, plain repr cells
+        t = np.linspace(0.0, 40.0, 40001)
+        tr = FluxTrace(0.0, t, -np.exp(-t))
+        s = np.array([1.0, 2.0])
+        g = np.array([numeric_laplace(tr, LaplacePoint(v)) for v in s])
+        lines = columns_to_csv("re_s,im_s,re_G,im_G", s, np.zeros(len(s)),
+                               g.real, g.imag).splitlines()
         assert lines[0] == "re_s,im_s,re_G,im_G"
         assert len(lines) == 3
+        for line, v, gv in zip(lines[1:], s, g):
+            assert [float(c) for c in line.split(",")] == [v, 0.0, gv.real, gv.imag]
 
 
 class TestDeltaMollifier:
