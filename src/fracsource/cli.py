@@ -41,8 +41,7 @@ from .forward_model import (
     relaxation_rates,
     verify_measurement_identity,
 )
-from .inversion import (ALPHA_FIT_POINTS, ALPHA_FIT_WINDOW, ALPHA_LEADING_DELTA, InversionConfig,
-                        _window_transform, predicted_flux, reconstruct, result_to_json)
+from .inversion import predicted_flux, reconstruct, result_to_json
 from .laplace_model import LaplacePoint, laplace_flux_model, numeric_laplace
 from .specfun import _panel_nodes, bessel_j
 
@@ -266,48 +265,52 @@ def cmd_plotdata(args) -> int:
         raise ValidationError(f"cannot read {recon_path}: {exc}",
                               clause="plotdata-input") from None
 
-    def finite(v):
-        return type(v) in (int, float) and math.isfinite(v)
+    def finite(v):   # a JSON number that is a finite double
+        return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
-    for key, kind, ok in (
-            ("alpha_hat", "a finite number", finite),
-            ("cuts_hat", "a non-empty list of finite numbers",
-             lambda v: isinstance(v, list) and len(v) > 0 and all(map(finite, v)))):
-        if not isinstance(recon, dict) or key not in recon:
+    def list_of(ok, min_len=0):
+        return lambda v: isinstance(v, list) and len(v) >= min_len and all(map(ok, v))
+
+    # the traces that invert fitted, by file name in the run directory (the
+    # clean synth traces for runs without the key), and the profile of the
+    # order stage (none for runs without it)
+    missing = object()
+    doc = recon if isinstance(recon, dict) else {}
+    names = doc.get("traces", [f"flux_sensor{i}.csv" for i in (1, 2)])
+    log = doc.get("stage_log")
+    order = next((entry[1] for entry in (log if isinstance(log, list) else [])
+                  if isinstance(entry, list) and len(entry) == 2
+                  and entry[0] == "estimate_alpha" and isinstance(entry[1], dict)), {})
+    profile = order.get("profile", [])
+    for key, value, kind, ok in (
+            ("alpha_hat", doc.get("alpha_hat", missing), "a finite number", finite),
+            ("cuts_hat", doc.get("cuts_hat", missing), "a non-empty list of finite numbers",
+             list_of(finite, min_len=1)),
+            ("traces", names, "a list of file names", list_of(lambda v: isinstance(v, str))),
+            ("estimate_alpha.profile", profile,
+             "a list of [alpha, vp_residual] pairs of finite numbers",
+             list_of(lambda pair: list_of(finite)(pair) and len(pair) == 2))):
+        if value is missing:
             raise ValidationError(f"{recon_path} holds no {key}", clause="plotdata-input")
-        if not ok(recon[key]):
-            raise ValidationError(f"{recon_path}: {key} must be {kind}, got {recon[key]!r}",
+        if not ok(value):
+            raise ValidationError(f"{recon_path}: {key} must be {kind}, got {value!r}",
                                   clause="plotdata-input")
     cfg = load_config(config_path) if os.path.exists(config_path) else None
 
-    # tidy flux curves of the traces that invert fitted, found by name in
-    # the run directory (the clean synth traces for runs without the key)
-    names = recon.get("traces") or [f"flux_sensor{i}.csv" for i in (1, 2)]
-    traces = []
+    # tidy flux curves
+    rows = []
     for i, name in enumerate(names, start=1):
         trace_path = os.path.join(run_dir, os.path.basename(name))
         if os.path.exists(trace_path):
             with open(trace_path) as fh:
-                traces.append((i, *trace_from_csv(fh.read())))
-    rows = [(float_strings(t), [str(i)] * len(t), float_strings(v)) for i, t, v in traces]
+                t, v = trace_from_csv(fh.read())
+            rows.append((float_strings(t), [str(i)] * len(t), float_strings(v)))
     write_atomic(os.path.join(run_dir, "plot_flux_vs_t.csv"), columns_to_csv(
         "t,sensor,flux", *(sum(col, []) for col in zip(*rows))))
 
-    # log|G| against log s with the fitted alpha line: the window and the
-    # transform summed over both sensors that estimate_alpha fits
-    gap = cfg.inversion["changepoint_min_gap"] if cfg else InversionConfig.changepoint_min_gap
-    c0, delta = float(recon["cuts_hat"][0]), min(gap, ALPHA_LEADING_DELTA)
-    s = np.geomspace(*ALPHA_FIT_WINDOW, ALPHA_FIT_POINTS)
-    log_s = np.log(s)
-    columns = []
-    if len(traces) == 2:
-        gv = sum(_window_transform(t, -v, c0, delta, s) for _, t, v in traces)
-        log_g = np.log(np.maximum(np.abs(gv), 1e-300))
-        slope = -(1.0 + float(recon["alpha_hat"]))
-        fit = slope * log_s + float(np.mean(log_g - slope * log_s))
-        columns = [log_s, log_g, fit, np.full(len(log_s), slope)]
-    write_atomic(os.path.join(run_dir, "plot_alpha_fit.csv"),
-                 columns_to_csv("log_s,log_G,fit,slope", *columns))
+    # the order stage's variable-projection residual over the alphas it searched
+    write_atomic(os.path.join(run_dir, "plot_order_profile.csv"),
+                 columns_to_csv("alpha,vp_residual", *zip(*profile)))
 
     # reconstructed vs configured cuts
     lines = ["kind,index,time"]
@@ -319,7 +322,7 @@ def cmd_plotdata(args) -> int:
         lines.append(f"reconstructed,{i},{float(c)!r}")
     write_atomic(os.path.join(run_dir, "plot_cuts_compare.csv"),
                  "\n".join(lines) + "\n")
-    _info(args, "plotdata: wrote plot_flux_vs_t.csv, plot_alpha_fit.csv, "
+    _info(args, "plotdata: wrote plot_flux_vs_t.csv, plot_order_profile.csv, "
                 f"plot_cuts_compare.csv in {run_dir}")
     return 0
 

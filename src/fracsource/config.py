@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -43,7 +44,6 @@ _DEFAULTS = {
         "cuts": [0.2, 1.2, "inf"],
         "pieces": [],
         "eta": None,
-        "gamma": 1.0,
     },
     "sensors": {"theta1": 0.3, "theta2": 1.3},
     "grid": {"t_max": 4.0, "steps": 4000},
@@ -60,13 +60,24 @@ _KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
           list: ((list,), "a list"), type(None): ((int, float, type(None)), "a number or null")}
 
 
+def _check_double(name: str, value) -> None:
+    """Raise ValidationError (clause config-schema) if value is a JSON integer
+    beyond the range of a double, which float() cannot convert."""
+    if type(value) is int and abs(value) > sys.float_info.max:
+        raise ValidationError(f"config key {name} is an integer too large for a double",
+                              clause="config-schema")
+
+
 def _check_kind(name: str, default, value) -> None:
     """Raise ValidationError (clause config-schema) unless value has a JSON
-    type that _KINDS allows for its default; a bool is no number."""
+    type that _KINDS allows for its default; a bool is no number, and a
+    number that must be a float passes _check_double."""
     types, kind = _KINDS[type(default)]
     if not isinstance(value, types) or isinstance(value, bool) != isinstance(default, bool):
         raise ValidationError(f"config key {name} must be {kind}, got {value!r}",
                               clause="config-schema")
+    if float in types:
+        _check_double(name, value)
 
 
 def _merge(defaults, override, path=""):
@@ -130,6 +141,7 @@ def _check_model(model: dict) -> None:
         if cut not in ("inf", None) and type(cut) not in (int, float):
             raise ValidationError(f'config key model.cuts[{i}] must be a number, "inf" or null, '
                                   f"got {cut!r}", clause="config-schema")
+        _check_double(f"model.cuts[{i}]", cut)
     for p, piece in enumerate(model["pieces"]):
         _merge(_PIECE, piece, f"model.pieces[{p}]")
         for r, row in enumerate(piece.get("coefficients", [])):
@@ -166,6 +178,7 @@ def load_config(text_or_path) -> ExperimentConfig:
         raise ValidationError(f"noise.level must be a finite number >= 0, got {level!r}",
                               clause="config-schema")
     for i, s in enumerate(merged["output"]["laplace_s"]):
+        _check_double(f"output.laplace_s[{i}]", s)
         if type(s) not in (int, float) or not 0 < s < math.inf:
             raise ValidationError(f"config key output.laplace_s[{i}] must be a finite number "
                                   f"> 0, got {s!r}", clause="config-schema")
@@ -236,8 +249,7 @@ def build_source_model(cfg: ExperimentConfig, spectrum: SpectrumTable) -> Source
                               clause="assumption-1c")
     return SourceModel(alpha=float(m["alpha"]), cuts=tuple(cuts),
                        piece_coeffs=pieces, spectrum=spectrum,
-                       eta=m["eta"] if m["eta"] is None else float(m["eta"]),
-                       gamma=float(m["gamma"]))
+                       eta=m["eta"] if m["eta"] is None else float(m["eta"]))
 
 
 def build_inversion_config(cfg: ExperimentConfig) -> InversionConfig:

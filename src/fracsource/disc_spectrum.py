@@ -30,7 +30,6 @@ __all__ = [
     "sensor_weights",
     "normal_derivative_weight",
     "project_function",
-    "sobolev_norm",
     "spectrum_to_json",
 ]
 
@@ -232,19 +231,6 @@ def project_function(f, spectrum: SpectrumTable) -> ModeCoefficients:
         rad = mo.omega * _bessel_j_unchecked(abs(mo.m), math.sqrt(mo.lam) * r)
         vals[i] = np.sum(ang[:, mo.m % 256] * rad * wr)
     return ModeCoefficients(values=vals)
-
-
-def sobolev_norm(coeffs: ModeCoefficients, spectrum: SpectrumTable,
-                 gamma: float) -> float:
-    """(sum_n lambda_n^(2 gamma) |c_n|^2)^(1/2), the norm of the domain
-    D((-Laplace)^gamma) in which the paper's source pieces p_k lie
-    (assumption 1b; SourceModel.gamma is that exponent)."""
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
-    if len(coeffs) != len(spectrum):
-        raise ShapeError("coefficients do not match the spectrum")
-    lam = spectrum.eigenvalues
-    return float(np.sqrt(np.sum(lam ** (2.0 * gamma) * np.abs(coeffs.values) ** 2)))
 
 
 def spectrum_to_json(spectrum: SpectrumTable) -> str:

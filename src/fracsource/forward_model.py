@@ -67,7 +67,6 @@ class SourceModel:
     piece_coeffs: tuple
     spectrum: SpectrumTable
     eta: float | None = None
-    gamma: float = 1.0
 
     def __post_init__(self):
         if not 0.5 < self.alpha < 1.0:
@@ -94,8 +93,6 @@ class SourceModel:
             raise ValidationError(
                 f"cut gap {float(np.min(gaps)):.6g} below declared eta={eta}",
                 clause="assumption-1a")
-        if not self.gamma > 0:
-            raise ValidationError("gamma must be positive", clause="assumption-1b")
         pieces = tuple(self.piece_coeffs)
         if len(pieces) != len(cuts) - 1:
             raise ShapeError("need exactly K coefficient sets for K+1 cuts")

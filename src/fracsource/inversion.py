@@ -32,14 +32,12 @@ from .forward_model import (
     relaxation_flux,
     relaxation_rates,
 )
-from .laplace_model import _laplace_pwlinear
 
 __all__ = [
     "InversionConfig",
     "ReconstructionResult",
     "detect_onset",
     "estimate_alpha",
-    "fit_log_slope",
     "detect_change_points",
     "refine_joint",
     "reconstruct",
@@ -49,8 +47,6 @@ __all__ = [
 
 ONSET_THRESHOLD = 5.0            # noise-sigma multiplier of the onset threshold
 ONSET_FLOOR = 1e-9               # absolute floor of the onset threshold
-ALPHA_FIT_WINDOW = (20.0, 200.0)  # Laplace points of the order stage's slope fit
-ALPHA_FIT_POINTS = 40
 ALPHA_LEADING_DELTA = 0.2        # cap on the leading-window length
 MAX_REFINE_ITERATIONS = 50
 REFINE_TOL = 1e-10               # relative-decrease stop of refine_joint
@@ -145,50 +141,21 @@ def detect_onset(traces) -> float:
     return max(float(crossing) - h, 0.0)
 
 
-def fit_log_slope(s: np.ndarray, magnitudes: np.ndarray):
-    """Least-squares slope/intercept of log|F| against log s."""
-    ls = np.log(np.asarray(s, dtype=float))
-    lg = np.log(np.asarray(magnitudes, dtype=float))
-    design = np.stack([ls, np.ones_like(ls)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, lg, rcond=None)
-    resid = lg - design @ coef
-    return float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(resid ** 2)))
-
-
-def _window(t, c0, delta):
-    """Mask of the leading window [c0, c0 + delta] of the grid t."""
-    return (t >= c0 - 1e-12) & (t <= c0 + delta + 1e-12)
-
-
-def _window_transform(t, y, c0, delta, s_points):
-    """Laplace transform of the time-shifted leading window at each real s,
-    by laplace_model's exact transform of the piecewise-linear interpolant."""
-    mask = _window(t, c0, delta)
-    return np.array([_laplace_pwlinear(t[mask] - c0, y[mask], sv) for sv in s_points])
-
-
 def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
                    spectrum: SpectrumTable):
     """Order estimate from the leading window t in [c0, c0 + delta], delta =
     min(changepoint_min_gap, ALPHA_LEADING_DELTA): a variable-projection fit
     of the relaxation basis {1 - E_{alpha,1}(-lambda_j tau^alpha)} on the
     window, golden-section searched within 0.025 of the best point of a 0.02
-    grid over [0.52, 0.98]. The large-s fit log|G~(s)| ~ -(1+alpha) log s
-    of the window's transform at ALPHA_FIT_POINTS points spaced geometrically
-    over ALPHA_FIT_WINDOW gives the diagnostic alpha_slope, which does not
-    enter the estimate. Returns (alpha_hat, diagnostics dict)."""
+    grid over [0.52, 0.98]. Returns (alpha_hat, diagnostics dict): the
+    diagnostics hold vp_residual and alpha_vp at the searched minimum, the
+    grid's profile as [alpha, vp_residual] pairs, and its interior local
+    minima, the grid alphas whose residual is strictly below the left
+    neighbour's and not above the right one's."""
     t = _common_grid(traces)
     delta = min(cfg.changepoint_min_gap, ALPHA_LEADING_DELTA)
-    s = np.geomspace(*ALPHA_FIT_WINDOW, ALPHA_FIT_POINTS)
-    gv = sum(_window_transform(t, -tr.values, c0_hat, delta, s) for tr in traces)
-    slope, _, resid = fit_log_slope(s, np.maximum(np.abs(gv), 1e-300))
-    diag = {"slope": slope, "alpha_slope": float(np.clip(-slope - 1.0, 0.501, 0.999)),
-            "slope_fit_rms": resid}
-    if resid > 0.5:
-        diag["warning"] = "ill-posed-fit: large residual in the log-log slope fit"
-
     lams = np.array([lam for lam, _ in spectrum.distinct_eigenvalues])
-    mask = _window(t, c0_hat, delta)
+    mask = (t >= c0_hat - 1e-12) & (t <= c0_hat + delta + 1e-12)
     window = t[mask]
     targets = [-tr.values[mask] for tr in traces]
 
@@ -202,13 +169,15 @@ def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
             total += float(r @ r)
         return total
 
-    vals = {a: vp_residual(a) for a in np.arange(0.52, 0.995, 0.02)}
-    best = min(vals, key=vals.get)
+    profile = [(float(a), vp_residual(a)) for a in np.arange(0.52, 0.995, 0.02)]
+    best = min(profile, key=lambda pair: pair[1])[0]
     lo_b = max(0.5005, best - 0.025)
     hi_b = min(0.9995, best + 0.025)
     alpha_hat = _brent_min(vp_residual, lo_b, hi_b)
-    diag["vp_residual"] = vp_residual(alpha_hat)
-    diag["alpha_vp"] = alpha_hat
+    diag = {"vp_residual": vp_residual(alpha_hat), "alpha_vp": alpha_hat,
+            "minima": [a for (_, left), (a, v), (_, right)
+                       in zip(profile, profile[1:], profile[2:]) if left > v <= right],
+            "profile": profile}
     return float(np.clip(alpha_hat, 0.5005, 0.9995)), diag
 
 

@@ -77,9 +77,9 @@ def laplace_flux_model(model: SourceModel, theta_z: float, s: LaplacePoint) -> c
 
 
 def numeric_laplace(trace: FluxTrace, s: LaplacePoint) -> complex:
-    """int_0^T e^(-s t) (-flux)(t) dt by _laplace_pwlinear, the one exact
-    transform of a piecewise-linear trace (the order stage's alpha_slope and
-    plotdata use it too); the horizon e^(-Re s T) must already be negligible."""
+    """int_0^T e^(-s t) (-flux)(t) dt by _laplace_pwlinear, the exact
+    transform of the piecewise-linear interpolant of the trace; the horizon
+    e^(-Re s T) must already be negligible."""
     sv = s.s
     t = trace.times
     horizon = float(np.exp(-sv.real * t[-1]))
@@ -91,8 +91,7 @@ def numeric_laplace(trace: FluxTrace, s: LaplacePoint) -> complex:
 
 
 def _laplace_pwlinear(t: np.ndarray, g: np.ndarray, s):
-    """Exact transform of the piecewise-linear interpolant of g at s; real
-    for a real s, whose arithmetic stays real."""
+    """Exact transform of the piecewise-linear interpolant of g at s."""
     t0, t1 = t[:-1], t[1:]
     g0, g1 = g[:-1], g[1:]
     h = t1 - t0

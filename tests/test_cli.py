@@ -27,12 +27,6 @@ from fracsource.config import (
 from fracsource.disc_spectrum import build_spectrum
 from fracsource.errors import ValidationError
 from fracsource.forward_model import flux_trace
-from fracsource.inversion import (
-    ALPHA_FIT_POINTS,
-    ALPHA_FIT_WINDOW,
-    ALPHA_LEADING_DELTA,
-    _window_transform,
-)
 from fracsource.laplace_model import LaplacePoint, laplace_flux_model
 
 
@@ -220,11 +214,14 @@ class TestConfigValidation:
         ("noise.level", "x"), ("noise.level", math.nan), ("noise.level", -0.1),
         ("spectrum.lambda_max", "x"), ("sensors.theta1", "x"), ("model.alpha", "x"),
         ("model.eta", "x"), ("model.cuts", "inf"), ("output.directory", 3),
+        pytest.param("grid.t_max", 10 ** 400, id="grid.t_max-beyond-a-double"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, key, value):
-        # a value of another JSON type than its default, or a noise level that
-        # is not finite and >= 0: unchecked, each ends in a traceback (exit 1)
-        # or in a run that silently differs from the config
+        # a value of another JSON type than its default, a noise level that
+        # is not finite and >= 0, or an integer beyond the range of a double
+        # where a float is expected: unchecked, each ends in a traceback
+        # (exit 1; OverflowError for the integer) or in a run that silently
+        # differs from the config
         cfg_path = write_config(tmp_path, {key: value})
         code, err = _exit_and_error(capsys, ["synth", "--config", cfg_path, "--quiet"])
         assert code == 2
@@ -234,16 +231,26 @@ class TestConfigValidation:
     @pytest.mark.parametrize("laplace_s, key", [
         (["x"], "output.laplace_s[0]"), ([True], "output.laplace_s[0]"),
         ([-1], "output.laplace_s[0]"), ([1.0, 0.0], "output.laplace_s[1]"),
-        ([1.0, math.inf], "output.laplace_s[1]"),
-    ], ids=["string", "bool", "negative", "zero", "inf"])
+        ([1.0, math.inf], "output.laplace_s[1]"), ([1.0, 10 ** 400], "output.laplace_s[1]"),
+    ], ids=["string", "bool", "negative", "zero", "inf", "beyond-a-double"])
     def test_bad_laplace_point_exit_2(self, tmp_path, capsys, laplace_s, key):
         # unchecked, "x" ended in a ValueError traceback (exit 1) and -1 in an
-        # exit 2 without a clause, both after writing the traces; true ran as s = 1
+        # exit 2 without a clause, both after writing the traces; true ran as
+        # s = 1, and 10**400 ended in an OverflowError traceback
         cfg_path = write_config(tmp_path, {"output.laplace_s": laplace_s})
         code, err = _exit_and_error(capsys, ["synth", "--config", cfg_path, "--quiet"])
         assert code == 2
         assert key in err and "[clause: config-schema]" in err, err
         assert not (tmp_path / "run").exists()
+
+    def test_model_gamma_is_unknown(self, tmp_path, capsys):
+        # the Sobolev exponent of assumption 1b was checked and never used;
+        # the key is gone
+        cfg_path = write_config(tmp_path, {"model.gamma": 1.0})
+        code, err = _exit_and_error(capsys, ["synth", "--config", cfg_path, "--quiet"])
+        assert code == 2
+        assert "unknown config key model.gamma" in err, err
+        assert "[clause: config-schema]" in err, err
 
     def test_output_formats_is_unknown(self, tmp_path, capsys):
         # synth always writes the CSV and the JSON trace; the setting is gone
@@ -275,6 +282,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("edit, key", [
         (lambda m: m["cuts"].__setitem__(1, "x"), "model.cuts[1]"),
         (lambda m: m["cuts"].__setitem__(0, True), "model.cuts[0]"),
+        (lambda m: m["cuts"].__setitem__(1, -10 ** 400), "model.cuts[1]"),
         (lambda m: m["pieces"][0]["coefficients"][0].__setitem__("re", "x"),
          "model.pieces[0].coefficients[0].re"),
         (lambda m: m["pieces"][1]["coefficients"][2].__setitem__("m", 1.5),
@@ -286,10 +294,11 @@ class TestConfigValidation:
         (lambda m: m["pieces"].__setitem__(1, {"density": {"kind": "gaussian", "width": "x"}}),
          "model.pieces[1].density.width"),
         (lambda m: m["pieces"].__setitem__(1, "x"), "model.pieces[1]"),
-    ], ids=["cut", "bool-cut", "re", "m", "no-k", "row", "density-width", "piece"])
+    ], ids=["cut", "bool-cut", "cut-beyond-a-double", "re", "m", "no-k", "row",
+            "density-width", "piece"])
     def test_bad_model_element_exit_2(self, tmp_path, capsys, edit, key):
-        # unchecked, each ended in a ValueError, KeyError or TypeError
-        # traceback (exit 1) while the model was built
+        # unchecked, each ended in a ValueError, KeyError, TypeError or
+        # OverflowError traceback (exit 1) while the model was built
         doc = json.loads(json.dumps(BASE_CONFIG))
         edit(doc["model"])
         path = tmp_path / "bad.json"
@@ -673,11 +682,24 @@ class TestPlotdataCommand:
         ('{"alpha_hat": 0.75, "cuts_hat": []}', "cuts_hat"),
         ('{"alpha_hat": "x", "cuts_hat": [0.2]}', "alpha_hat"),
         ('{"alpha_hat": 0.75, "cuts_hat": [0.2, "x"]}', "cuts_hat"),
+        ('{"alpha_hat": %d, "cuts_hat": [0.2]}' % 10 ** 400, "alpha_hat"),
+        ('{"alpha_hat": 0.75, "cuts_hat": [0.2], "traces": 5}', "traces"),
+        ('{"alpha_hat": 0.75, "cuts_hat": [0.2], "traces": ["a.csv", 3]}', "traces"),
+        ('{"alpha_hat": 0.75, "cuts_hat": [0.2], '
+         '"stage_log": [["estimate_alpha", {"profile": 5}]]}', "estimate_alpha.profile"),
+        ('{"alpha_hat": 0.75, "cuts_hat": [0.2], '
+         '"stage_log": [["estimate_alpha", {"profile": [[0.52, "x"]]}]]}',
+         "estimate_alpha.profile"),
+        ('{"alpha_hat": 0.75, "cuts_hat": [0.2], '
+         '"stage_log": [["estimate_alpha", {"profile": [[0.52, 1.0, 2.0]]}]]}',
+         "estimate_alpha.profile"),
     ], ids=["empty", "no-cuts", "not-an-object", "not-json", "empty-cuts",
-            "alpha-not-a-number", "cut-not-a-number"])
+            "alpha-not-a-number", "cut-not-a-number", "alpha-beyond-a-double",
+            "traces-not-a-list", "trace-not-a-string", "profile-not-a-list",
+            "profile-not-numbers", "profile-not-pairs"])
     def test_incomplete_reconstruction_exit_2(self, tmp_path, capsys, text, key):
-        # unchecked, each ended in a KeyError, JSONDecodeError, IndexError or
-        # ValueError traceback (exit 1)
+        # unchecked, each ended in a KeyError, JSONDecodeError, IndexError,
+        # ValueError, OverflowError or TypeError traceback (exit 1)
         (tmp_path / "reconstruction.json").write_text(text)
         code, err = _exit_and_error(capsys, ["plotdata", str(tmp_path), "--quiet"])
         assert code == 2
@@ -692,48 +714,49 @@ class TestPlotdataCommand:
               os.path.join(run, "flux_sensor1.csv"),
               os.path.join(run, "flux_sensor2.csv")])
         assert main(["plotdata", run, "--quiet"]) == 0
-        for name in ("plot_flux_vs_t.csv", "plot_alpha_fit.csv",
+        for name in ("plot_flux_vs_t.csv", "plot_order_profile.csv",
                      "plot_cuts_compare.csv"):
             assert (tmp_path / "run" / name).exists()
-        lines = (tmp_path / "run" / "plot_alpha_fit.csv").read_text().splitlines()
+        # the order profile is the one invert recorded, 24 grid alphas
         recon = json.loads((tmp_path / "run" / "reconstruction.json").read_text())
-        expected_slope = -(1.0 + recon["alpha_hat"])
-        slopes = {float(line.split(",")[3]) for line in lines[1:]}
-        assert slopes == {expected_slope}
+        lines = (tmp_path / "run" / "plot_order_profile.csv").read_text().splitlines()
+        profile = dict(recon["stage_log"])["estimate_alpha"]["profile"]
+        assert lines[0] == "alpha,vp_residual" and len(lines) == 25
+        assert [[float(cell) for cell in line.split(",")] for line in lines[1:]] == profile
 
-    def test_alpha_fit_is_the_estimators_transform(self, tmp_path):
-        # log_G is log|sum over both sensors of the leading-window transform|
-        # on the window estimate_alpha fits: delta = min(changepoint_min_gap,
-        # ALPHA_LEADING_DELTA), here 0.1, at the ALPHA_FIT_POINTS points spaced
-        # geometrically over ALPHA_FIT_WINDOW
-        cfg_path = write_config(tmp_path, {"grid.steps": 2000,
-                                           "inversion.changepoint_min_gap": 0.1})
+    def test_order_profile_is_the_recorded_profile(self, tmp_path):
+        # plot_order_profile.csv holds the recorded pairs as plain numbers,
+        # with no refit
+        cfg_path = write_config(tmp_path, {"grid.steps": 2000})
         assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
         run = tmp_path / "run"
         (run / "reconstruction.json").write_text(json.dumps(
-            {"alpha_hat": 0.75, "cuts_hat": [0.2, 1.2]}))
+            {"alpha_hat": 0.75, "cuts_hat": [0.2, 1.2],
+             "stage_log": [["detect_onset", {"c0_hat": 0.199}],
+                           ["estimate_alpha", {"profile": [[0.52, 1.5], [0.54, 2]]}]]}))
         assert main(["plotdata", str(run), "--quiet"]) == 0
-        delta = min(0.1, ALPHA_LEADING_DELTA)
-        s = np.geomspace(*ALPHA_FIT_WINDOW, ALPHA_FIT_POINTS)
-        traces = [trace_from_csv((run / f"flux_sensor{i}.csv").read_text()) for i in (1, 2)]
-        gv = sum(_window_transform(t, -v, 0.2, delta, s) for t, v in traces)
-        got = np.loadtxt(run / "plot_alpha_fit.csv", delimiter=",", skiprows=1)
-        assert np.array_equal(got[:, 0], np.log(s))
-        assert np.array_equal(got[:, 1], np.log(np.abs(gv)))
-        # without config.json, the default gap (also 0.1) gives the same file
-        first = (run / "plot_alpha_fit.csv").read_bytes()
-        (run / "config.json").unlink()
-        assert main(["plotdata", str(run), "--quiet"]) == 0
-        assert (run / "plot_alpha_fit.csv").read_bytes() == first
+        want = "alpha,vp_residual\n0.52,1.5\n0.54,2.0\n"
+        assert (run / "plot_order_profile.csv").read_text() == want
         # the tidy flux file holds plain numbers, sensor 1 then sensor 2
+        traces = [trace_from_csv((run / f"flux_sensor{i}.csv").read_text()) for i in (1, 2)]
         flux = np.loadtxt(run / "plot_flux_vs_t.csv", delimiter=",", skiprows=1)
         assert np.array_equal(flux[:, 0], np.concatenate([traces[0][0], traces[1][0]]))
         assert np.array_equal(flux[:, 1], np.repeat([1.0, 2.0], len(traces[0][0])))
         assert np.array_equal(flux[:, 2], np.concatenate([traces[0][1], traces[1][1]]))
+        # neither the traces nor the config enter the profile
+        for name in ("config.json", "flux_sensor1.csv", "flux_sensor2.csv"):
+            (run / name).unlink()
+        assert main(["plotdata", str(run), "--quiet"]) == 0
+        assert (run / "plot_order_profile.csv").read_text() == want
+        # a run without a recorded profile gets the header alone
+        (run / "reconstruction.json").write_text(json.dumps(
+            {"alpha_hat": 0.75, "cuts_hat": [0.2, 1.2]}))
+        assert main(["plotdata", str(run), "--quiet"]) == 0
+        assert (run / "plot_order_profile.csv").read_text() == "alpha,vp_residual\n"
 
     def test_plots_the_traces_that_invert_fitted(self, tmp_path):
         # after a fit to the 1 %-noise traces, reconstruction.json names them
-        # and plotdata plots and transforms those, not the clean ones
+        # and plotdata plots those, not the clean ones
         cfg_path = write_config(tmp_path, {"grid.steps": 2000, "noise.level": 0.01,
                                            "inversion.refine": False})
         assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
@@ -749,8 +772,3 @@ class TestPlotdataCommand:
         assert not np.array_equal(noisy[0][1], clean[0][1])
         flux = np.loadtxt(run / "plot_flux_vs_t.csv", delimiter=",", skiprows=1)
         assert np.array_equal(flux[:, 2], np.concatenate([noisy[0][1], noisy[1][1]]))
-        delta = min(BASE_CONFIG["inversion"]["changepoint_min_gap"], ALPHA_LEADING_DELTA)
-        s = np.geomspace(*ALPHA_FIT_WINDOW, ALPHA_FIT_POINTS)
-        gv = sum(_window_transform(t, -v, recon["cuts_hat"][0], delta, s) for t, v in noisy)
-        got = np.loadtxt(run / "plot_alpha_fit.csv", delimiter=",", skiprows=1)
-        assert np.array_equal(got[:, 1], np.log(np.abs(gv)))

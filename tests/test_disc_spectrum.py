@@ -14,7 +14,6 @@ from fracsource.disc_spectrum import (
     normalizer_sign,
     project_function,
     sensor_weights,
-    sobolev_norm,
     spectrum_to_json,
 )
 from fracsource.errors import DomainError, EmptySpectrumError, ShapeError
@@ -250,29 +249,6 @@ class TestProjection:
         for i, mo in enumerate(spectrum30.modes):
             if mo.m != 0:
                 assert abs(coeffs.values[i]) <= 1e-8
-
-
-class TestSobolevNorm:
-    def test_gamma_zero_is_euclidean(self, spectrum30):
-        vals = np.arange(1.0, len(spectrum30) + 1.0) * (1 + 0.5j)
-        coeffs = ModeCoefficients(values=vals)
-        assert sobolev_norm(coeffs, spectrum30, 0.0) == pytest.approx(
-            float(np.linalg.norm(vals)), rel=1e-14)
-
-    def test_single_unit_coefficient(self, spectrum30):
-        for i, mo in enumerate(spectrum30.modes[:3]):
-            vals = np.zeros(len(spectrum30), dtype=complex)
-            vals[i] = 1.0
-            got = sobolev_norm(ModeCoefficients(values=vals), spectrum30, 0.8)
-            assert got == pytest.approx(mo.lam ** 0.8, rel=1e-13)
-
-    def test_zero_coefficients(self, spectrum30):
-        coeffs = ModeCoefficients(values=np.zeros(len(spectrum30)))
-        assert sobolev_norm(coeffs, spectrum30, 1.0) == 0.0
-
-    def test_shape_guard(self, spectrum30):
-        with pytest.raises(ShapeError):
-            sobolev_norm(ModeCoefficients(values=np.ones(2)), spectrum30, 1.0)
 
 
 class TestSerialization:

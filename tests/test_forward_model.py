@@ -76,13 +76,6 @@ class TestSourceModelValidation:
                         piece_coeffs=(p, p), spectrum=spectrum30)
         assert err.value.clause == "assumption-1c"
 
-    def test_gamma_positive(self, spectrum30):
-        p = make_coeffs(spectrum30, {(0, 1): 1.0})
-        with pytest.raises(ValidationError) as err:
-            SourceModel(alpha=0.75, cuts=(0.0, math.inf), piece_coeffs=(p,),
-                        spectrum=spectrum30, gamma=0.0)
-        assert err.value.clause == "assumption-1b"
-
     def test_shape_mismatch(self, spectrum30):
         p = ModeCoefficients(values=np.ones(3, dtype=complex))
         with pytest.raises(ShapeError):

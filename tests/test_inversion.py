@@ -25,7 +25,6 @@ from fracsource.inversion import (
     detect_change_points,
     detect_onset,
     estimate_alpha,
-    fit_log_slope,
     predicted_flux,
     reconstruct,
     refine_joint,
@@ -97,15 +96,26 @@ class TestDetectOnset:
         assert detect_onset(traces) == 0.0
 
 
-class TestEstimateAlpha:
-    def test_pure_power_slope(self):
-        # L{t^(a-1)}(s) = Gamma(a) s^-a: the fitter recovers the exponent
-        alpha = 0.6
-        s = np.geomspace(20.0, 200.0, 40)
-        mags = math.gamma(alpha) * s ** (-alpha)
-        slope, _, _ = fit_log_slope(s, mags)
-        assert -slope == pytest.approx(0.6, abs=1e-3)
+def _seed0_pieces(spectrum):
+    """Two pieces over the modes (0,1), (1,1), (2,1), drawn from
+    default_rng(0): per piece and mode a magnitude from U(0.5, 1), then for
+    m = 0 the sign + when a U(0, 1) draw is below 0.5, for m > 0 a phase from
+    U(0, 2 pi)."""
+    rng = np.random.default_rng(0)
+    pieces = []
+    for _ in range(2):
+        entries = {}
+        for m in (0, 1, 2):
+            mag = rng.uniform(0.5, 1.0)
+            if m == 0:
+                entries[(m, 1)] = mag if rng.uniform() < 0.5 else -mag
+            else:
+                entries[(m, 1)] = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        pieces.append(make_coeffs(spectrum, entries))
+    return tuple(pieces)
 
+
+class TestEstimateAlpha:
     @pytest.mark.parametrize("alpha", [0.75, 0.9])
     def test_synthetic_staged_accuracy(self, spectrum30, reference_grid, alpha):
         p1 = make_coeffs(spectrum30, REF_PIECE_1)
@@ -116,8 +126,33 @@ class TestEstimateAlpha:
         c0 = detect_onset(traces)
         got, diag = estimate_alpha(traces, c0, CFG, spectrum30)
         assert abs(got - alpha) <= 5e-3
-        # the Laplace slope is a diagnostic, clipped into the order range
-        assert 0.5 < diag["alpha_slope"] < 1.0 and "alpha_vp" in diag
+        # the search polishes the lowest point of the recorded profile, the
+        # recorded minimum nearest alpha_vp, within 0.025 of it
+        best = min(diag["profile"], key=lambda pair: pair[1])[0]
+        nearest = min(diag["minima"], key=lambda a: abs(a - diag["alpha_vp"]))
+        assert nearest == best and abs(nearest - diag["alpha_vp"]) <= 0.025
+
+    def test_reference_profile_has_one_minimum(self, spectrum30, reference_traces):
+        # the profile holds the 24 grid alphas that were evaluated, each with
+        # its variable-projection residual; the noiseless reference model
+        # (alpha 0.75) has one interior minimum, at 0.74
+        got, diag = estimate_alpha(reference_traces, detect_onset(reference_traces), CFG,
+                                   spectrum30)
+        alphas, residuals = np.array(diag["profile"]).T
+        assert np.array_equal(alphas, np.arange(0.52, 0.995, 0.02))
+        assert np.all(residuals >= diag["vp_residual"])
+        assert diag["minima"] == pytest.approx([0.74], abs=1e-9)
+        assert abs(got - 0.75) <= 1e-6
+
+    def test_seed0_draw_records_two_minima(self, spectrum30, reference_grid):
+        # the noiseless seed-0 draw at alpha 0.75: the search keeps the lower
+        # basin at 0.62, the profile also records the one near the truth
+        model = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
+                            piece_coeffs=_seed0_pieces(spectrum30), spectrum=spectrum30)
+        traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
+        got, diag = estimate_alpha(traces, detect_onset(traces), CFG, spectrum30)
+        assert diag["minima"] == pytest.approx([0.62, 0.74], abs=1e-9)
+        assert abs(got - 0.62) <= 0.025
 
 
 class TestDetectChangePoints:
