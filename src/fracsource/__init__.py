@@ -9,7 +9,6 @@ source modes are reconstructed from those traces.
 __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
-    AccuracyError,
     DomainError,
     FracsourceError,
     ValidationError,

@@ -31,7 +31,7 @@ from .config import (
     write_atomic,
 )
 from .disc_spectrum import build_spectrum, eigenfunction_eval, project_function, spectrum_to_json
-from .errors import AccuracyError, ConditioningError, FracsourceError, ValidationError
+from .errors import ConditioningError, FracsourceError, ValidationError
 from .forward_model import (
     FluxTrace,
     check_sensor_geometry,
@@ -224,12 +224,10 @@ def _verify_checks(cfg: ExperimentConfig):
         gram_err = max(gram_err, float(np.max(np.abs(row))))
     add("orthonormality", gram_err, 1e-8)
 
-    # normalizer closed form (fault-injection hook scales omega)
-    fault = float(cfg.verify.get("fault_omega_scale", 1.0))
+    # normalizer closed form
     worst = 0.0
     for mo in spectrum.modes:
-        omega = mo.omega * fault
-        resid = abs(abs(omega * math.sqrt(math.pi)
+        resid = abs(abs(mo.omega * math.sqrt(math.pi)
                         * bessel_j(abs(mo.m) + 1, math.sqrt(mo.lam))) - 1.0)
         worst = max(worst, resid)
     add("normalizer_identity", worst, 1e-10)
@@ -370,7 +368,7 @@ def main(argv=None) -> int:
         suffix = f" [clause: {clause}]" if clause else ""
         print(f"validation error: {exc}{suffix}", file=sys.stderr)
         return 2
-    except (AccuracyError, ConditioningError) as exc:
+    except ConditioningError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except FracsourceError as exc:

@@ -43,21 +43,19 @@ _DEFAULTS = {
         "alpha": 0.75,
         "cuts": [0.2, 1.2, "inf"],
         "pieces": [],
-        "eta": None,
     },
     "sensors": {"theta1": 0.3, "theta2": 1.3},
     "grid": {"t_max": 4.0, "steps": 4000},
     "noise": {"level": 0.0, "seed": 1},
     "inversion": {"changepoint_min_gap": 0.1, "margin_min": 1e-3, "refine": True},
     "output": {"directory": "runs/out", "laplace_s": []},
-    "verify": {"fault_omega_scale": 1.0},
 }
 
 
 # the JSON types that a value may have, and their name, by its default's type
 _KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
           float: ((int, float), "a number"), str: ((str,), "a string"),
-          list: ((list,), "a list"), type(None): ((int, float, type(None)), "a number or null")}
+          list: ((list,), "a list")}
 
 
 def _check_double(name: str, value) -> None:
@@ -248,8 +246,7 @@ def build_source_model(cfg: ExperimentConfig, spectrum: SpectrumTable) -> Source
         raise ValidationError("model.pieces must not be empty",
                               clause="assumption-1c")
     return SourceModel(alpha=float(m["alpha"]), cuts=tuple(cuts),
-                       piece_coeffs=pieces, spectrum=spectrum,
-                       eta=m["eta"] if m["eta"] is None else float(m["eta"]))
+                       piece_coeffs=pieces, spectrum=spectrum)
 
 
 def build_inversion_config(cfg: ExperimentConfig) -> InversionConfig:

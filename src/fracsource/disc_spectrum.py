@@ -28,7 +28,6 @@ __all__ = [
     "boundary_coefficient",
     "normalizer_sign",
     "sensor_weights",
-    "normal_derivative_weight",
     "project_function",
     "spectrum_to_json",
 ]
@@ -85,10 +84,6 @@ class SpectrumTable:
     def __len__(self):
         return len(self.modes)
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([mo.lam for mo in self.modes])
-
     def index_of(self, m: int, k: int) -> int:
         for i, mo in enumerate(self.modes):
             if mo.m == m and mo.k == k:
@@ -126,12 +121,11 @@ class ModeCoefficients:
         return True
 
 
-def build_spectrum(lambda_max: float, m_max: int | None = None) -> SpectrumTable:
+def build_spectrum(lambda_max: float) -> SpectrumTable:
     """All modes with eigenvalue <= lambda_max.
 
     The angular search bound ceil(sqrt(lambda_max)) + 2 is safe because
-    j_{m,1} > m, so orders beyond it cannot reach the cutoff. Restricting
-    m_max explicitly yields a partial table for adjoint truncations.
+    j_{m,1} > m, so orders beyond it cannot reach the cutoff.
     """
     first = 2.404825557695773  # j_{0,1}
     if lambda_max < first ** 2:
@@ -139,8 +133,6 @@ def build_spectrum(lambda_max: float, m_max: int | None = None) -> SpectrumTable
             f"lambda_max={lambda_max} below the first eigenvalue {first**2:.6f}")
     sq = math.sqrt(lambda_max)
     m_bound = int(math.ceil(sq)) + 2
-    if m_max is not None:
-        m_bound = min(m_bound, m_max)
     modes = []
     for m in range(0, m_bound + 1):
         # count zeros <= sq: spacing > 2, so overshoot then trim
@@ -183,7 +175,7 @@ def normalizer_sign(mode: EigenMode) -> float:
     of J_|m| and J_{|m|+1} interlace (DLMF 10.21(i)). With the positive
     normalizer convention (omega > 0) every pairing of an eigenfunction with
     the closed-form coefficients a_n picks up this sign; the measurement
-    takes it from sensor_weights, and adjoint_weight_w from here."""
+    takes it from sensor_weights."""
     return 1.0 if mode.k % 2 else -1.0
 
 
@@ -193,19 +185,6 @@ def sensor_weights(spectrum: SpectrumTable, theta_z: float) -> np.ndarray:
     mode at z = (1, theta_z); s_n is normalizer_sign."""
     return np.array([normalizer_sign(mo) * boundary_coefficient(mo, theta_z)
                      for mo in spectrum.modes])
-
-
-def normal_derivative_weight(mode: EigenMode, theta: float) -> complex:
-    """Outward normal derivative d phi_n/d nu at the boundary point
-    z = (1, theta): -sign * lambda * a_n(z), where the sign restores the
-    signed normalizer that the closed form implicitly assumes.
-
-    This is the modal weight of the paper's sparse boundary measurement
-    du/dnu(z, t) = sum_n u_n(t) d phi_n/d nu(z) for one mode; the forward
-    model takes -1/lambda_n times it from sensor_weights, and the tests
-    check it against finite differences of eigenfunction_eval to pin the
-    sign convention of boundary_coefficient and normalizer_sign."""
-    return -normalizer_sign(mode) * mode.lam * boundary_coefficient(mode, theta)
 
 
 def project_function(f, spectrum: SpectrumTable) -> ModeCoefficients:

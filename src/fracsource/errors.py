@@ -9,17 +9,6 @@ class DomainError(FracsourceError, ValueError):
     """An argument lies outside the documented domain of an operation."""
 
 
-class AccuracyError(FracsourceError):
-    """A numerical routine could not certify the requested accuracy.
-
-    Carries the best error bound that was achieved.
-    """
-
-    def __init__(self, message, achieved_bound=None):
-        super().__init__(message)
-        self.achieved_bound = achieved_bound
-
-
 class ValidationError(FracsourceError, ValueError):
     """A model/config invariant is violated; names the violated clause."""
 

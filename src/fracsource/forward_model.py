@@ -16,10 +16,8 @@ does not depend on alpha, so on a uniform grid every build is a product with
 cached shift tables. Only relaxation_design builds the basis: synthesis
 (flux_traces), the order search, the amplitude solve, refinement and the
 residual curves of the inversion all use it. E_{alpha,alpha} is read from
-relaxation_rates at cut 0: here by verify_measurement_identity, on the shift
-tables of its own flux_trace, and by laplace_model.adjoint_weight_w. The
-scalar mittag_leffler serves only the pointwise reference
-duhamel_mode_response.
+relaxation_rates at cut 0 by verify_measurement_identity, on the shift
+tables of its own flux_trace.
 """
 from __future__ import annotations
 
@@ -29,27 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disc_spectrum import SpectrumTable, eigenfunction_eval, sensor_weights
-from .errors import DomainError, SensorGeometryError, ShapeError, ValidationError
-from .specfun import (
-    SampledTrace,
-    fractional_integral,
-    mittag_leffler,
-)
+from .disc_spectrum import SpectrumTable, sensor_weights
+from .errors import SensorGeometryError, ShapeError, ValidationError
+from .specfun import SampledTrace, fractional_integral
 
 __all__ = [
     "SourceModel",
     "SensorConfig",
     "FluxTrace",
     "check_sensor_geometry",
-    "duhamel_mode_response",
     "flux_trace",
     "flux_traces",
     "relaxation_design",
     "relaxation_rates",
     "relaxation_flux",
     "verify_measurement_identity",
-    "solve_field",
     "grouped_amplitudes",
 ]
 
@@ -66,7 +58,6 @@ class SourceModel:
     cuts: tuple
     piece_coeffs: tuple
     spectrum: SpectrumTable
-    eta: float | None = None
 
     def __post_init__(self):
         if not 0.5 < self.alpha < 1.0:
@@ -84,15 +75,6 @@ class SourceModel:
         if np.any(gaps <= 0) or (np.isfinite(cuts[-1]) and cuts[-1] <= cuts[-2]):
             raise ValidationError("cuts must be strictly increasing",
                                   clause="assumption-1a")
-        eta = self.eta if self.eta is not None else (
-            float(np.min(gaps)) if len(gaps) else math.inf)
-        if not eta > 0:
-            raise ValidationError("minimum gap eta must be positive",
-                                  clause="assumption-1a")
-        if len(gaps) and float(np.min(gaps)) < eta - 1e-12:
-            raise ValidationError(
-                f"cut gap {float(np.min(gaps)):.6g} below declared eta={eta}",
-                clause="assumption-1a")
         pieces = tuple(self.piece_coeffs)
         if len(pieces) != len(cuts) - 1:
             raise ShapeError("need exactly K coefficient sets for K+1 cuts")
@@ -110,7 +92,6 @@ class SourceModel:
                                       clause="assumption-1c")
         object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "piece_coeffs", pieces)
-        object.__setattr__(self, "eta", eta)
 
     @property
     def n_pieces(self) -> int:
@@ -465,8 +446,9 @@ def relaxation_design(alpha: float, lams, bounds, times) -> np.ndarray:
     up to log(800 / delta). Grids that are not uniform, or longer than the
     accuracy route _SHIFT_MAX_CELLS allows (the 30001-point grid of verify),
     are summed at their exact tau in row blocks. Each value agrees with the
-    scalar mittag_leffler to 1e-13 for alpha <= 0.985 (5e-14 at most where
-    measured) and with mpmath to 1.4e-13 up to 0.999;
+    scalar Mittag-Leffler evaluator of the test oracles to 1e-13 for
+    alpha <= 0.985 (5e-14 at most where measured) and with mpmath to
+    1.4e-13 up to 0.999;
     the error grows as alpha -> 1, to 7e-13 at 0.9999, where the pole lies
     3e-4 off the real u axis. A value can depend in its last bits on the
     other bounds, eigenvalues and rows of the call (4.4e-16 where
@@ -509,36 +491,6 @@ def relaxation_flux(alpha: float, bounds, piece_coeffs, spectrum: SpectrumTable,
     return out
 
 
-def duhamel_mode_response(lam: float, alpha: float, piece_values,
-                          cuts, t: float) -> complex:
-    """Amplitude u_n(t) of one eigenmode under the piecewise-constant source.
-
-    u_n(t) = sum_{k: c_{k-1} < t} (p_k/lam) * [E_{a,1}(-lam (t-min(c_k,t))^a)
-                                              - E_{a,1}(-lam (t-c_{k-1})^a)].
-
-    This is the Duhamel formula that relaxation_design tabulates, evaluated
-    point by point with the scalar mittag_leffler and so independent of it;
-    tests keep it as the reference for the closed form (TestDuhamel checks
-    it against quadrature of the Duhamel integral).
-    """
-    if lam <= 0:
-        raise DomainError("lambda must be positive")
-    if not np.isfinite(t):
-        raise DomainError("t must be finite")
-    cuts = [float(c) for c in cuts]
-    total = 0.0 + 0.0j
-    for k, p in enumerate(piece_values):
-        c_lo, c_hi = cuts[k], cuts[k + 1]
-        if t <= c_lo:
-            break
-        hi_arg = lam * max(t - min(c_hi, t), 0.0) ** alpha
-        lo_arg = lam * (t - c_lo) ** alpha
-        e_hi = mittag_leffler(alpha, 1.0, -hi_arg).real
-        e_lo = mittag_leffler(alpha, 1.0, -lo_arg).real
-        total += (complex(p) / lam) * (e_hi - e_lo)
-    return total
-
-
 def flux_trace(model: SourceModel, sensor_angle: float, times) -> FluxTrace:
     """Boundary flux du/dnu(z, t) on the grid; real-field models only."""
     return flux_traces(model, [sensor_angle], times)[0]
@@ -558,26 +510,6 @@ def flux_traces(model: SourceModel, sensor_angles, times) -> list:
             raise ShapeError("flux imaginary part exceeded tolerance")
         out.append(FluxTrace(sensor_angle=float(sensor_angle), times=times,
                              values=values.real))
-    return out
-
-
-def solve_field(model: SourceModel, points, t: float):
-    """Eigenexpansion u(x, t) = sum_n u_n(t) phi_n(x) at (r, theta) points.
-
-    The series solution of the direct problem that the boundary flux is
-    derived from; tests use it as the reference for the zero initial value,
-    the Dirichlet condition and the steady state (TestSolveField).
-    """
-    out = []
-    amps = []
-    for n, mo in enumerate(model.spectrum.modes):
-        pv = [pc.values[n] for pc in model.piece_coeffs]
-        amps.append(duhamel_mode_response(mo.lam, model.alpha, pv, model.cuts, t))
-    for (r, theta) in points:
-        val = 0.0 + 0.0j
-        for n, mo in enumerate(model.spectrum.modes):
-            val += amps[n] * eigenfunction_eval(mo, r, theta)
-        out.append(val)
     return out
 
 

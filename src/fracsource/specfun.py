@@ -1,16 +1,8 @@
-"""Scalar special functions and fractional-integral quadrature.
+"""Bessel functions, Gauss-Legendre panels and fractional-integral quadrature.
 
 Everything here is deterministic and pure: no caches with observable state,
-no randomized algorithms. The Mittag-Leffler evaluator is a three-regime
-global scheme (power series with a cancellation certificate, optimal-truncation
-asymptotics, and a collapsed-ray contour integral with adaptive panel
-refinement), plus a half-order split recursion for orders above one and for
-arguments too close to the contour rays. It is a scalar evaluator for complex
-arguments: the reference for forward_model.duhamel_mode_response and the tests.
-Batches on the negative real axis (synthesis, inversion, verify and
-laplace_model.adjoint_weight_w) come from the exponential-sum relaxation basis
-of forward_model instead. The evaluator takes 1/Gamma from math.gamma, and
-no CLI command calls it.
+no randomized algorithms. Mittag-Leffler values come from the
+exponential-sum relaxation basis of forward_model, which every command uses.
 
 Bessel J_m of integer order is plain numpy. For x >= max(30, m^2/2) it is
 Hankel's asymptotic expansion with 24 terms, O(1) per point. Below that it
@@ -31,32 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import AccuracyError, BracketingError, DomainError
-
-_EPS = float(np.finfo(float).eps)
+from .errors import BracketingError, DomainError
 
 __all__ = [
-    "MLAccuracy",
     "SampledTrace",
-    "mittag_leffler",
     "bessel_j",
     "bessel_j_zeros",
     "fractional_integral",
 ]
-
-
-@dataclass(frozen=True)
-class MLAccuracy:
-    """Accuracy request for Mittag-Leffler evaluation."""
-
-    abs_tol: float = 1e-12
-    max_terms: int = 600
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -85,98 +59,8 @@ class SampledTrace:
 
 
 # ---------------------------------------------------------------------------
-# Mittag-Leffler machinery
+# Gauss-Legendre panels
 # ---------------------------------------------------------------------------
-
-def _rgamma(x):
-    """1/Gamma(x) of a float, or elementwise of an array, from math.gamma.
-
-    It is 0 at the poles of Gamma (the non-positive integers) and above
-    x = 171.62, where Gamma overflows. Below about -171.09, Gamma is
-    subnormal or underflows to a signed 0, and the result is the infinity of
-    Gamma's sign. scipy.special.rgamma already returns that infinity below
-    about -170.64; between there and -171.09 this returns the finite 1/Gamma
-    instead, of the same sign and with a modulus above 5e307."""
-    if np.ndim(x):
-        return np.array([_rgamma(v) for v in np.ravel(x)]).reshape(np.shape(x))
-    try:
-        g = math.gamma(x)
-    except (ValueError, OverflowError):  # a pole, or x above 171.62
-        return 0.0
-    return 1.0 / g if g else math.copysign(math.inf, g)
-
-
-def _ml_series(alpha: float, beta: float, z: complex, tol: float, max_terms: int):
-    """Defining power series with a running cancellation certificate.
-
-    Returns (value, bound) with value None when the certificate exceeds tol.
-    The certificate charges max|term| * eps * n_terms: term arguments of the
-    reciprocal gamma are rounded in double precision, which pollutes exactly
-    at that scale once cancellation is severe.
-    """
-    zc = complex(z)
-    term = complex(_rgamma(beta))
-    total = term
-    max_abs = abs(term)
-    zk = 1.0 + 0.0j
-    k = 0
-    ta = math.inf
-    abz = abs(zc)
-    tail_arg = abz ** (1.0 / alpha) + 2.0
-    while k < max_terms:
-        k += 1
-        zk *= zc
-        if abs(zk) > 1e250:
-            return None, math.inf
-        term = zk * float(_rgamma(alpha * k + beta))
-        total += term
-        ta = abs(term)
-        if ta > max_abs:
-            max_abs = ta
-        if ta < tol * 1e-2 and alpha * k + beta > tail_arg:
-            break
-    bound = max_abs * _EPS * (k + 5) + ta
-    if ta >= tol * 1e-2 or bound > tol / 4.0:
-        return None, bound
-    return total, bound
-
-
-def _ml_asymptotic(alpha: float, beta: float, z: complex, tol: float):
-    """Large-|z| expansion with optimal truncation.
-
-    The error bound looks past reciprocal-gamma zeros (poles of Gamma) when
-    picking the first omitted term. Inside the wedge |arg z| < alpha*pi the
-    exponentially large/oscillating term is added.
-    """
-    z = complex(z)
-    w_abs = abs(z) ** (1.0 / alpha)
-    # beyond optimal truncation an exponentially small remainder survives;
-    # the 0.35 envelope is an empirical floor over alpha in (0.3, 1)
-    if math.exp(-0.35 * w_abs) > tol / 10.0:
-        return None, math.inf
-    kmax = int(min(200, 2 * w_abs + 20))
-    look = max(3, int(math.ceil(1.0 / alpha)) + 1)
-    if kmax <= look + 1:
-        return None, math.inf
-    ks = np.arange(1, kmax + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = -np.power(1.0 / z, ks) * _rgamma(beta - alpha * ks)
-    mags = np.abs(terms)
-    best_k, best_bound = None, math.inf
-    for k in range(kmax - look):
-        bound = float(np.max(mags[k + 1:k + 1 + look]))
-        if bound < best_bound:
-            best_bound, best_k = bound, k
-    if best_k is None or best_bound > tol / 5.0:
-        return None, best_bound
-    total = complex(np.sum(terms[:best_k + 1]))
-    if abs(np.angle(z)) < alpha * np.pi:
-        w = z ** (1.0 / alpha)
-        if w.real > 700.0:
-            return None, math.inf
-        total += (1.0 / alpha) * z ** ((1.0 - beta) / alpha) * np.exp(w)
-    return total, best_bound
-
 
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(nodes: int):
@@ -188,125 +72,13 @@ def _gauss_legendre(nodes: int):
 
 
 def _panel_nodes(edges: np.ndarray, nodes: int):
+    """Nodes and weights of the composite rule with `nodes` points on each
+    panel [edges[i], edges[i + 1]]."""
     x, w = _gauss_legendre(nodes)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     return (mid[:, None] + half[:, None] * x[None, :]).ravel(), \
         (half[:, None] * w[None, :]).ravel()
-
-
-def _ray_edges(alpha: float, z: complex, cut: float, chi_min: float) -> np.ndarray:
-    """Panel edges on [chi_min, cut]: geometric ladder (grades the chi^p cusp
-    at 0 when beta < 1) plus sinh-graded clusters at the near-axis roots of
-    chi^2 - 2 chi z cos(a pi) + z^2."""
-    es = [chi_min]
-    es += list(np.geomspace(max(chi_min, 1e-10), cut, 44))
-    for root in (z * np.exp(1j * alpha * np.pi), z * np.exp(-1j * alpha * np.pi)):
-        r0, d0 = root.real, abs(root.imag)
-        if r0 > 0 and d0 < 0.5 * cut:
-            d0 = max(d0, 1e-8)
-            t = np.linspace(-np.arcsinh(r0 / d0), np.arcsinh((cut - r0) / d0), 24)
-            es += list(r0 + d0 * np.sinh(t))
-    edges = np.unique(np.clip(np.asarray(es), chi_min, cut))
-    return edges
-
-
-def _ml_ray_integral(alpha: float, beta: float, z: complex, tol: float):
-    """Contour integral with both rays collapsed onto [0, inf).
-
-    Exact for 0 < alpha < 1 and beta <= 1 when z is off the rays
-    arg z = +-alpha*pi; the caller adds the wedge residue. Panels are refined
-    until two successive node counts agree within 0.3*tol.
-    """
-    z = complex(z)
-    ia = 1.0 / alpha
-    cut = max((np.log(10.0 / tol) + 2.0) ** alpha, 1.5 * abs(z) + 2.0)
-    sin_b = np.sin(np.pi * (1 - beta))
-    sin_ba = np.sin(np.pi * (1 - beta + alpha))
-    cos_a = np.cos(alpha * np.pi)
-    chi_min = 0.0 if beta == 1.0 else 1e-10
-    edges = _ray_edges(alpha, z, cut, chi_min)
-    # analytic stub for the chi^p cusp on [0, chi_min]
-    stub = 0.0 + 0.0j
-    if chi_min > 0:
-        p = (1.0 - beta) * ia
-        stub = (ia / np.pi) * (-sin_ba / z) * chi_min ** (1.0 + p) / (1.0 + p)
-    prev, val = None, None
-    for nodes in (16, 24, 36, 54):
-        chi, w = _panel_nodes(edges, nodes)
-        num = chi * sin_b - z * sin_ba
-        den = chi * chi - 2 * chi * z * cos_a + z * z
-        pref = np.exp(((1.0 - beta) * ia) * np.log(chi)) if beta != 1.0 else 1.0
-        kern = (ia / np.pi) * pref * np.exp(-(chi ** ia)) * num / den
-        val = stub + complex(np.sum(kern * w))
-        est = max(abs(val - prev) if prev is not None else math.inf,
-                  50.0 * _EPS * abs(val))
-        if prev is not None and abs(val - prev) < 0.2 * tol:
-            return val, est
-        prev = val
-    return val, est
-
-
-def mittag_leffler(alpha: float, beta: float, z: complex,
-                   accuracy: MLAccuracy | None = None, _depth: int = 0) -> complex:
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
-
-    alpha must lie in (0, 2). Raises AccuracyError when the requested
-    absolute tolerance cannot be certified.
-    """
-    acc = accuracy or MLAccuracy()
-    tol = acc.abs_tol
-    if not 0.0 < alpha < 2.0:
-        raise DomainError(f"alpha={alpha} outside (0, 2)")
-    if not np.isfinite(beta):
-        raise DomainError("beta must be finite")
-    z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise DomainError("z must be finite")
-    if z == 0:
-        return complex(_rgamma(beta))
-    if alpha == 1.0 and beta == 1.0:
-        return complex(np.exp(z))
-    if alpha > 1.0:
-        # half-order split: E_{a,b}(z) = (E_{a/2,b}(sqrt z) + E_{a/2,b}(-sqrt z))/2
-        w = z ** 0.5
-        half = MLAccuracy(abs_tol=tol / 2, max_terms=acc.max_terms)
-        return 0.5 * (mittag_leffler(alpha / 2, beta, w, half, _depth)
-                      + mittag_leffler(alpha / 2, beta, -w, half, _depth))
-    if beta > 1.0 and abs(z) > 0.5:
-        # reduce beta below 1 so the ray integrand stays bounded at 0
-        sub_acc = MLAccuracy(abs_tol=tol * abs(z) / 2, max_terms=acc.max_terms)
-        sub = mittag_leffler(alpha, beta - alpha, z, sub_acc, _depth)
-        return (sub - complex(_rgamma(beta - alpha))) / z
-
-    val, bound = _ml_series(alpha, beta, z, tol, acc.max_terms)
-    if val is not None:
-        return val
-    series_bound = bound
-    val, bound = _ml_asymptotic(alpha, beta, z, tol)
-    if val is not None:
-        return val
-
-    arg = abs(np.angle(z))
-    wedge = alpha * np.pi
-    if np.sin(abs(arg - wedge)) * abs(z) < 0.02 * (1 + abs(z)):
-        # too close to the contour rays; halve the order instead
-        if _depth >= 6:
-            raise AccuracyError(
-                f"mittag_leffler({alpha}, {beta}, {z}): cannot certify {tol}",
-                achieved_bound=min(series_bound, bound))
-        w = z ** 0.5
-        half = MLAccuracy(abs_tol=tol / 2, max_terms=acc.max_terms)
-        return 0.5 * (mittag_leffler(alpha / 2, beta, w, half, _depth + 1)
-                      + mittag_leffler(alpha / 2, beta, -w, half, _depth + 1))
-    total, est = _ml_ray_integral(alpha, beta, z, tol)
-    if est > tol:
-        raise AccuracyError(
-            f"mittag_leffler({alpha}, {beta}, {z}): contour integral stalled",
-            achieved_bound=est)
-    if arg < wedge:
-        total += (1.0 / alpha) * z ** ((1.0 - beta) / alpha) * np.exp(z ** (1.0 / alpha))
-    return total
 
 
 # ---------------------------------------------------------------------------

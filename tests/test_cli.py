@@ -1,8 +1,11 @@
+import importlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fracsource
-from fracsource import cli, config
+from fracsource import cli, config, errors
 from fracsource.cli import main
 from fracsource.config import (
     build_source_model,
@@ -213,7 +216,7 @@ class TestConfigValidation:
         ("grid.steps", "x"), ("grid.steps", 4000.7), ("grid.steps", True),
         ("noise.level", "x"), ("noise.level", math.nan), ("noise.level", -0.1),
         ("spectrum.lambda_max", "x"), ("sensors.theta1", "x"), ("model.alpha", "x"),
-        ("model.eta", "x"), ("model.cuts", "inf"), ("output.directory", 3),
+        ("model.cuts", "inf"), ("output.directory", 3),
         pytest.param("grid.t_max", 10 ** 400, id="grid.t_max-beyond-a-double"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, key, value):
@@ -252,6 +255,20 @@ class TestConfigValidation:
         assert "unknown config key model.gamma" in err, err
         assert "[clause: config-schema]" in err, err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("synth", "model.eta", 0.3), ("verify", "verify", {"fault_omega_scale": 1.0}),
+    ], ids=["model.eta", "verify"])
+    def test_unread_key_is_unknown(self, tmp_path, capsys, command, key, value):
+        # model.eta was checked and never read (the paper's eta is
+        # inversion.changepoint_min_gap), and the verify section held only a
+        # fault-injection scale of omega; both keys are gone
+        cfg_path = write_config(tmp_path, {key: value})
+        code, err = _exit_and_error(capsys, [command, "--config", cfg_path, "--quiet"])
+        assert code == 2
+        assert f"unknown config key {key}" in err, err
+        assert "[clause: config-schema]" in err, err
+        assert not (tmp_path / "run").exists()
+
     def test_output_formats_is_unknown(self, tmp_path, capsys):
         # synth always writes the CSV and the JSON trace; the setting is gone
         cfg_path = write_config(tmp_path, {"output.formats": ["csv"]})
@@ -261,10 +278,10 @@ class TestConfigValidation:
         assert "[clause: config-schema]" in err, err
 
     def test_accepted_types(self):
-        # an int where the default is a float, a number where it is null
+        # an int where the default is a float
         cfg = load_config(json.dumps({"grid": {"t_max": 4, "steps": 400},
-                                      "model": {"eta": 1}, "noise": {"level": 0}}))
-        assert (cfg.grid["t_max"], cfg.model["eta"], cfg.noise["level"]) == (4, 1, 0)
+                                      "noise": {"level": 0}}))
+        assert (cfg.grid["t_max"], cfg.noise["level"]) == (4, 0)
 
     @pytest.mark.parametrize("case", ["missing", "unreadable", "invalid-json"])
     def test_config_file_exit_2(self, tmp_path, capsys, case):
@@ -589,15 +606,11 @@ class TestInvertCommand:
 
 class TestNoScipyImport:
     def test_no_command_imports_scipy(self, tmp_path):
-        # SciPy is a test-only dependency: every CLI command and the adjoint
-        # weight take their Mittag-Leffler values from the relaxation basis,
-        # and the scalar mittag_leffler takes 1/Gamma from math.gamma
+        # SciPy is a test-only dependency: every CLI command takes its
+        # Mittag-Leffler values from the relaxation basis
         script = (
             "import sys\n"
             "from fracsource.cli import main\n"
-            "from fracsource.disc_spectrum import build_spectrum\n"
-            "from fracsource.laplace_model import AdjointSpec, adjoint_weight_w\n"
-            "from fracsource.specfun import mittag_leffler\n"
             "cfg, out = sys.argv[1:]\n"
             "common = ['--config', cfg, '--out', out, '--quiet']\n"
             "assert main(['spectrum'] + common) == 0\n"
@@ -606,10 +619,6 @@ class TestNoScipyImport:
             "                                   out + '/flux_sensor2.csv']) == 0\n"
             "assert main(['verify'] + common) == 0\n"
             "assert main(['plotdata', out, '--quiet']) == 0\n"
-            "adjoint_weight_w(AdjointSpec(theta_z=0.3, N=2, alpha=0.75),\n"
-            "                 build_spectrum(30.0), 0.5, 0.3, 1.0)\n"
-            "mittag_leffler(0.75, 1.0, -2.0)\n"
-            "mittag_leffler(0.75, 1.0, -40.0)\n"
             # np.median's NaN check and np.unique import numpy.ma (about
             # 10 ms cold); numpy.matrixlib is always loaded, so the name is
             # matched exactly
@@ -623,6 +632,87 @@ class TestNoScipyImport:
             capture_output=True, text=True, env=env, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False", "[]"]
+
+
+def _package_functions():
+    """{(file, first line): dotted name} of every function and method defined
+    in the package's modules, nested ones included; lambdas,
+    comprehensions and the methods of the exception classes of errors.py
+    aside."""
+    out = {}
+    package_dir = os.path.dirname(fracsource.__file__)
+    for name in sorted(os.listdir(package_dir)):
+        if not name.endswith(".py"):
+            continue
+        stem = name[:-3]
+        module = importlib.import_module("fracsource" + ("" if stem == "__init__" else "." + stem))
+        with open(module.__file__) as fh:
+            stack = [(compile(fh.read(), module.__file__, "exec"), [])]
+        while stack:
+            parent, names = stack.pop()
+            for code in parent.co_consts:
+                if not isinstance(code, types.CodeType) or code.co_name.startswith("<"):
+                    continue
+                path = names + [code.co_name]
+                stack.append((code, path))
+                owner = getattr(errors, path[0], None)
+                if (code.co_flags & inspect.CO_OPTIMIZED
+                        and not (module is errors and isinstance(owner, type)
+                                 and issubclass(owner, BaseException))):
+                    out[(module.__file__, code.co_firstlineno)] = ".".join([stem] + path)
+    return out
+
+
+class TestReachability:
+    def test_commands_call_every_function(self, tmp_path):
+        # the five commands on the reference config, at 1 % noise with refine
+        # on and off, and synth of a model of two densities call every
+        # function of the package: code that only tests reach belongs in
+        # tests/oracles.py. Cached functions run only on a miss, so their
+        # caches are emptied first.
+        defined = _package_functions()
+        for module in (m for m in list(sys.modules.values())
+                       if m and m.__name__.split(".")[0] == "fracsource"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        with open(REFERENCE_CONFIG) as fh:
+            base = json.load(fh)
+        noisy = json.loads(json.dumps(base))
+        noisy["noise"]["level"] = 0.01
+        staged = json.loads(json.dumps(noisy))
+        staged["inversion"]["refine"] = False
+        densities = json.loads(json.dumps(base))
+        densities["model"]["pieces"] = [
+            {"density": {"kind": "gaussian", "r0": 0.4, "theta0": 1.0, "width": 0.3}},
+            {"density": {"kind": "constant", "amplitude": 0.5}}]
+        runs = [(base, ["spectrum", "synth", "invert", "verify", "plotdata"], ""),
+                (noisy, ["synth", "invert", "plotdata"], "_noisy"),
+                (staged, ["invert"], "_noisy"),
+                (densities, ["synth"], "")]
+        called = set()
+
+        def record(frame, event, arg):
+            if event == "call":
+                called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+        out = str(tmp_path / "run")
+        sys.setprofile(record)
+        try:
+            for i, (doc, commands, suffix) in enumerate(runs):
+                cfg = tmp_path / f"config{i}.json"
+                cfg.write_text(json.dumps(doc))
+                common = ["--config", str(cfg), "--out", out, "--quiet"]
+                traces = [f"{out}/flux_sensor{j}{suffix}.csv" for j in (1, 2)]
+                for command in commands:
+                    argv = {"invert": ["invert", *common, *traces],
+                            "plotdata": ["plotdata", out, "--quiet"]}.get(
+                                command, [command, *common])
+                    assert main(argv) == 0, argv
+        finally:
+            sys.setprofile(None)
+        missed = sorted(name for key, name in defined.items() if key not in called)
+        assert missed == [], f"no command calls {missed}"
 
 
 class TestVerifyCommand:
@@ -652,9 +742,11 @@ class TestVerifyCommand:
             "laplace_model_agreement", "orthonormality", "normalizer_identity"]
         assert all(c["pass"] for c in checks), checks
 
-    def test_fault_injection_fails_normalizer(self, tmp_path):
-        cfg_path = write_config(tmp_path, {
-            "verify": {"fault_omega_scale": 1.001}, "grid.steps": 500})
+    def test_fault_injection_fails_normalizer(self, tmp_path, monkeypatch):
+        # scale every J_{|m|+1}(sqrt(lambda)) that the normalizer check reads
+        bessel_j = cli.bessel_j
+        monkeypatch.setattr(cli, "bessel_j", lambda m, x: bessel_j(m, x) * 1.001)
+        cfg_path = write_config(tmp_path, {"grid.steps": 500})
         code = main(["verify", "--config", cfg_path, "--quiet"])
         assert code == 3
         report = json.loads((tmp_path / "run" / "verification.json").read_text())
@@ -662,10 +754,11 @@ class TestVerifyCommand:
         assert not by_name["normalizer_identity"]["pass"]
         assert not report["all_pass"]
 
-    def test_report_schema(self, tmp_path):
-        cfg_path = write_config(tmp_path, {
-            "verify": {"fault_omega_scale": 1.001}, "grid.steps": 500})
-        main(["verify", "--config", cfg_path, "--quiet"])
+    def test_report_schema(self, tmp_path, monkeypatch):
+        bessel_j = cli.bessel_j
+        monkeypatch.setattr(cli, "bessel_j", lambda m, x: bessel_j(m, x) * 1.001)
+        cfg_path = write_config(tmp_path, {"grid.steps": 500})
+        assert main(["verify", "--config", cfg_path, "--quiet"]) == 3
         report = json.loads((tmp_path / "run" / "verification.json").read_text())
         assert set(report) == {"all_pass", "checks"}
         for c in report["checks"]:

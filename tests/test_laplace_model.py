@@ -8,22 +8,15 @@ import pytest
 
 import fracsource
 from fracsource.config import columns_to_csv
-from fracsource.disc_spectrum import build_spectrum, eigenfunction_eval
+from fracsource.disc_spectrum import EigenMode, SpectrumTable, build_spectrum, eigenfunction_eval
 from fracsource.errors import DomainError, HorizonError
 from fracsource.forward_model import FluxTrace, SourceModel, flux_trace, grouped_amplitudes
-from fracsource.laplace_model import (
-    AdjointSpec,
-    LaplacePoint,
-    adjoint_weight_w,
-    delta_z_eval,
-    laplace_flux_model,
-    numeric_laplace,
-)
-
-from fracsource.specfun import mittag_leffler
+from fracsource.laplace_model import LaplacePoint, laplace_flux_model, numeric_laplace
+from fracsource.specfun import _bessel_j_unchecked, bessel_j_zeros
 
 from conftest import make_coeffs, random_source_model
 import oracles
+from oracles import AdjointSpec, adjoint_weight_w, delta_z_eval, mittag_leffler
 
 
 def _first_mode_model(spectrum, alpha):
@@ -31,6 +24,26 @@ def _first_mode_model(spectrum, alpha):
     p = make_coeffs(spectrum, {(0, 1): 1.0})
     return SourceModel(alpha=alpha, cuts=(0.0, math.inf), piece_coeffs=(p,),
                        spectrum=spectrum)
+
+
+BOUNDARY_LAMBDA_MAX = 2.2e8
+
+
+def _partial_spectrum(lambda_max, m_max):
+    """The modes with eigenvalue <= lambda_max and order |m| <= m_max, in
+    the order of build_spectrum, from bessel_j_zeros: j_{m,k} lies near
+    (k + m/2 - 1/4) pi, so sqrt(lambda_max)/pi + 2 zeros reach past it."""
+    top = math.sqrt(lambda_max)
+    modes = []
+    for m in range(m_max + 1):
+        zeros = bessel_j_zeros(m, int(top / math.pi) + 2)
+        zeros = zeros[zeros <= top]
+        omegas = 1.0 / (math.sqrt(math.pi) * np.abs(_bessel_j_unchecked(m + 1, zeros)))
+        for k, (z, omega) in enumerate(zip(zeros.tolist(), omegas.tolist()), start=1):
+            modes += [EigenMode(m=sign * m, k=k, lam=z * z, omega=omega)
+                      for sign in ((1, -1) if m else (1,))]
+    modes.sort(key=lambda mo: (mo.lam, -mo.m))
+    return SpectrumTable(modes=tuple(modes))
 
 
 class TestBranchAndPoles:
@@ -255,7 +268,8 @@ class TestAdjointWeight:
         alpha, n_trunc, t = 0.75, 5, 1.0
         theta_z = 0.4
         spec = AdjointSpec(theta_z=theta_z, N=n_trunc, alpha=alpha)
-        sp_tall = build_spectrum(2.2e8, m_max=n_trunc)
+        sp_tall = _partial_spectrum(BOUNDARY_LAMBDA_MAX, n_trunc)
+        assert len(sp_tall.distinct_eigenvalues) == 28320
         got = adjoint_weight_w(spec, sp_tall, 0.999, theta_z, t)
         target = t ** (alpha - 1.0) * delta_z_eval(spec, 0.999, theta_z) / math.gamma(alpha)
         assert abs(got - target) / abs(target) <= 0.05
@@ -264,19 +278,25 @@ class TestAdjointWeight:
                         reason="reads VmHWM, which only Linux reports")
     def test_boundary_limit_study_memory(self):
         # the relaxation basis sums its nodes over blocks of eigenvalues, so
-        # the call over the 28320 distinct eigenvalues above raises the peak
-        # RSS by less than 50 MB (unblocked, it went from 50 to 179 MB). The
-        # peak is VmHWM, the child's own: its ru_maxrss would include the RSS
-        # that pytest had when it started the child, and read 0 in a full run
+        # one relaxation_rates call over the 28320 distinct eigenvalues above
+        # raises the peak RSS by less than 50 MB (unblocked, it went from 50
+        # to 179 MB). The peak is VmHWM, the child's own: its ru_maxrss would
+        # include the RSS that pytest had when it started the child, and read
+        # 0 in a full run
         script = (
-            "from fracsource.disc_spectrum import build_spectrum\n"
-            "from fracsource.laplace_model import AdjointSpec, adjoint_weight_w\n"
+            "import math\n"
+            "import numpy as np\n"
+            "from fracsource.forward_model import relaxation_rates\n"
+            "from fracsource.specfun import bessel_j_zeros\n"
             "def peak():\n"
             "    with open('/proc/self/status') as fh:\n"
             "        return next(int(row.split()[1]) for row in fh if row.startswith('VmHWM:'))\n"
-            "sp = build_spectrum(2.2e8, m_max=5)\n"
+            f"top = math.sqrt({BOUNDARY_LAMBDA_MAX!r})\n"
+            "zeros = [bessel_j_zeros(m, int(top / math.pi) + 2) for m in range(6)]\n"
+            "lams = np.sort(np.concatenate([z[z <= top] for z in zeros]) ** 2)\n"
+            "assert len(lams) == 28320\n"
             "before = peak()\n"
-            "adjoint_weight_w(AdjointSpec(theta_z=0.4, N=5, alpha=0.75), sp, 0.999, 0.4, 1.0)\n"
+            "relaxation_rates(0.75, lams, [0.0], [1.0])\n"
             "print((peak() - before) / 1024)\n")
         package_root = os.path.dirname(os.path.dirname(fracsource.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

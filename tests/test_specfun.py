@@ -6,27 +6,34 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import rgamma
 
-from fracsource.errors import AccuracyError, DomainError
+from fracsource.errors import DomainError
 from fracsource.forward_model import relaxation_design
 from fracsource.specfun import (
-    MLAccuracy,
     SampledTrace,
     bessel_j,
     bessel_j_zeros,
     fractional_integral,
-    mittag_leffler,
     _gauss_legendre,
+)
+
+import oracles
+from conftest import basis_ml, ml_aa_on_panels
+from oracles import (
+    AccuracyError,
+    MLAccuracy,
+    mittag_leffler,
     _ml_asymptotic,
     _ml_ray_integral,
     _ml_series,
     _rgamma,
 )
 
-import oracles
-from conftest import basis_ml, ml_aa_on_panels
-
 
 class TestMittagLeffler:
+    """The scalar evaluator of the test oracles against closed forms and
+    frozen high-precision values, and the shipped relaxation basis against
+    it."""
+
     def test_exponential_case(self):
         assert mittag_leffler(1.0, 1.0, 1.0) == pytest.approx(math.e, abs=1e-14)
 
@@ -51,6 +58,8 @@ class TestMittagLeffler:
                 oracles.ml_half_beta_half(x), abs=1e-12)
 
     def test_frozen_oracle_values(self):
+        # every frozen row; A1a checks the shipped basis on the rows it can
+        # compute (real negative z, beta in {1, alpha}, alpha < 1)
         for row in oracles.frozen_ml_values():
             z = complex(row["re_z"], row["im_z"])
             ref = complex(row["re"], row["im"])
@@ -180,7 +189,7 @@ class TestMittagLeffler:
 
 
 class TestReciprocalGamma:
-    # 1/Gamma from math.gamma; SciPy serves as the oracle in tests only
+    # the oracle evaluator's 1/Gamma, from math.gamma, against SciPy
     X = np.concatenate([np.linspace(-205.0, 205.0, 82001), -np.arange(206.0)])
 
     def test_matches_scipy_where_finite(self):
@@ -217,7 +226,8 @@ class TestReciprocalGamma:
 
 class TestGaussLegendre:
     def test_rule_is_shared_read_only(self):
-        # every caller (contour panels, verify's quadratures) shares one rule
+        # every caller (verify's quadratures, the oracle's contour panels)
+        # shares one rule
         for nodes in (16, 20, 54):
             x, w = _gauss_legendre(nodes)
             x_ref, w_ref = leggauss(nodes)
