@@ -29,7 +29,7 @@ import numpy as np
 
 from .disc_spectrum import SpectrumTable, sensor_weights
 from .errors import SensorGeometryError, ShapeError, ValidationError
-from .specfun import SampledTrace, fractional_integral
+from .specfun import fractional_integral
 
 __all__ = [
     "SourceModel",
@@ -531,11 +531,11 @@ def _cumulative_power_integral(x: np.ndarray, f: np.ndarray, alpha: float) -> np
 def verify_measurement_identity(model: SourceModel, sensor_angle: float,
                                 times) -> float:
     """Max-abs gap between I^alpha of the synthesized flux and the direct
-    quadrature of the measurement series; both sides computed numerically."""
+    quadrature of the measurement series; both sides computed numerically.
+    times is a uniform grid from 0, as the config grid is."""
     times = np.asarray(times, dtype=float)
     trace = flux_trace(model, sensor_angle, times)
-    lhs = fractional_integral(
-        SampledTrace(times=times, values=-trace.values), model.alpha).values
+    lhs = fractional_integral(-trace.values, float(times[1] - times[0]), model.alpha)
 
     alpha = model.alpha
     groups = model.spectrum.distinct_eigenvalues

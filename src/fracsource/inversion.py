@@ -76,14 +76,15 @@ class ReconstructionResult:
     alpha_hat: float
     cuts_hat: list
     coeffs_hat: list
-    K_hat: int
     residual_norm: float
     stage_log: list = field(default_factory=list)
     condition_report: dict = field(default_factory=dict)
 
+    @property
+    def K_hat(self) -> int:
+        return len(self.coeffs_hat)
+
     def __post_init__(self):
-        if self.K_hat != len(self.coeffs_hat):
-            raise ShapeError("K_hat must equal the number of coefficient sets")
         if any(b <= a for a, b in zip(self.cuts_hat[:-1], self.cuts_hat[1:])):
             raise ShapeError("cuts_hat must be strictly increasing")
 
@@ -110,15 +111,15 @@ def _noise_sigma(values: np.ndarray) -> float:
     return float(1.4826 * _median(np.abs(d - _median(d))) / math.sqrt(2.0))
 
 
-def _pre_onset_sigma(traces, c0: float) -> float:
+def _pre_onset_sigma(traces, c0: float) -> float | None:
     """Noise scale from the samples of both sensors before the onset c0,
     where the model is exactly zero: the root mean square of those samples,
-    or 0 with fewer than 16 of them per sensor. Noiseless synthesis writes
-    exact zeros there, so its estimate is exactly 0."""
+    or None (no estimate) with fewer than 16 of them per sensor. Noiseless
+    synthesis writes exact zeros there, so its estimate is exactly 0."""
     t = _common_grid(traces)
     pre = t < c0 - 1e-12
     if np.count_nonzero(pre) < 16:
-        return 0.0
+        return None
     samples = np.concatenate([tr.values[pre] for tr in traces])
     return math.sqrt(float(samples @ samples) / len(samples))
 
@@ -202,8 +203,9 @@ def _brent_min(f, lo, hi):
 
 def detect_change_points(traces, c0_hat: float, cfg: InversionConfig):
     """Interior cut candidates from local maxima of the second difference of
-    the summed two-sensor flux; lag-smoothed when noise demands it, pruned to
-    changepoint_min_gap keeping the larger magnitude."""
+    the summed two-sensor flux; lag-smoothed when the noise estimate
+    (_pre_onset_sigma, else _noise_sigma of the sum) is above 1e-9 of the
+    sum's peak, pruned to changepoint_min_gap keeping the larger magnitude."""
     t = _common_grid(traces)
     h = float(t[1] - t[0])
     if h > cfg.changepoint_min_gap / 10.0 + 1e-15:
@@ -214,12 +216,8 @@ def detect_change_points(traces, c0_hat: float, cfg: InversionConfig):
     for tr in traces:
         summed += tr.values
     scale = float(np.max(np.abs(summed))) or 1.0
-    # noise level from the pre-onset segment (identically zero for noiseless
-    # synthesis); first-difference MAD as the fallback for early onsets
-    pre = summed[t < c0_hat - 1e-12]
-    if len(pre) >= 16:
-        sigma = float(np.std(pre))
-    else:
+    sigma = _pre_onset_sigma(traces, c0_hat)
+    if sigma is None:  # an early onset
         sigma = _noise_sigma(summed)
     if sigma > 1e-9 * scale:
         lag = int(np.clip(round(0.1 * cfg.changepoint_min_gap / h), 1, 80))
@@ -329,38 +327,38 @@ def _cut_jacobian(alpha: float, lams: np.ndarray, cuts, t: np.ndarray,
     return np.einsum("tjk,ljk->ltk", deriv, jump).reshape(-1, n_pieces)
 
 
-def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
-                 cfg: InversionConfig, start=None) -> ReconstructionResult:
+def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
+                 min_gap: float):
     """Variable-projection Gauss-Newton on theta = (alpha, cuts), minimizing
-    the stacked two-sensor time-domain residual; never increases the
-    residual of the staged start.
+    the stacked two-sensor time-domain residual of problem (the tuple of
+    _two_sensor_problem); never increases the residual of the start.
+    Returns (theta, projection, log).
 
     The coefficients are eliminated (Golub and Pereyra, 1973): for each theta
     the relaxation basis D is built once and the real coefficient vector is
     the least-squares solution for the two-sensor operator, through one QR
     of D and one of a small stacked matrix (_project, which also gives the
-    staged coefficients). The Jacobian is Kaufman's
-    (1975), J = (I - QQ^T) [d(op p)/d alpha, d(op p)/dc_k]: the alpha column
+    staged coefficients). projection is the _project result (r, p, q, svals)
+    at theta, in and out; reconstruct starts from that of _staged_result.
+    The Jacobian is Kaufman's (1975),
+    J = (I - QQ^T) [d(op p)/d alpha, d(op p)/dc_k]: the alpha column
     is a central difference of D at fixed p, the cut columns are
     closed-form (_cut_jacobian). Each step is line-searched over twelve
-    halvings; a step with no decrease leaves theta unchanged, so the loop
-    stops there.
+    halvings within the feasible region: alpha in (1/2, 1), cuts in
+    [0, t_max] at least min_gap / 4 apart, which holds at the staged start.
+    A step with no decrease leaves theta unchanged, so the loop stops there.
 
     The loop also stops at the noise floor, before the line search, when
     the Gauss-Newton predicted decrease ||J step||^2 of the squared residual
     is below sigma^2, less than one unit of chi^2: further steps would fit
     the noise (on noisy data they chase the cusp that every cut has at each
-    grid point). sigma is _pre_onset_sigma, the root mean square of both
-    sensors' samples before the first cut, where the model is exactly zero;
-    it is 0 on noiseless data and with fewer than 16 such samples, and the
-    rule is then off.
+    grid point). reconstruct passes _pre_onset_sigma, the root mean square
+    of both sensors' samples before the first cut, where the model is
+    exactly zero, or 0 without an estimate; at 0 (noiseless data) the rule
+    is off.
 
-    start, when given, is the _project result (r, p, q, svals) at the
-    staged alpha and cuts, which reconstruct has from _staged_result;
-    without it refine_joint projects there itself.
-
-    The log entry holds initial_residual (the projected residual at the
-    staged alpha and cuts), noise_sigma (sigma above), final_residual,
+    The log holds initial_residual (the projected residual at the start),
+    noise_sigma (sigma above), final_residual,
     iterations (accepted steps), sigma_ratio (smallest over largest singular value of
     the final op) and stop: "converged" (relative decrease below
     REFINE_TOL = 1e-10, or residual at the 1e-13 * ||y|| floor), "noise-floor"
@@ -371,8 +369,8 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     means the line search found no decrease, not that the iterates
     diverged.
     """
-    t, lams, c, phases, y = _two_sensor_problem(traces, spectrum)
-    n_pieces = initial.K_hat
+    t, lams, _, phases, y = problem
+    n_pieces = len(theta) - 1
 
     def design(alpha, cuts):
         return relaxation_design(alpha, lams, list(cuts) + [math.inf], t)
@@ -380,22 +378,10 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
     def feasible(theta):
         alpha, cuts = theta[0], theta[1:]
         return (0.5 < alpha < 1.0 and cuts[0] >= 0 and cuts[-1] <= t[-1]
-                and all(b - a >= cfg.changepoint_min_gap / 4
-                        for a, b in zip(cuts[:-1], cuts[1:])))
+                and all(b - a >= min_gap / 4 for a, b in zip(cuts[:-1], cuts[1:])))
 
-    def project(theta):
-        """_project at theta; None outside the feasible region."""
-        if not feasible(theta):
-            return None
-        return _project(design(theta[0], theta[1:]), phases, y)
-
-    theta = np.concatenate([[initial.alpha_hat], initial.cuts_hat])
-    if not feasible(theta):
-        raise ValidationError("initial refine point outside the feasible region",
-                              clause="refine-start")
-    r, p, q, svals = start or project(theta)[:4]
+    r, p, q, svals = projection
     cost = float(r @ r)
-    sigma = _pre_onset_sigma(traces, theta[1])
     log = {"iterations": 0, "initial_residual": math.sqrt(cost),
            "noise_sigma": sigma}
     fd_step = 1e-5
@@ -420,9 +406,10 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
         scale = 1.0
         for _ in range(12):
             cand = theta + scale * step
-            got = project(cand)
-            if got is not None and float(got[0] @ got[0]) <= cost:
-                break
+            if feasible(cand):
+                got = _project(design(cand[0], cand[1:]), phases, y)
+                if float(got[0] @ got[0]) <= cost:
+                    break
             scale *= 0.5
         else:
             # a rejected step is a fixed point: the loop would repeat it
@@ -438,33 +425,25 @@ def refine_joint(initial: ReconstructionResult, traces, spectrum: SpectrumTable,
         if rel_change < REFINE_TOL or cost <= floor:
             stop = "converged"
             break
-    denom = float(np.linalg.norm(y)) or 1.0
     log["final_residual"] = math.sqrt(cost)
     log["stop"] = stop
     log["sigma_ratio"] = _sigma_ratio(svals)
-    return ReconstructionResult(
-        alpha_hat=float(theta[0]),
-        cuts_hat=[float(c) for c in theta[1:]],
-        coeffs_hat=[ModeCoefficients(values=v) for v in p.reshape(n_pieces, -1) @ c],
-        K_hat=n_pieces,
-        residual_norm=math.sqrt(cost) / denom,
-        stage_log=initial.stage_log + [("refine_joint", log)],
-        condition_report=initial.condition_report,
-    )
+    return theta, (r, p, q, svals), log
 
 
-def _staged_result(traces, spectrum, c0_hat, alpha_hat, interior, stage_log,
-                   condition_report):
-    """(result, projection): the coefficients at the staged alpha and cuts,
-    after degenerate-piece pruning, and the _project result (r, p, q, svals)
-    they come from, which is where refine_joint starts. condition_report is
-    that of check_sensor_geometry."""
-    t, lams, c, phases, y = _two_sensor_problem(traces, spectrum)
+def _staged_result(problem, alpha: float, cuts: list, stage_log: list):
+    """(cuts, projection, residual_norm) at the staged alpha and cuts, after
+    degenerate-piece pruning: the kept cuts, the _project result
+    (r, p, q, svals) whose p holds the coefficients and where refine_joint
+    starts, and the larger relative residual of the two sensors. Appends
+    merge_pieces (when a cut is dropped) and staged_coefficients to
+    stage_log."""
+    t, lams, c, phases, y = problem
 
     def solve(cuts):
         """(coefficient rows of the pieces, diagnostics, projection) at
-        alpha_hat, cuts."""
-        design = relaxation_design(alpha_hat, lams, cuts + [math.inf], t)
+        alpha, cuts."""
+        design = relaxation_design(alpha, lams, cuts + [math.inf], t)
         r, p, q, op_svals, rd = _project(design, phases, y)
         svals = np.linalg.svd(rd.reshape(len(rd), -1), compute_uv=False)  # D's
         if svals[0] > 0 and svals[-1] ** 2 < 1e-14 * svals[0] ** 2:
@@ -472,12 +451,11 @@ def _staged_result(traces, spectrum, c0_hat, alpha_hat, interior, stage_log,
                 "design matrix rank-deficient; closest eigenvalue window "
                 f"around lambda = {lams[-1]:.4f}")
         residuals = [float(np.linalg.norm(rl)) / (float(np.linalg.norm(yl)) or 1.0)
-                     for rl, yl in zip(np.split(r, len(traces)), np.split(y, len(traces)))]
+                     for rl, yl in zip(np.split(r, len(phases)), np.split(y, len(phases)))]
         diag = {"relative_residuals": residuals, "sigma_ratio": _sigma_ratio(svals)}
         return p.reshape(len(cuts), -1) @ c, diag, (r, p, q, op_svals)
 
-    cuts_hat = [c0_hat] + list(interior)
-    values, diag, projection = solve(cuts_hat)
+    values, diag, projection = solve(cuts)
     # degenerate-piece pruning: a vanishing piece norm or a vanishing jump
     # between neighbors means the change point was spurious
     tol = MERGE_NORM_RATIO * float(np.max(np.linalg.norm(values, axis=1)))
@@ -485,25 +463,16 @@ def _staged_result(traces, spectrum, c0_hat, alpha_hat, interior, stage_log,
                               | (np.linalg.norm(np.diff(values, axis=0), axis=1) <= tol))
     if len(drop):
         stage_log.append(("merge_pieces", {"dropped_cuts": drop.tolist()}))
-        cuts_hat = [cut for k, cut in enumerate(cuts_hat) if k not in drop]
-        values, diag, projection = solve(cuts_hat)
+        cuts = [cut for k, cut in enumerate(cuts) if k not in drop]
+        values, diag, projection = solve(cuts)
     stage_log.append(("staged_coefficients", diag))
-    coeffs = [ModeCoefficients(values=v) for v in values]
-    return ReconstructionResult(
-        alpha_hat=alpha_hat,
-        cuts_hat=cuts_hat,
-        coeffs_hat=coeffs,
-        K_hat=len(coeffs),
-        residual_norm=max(diag["relative_residuals"]),
-        stage_log=stage_log,
-        condition_report=condition_report,
-    ), projection
+    return cuts, projection, max(diag["relative_residuals"])
 
 
 def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = None
                 ) -> ReconstructionResult:
     """Full staged pipeline: onset, order, change points, coefficients,
-    then the optional joint polish."""
+    then the optional joint polish, all on one two-sensor problem."""
     cfg = cfg or InversionConfig()
     if len(traces) != 2:
         raise ValidationError("exactly two sensor traces required",
@@ -517,11 +486,27 @@ def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = N
     stage_log.append(("estimate_alpha", diag))
     interior = detect_change_points(traces, c0_hat, cfg)
     stage_log.append(("detect_change_points", {"cuts": list(interior)}))
-    result, projection = _staged_result(traces, spectrum, c0_hat, alpha_hat,
-                                        interior, stage_log, condition_report)
+    problem = _two_sensor_problem(traces, spectrum)
+    _, _, c, _, y = problem
+    cuts, projection, residual_norm = _staged_result(problem, alpha_hat,
+                                                     [c0_hat] + interior, stage_log)
+    theta = np.array([alpha_hat] + cuts)
     if cfg.refine:
-        result = refine_joint(result, traces, spectrum, cfg, projection)
-    return result
+        theta, projection, log = refine_joint(
+            problem, theta, projection, _pre_onset_sigma(traces, c0_hat) or 0.0,
+            cfg.changepoint_min_gap)
+        stage_log.append(("refine_joint", log))
+        residual_norm = log["final_residual"] / (float(np.linalg.norm(y)) or 1.0)
+    n_pieces = len(theta) - 1
+    return ReconstructionResult(
+        alpha_hat=float(theta[0]),
+        cuts_hat=[float(cut) for cut in theta[1:]],
+        coeffs_hat=[ModeCoefficients(values=v)
+                    for v in projection[1].reshape(n_pieces, -1) @ c],
+        residual_norm=residual_norm,
+        stage_log=stage_log,
+        condition_report=condition_report,
+    )
 
 
 def predicted_flux(result: ReconstructionResult, spectrum: SpectrumTable,
@@ -552,18 +537,8 @@ def result_to_json(result: ReconstructionResult, spectrum: SpectrumTable,
         "coeffs": coeff_rows,
         "residual_norm": result.residual_norm,
         "condition_report": {str(k): v for k, v in result.condition_report.items()},
-        "stage_log": [[name, _jsonable(d)] for name, d in result.stage_log],
+        "stage_log": result.stage_log,
     }
     if traces is not None:
         payload["traces"] = list(traces)
     return json.dumps(payload, indent=1)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj

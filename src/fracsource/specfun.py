@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -26,36 +25,10 @@ from numpy.polynomial.legendre import leggauss
 from .errors import BracketingError, DomainError
 
 __all__ = [
-    "SampledTrace",
     "bessel_j",
     "bessel_j_zeros",
     "fractional_integral",
 ]
-
-
-@dataclass(frozen=True)
-class SampledTrace:
-    """A function sampled on a strictly increasing time grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values)
-        if times.ndim != 1 or values.ndim != 1 or len(times) != len(values):
-            raise DomainError("times and values must be 1-d arrays of equal length")
-        if len(times) < 2:
-            raise DomainError("a trace needs at least two samples")
-        if not np.all(np.diff(times) > 0):
-            raise DomainError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def is_uniform(self) -> bool:
-        dt = np.diff(self.times)
-        return bool(np.allclose(dt, dt[0], rtol=1e-12, atol=1e-15))
 
 
 # ---------------------------------------------------------------------------
@@ -252,24 +225,6 @@ def _polish_zeros(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Riemann-Liouville fractional integral by product integration
 # ---------------------------------------------------------------------------
 
-def fractional_integral(trace: SampledTrace, beta: float) -> SampledTrace:
-    """(I^beta psi)(t) on the grid of `trace`.
-
-    The piecewise-linear interpolant of psi is integrated exactly against the
-    (t - tau)^(beta-1) kernel, so the endpoint singularity costs no accuracy
-    order: the error is O(h^2) for smooth psi. The grid must be uniform.
-    """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta={beta} outside (0, 1)")
-    t = trace.times
-    if t[0] != 0.0:
-        raise DomainError("trace must start at t=0")
-    if not trace.is_uniform:
-        raise DomainError("fractional_integral needs a uniform time grid")
-    out = _frac_int_uniform(np.asarray(trace.values), float(t[1] - t[0]), beta)
-    return SampledTrace(times=t, values=out)
-
-
 def _power_increments(d: np.ndarray, p: float) -> np.ndarray:
     """d^p - (d-1)^p for integer-valued d >= 1, cancellation-safe via expm1."""
     out = np.empty_like(d)
@@ -280,15 +235,21 @@ def _power_increments(d: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _frac_int_uniform(psi: np.ndarray, h: float, beta: float) -> np.ndarray:
-    """Uniform-grid product integration as a discrete convolution.
+def fractional_integral(values: np.ndarray, h: float, beta: float) -> np.ndarray:
+    """(I^beta psi)(t_i) of real samples psi_i = values[i] on the uniform
+    grid t_i = i h.
 
-    For output index i, interval j contributes psi_j*a(i-j) + psi_{j+1}*b(i-j)
-    with lag-only weights, so the sum is a convolution up to one ghost
-    interval left of t=0 that is subtracted afterwards. The convolution is
-    taken by FFT, O(n log n) instead of the O(n^2) direct sum.
+    The piecewise-linear interpolant of psi is integrated exactly against the
+    (t - tau)^(beta-1) kernel, so the endpoint singularity costs no accuracy
+    order: the error is O(h^2) for smooth psi. For output index i, interval j
+    contributes psi_j*a(i-j) + psi_{j+1}*b(i-j) with lag-only weights, so the
+    sum is a convolution up to one ghost interval left of t=0 that is
+    subtracted afterwards. The convolution is taken by FFT, O(n log n)
+    instead of the O(n^2) direct sum.
     """
-    n = len(psi)
+    if not 0.0 < beta < 1.0:
+        raise DomainError(f"beta={beta} outside (0, 1)")
+    n = len(values)
     d = np.arange(1, n + 1, dtype=float)
     inc = _power_increments(d, beta)
     inc1 = _power_increments(d, beta + 1.0)
@@ -303,15 +264,7 @@ def _frac_int_uniform(psi: np.ndarray, h: float, beta: float) -> np.ndarray:
     # the first n terms of the convolution psi * c, as a product of
     # transforms zero-padded past 2n - 1 (so nothing wraps around)
     size = 1 << (2 * n - 1).bit_length()
-    c_hat = np.fft.rfft(c, size)
-
-    def conv_real(x):
-        return np.fft.irfft(np.fft.rfft(x, size) * c_hat, size)[:n]
-
-    if np.iscomplexobj(psi):
-        conv = conv_real(psi.real) + 1j * conv_real(psi.imag)
-    else:
-        conv = conv_real(psi)
-    conv[1:] -= psi[0] * b[2:n + 1]
+    conv = np.fft.irfft(np.fft.rfft(values, size) * np.fft.rfft(c, size), size)[:n]
+    conv[1:] -= values[0] * b[2:n + 1]
     conv[0] = 0.0
     return conv / math.gamma(beta)

@@ -207,22 +207,21 @@ class TestSolveAmplitudes:
         model = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
                             piece_coeffs=(p1, p2), spectrum=spectrum50)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        got, _ = inversion._staged_result(traces, spectrum50, 0.2, 0.75, [1.2], [], {})
-        assert got.K_hat == 2
+        _, cuts, coeffs, log = _solve(traces, spectrum50, 0.75, [0.2, 1.2], refine=False)
+        assert cuts == [0.2, 1.2]
         rebuilt = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
-                              piece_coeffs=tuple(got.coeffs_hat), spectrum=spectrum50)
+                              piece_coeffs=tuple(coeffs), spectrum=spectrum50)
         for theta in (0.3, 1.3):
             truth = grouped_amplitudes(model, theta)
             rel = (np.abs(grouped_amplitudes(rebuilt, theta) - truth)
                    / (np.abs(truth) + 1e-12))
             assert np.max(rel) <= 1e-3
-        assert _coeff_rel_err(got, model) <= 1e-3
-        assert max(dict(got.stage_log)["staged_coefficients"]["relative_residuals"]) < 1e-6
+        assert _coeff_rel_err(coeffs, model) <= 1e-3
+        assert max(log["staged_coefficients"]["relative_residuals"]) < 1e-6
 
     def test_sigma_ratio_recorded(self, spectrum30, reference_traces):
-        got, _ = inversion._staged_result(reference_traces, spectrum30,
-                                          0.2, 0.75, [1.2], [], {})
-        diag = dict(got.stage_log)["staged_coefficients"]
+        diag = _solve(reference_traces, spectrum30, 0.75, [0.2, 1.2],
+                      refine=False)[3]["staged_coefficients"]
         lams = np.array([lam for lam, _ in spectrum30.distinct_eigenvalues])
         t = reference_traces[0].times
         design = relaxation_design(0.75, lams, [0.2, 1.2, math.inf], t).reshape(len(t), -1)
@@ -232,9 +231,9 @@ class TestSolveAmplitudes:
     def test_zero_traces_zero_amplitudes(self, spectrum30, reference_grid):
         traces = (FluxTrace(0.3, reference_grid, np.zeros_like(reference_grid)),
                   FluxTrace(1.3, reference_grid, np.zeros_like(reference_grid)))
-        got, _ = inversion._staged_result(traces, spectrum30, 0.2, 0.75, [], [], {})
-        assert got.K_hat == 1
-        assert np.all(got.coeffs_hat[0].values == 0)
+        coeffs = _solve(traces, spectrum30, 0.75, [0.2], refine=False)[2]
+        assert len(coeffs) == 1
+        assert np.all(coeffs[0].values == 0)
 
     def test_single_mode_recovery(self, reference_grid):
         sp = build_spectrum(6.0)
@@ -263,27 +262,17 @@ class TestSolveAmplitudes:
 
 
 class TestRefineJoint:
-    def test_exact_initial_is_stationary(self, spectrum30, reference_model,
-                                          reference_traces):
-        initial = ReconstructionResult(
-            alpha_hat=0.75, cuts_hat=[0.2, 1.2],
-            coeffs_hat=list(reference_model.piece_coeffs), K_hat=2,
-            residual_norm=0.0, stage_log=[], condition_report={})
-        refined = refine_joint(initial, reference_traces, spectrum30, CFG)
-        assert refined.alpha_hat == pytest.approx(0.75, abs=1e-12)
-        assert refined.cuts_hat[0] == pytest.approx(0.2, abs=1e-10)
-        assert refined.cuts_hat[1] == pytest.approx(1.2, abs=1e-10)
-        assert refined.residual_norm <= 1e-12
+    def test_exact_initial_is_stationary(self, spectrum30, reference_traces):
+        alpha, cuts, _, log = _solve(reference_traces, spectrum30, 0.75, [0.2, 1.2])
+        assert alpha == pytest.approx(0.75, abs=1e-12)
+        assert cuts[0] == pytest.approx(0.2, abs=1e-10)
+        assert cuts[1] == pytest.approx(1.2, abs=1e-10)
+        y = np.concatenate([tr.values for tr in reference_traces])
+        assert log["refine_joint"]["final_residual"] <= 1e-12 * np.linalg.norm(y)
 
-    def test_monotone_on_noisy_data(self, spectrum30, reference_model,
-                                    reference_traces):
+    def test_monotone_on_noisy_data(self, spectrum30, reference_traces):
         noisy = _noisy(reference_traces, 0.01, 7)
-        initial = ReconstructionResult(
-            alpha_hat=0.76, cuts_hat=[0.2, 1.19],
-            coeffs_hat=list(reference_model.piece_coeffs), K_hat=2,
-            residual_norm=1.0, stage_log=[], condition_report={})
-        refined = refine_joint(initial, noisy, spectrum30, CFG)
-        log = dict(refined.stage_log)["refine_joint"]
+        log = _solve(noisy, spectrum30, 0.76, [0.2, 1.19])[3]["refine_joint"]
         assert log["final_residual"] <= log["initial_residual"]
 
 
@@ -377,7 +366,7 @@ class TestPredictedFlux:
                             piece_coeffs=tuple(make_coeffs(spectrum, p) for p in pieces),
                             spectrum=spectrum)
         result = ReconstructionResult(alpha_hat=model.alpha, cuts_hat=[0.2, 1.2],
-                                      coeffs_hat=list(model.piece_coeffs), K_hat=2,
+                                      coeffs_hat=list(model.piece_coeffs),
                                       residual_norm=0.0)
         t = np.linspace(0.0, 4.0, 2001)
         got = predicted_flux(result, spectrum, t, (0.3, 1.3))
@@ -418,10 +407,28 @@ def noisy_staged(spectrum30, reference_model):
     return traces, staged
 
 
-def _coeff_rel_err(result, model):
+def _coeff_rel_err(coeffs, model):
     return max(float(np.linalg.norm(pc.values - truth.values)
                      / np.linalg.norm(truth.values))
-               for pc, truth in zip(result.coeffs_hat, model.piece_coeffs))
+               for pc, truth in zip(coeffs, model.piece_coeffs))
+
+
+def _solve(traces, spectrum, alpha, cuts, refine=True):
+    """The last two stages of reconstruct from alpha and cuts: _staged_result,
+    then, with refine, refine_joint at CFG's gap and the pre-onset sigma.
+    Returns (alpha, cuts, coefficient sets, stage log as a dict)."""
+    problem = inversion._two_sensor_problem(traces, spectrum)
+    log = []
+    cuts, projection, _ = inversion._staged_result(problem, alpha, cuts, log)
+    theta = np.array([alpha] + cuts)
+    if refine:
+        sigma = inversion._pre_onset_sigma(traces, cuts[0]) or 0.0
+        theta, projection, refine_log = refine_joint(problem, theta, projection, sigma,
+                                                     CFG.changepoint_min_gap)
+        log.append(("refine_joint", refine_log))
+    rows = projection[1].reshape(len(theta) - 1, -1) @ problem[2]
+    coeffs = [ModeCoefficients(values=v) for v in rows]
+    return float(theta[0]), [float(c) for c in theta[1:]], coeffs, dict(log)
 
 
 class TestDofMap:
@@ -486,14 +493,15 @@ class TestCutJacobian:
 class TestRefineNoisy:
     def test_a6_bounds_and_stop(self, spectrum30, reference_model, noisy_staged):
         traces, staged = noisy_staged
-        got = refine_joint(staged, traces, spectrum30, CFG)
-        log = dict(got.stage_log)["refine_joint"]
+        alpha, cuts, coeffs, log = _solve(traces, spectrum30, staged.alpha_hat,
+                                          staged.cuts_hat)
+        log = log["refine_joint"]
         h = 4.0 / 1000
-        assert abs(got.alpha_hat - 0.75) <= 2e-2
-        assert got.K_hat == 2
-        assert abs(got.cuts_hat[0] - 0.2) <= 3 * h
-        assert abs(got.cuts_hat[1] - 1.2) <= 3 * h
-        assert _coeff_rel_err(got, reference_model) <= 0.15
+        assert abs(alpha - 0.75) <= 2e-2
+        assert len(cuts) == len(coeffs) == 2
+        assert abs(cuts[0] - 0.2) <= 3 * h
+        assert abs(cuts[1] - 1.2) <= 3 * h
+        assert _coeff_rel_err(coeffs, reference_model) <= 0.15
         assert log["final_residual"] <= log["initial_residual"]
         # the fit reaches the noise floor before the cusps of the cuts stall
         # the line search, so no warning is written
@@ -501,51 +509,50 @@ class TestRefineNoisy:
         assert "warning" not in log
         assert 0 < log["sigma_ratio"] < 1
 
-    def test_starts_from_the_staged_projection(self, spectrum30, noisy_staged,
-                                               monkeypatch):
-        # reconstruct hands the staged projection to refine_joint, which then
-        # builds one relaxation basis fewer and returns the same result
-        traces, staged = noisy_staged
-        cfg = InversionConfig(changepoint_min_gap=0.3)
-        result, start = inversion._staged_result(traces, spectrum30, staged.cuts_hat[0],
-                                                 staged.alpha_hat, staged.cuts_hat[1:], [],
-                                                 staged.condition_report)
-        builds = []
-        design = inversion.relaxation_design
-        monkeypatch.setattr(inversion, "relaxation_design",
-                            lambda *args: builds.append(1) or design(*args))
-        own = refine_joint(result, traces, spectrum30, cfg)
-        own_builds = len(builds)
-        handed = refine_joint(result, traces, spectrum30, cfg, start)
-        assert len(builds) - own_builds == own_builds - 1
-        assert (handed.alpha_hat, handed.cuts_hat) == (own.alpha_hat, own.cuts_hat)
-        assert all(np.array_equal(a.values, b.values)
-                   for a, b in zip(handed.coeffs_hat, own.coeffs_hat))
-        assert handed.stage_log == own.stage_log
+    def test_one_problem_per_reconstruct(self, spectrum30, noisy_staged, monkeypatch):
+        # reconstruct sets up the two-sensor problem once and refine starts
+        # from the staged projection: no design is built twice at one point
+        traces, _ = noisy_staged
+        counts = {"_two_sensor_problem": 0, "relaxation_design": 0}
+        for name in counts:
+            def counting(*args, _name=name, _fn=getattr(inversion, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(inversion, name, counting)
+        got = reconstruct(traces, spectrum30, CFG)
+        # 60 builds in the order stage, 1 staged and 14 in refine, as many
+        # as when refine received the staged projection from a second setup
+        assert counts == {"_two_sensor_problem": 1, "relaxation_design": 75}
+        log = dict(got.stage_log)
+        staged = log["staged_coefficients"]["relative_residuals"]
+        want = math.hypot(*(rel * np.linalg.norm(tr.values)
+                            for rel, tr in zip(staged, traces)))
+        assert log["refine_joint"]["initial_residual"] == pytest.approx(want, rel=1e-12)
 
     def test_noise_floor_agrees_with_the_no_decrease_stop(self, spectrum30,
                                                           noisy_staged, monkeypatch):
-        # with the estimator at 0 the rule is off and refine runs on until
+        # without a noise estimate the rule is off and refine runs on until
         # the line search finds no decrease; the extra iterations fit noise
         traces, staged = noisy_staged
-        got = refine_joint(staged, traces, spectrum30, CFG)
-        monkeypatch.setattr(inversion, "_pre_onset_sigma", lambda *args: 0.0)
-        full = refine_joint(staged, traces, spectrum30, CFG)
-        log = dict(full.stage_log)["refine_joint"]
+        got = _solve(traces, spectrum30, staged.alpha_hat, staged.cuts_hat)
+        monkeypatch.setattr(inversion, "_pre_onset_sigma", lambda *args: None)
+        full = _solve(traces, spectrum30, staged.alpha_hat, staged.cuts_hat)
+        log = full[3]["refine_joint"]
         assert log["noise_sigma"] == 0.0
         assert log["stop"] == "no-decrease"
         # the warning keeps its meaning: no decrease with ten iterations to go
         assert ("warning" in log) == (log["iterations"] + 9
                                       < inversion.MAX_REFINE_ITERATIONS)
-        assert abs(got.alpha_hat - full.alpha_hat) <= 2e-3
-        assert np.max(np.abs(np.subtract(got.cuts_hat, full.cuts_hat))) <= 4.0 / 1000
-        for pg, pf in zip(got.coeffs_hat, full.coeffs_hat):
+        assert abs(got[0] - full[0]) <= 2e-3
+        assert np.max(np.abs(np.subtract(got[1], full[1]))) <= 4.0 / 1000
+        for pg, pf in zip(got[2], full[2]):
             assert (np.linalg.norm(pg.values - pf.values)
                     <= 0.05 * np.linalg.norm(pf.values))
 
     def test_design_builds(self, spectrum30, noisy_staged, monkeypatch):
-        # the no-decrease stop took 85 builds here, most of them rejected
-        # halvings toward the grid-point cusp of a cut
+        # the staged projection and refine's steps; the no-decrease stop
+        # took 85 builds here, most of them rejected halvings toward the
+        # grid-point cusp of a cut
         traces, staged = noisy_staged
         calls = []
         build = inversion.relaxation_design
@@ -555,13 +562,13 @@ class TestRefineNoisy:
             return build(*args, **kw)
 
         monkeypatch.setattr(inversion, "relaxation_design", counting)
-        refine_joint(staged, traces, spectrum30, CFG)
+        _solve(traces, spectrum30, staged.alpha_hat, staged.cuts_hat)
         assert len(calls) <= 20
 
     def test_cap_stop(self, spectrum30, noisy_staged, monkeypatch):
         traces, staged = noisy_staged
         monkeypatch.setattr(inversion, "MAX_REFINE_ITERATIONS", 1)
-        log = dict(refine_joint(staged, traces, spectrum30, CFG).stage_log)["refine_joint"]
+        log = _solve(traces, spectrum30, staged.alpha_hat, staged.cuts_hat)[3]["refine_joint"]
         assert log["iterations"] == 1
         assert log["stop"] == "cap"
         assert "warning" not in log
@@ -570,14 +577,36 @@ class TestRefineNoisy:
     def test_final_residual_is_that_of_the_reported_result(self, spectrum30,
                                                             noisy_staged):
         # the residual of the projection belongs to the coefficients that
-        # refine reports, not only to its internal factors
-        traces, staged = noisy_staged
-        got = refine_joint(staged, traces, spectrum30, CFG)
+        # reconstruct reports, not only to refine's internal factors
+        traces, _ = noisy_staged
+        got = reconstruct(traces, spectrum30, CFG)
         log = dict(got.stage_log)["refine_joint"]
         flux = predicted_flux(got, spectrum30, traces[0].times,
                               [tr.sensor_angle for tr in traces])
         resid = np.concatenate([tr.values - f for tr, f in zip(traces, flux)])
         assert log["final_residual"] == pytest.approx(np.linalg.norm(resid), rel=1e-9)
+        y = np.concatenate([tr.values for tr in traces])
+        assert got.residual_norm == log["final_residual"] / np.linalg.norm(y)
+
+    @pytest.mark.parametrize("gap", [0.1, 0.3])
+    @pytest.mark.parametrize("level", [0.0, 0.01])
+    @pytest.mark.parametrize("alpha", [0.55, 0.99])
+    def test_staged_point_is_feasible(self, spectrum30, reference_model, gap, level,
+                                      alpha):
+        # refine starts at the staged alpha and cuts without a feasibility
+        # check of its own: the order is clipped to [0.5005, 0.9995], the
+        # onset is >= 0, interior cuts lie below t_max - gap and at least
+        # gap apart, and pruning only widens the gaps
+        model = SourceModel(alpha=alpha, cuts=reference_model.cuts,
+                            piece_coeffs=reference_model.piece_coeffs, spectrum=spectrum30)
+        t = np.linspace(0.0, 4.0, 1001)
+        traces = _noisy(tuple(flux_trace(model, th, t) for th in (0.3, 1.3)), level, 5)
+        got = reconstruct(traces, spectrum30,
+                          InversionConfig(changepoint_min_gap=gap, refine=False))
+        cuts = got.cuts_hat
+        assert 0.5 < got.alpha_hat < 1.0
+        assert 0.0 <= cuts[0] and cuts[-1] <= t[-1]
+        assert all(b - a >= gap / 4 for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 class TestPreOnsetSigma:
@@ -595,7 +624,7 @@ class TestPreOnsetSigma:
         noisy = _noisy(reference_traces, 0.01, 3)
         h = 4.0 / 4000
         # t < c0 - 1e-12 holds at the 15 grid points 0, h, ..., 14 h
-        assert inversion._pre_onset_sigma(noisy, 15 * h) == 0.0
+        assert inversion._pre_onset_sigma(noisy, 15 * h) is None
         assert inversion._pre_onset_sigma(noisy, 16 * h) > 0.0
 
 
@@ -619,12 +648,13 @@ class TestRefineSixModes:
         traces = tuple(flux_trace(model, th, t) for th in (0.3, 1.3))
         staged = reconstruct(traces, spectrum50,
                              InversionConfig(changepoint_min_gap=0.3, refine=False))
-        got = refine_joint(staged, traces, spectrum50, CFG)
-        log = dict(got.stage_log)["refine_joint"]
+        alpha, _, coeffs, log = _solve(traces, spectrum50, staged.alpha_hat,
+                                       staged.cuts_hat)
+        log = log["refine_joint"]
         assert log["iterations"] <= 3
         assert log["stop"] == "converged"
-        assert abs(got.alpha_hat - 0.75) <= 1e-8
-        assert _coeff_rel_err(got, model) <= 1e-6
+        assert abs(alpha - 0.75) <= 1e-8
+        assert _coeff_rel_err(coeffs, model) <= 1e-6
 
 
 class TestProjectMatchesDenseLstsq:
