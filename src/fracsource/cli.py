@@ -7,6 +7,7 @@ same config and seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -41,7 +42,7 @@ from .forward_model import (
     relaxation_rates,
     verify_measurement_identity,
 )
-from .inversion import predicted_flux, reconstruct, result_to_json
+from .inversion import reconstruct, result_to_json
 from .laplace_model import LaplacePoint, laplace_flux_model, numeric_laplace
 from .specfun import _panel_nodes, bessel_j
 
@@ -143,10 +144,8 @@ def cmd_invert(args) -> int:
     manifest = RunManifest.for_config(cfg)
     _emit(manifest, directory, "reconstruction.json",
           result_to_json(result, spectrum, [os.path.basename(p) for p in args.traces]))
-    model_flux = predicted_flux(result, spectrum, traces[0].times, sensors.angles)
     _emit(manifest, directory, "residual_curve.csv", columns_to_csv(
-        "t,residual_sensor1,residual_sensor2", traces[0].times,
-        *(f - tr.values for f, tr in zip(model_flux, traces))))
+        "t,residual_sensor1,residual_sensor2", traces[0].times, *result.residuals))
     _finish(manifest, directory)
     _info(args, f"invert: alpha_hat={result.alpha_hat:.6f} "
                 f"cuts={['%.4f' % c for c in result.cuts_hat]} K={result.K_hat}")
@@ -360,19 +359,23 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. As the program (python -m fracsource.cli or the
+    fracsource script, argv None) it first calls gc.freeze(), so that the
+    interpreter's exit skips collecting the objects created at import (the
+    package, numpy); called with an argument list, as tests do in-process,
+    it leaves the collector alone."""
+    if argv is None:
+        gc.freeze()
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError,) as exc:
-        clause = getattr(exc, "clause", None)
-        suffix = f" [clause: {clause}]" if clause else ""
-        print(f"validation error: {exc}{suffix}", file=sys.stderr)
-        return 2
-    except ConditioningError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except FracsourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        suffix = f" [clause: {exc.clause}]" if exc.clause else ""
+        if isinstance(exc, ConditioningError):
+            print(f"numerical failure: {exc}{suffix}", file=sys.stderr)
+            return 3
+        kind = "validation error" if isinstance(exc, ValidationError) else "error"
+        print(f"{kind}: {exc}{suffix}", file=sys.stderr)
         return 2
 
 

@@ -330,9 +330,10 @@ def check_trace_grid(times: np.ndarray, expected: np.ndarray, source: str):
         raise ValidationError(f"{source}: time grid is not uniform", clause="trace-grid")
     if len(times) != len(expected) or not np.all(np.abs(times - expected) <= 1e-9 * h):
         raise ValidationError(
-            f"{source}: time grid ({len(times)} samples, t from {times[0]!r} to "
-            f"{times[-1]!r}) does not match the config grid ({len(expected)} "
-            f"samples, t from {expected[0]!r} to {expected[-1]!r})", clause="trace-grid")
+            f"{source}: time grid ({len(times)} samples, t from {float(times[0])!r} to "
+            f"{float(times[-1])!r}) does not match the config grid ({len(expected)} "
+            f"samples, t from {float(expected[0])!r} to {float(expected[-1])!r})",
+            clause="trace-grid")
 
 
 def trace_to_json(sensor_angle: float, times, values) -> str:

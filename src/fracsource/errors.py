@@ -2,7 +2,10 @@
 
 
 class FracsourceError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. clause, when set, names the
+    violated condition, and the command line prints it."""
+
+    clause = None
 
 
 class DomainError(FracsourceError, ValueError):
@@ -24,6 +27,8 @@ class ShapeError(FracsourceError, ValueError):
 class EmptySpectrumError(FracsourceError, ValueError):
     """Eigenvalue cutoff below the first disc eigenvalue."""
 
+    clause = "spectrum-range"
+
 
 class HorizonError(FracsourceError, ValueError):
     """Trace horizon too short for a Laplace transform."""
@@ -31,6 +36,8 @@ class HorizonError(FracsourceError, ValueError):
 
 class EmptySignalError(FracsourceError, ValueError):
     """No trace sample exceeds the onset detection threshold."""
+
+    clause = "empty-signal"
 
 
 class SensorGeometryError(ValidationError):

@@ -9,15 +9,16 @@ each mode by -lambda_n s_n a_n(z) (disc_spectrum.sensor_weights, their one
 definition), so it is a sum of these differences, one per (distinct
 eigenvalue, piece), weighted by the grouped amplitudes (_grouped).
 
-relaxation_design builds that relaxation basis, and relaxation_rates its
-derivatives in the cuts. Both write each profile as an exponential sum
-(E_{alpha,1}(-lambda t^alpha) is completely monotone) on one node lattice that
-does not depend on alpha, so on a uniform grid every build is a product with
-cached shift tables. Only relaxation_design builds the basis: synthesis
-(flux_traces), the order search, the amplitude solve, refinement and the
-residual curves of the inversion all use it. E_{alpha,alpha} is read from
-relaxation_rates at cut 0 by verify_measurement_identity, on the shift
-tables of its own flux_trace.
+relaxation_design builds that relaxation basis, relaxation_rates its
+derivatives in the cuts, and relaxation_derivatives those and its
+derivatives in alpha in one pass (refinement's Jacobian). All write each
+profile as an exponential sum (E_{alpha,1}(-lambda t^alpha) is completely
+monotone) on one node lattice that does not depend on alpha, so on a uniform
+grid every build is a product with cached shift tables. Only
+relaxation_design builds the basis: synthesis (flux_traces), the order
+search, the amplitude solve and refinement all use it. E_{alpha,alpha} is
+read from relaxation_rates at cut 0 by verify_measurement_identity, on the
+shift tables of its own flux_trace.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ __all__ = [
     "flux_traces",
     "relaxation_design",
     "relaxation_rates",
+    "relaxation_derivatives",
     "relaxation_flux",
     "verify_measurement_identity",
     "grouped_amplitudes",
@@ -213,20 +215,25 @@ _SHIFT_MAX_CELLS = 1 << 21
 _EXP_FLOOR = -220.0
 
 
-def _node_weights(alpha: float, lams: np.ndarray, q_lo: int, q_hi: int, moment: int):
+def _node_weights(alpha: float, lams: np.ndarray, q_lo: int, q_hi: int, parts):
     """Nodes r_q = exp(q h_u), q_lo <= q <= q_hi, and the trapezoidal weights
-    w[q, j] = (h_u/pi) lam_j sin(alpha pi) r_q^(alpha + moment)
-    / ((r_q^alpha + lam_j cos(alpha pi))^2 + (lam_j sin(alpha pi))^2); the
-    denominator is written as a sum of squares, which does not cancel as
-    alpha -> 1."""
+    of each part (see _profiles), stacked as columns (part, j): "value"
+    w[q, j] = (h_u/pi) lam_j sin(alpha pi) r_q^alpha
+    / ((r_q^alpha + lam_j cos(alpha pi))^2 + (lam_j sin(alpha pi))^2), "rate"
+    r_q w[q, j] and "alpha" dw[q, j]/dalpha; the denominator is written as a
+    sum of squares, which does not cancel as alpha -> 1."""
     u = np.arange(q_lo, q_hi + 1) * _NODE_STEP
     r = np.exp(u)
     ra = np.exp(alpha * u)[:, None]
     s, c = math.sin(alpha * math.pi), math.cos(alpha * math.pi)
-    w = (_NODE_STEP / math.pi) * s * lams * ra / ((ra + lams * c) ** 2 + (lams * s) ** 2)
-    if moment:
-        w *= r[:, None] ** moment
-    return r, w
+    den = (ra + lams * c) ** 2 + (lams * s) ** 2
+    w = (_NODE_STEP / math.pi) * s * lams * ra / den
+    cols = {"value": w, "rate": w * r[:, None]}
+    if "alpha" in parts:
+        dden = (2.0 * (ra + lams * c) * (u[:, None] * ra - math.pi * lams * s)
+                + 2.0 * math.pi * lams ** 2 * s * c)
+        cols["alpha"] = w * (u[:, None] - dden / den) + _NODE_STEP * c * lams * ra / den
+    return r, np.hstack([cols[part] for part in parts])
 
 
 def _q_top(tau_min: float) -> int:
@@ -301,16 +308,24 @@ def _uniform_step(times: np.ndarray):
     return h
 
 
-def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
-    """P[i, j, b]: E_{alpha,1}(-lam_j tau^alpha) (moment 0) or
-    lam_j tau^(alpha-1) E_{alpha,alpha}(-lam_j tau^alpha) (moment 1) at
-    tau = t_i - c_b > 0, as sum_q e^{-r_q tau} w_qj + tail + pole (see
-    relaxation_design); 1 (moment 0) or 0 (moment 1) where tau <= 0."""
+def _profiles(alpha: float, lams, cuts, times, parts) -> np.ndarray:
+    """P[i, p, j, b] for each part p of parts at tau = t_i - c_b > 0:
+    "value" E_{alpha,1}(-lam_j tau^alpha), "rate"
+    lam_j tau^(alpha-1) E_{alpha,alpha}(-lam_j tau^alpha) = -d value/dtau and
+    "alpha" d value/dalpha, each as sum_q e^{-r_q tau} w_qj + tail + pole (see
+    relaxation_design) with that part's weights (_node_weights); where
+    tau <= 0, 1 for "value" and 0 for the others. One call serves all parts:
+    their weights are stacked as columns of the same products with the same
+    exponential factors. Tail and pole are differentiated in closed form
+    (for "alpha", d/dalpha of the pole's coefficient and of
+    e^{-r* tau}, which gives a term tau e^{-r* tau}); the lattice bounds are
+    held fixed."""
     lams = np.asarray(lams, dtype=float)
     cuts = np.asarray(cuts, dtype=float)
     times = np.asarray(times, dtype=float)
-    n = len(times)
-    out = np.full((n, len(lams), len(cuts)), 1.0 if moment == 0 else 0.0)
+    n, n_parts = len(times), len(parts)
+    out = np.zeros((n, n_parts, len(lams), len(cuts)))
+    out[:, [part == "value" for part in parts]] = 1.0
     starts = np.searchsorted(times, cuts, side="right")   # first t_i > c
     if np.all(starts == n):
         return out
@@ -336,7 +351,7 @@ def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
     # of an unblocked call, so the blocking changes no value
     for j0 in range(0, max(len(lams) - _LAM_BLOCK, 0) + 1, _LAM_BLOCK):
         js = slice(j0, j0 + _LAM_BLOCK if j0 + 2 * _LAM_BLOCK <= len(lams) else None)
-        r, w = _node_weights(alpha, lams[js], q_lo, q_hi, moment)
+        r, w = _node_weights(alpha, lams[js], q_lo, q_hi, parts)
         # rows summed at their exact tau: the first row after each cut, whose
         # tau may lie anywhere in (0, h], and without shift tables all later rows
         for b, c, i0 in zip(np.flatnonzero(live), cuts[live], starts[live]):
@@ -347,8 +362,9 @@ def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
                 tau = times[lo:hi] - c
                 if len(tau):
                     top = _q_top(float(tau[0])) - q_lo + 1
-                    out[lo:lo + len(tau), js, b] = (_basis(tau, r[n_slow:top])
-                                                    @ _fold(r[:top], w[:top], n_slow))
+                    out[lo:lo + len(tau), :, js, b] = (
+                        _basis(tau, r[n_slow:top]) @ _fold(r[:top], w[:top], n_slow)
+                    ).reshape(len(tau), n_parts, -1)
         if tables is not None and np.min(starts) + 1 < n:
             # later rows: t_i - c = delta + m h with delta = t_{i0} - c, so
             # e^{-(t_i - c) r} = e^{-delta r} baby[m mod s] giant[m div s],
@@ -368,7 +384,8 @@ def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
             body.reshape(-1, steps, stride)[:] += fast.reshape(steps, -1, stride).transpose(1, 0, 2)
             body = body.reshape(w.shape[1], len(deltas), -1)
             for col, b in enumerate(np.flatnonzero(live)):
-                out[starts[b] + 1:, js, b] = body[:, col, 1:n - starts[b]].T
+                out[starts[b] + 1:, :, js, b] = body[:, col, 1:n - starts[b]].T.reshape(
+                    -1, n_parts, w.shape[1] // n_parts)
     # closed forms: the lattice below q_lo, where e^{-r tau} = 1 and
     # r K(r) ~ sin(alpha pi) r^alpha / (pi lam), summed as a geometric series;
     # and for alpha > 2/3 the trapezoidal error of the pole of the integrand
@@ -376,37 +393,57 @@ def _profiles(alpha: float, lams, cuts, times, moment: int) -> np.ndarray:
     # SIAM Rev. 56, 2014). For alpha <= 2/3 that pole lies outside the strip
     # |Im u| < pi/2 in which e^{-e^u tau} decays, and it adds nothing.
     s = math.sin(alpha * math.pi)
-    ex = alpha + moment
-    tail = (s * math.exp(ex * q_lo * _NODE_STEP) * _NODE_STEP
-            / (math.pi * lams * math.expm1(ex * _NODE_STEP)))
+    tail = []
+    for part in parts:
+        ex = alpha + (part == "rate")
+        tail.append(s * math.exp(ex * q_lo * _NODE_STEP) * _NODE_STEP
+                    / (math.pi * lams * math.expm1(ex * _NODE_STEP)))
+        if part == "alpha":   # d/dalpha of sin(alpha pi) e^{alpha q_lo h_u} / expm1(alpha h_u)
+            tail[-1] = tail[-1] * (math.pi / math.tan(alpha * math.pi) + q_lo * _NODE_STEP
+                                   - _NODE_STEP / -math.expm1(-ex * _NODE_STEP))
     for b, i0 in enumerate(starts):
-        out[i0:, :, b] += tail
+        out[i0:, :, :, b] += tail
     if alpha > 2.0 / 3.0:
         u_star = (np.log(lams) + 1j * math.pi * (1.0 - alpha)) / alpha
         r_star = np.exp(u_star)
         # the lattice contains u = 0, so only the phase of u*/h_u mod 1 matters
         phase = np.mod(u_star.real / _NODE_STEP, 1.0) + 1j * u_star.imag / _NODE_STEP
-        coef = 2j * r_star ** moment / (alpha * (np.exp(-2j * math.pi * phase) - 1.0))
-        # the term Im(coef e^{-r* tau}) decays like e^{-tau Re r*}; it is
-        # summed while it can exceed 1e-18
-        tau_stop = float(np.max(np.log(np.abs(coef) * 1e18) / r_star.real))
+        turn = np.exp(-2j * math.pi * phase)
+        # the term is Im(coef e^{-r* tau}) + Im(slope tau e^{-r* tau}); for
+        # "alpha", du*/dalpha = -(u* + i pi) / alpha
+        du = -(u_star + 1j * math.pi) / alpha
+        coef, slope = np.zeros((2, n_parts, len(lams)), dtype=complex)
+        for k, part in enumerate(parts):
+            if part == "alpha":
+                coef[k] = 2j / (alpha * (turn - 1.0)) * (
+                    2j * math.pi * turn * du / (_NODE_STEP * (turn - 1.0)) - 1.0 / alpha)
+                slope[k] = -2j * r_star * du / (alpha * (turn - 1.0))
+            else:
+                coef[k] = 2j * (r_star if part == "rate" else 1.0) / (alpha * (turn - 1.0))
+        # the term decays like e^{-tau Re r*}; it is summed while it can
+        # exceed 1e-18
+        tau_stop = float(np.max(np.log((np.abs(coef) + np.abs(slope) * tau_max) * 1e18)
+                                / r_star.real))
         stops = np.searchsorted(times, cuts + tau_stop, side="right")
         if h is not None:
             # tau = delta + m h, so e^{-r* tau} = e^{-r* delta} z^m with
             # z = e^{-r* h} for every cut, from the strided powers of the grid
             rows = int(np.max(stops - starts))
             z_lo, z_hi = _stride_powers(r_star, h, rows, _stride(n))
-            zm = (z_hi[:, None] * z_lo).reshape(-1, len(lams))
+            zm = (z_hi[:, None] * z_lo).reshape(-1, 1, len(lams))
+        n_terms = 1 + ("alpha" in parts)   # the tau e^{-r* tau} term only for "alpha"
         for b in np.flatnonzero(stops > starts):
             c, i0, i1 = cuts[b], starts[b], stops[b]
-            if h is not None:
-                g = coef * np.exp(-r_star * (times[i0] - c))
-                out[i0:i1, :, b] -= g.real * zm[:i1 - i0].imag + g.imag * zm[:i1 - i0].real
-            else:
-                tau = times[i0:i1, None] - c
-                arg = tau * r_star.imag
-                out[i0:i1, :, b] -= np.exp(-tau * r_star.real) * (
-                    coef.imag * np.cos(arg) - coef.real * np.sin(arg))
+            tau = (times[i0:i1] - c)[:, None, None]
+            for g, factor in [(coef, 1.0), (slope, tau)][:n_terms]:
+                if h is not None:
+                    g = g * np.exp(-r_star * (times[i0] - c))
+                    z = zm[:i1 - i0]
+                    out[i0:i1, :, :, b] -= factor * (g.real * z.imag + g.imag * z.real)
+                else:
+                    arg = tau * r_star.imag
+                    out[i0:i1, :, :, b] -= factor * np.exp(-tau * r_star.real) * (
+                        g.imag * np.cos(arg) - g.real * np.sin(arg))
     return out
 
 
@@ -459,7 +496,7 @@ def relaxation_design(alpha: float, lams, bounds, times) -> np.ndarray:
     finite = np.isfinite(bounds)
     profiles = np.ones((len(times), len(lams), len(bounds)))
     if finite.any():
-        profiles[:, :, finite] = _profiles(alpha, lams, bounds[finite], times, 0)
+        profiles[:, :, finite] = _profiles(alpha, lams, bounds[finite], times, ("value",))[:, 0]
     return profiles[:, :, 1:] - profiles[:, :, :-1]
 
 
@@ -469,15 +506,24 @@ def relaxation_rates(alpha: float, lams, cuts, times) -> np.ndarray:
     tau = t_i - c > 0 and 0 where tau <= 0, by
     d/dtau E_{alpha,1}(-lambda tau^alpha) = -lambda tau^(alpha-1) E_{alpha,alpha}(-lambda tau^alpha).
     The same construction as relaxation_design, with weights r_q w_qj."""
-    return _profiles(alpha, lams, cuts, times, 1)
+    return _profiles(alpha, lams, cuts, times, ("rate",))[:, 0]
+
+
+def relaxation_derivatives(alpha: float, lams, cuts, times):
+    """(relaxation_rates, dA_{j,c}/dalpha) at each finite cut, each of shape
+    (n_t, J, len(cuts)), from one pass of the construction of
+    relaxation_design: the weights r_q w_qj and dw_qj/dalpha share its
+    exponential factors, and the tail and pole terms are differentiated in
+    closed form. The derivative in alpha is 0 where tau <= 0."""
+    both = _profiles(alpha, lams, cuts, times, ("rate", "alpha"))
+    return both[:, 0], both[:, 1]
 
 
 def relaxation_flux(alpha: float, bounds, piece_coeffs, spectrum: SpectrumTable,
                     sensor_angles, times) -> list:
     """Complex flux -sum_{j,k} b_{j,k} D[:, j, k] at each sensor angle, with
     b the grouped amplitudes of piece_coeffs and D one relaxation_design
-    shared by all angles. Synthesis and the residual curves of a
-    reconstruction both go through this sum."""
+    shared by all angles: the sum that synthesis (flux_traces) writes."""
     lams = np.array([lam for lam, _ in spectrum.distinct_eigenvalues])
     design = relaxation_design(alpha, lams, bounds, times)
     out = []

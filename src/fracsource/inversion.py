@@ -28,9 +28,8 @@ from .errors import (
 from .forward_model import (
     _grouped,
     check_sensor_geometry,
+    relaxation_derivatives,
     relaxation_design,
-    relaxation_flux,
-    relaxation_rates,
 )
 
 __all__ = [
@@ -79,6 +78,7 @@ class ReconstructionResult:
     residual_norm: float
     stage_log: list = field(default_factory=list)
     condition_report: dict = field(default_factory=dict)
+    residuals: list = field(default_factory=list)   # model minus trace, per sensor
 
     @property
     def K_hat(self) -> int:
@@ -147,21 +147,25 @@ def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
     """Order estimate from the leading window t in [c0, c0 + delta], delta =
     min(changepoint_min_gap, ALPHA_LEADING_DELTA): a variable-projection fit
     of the relaxation basis {1 - E_{alpha,1}(-lambda_j tau^alpha)} on the
-    window, golden-section searched within 0.025 of the best point of a 0.02
-    grid over [0.52, 0.98]. Returns (alpha_hat, diagnostics dict): the
-    diagnostics hold vp_residual and alpha_vp at the searched minimum, the
-    grid's profile as [alpha, vp_residual] pairs, and its interior local
-    minima, the grid alphas whose residual is strictly below the left
-    neighbour's and not above the right one's."""
+    window, minimized by Brent's method (_brent_min) within 0.025 of the best
+    point of a 0.02 grid over [0.52, 0.98]. Returns (alpha_hat, diagnostics
+    dict): the diagnostics hold alpha_vp, the best point that the search
+    evaluated, and its vp_residual, the number of evaluations (window
+    builds, the grid's included), the grid's profile as [alpha, vp_residual]
+    pairs, and its interior local minima, the grid alphas whose residual is
+    strictly below the left neighbour's and not above the right one's."""
     t = _common_grid(traces)
     delta = min(cfg.changepoint_min_gap, ALPHA_LEADING_DELTA)
     lams = np.array([lam for lam, _ in spectrum.distinct_eigenvalues])
     mask = (t >= c0_hat - 1e-12) & (t <= c0_hat + delta + 1e-12)
     window = t[mask]
     targets = [-tr.values[mask] for tr in traces]
+    evaluations = 0
 
     def vp_residual(alpha):
         # one piece [c0_hat, inf): columns 1 - E_{alpha,1}(-lam_j tau^alpha)
+        nonlocal evaluations
+        evaluations += 1
         design = relaxation_design(alpha, lams, [c0_hat, math.inf], window)[:, :, 0]
         total = 0.0
         for y in targets:
@@ -172,33 +176,65 @@ def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
 
     profile = [(float(a), vp_residual(a)) for a in np.arange(0.52, 0.995, 0.02)]
     best = min(profile, key=lambda pair: pair[1])[0]
-    lo_b = max(0.5005, best - 0.025)
-    hi_b = min(0.9995, best + 0.025)
-    alpha_hat = _brent_min(vp_residual, lo_b, hi_b)
-    diag = {"vp_residual": vp_residual(alpha_hat), "alpha_vp": alpha_hat,
+    alpha_hat, residual = _brent_min(vp_residual, max(0.5005, best - 0.025),
+                                     min(0.9995, best + 0.025))
+    diag = {"vp_residual": residual, "alpha_vp": alpha_hat, "evaluations": evaluations,
             "minima": [a for (_, left), (a, v), (_, right)
                        in zip(profile, profile[1:], profile[2:]) if left > v <= right],
             "profile": profile}
     return float(np.clip(alpha_hat, 0.5005, 0.9995)), diag
 
 
-def _brent_min(f, lo, hi):
-    """Golden-section minimization on [lo, hi], to a bracket of 1e-8."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+def _brent_min(f, lo, hi, tol=1e-8):
+    """Brent's minimization on [lo, hi] (Algorithms for Minimization without
+    Derivatives, 1973, ch. 5): parabolic steps through the three best points,
+    golden-section steps when a parabola is not trusted, and no two
+    evaluations closer than the absolute tolerance tol. Stops when the
+    bracket lies within 2 tol of its best point x on both sides, so a
+    unimodal f has its minimum within 2 tol of x. Returns (x, f(x)), the
+    best point evaluated."""
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > 1e-8:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, fx
+        p = q = 0.0
+        if abs(e) > tol:   # the parabola through (v, fv), (w, fw), (x, fx)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q   # its minimum is inside the bracket, and the step halves
+            if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                d = tol if x <= m else -tol
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            e = (a if x >= m else b) - x
+            d = golden * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def detect_change_points(traces, c0_hat: float, cfg: InversionConfig):
@@ -310,21 +346,23 @@ def _project(design: np.ndarray, phases, y: np.ndarray):
     return q @ (rg @ p) - y, p, q, svals, rd
 
 
-def _cut_jacobian(alpha: float, lams: np.ndarray, cuts, t: np.ndarray,
-                  w: np.ndarray):
-    """d(op @ p)/dc_k for the sensor stack of _project, one column per cut,
-    from one relaxation_rates call; w[l, j, k] = (phase_l @ p_k)_j is the
-    weight of design column (j, k) at sensor l.
+def _jacobian(alpha: float, lams: np.ndarray, cuts, t: np.ndarray, w: np.ndarray):
+    """[d(op @ p)/d alpha, d(op @ p)/dc_k] for the sensor stack of _project,
+    one column for alpha, then one per cut, from one relaxation_derivatives
+    call; w[l, j, k] = (phase_l @ p_k)_j is the weight of design column
+    (j, k) at sensor l.
 
-    dA_{j,c}/dc = lam_j (t-c)^(alpha-1) E_{alpha,alpha}(-lam_j (t-c)^alpha) for
-    t > c and 0 for t <= c, where A_{j,c} = 1. Design column (j, k) is
-    A_{j,c_{k+1}} - A_{j,c_k}, so c_k enters column (j, k) with sign - and
-    column (j, k-1) with sign +."""
-    n_pieces = len(cuts)
-    deriv = relaxation_rates(alpha, lams, cuts, t)
+    Design column (j, k) is A_{j,c_{k+1}} - A_{j,c_k}, with A = 1 at the
+    infinite last bound, so A_{j,c_k} enters column (j, k) with sign - and
+    column (j, k-1) with sign +. Both the cut column of c_k (dA_{j,c}/dc =
+    lam_j (t-c)^(alpha-1) E_{alpha,alpha}(-lam_j (t-c)^alpha) for t > c, 0
+    for t <= c) and the terms of the alpha column (dA_{j,c_k}/dalpha) are
+    weighted by that same jump w_{k-1} - w_k."""
+    rates, slopes = relaxation_derivatives(alpha, lams, cuts, t)
     jump = -w
     jump[:, :, 1:] += w[:, :, :-1]
-    return np.einsum("tjk,ljk->ltk", deriv, jump).reshape(-1, n_pieces)
+    return np.hstack([np.einsum("tjk,ljk->lt", slopes, jump).reshape(-1, 1),
+                      np.einsum("tjk,ljk->ltk", rates, jump).reshape(-1, len(cuts))])
 
 
 def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
@@ -341,39 +379,37 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
     staged coefficients). projection is the _project result (r, p, q, svals)
     at theta, in and out; reconstruct starts from that of _staged_result.
     The Jacobian is Kaufman's (1975),
-    J = (I - QQ^T) [d(op p)/d alpha, d(op p)/dc_k]: the alpha column
-    is a central difference of D at fixed p, the cut columns are
-    closed-form (_cut_jacobian). Each step is line-searched over twelve
-    halvings within the feasible region: alpha in (1/2, 1), cuts in
-    [0, t_max] at least min_gap / 4 apart, which holds at the staged start.
-    A step with no decrease leaves theta unchanged, so the loop stops there.
+    J = (I - QQ^T) [d(op p)/d alpha, d(op p)/dc_k], every column exact and
+    from one pass over the relaxation basis (_jacobian). Each step is
+    line-searched over twelve halvings within the feasible region: alpha in
+    (1/2, 1), cuts in [0, t_max] at least min_gap / 4 apart, which holds at
+    the staged start. A step with no decrease leaves theta unchanged, so the
+    loop stops there.
 
-    The loop also stops at the noise floor, before the line search, when
-    the Gauss-Newton predicted decrease ||J step||^2 of the squared residual
-    is below sigma^2, less than one unit of chi^2: further steps would fit
-    the noise (on noisy data they chase the cusp that every cut has at each
-    grid point). reconstruct passes _pre_onset_sigma, the root mean square
-    of both sensors' samples before the first cut, where the model is
-    exactly zero, or 0 without an estimate; at 0 (noiseless data) the rule
-    is off.
+    The loop also stops at the noise floor: a candidate at scale s of the
+    step is evaluated only while the Gauss-Newton predicted decrease
+    s (2 - s) ||J step||^2 of the squared residual is at least sigma^2, one
+    unit of chi^2; below it further steps would fit the noise (on noisy
+    data they chase the cusp that every cut has at each grid point).
+    reconstruct passes _pre_onset_sigma, the root mean square of both
+    sensors' samples before the first cut, where the model is exactly zero,
+    or 0 without an estimate; at 0 (noiseless data) the rule is off.
 
-    The log holds initial_residual (the projected residual at the start),
-    noise_sigma (sigma above), final_residual,
-    iterations (accepted steps), sigma_ratio (smallest over largest singular value of
-    the final op) and stop: "converged" (relative decrease below
+    The log holds iterations (accepted steps), candidates (line-search
+    candidates evaluated, one design build each), initial_residual (the
+    projected residual at the start), noise_sigma (sigma above),
+    final_residual, sigma_ratio (smallest over largest singular value of the
+    final op) and stop: "converged" (relative decrease below
     REFINE_TOL = 1e-10, or residual at the 1e-13 * ||y|| floor), "noise-floor"
-    (predicted decrease below sigma^2), "no-decrease" (no line-search
-    candidate lowered the residual) or "cap" (MAX_REFINE_ITERATIONS = 50
-    accepted steps). A no-decrease stop with ten iterations still to go also
-    writes the warning "divergence: 10 consecutive rejected steps"; it
-    means the line search found no decrease, not that the iterates
-    diverged.
+    (predicted decrease below sigma^2 at the next scale), "no-decrease" (no
+    line-search candidate lowered the residual) or "cap"
+    (MAX_REFINE_ITERATIONS = 50 accepted steps). A no-decrease stop with ten
+    iterations still to go also writes the warning "divergence: 10
+    consecutive rejected steps"; it means the line search found no
+    decrease, not that the iterates diverged.
     """
     t, lams, _, phases, y = problem
     n_pieces = len(theta) - 1
-
-    def design(alpha, cuts):
-        return relaxation_design(alpha, lams, list(cuts) + [math.inf], t)
 
     def feasible(theta):
         alpha, cuts = theta[0], theta[1:]
@@ -382,32 +418,27 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
 
     r, p, q, svals = projection
     cost = float(r @ r)
-    log = {"iterations": 0, "initial_residual": math.sqrt(cost),
+    log = {"iterations": 0, "candidates": 0, "initial_residual": math.sqrt(cost),
            "noise_sigma": sigma}
-    fd_step = 1e-5
     floor = (1e-13 * float(np.linalg.norm(y))) ** 2
     stop = "cap"
     for it in range(MAX_REFINE_ITERATIONS):
-        cols = np.zeros((len(y), 1 + n_pieces))
-        up, down = theta.copy(), theta.copy()
-        up[0] += fd_step
-        down[0] -= fd_step
         w = np.stack([phase @ p.reshape(n_pieces, -1).T for phase in phases])
-        if feasible(up) and feasible(down):
-            diff = design(up[0], up[1:]) - design(down[0], down[1:])
-            cols[:, 0] = np.einsum("tjk,ljk->lt", diff, w).reshape(-1) / (2 * fd_step)
-        cols[:, 1:] = _cut_jacobian(theta[0], lams, theta[1:], t, w)
+        cols = _jacobian(theta[0], lams, theta[1:], t, w)
         jac = cols - q @ (q.T @ cols)
         step = np.linalg.lstsq(jac, -r, rcond=None)[0]
         predicted = jac @ step
-        if float(predicted @ predicted) < sigma * sigma:
-            stop = "noise-floor"
-            break
+        gain = float(predicted @ predicted)
         scale = 1.0
         for _ in range(12):
+            if scale * (2.0 - scale) * gain < sigma * sigma:
+                stop = "noise-floor"
+                break
             cand = theta + scale * step
             if feasible(cand):
-                got = _project(design(cand[0], cand[1:]), phases, y)
+                log["candidates"] += 1
+                got = _project(relaxation_design(cand[0], lams, list(cand[1:]) + [math.inf], t),
+                               phases, y)
                 if float(got[0] @ got[0]) <= cost:
                     break
             scale *= 0.5
@@ -416,6 +447,7 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
             if it + 9 < MAX_REFINE_ITERATIONS:
                 log["warning"] = "divergence: 10 consecutive rejected steps"
             stop = "no-decrease"
+        if stop != "cap":
             break
         r, p, q, svals, _ = got
         cc = float(r @ r)
@@ -472,7 +504,9 @@ def _staged_result(problem, alpha: float, cuts: list, stage_log: list):
 def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = None
                 ) -> ReconstructionResult:
     """Full staged pipeline: onset, order, change points, coefficients,
-    then the optional joint polish, all on one two-sensor problem."""
+    then the optional joint polish, all on one two-sensor problem. The
+    result's residuals (model flux minus trace, per sensor) are those of
+    the final projection."""
     cfg = cfg or InversionConfig()
     if len(traces) != 2:
         raise ValidationError("exactly two sensor traces required",
@@ -506,17 +540,8 @@ def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = N
         residual_norm=residual_norm,
         stage_log=stage_log,
         condition_report=condition_report,
+        residuals=[-rl for rl in np.split(projection[0], len(traces))],
     )
-
-
-def predicted_flux(result: ReconstructionResult, spectrum: SpectrumTable,
-                   times: np.ndarray, sensor_angles) -> list:
-    """Flux traces implied by a reconstruction, one array per sensor angle,
-    by the same grouped-amplitude sum that synthesizes traces."""
-    bounds = list(result.cuts_hat) + [math.inf]
-    fluxes = relaxation_flux(result.alpha_hat, bounds, result.coeffs_hat, spectrum,
-                             sensor_angles, times)
-    return [f.real for f in fluxes]
 
 
 def result_to_json(result: ReconstructionResult, spectrum: SpectrumTable,

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import inspect
 import json
@@ -602,6 +603,49 @@ class TestInvertCommand:
                      str(empty), str(tmp_path / "run" / "flux_sensor2.csv")])
         assert code == 2
         assert "[clause: trace-grid]" in capsys.readouterr().err
+
+    def test_grid_mismatch_message_prints_plain_floats(self):
+        # the grid ends are numpy scalars; the message shows them as floats
+        with pytest.raises(ValidationError) as exc:
+            check_trace_grid(np.linspace(0.0, 4.0, 401), np.linspace(0.0, 4.0, 501), "x.csv")
+        assert "t from 0.0 to 4.0" in str(exc.value) and "np." not in str(exc.value)
+
+    def test_all_zero_traces_exit_2_with_clause(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"grid.steps": 400})
+        zero = tmp_path / "zero.csv"
+        zero.write_text(trace_to_csv(np.linspace(0.0, 4.0, 401), np.zeros(401)))
+        code = main(["invert", "--config", cfg_path, "--quiet", str(zero), str(zero)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: no sample exceeds") and "[clause: empty-signal]" in err
+
+
+class TestErrorClauses:
+    def test_empty_spectrum_exit_2_with_clause(self, tmp_path, capsys):
+        # a cutoff below the first disc eigenvalue j_{0,1}^2 = 5.78
+        cfg_path = write_config(tmp_path, {"spectrum.lambda_max": 5.0})
+        code = main(["spectrum", "--config", cfg_path, "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: lambda_max=5.0 below") and "[clause: spectrum-range]" in err
+
+
+class TestGcFreeze:
+    def test_main_with_arguments_leaves_the_collector_alone(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["spectrum", "--config", write_config(tmp_path), "--quiet"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_the_program_freezes_the_objects_of_its_imports(self, tmp_path, monkeypatch):
+        # run as the program (argv None), main freezes what exists after the
+        # imports, so the interpreter's exit does not collect it
+        monkeypatch.setattr(sys, "argv", ["fracsource", "spectrum", "--config",
+                                          write_config(tmp_path), "--quiet"])
+        try:
+            assert main() == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
 
 class TestNoScipyImport:
