@@ -19,7 +19,6 @@ from . import __version__
 from .config import (
     ExperimentConfig,
     RunManifest,
-    build_inversion_config,
     build_source_model,
     check_trace_grid,
     columns_to_csv,
@@ -42,7 +41,7 @@ from .forward_model import (
     relaxation_rates,
     verify_measurement_identity,
 )
-from .inversion import reconstruct, result_to_json
+from .inversion import InversionConfig, reconstruct, result_to_json
 from .laplace_model import LaplacePoint, laplace_flux_model, numeric_laplace
 from .specfun import _panel_nodes, bessel_j
 
@@ -89,8 +88,7 @@ def cmd_synth(args) -> int:
     spectrum = build_spectrum(float(cfg.spectrum["lambda_max"]))
     model = build_source_model(cfg, spectrum)
     sensors = cfg.sensor_config()
-    check_sensor_geometry(spectrum, sensors.theta1 - sensors.theta2,
-                          build_inversion_config(cfg).margin_min)
+    check_sensor_geometry(spectrum, sensors.theta1 - sensors.theta2)
     times = cfg.times()
     traces = flux_traces(model, sensors.angles, times)
     manifest = RunManifest.for_config(cfg)
@@ -140,7 +138,7 @@ def cmd_invert(args) -> int:
                                   clause="trace-file") from None
         check_trace_grid(t, grid, path)
         traces.append(FluxTrace(sensor_angle=theta, times=t, values=v))
-    result = reconstruct(tuple(traces), spectrum, build_inversion_config(cfg))
+    result = reconstruct(tuple(traces), spectrum, InversionConfig(**cfg.inversion))
     manifest = RunManifest.for_config(cfg)
     _emit(manifest, directory, "reconstruction.json",
           result_to_json(result, spectrum, [os.path.basename(p) for p in args.traces]))

@@ -20,7 +20,6 @@ from . import __version__
 from .disc_spectrum import ModeCoefficients, SpectrumTable, project_function
 from .errors import ValidationError
 from .forward_model import SensorConfig, SourceModel
-from .inversion import InversionConfig
 
 __all__ = [
     "ExperimentConfig",
@@ -28,7 +27,6 @@ __all__ = [
     "load_config",
     "dump_config",
     "build_source_model",
-    "build_inversion_config",
     "write_atomic",
     "float_strings",
     "columns_to_csv",
@@ -47,7 +45,7 @@ _DEFAULTS = {
     "sensors": {"theta1": 0.3, "theta2": 1.3},
     "grid": {"t_max": 4.0, "steps": 4000},
     "noise": {"level": 0.0, "seed": 1},
-    "inversion": {"changepoint_min_gap": 0.1, "margin_min": 1e-3, "refine": True},
+    "inversion": {"changepoint_min_gap": 0.1},
     "output": {"directory": "runs/out", "laplace_s": []},
 }
 
@@ -154,7 +152,8 @@ def load_config(text_or_path) -> ExperimentConfig:
     "{"), merged over the defaults. A file that cannot be read or does not
     hold JSON raises ValidationError (clause config-file) naming it; _merge
     and _check_model check the keys and types, noise.level must be finite
-    and >= 0, and each output.laplace_s entry a finite number > 0."""
+    and >= 0, each output.laplace_s entry a finite number > 0, and
+    inversion.changepoint_min_gap finite and > 0 (clause inversion-config)."""
     source, text = "text", text_or_path
     if not (isinstance(text, str) and text.lstrip().startswith("{")):
         source = os.fspath(text_or_path)
@@ -175,6 +174,10 @@ def load_config(text_or_path) -> ExperimentConfig:
     if not 0 <= level < math.inf:
         raise ValidationError(f"noise.level must be a finite number >= 0, got {level!r}",
                               clause="config-schema")
+    gap = merged["inversion"]["changepoint_min_gap"]
+    if not 0 < gap < math.inf:
+        raise ValidationError("inversion.changepoint_min_gap must be a finite number > 0, "
+                              f"got {gap!r}", clause="inversion-config")
     for i, s in enumerate(merged["output"]["laplace_s"]):
         _check_double(f"output.laplace_s[{i}]", s)
         if type(s) not in (int, float) or not 0 < s < math.inf:
@@ -247,12 +250,6 @@ def build_source_model(cfg: ExperimentConfig, spectrum: SpectrumTable) -> Source
                               clause="assumption-1c")
     return SourceModel(alpha=float(m["alpha"]), cuts=tuple(cuts),
                        piece_coeffs=pieces, spectrum=spectrum)
-
-
-def build_inversion_config(cfg: ExperimentConfig) -> InversionConfig:
-    """The inversion section as an InversionConfig, which checks the ranges
-    (clause inversion-config)."""
-    return InversionConfig(**cfg.inversion)
 
 
 # ---------------------------------------------------------------------------

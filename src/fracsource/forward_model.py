@@ -47,6 +47,9 @@ __all__ = [
     "grouped_amplitudes",
 ]
 
+# threshold of the sensor-geometry guard on min |sin(|m| delta_theta)|
+MARGIN_MIN = 1e-3
+
 
 @dataclass(frozen=True)
 class SourceModel:
@@ -103,8 +106,7 @@ class SourceModel:
         return all(pc.is_real_field(self.spectrum, tol) for pc in self.piece_coeffs)
 
 
-def check_sensor_geometry(spectrum: SpectrumTable, delta_theta: float,
-                          margin_min: float) -> dict:
+def check_sensor_geometry(spectrum: SpectrumTable, delta_theta: float) -> dict:
     """The sensor-geometry guard of synthesis and inversion: the condition
     report {|m|: |2 sin(|m| delta_theta)|} over the represented |m| != 0, in
     the order of the modes. Each value is the modulus of the determinant
@@ -112,15 +114,15 @@ def check_sensor_geometry(spectrum: SpectrumTable, delta_theta: float,
     the smallest is the irrationality margin min |sin(|m| delta_theta)|.
 
     Raises SensorGeometryError naming the |m| of that margin when it is
-    below margin_min."""
+    below MARGIN_MIN."""
     report = {mo.m: abs(2.0 * math.sin(mo.m * delta_theta))
               for mo in spectrum.modes if mo.m > 0}
     if report:
         m = min(report, key=report.get)
-        if report[m] < 2.0 * margin_min:
+        if report[m] < 2.0 * MARGIN_MIN:
             raise SensorGeometryError(
                 f"sensor margin |sin({m} * delta_theta)| = {report[m] / 2:.3g} "
-                f"below {margin_min} at |m| = {m}, delta_theta = {delta_theta}", m=m)
+                f"below {MARGIN_MIN} at |m| = {m}, delta_theta = {delta_theta}", m=m)
     return report
 
 

@@ -6,9 +6,10 @@ order alpha from the leading window where only the first piece acts, then
 interior change points from second-difference kinks, then the coefficients
 by one least-squares solve of the two-sensor operator (_project: the
 relaxation basis times each sensor's grouped amplitudes
-b_{j,k,l} = sum_{lam_n=lam_j} s_n a_n(z_l) p_{k,n}), then an optional joint
-polish: variable-projection Gauss-Newton over alpha and the cuts, with the
-coefficients eliminated by the same solve.
+b_{j,k,l} = sum_{lam_n=lam_j} s_n a_n(z_l) p_{k,n}). These staged values are
+where the estimator starts: the joint fit refine_joint, variable-projection
+Gauss-Newton over alpha and the cuts, with the coefficients eliminated by
+the same solve.
 """
 from __future__ import annotations
 
@@ -49,25 +50,12 @@ ONSET_FLOOR = 1e-9               # absolute floor of the onset threshold
 ALPHA_LEADING_DELTA = 0.2        # cap on the leading-window length
 MAX_REFINE_ITERATIONS = 50
 REFINE_TOL = 1e-10               # relative-decrease stop of refine_joint
-MERGE_NORM_RATIO = 1e-3          # K-hat degenerate-piece pruning
 
 
 @dataclass(frozen=True)
 class InversionConfig:
-    changepoint_min_gap: float = 0.1      # the paper's eta: <= the true minimum gap
-    margin_min: float = 1e-3              # threshold of the sensor-geometry guard
-    refine: bool = True                   # run the joint polish refine_joint
-
-    def __post_init__(self):
-        for name, hi in (("changepoint_min_gap", math.inf), ("margin_min", 1.0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0 < value < hi):
-                raise ValidationError(f"{name} must be a number in (0, {hi}), got {value!r}",
-                                      clause="inversion-config")
-        if not isinstance(self.refine, bool):
-            raise ValidationError(f"refine must be true or false, got {self.refine!r}",
-                                  clause="inversion-config")
+    # the paper's eta: <= the true minimum gap; load_config checks its range
+    changepoint_min_gap: float = 0.1
 
 
 @dataclass
@@ -152,8 +140,9 @@ def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
     dict): the diagnostics hold alpha_vp, the best point that the search
     evaluated, and its vp_residual, the number of evaluations (window
     builds, the grid's included), the grid's profile as [alpha, vp_residual]
-    pairs, and its interior local minima, the grid alphas whose residual is
-    strictly below the left neighbour's and not above the right one's."""
+    pairs, and its local minima, the grid alphas whose residual is strictly
+    below the left neighbour's and not above the right one's; a grid end
+    compares with its one neighbour by the same rule."""
     t = _common_grid(traces)
     delta = min(cfg.changepoint_min_gap, ALPHA_LEADING_DELTA)
     lams = np.array([lam for lam, _ in spectrum.distinct_eigenvalues])
@@ -178,9 +167,10 @@ def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
     best = min(profile, key=lambda pair: pair[1])[0]
     alpha_hat, residual = _brent_min(vp_residual, max(0.5005, best - 0.025),
                                      min(0.9995, best + 0.025))
+    padded = [(None, math.inf), *profile, (None, math.inf)]
     diag = {"vp_residual": residual, "alpha_vp": alpha_hat, "evaluations": evaluations,
             "minima": [a for (_, left), (a, v), (_, right)
-                       in zip(profile, profile[1:], profile[2:]) if left > v <= right],
+                       in zip(padded, padded[1:], padded[2:]) if left > v <= right],
             "profile": profile}
     return float(np.clip(alpha_hat, 0.5005, 0.9995)), diag
 
@@ -241,13 +231,11 @@ def detect_change_points(traces, c0_hat: float, cfg: InversionConfig):
     """Interior cut candidates from local maxima of the second difference of
     the summed two-sensor flux; lag-smoothed when the noise estimate
     (_pre_onset_sigma, else _noise_sigma of the sum) is above 1e-9 of the
-    sum's peak, pruned to changepoint_min_gap keeping the larger magnitude."""
+    sum's peak, pruned to changepoint_min_gap keeping the larger magnitude.
+    reconstruct has checked that the grid step is at most a tenth of
+    changepoint_min_gap."""
     t = _common_grid(traces)
     h = float(t[1] - t[0])
-    if h > cfg.changepoint_min_gap / 10.0 + 1e-15:
-        raise ValidationError(
-            f"grid step {h} too coarse for changepoint_min_gap="
-            f"{cfg.changepoint_min_gap}", clause="changepoint-grid")
     summed = np.zeros(len(t))
     for tr in traces:
         summed += tr.values
@@ -464,55 +452,45 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
 
 
 def _staged_result(problem, alpha: float, cuts: list, stage_log: list):
-    """(cuts, projection, residual_norm) at the staged alpha and cuts, after
-    degenerate-piece pruning: the kept cuts, the _project result
-    (r, p, q, svals) whose p holds the coefficients and where refine_joint
-    starts, and the larger relative residual of the two sensors. Appends
-    merge_pieces (when a cut is dropped) and staged_coefficients to
-    stage_log."""
-    t, lams, c, phases, y = problem
-
-    def solve(cuts):
-        """(coefficient rows of the pieces, diagnostics, projection) at
-        alpha, cuts."""
-        design = relaxation_design(alpha, lams, cuts + [math.inf], t)
-        r, p, q, op_svals, rd = _project(design, phases, y)
-        svals = np.linalg.svd(rd.reshape(len(rd), -1), compute_uv=False)  # D's
-        if svals[0] > 0 and svals[-1] ** 2 < 1e-14 * svals[0] ** 2:
-            raise ConditioningError(
-                "design matrix rank-deficient; closest eigenvalue window "
-                f"around lambda = {lams[-1]:.4f}")
-        residuals = [float(np.linalg.norm(rl)) / (float(np.linalg.norm(yl)) or 1.0)
-                     for rl, yl in zip(np.split(r, len(phases)), np.split(y, len(phases)))]
-        diag = {"relative_residuals": residuals, "sigma_ratio": _sigma_ratio(svals)}
-        return p.reshape(len(cuts), -1) @ c, diag, (r, p, q, op_svals)
-
-    values, diag, projection = solve(cuts)
-    # degenerate-piece pruning: a vanishing piece norm or a vanishing jump
-    # between neighbors means the change point was spurious
-    tol = MERGE_NORM_RATIO * float(np.max(np.linalg.norm(values, axis=1)))
-    drop = 1 + np.flatnonzero((np.linalg.norm(values[1:], axis=1) <= tol)
-                              | (np.linalg.norm(np.diff(values, axis=0), axis=1) <= tol))
-    if len(drop):
-        stage_log.append(("merge_pieces", {"dropped_cuts": drop.tolist()}))
-        cuts = [cut for k, cut in enumerate(cuts) if k not in drop]
-        values, diag, projection = solve(cuts)
-    stage_log.append(("staged_coefficients", diag))
-    return cuts, projection, max(diag["relative_residuals"])
+    """The _project result (r, p, q, svals) at the staged alpha and cuts,
+    where refine_joint starts. Raises ConditioningError when the relaxation
+    design is numerically rank-deficient. Appends staged_coefficients to
+    stage_log: each sensor's relative residual and the design's sigma_ratio."""
+    t, lams, _, phases, y = problem
+    r, p, q, op_svals, rd = _project(relaxation_design(alpha, lams, cuts + [math.inf], t),
+                                     phases, y)
+    svals = np.linalg.svd(rd.reshape(len(rd), -1), compute_uv=False)  # D's
+    if svals[0] > 0 and svals[-1] ** 2 < 1e-14 * svals[0] ** 2:
+        raise ConditioningError(
+            "design matrix rank-deficient; closest eigenvalue window "
+            f"around lambda = {lams[-1]:.4f}")
+    residuals = [float(np.linalg.norm(rl)) / (float(np.linalg.norm(yl)) or 1.0)
+                 for rl, yl in zip(np.split(r, len(phases)), np.split(y, len(phases)))]
+    stage_log.append(("staged_coefficients", {"relative_residuals": residuals,
+                                              "sigma_ratio": _sigma_ratio(svals)}))
+    return r, p, q, op_svals
 
 
 def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = None
                 ) -> ReconstructionResult:
-    """Full staged pipeline: onset, order, change points, coefficients,
-    then the optional joint polish, all on one two-sensor problem. The
-    result's residuals (model flux minus trace, per sensor) are those of
-    the final projection."""
+    """Full pipeline on one two-sensor problem: onset, order, change points
+    and the staged coefficients, then the joint fit refine_joint from them.
+    The grid step must be at most a tenth of changepoint_min_gap (clause
+    changepoint-grid), checked before any stage runs. The result's
+    residuals (model flux minus trace, per sensor) and its residual_norm,
+    ||r|| / ||y||, are those of the final projection."""
     cfg = cfg or InversionConfig()
     if len(traces) != 2:
         raise ValidationError("exactly two sensor traces required",
                               clause="sensor-count")
     condition_report = check_sensor_geometry(
-        spectrum, traces[0].sensor_angle - traces[1].sensor_angle, cfg.margin_min)
+        spectrum, traces[0].sensor_angle - traces[1].sensor_angle)
+    t = _common_grid(traces)
+    h = float(t[1] - t[0])
+    if h > cfg.changepoint_min_gap / 10.0 + 1e-15:
+        raise ValidationError(
+            f"grid step {h} too coarse for changepoint_min_gap="
+            f"{cfg.changepoint_min_gap}", clause="changepoint-grid")
     stage_log = []
     c0_hat = detect_onset(traces)
     stage_log.append(("detect_onset", {"c0_hat": c0_hat}))
@@ -522,22 +500,19 @@ def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = N
     stage_log.append(("detect_change_points", {"cuts": list(interior)}))
     problem = _two_sensor_problem(traces, spectrum)
     _, _, c, _, y = problem
-    cuts, projection, residual_norm = _staged_result(problem, alpha_hat,
-                                                     [c0_hat] + interior, stage_log)
-    theta = np.array([alpha_hat] + cuts)
-    if cfg.refine:
-        theta, projection, log = refine_joint(
-            problem, theta, projection, _pre_onset_sigma(traces, c0_hat) or 0.0,
-            cfg.changepoint_min_gap)
-        stage_log.append(("refine_joint", log))
-        residual_norm = log["final_residual"] / (float(np.linalg.norm(y)) or 1.0)
+    cuts = [c0_hat] + interior
+    projection = _staged_result(problem, alpha_hat, cuts, stage_log)
+    theta, projection, log = refine_joint(
+        problem, np.array([alpha_hat] + cuts), projection,
+        _pre_onset_sigma(traces, c0_hat) or 0.0, cfg.changepoint_min_gap)
+    stage_log.append(("refine_joint", log))
     n_pieces = len(theta) - 1
     return ReconstructionResult(
         alpha_hat=float(theta[0]),
         cuts_hat=[float(cut) for cut in theta[1:]],
         coeffs_hat=[ModeCoefficients(values=v)
                     for v in projection[1].reshape(n_pieces, -1) @ c],
-        residual_norm=residual_norm,
+        residual_norm=log["final_residual"] / (float(np.linalg.norm(y)) or 1.0),
         stage_log=stage_log,
         condition_report=condition_report,
         residuals=[-rl for rl in np.split(projection[0], len(traces))],

@@ -255,7 +255,7 @@ class TestA8Determinism:
             "sensors": {"theta1": 0.3, "theta2": 1.3},
             "grid": {"t_max": 4.0, "steps": 2000},
             "noise": {"level": 0.01, "seed": 11},
-            "inversion": {"changepoint_min_gap": 0.3, "refine": False},
+            "inversion": {"changepoint_min_gap": 0.3},
             "output": {"directory": str(tmp_path / "runA")},
         }
         cfg_path = tmp_path / "cfg.json"

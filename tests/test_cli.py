@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fracsource
-from fracsource import cli, config, errors
+from fracsource import cli, config, errors, inversion
 from fracsource.cli import main
 from fracsource.config import (
     build_source_model,
@@ -89,7 +89,7 @@ class TestConfig:
     def test_defaults_applied(self):
         cfg = load_config(json.dumps({"model": {"alpha": 0.8}}))
         assert cfg.grid["steps"] == 4000
-        assert cfg.inversion["margin_min"] == 1e-3
+        assert cfg.inversion["changepoint_min_gap"] == 0.1
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
@@ -154,9 +154,18 @@ class TestConfig:
 
 
 # inversion keys of earlier versions, with the values they held; the
-# settings are constants of inversion.py, and the keys are unknown keys
+# settings are constants (margin_min is forward_model.MARGIN_MIN, and
+# refine_joint always runs), and the keys are unknown keys
 REMOVED_INVERSION_KEYS = [("onset_threshold", 5.0), ("onset_floor", 1e-9),
-                          ("alpha_fit_window", [20.0, 200.0]), ("alpha_fit_points", 40)]
+                          ("alpha_fit_window", [20.0, 200.0]), ("alpha_fit_points", 40),
+                          ("margin_min", 1e-3), ("refine", False)]
+
+# every settable value of a config: a leaf of config._DEFAULTS
+SETTABLE_VALUES = [
+    "spectrum.lambda_max", "model.alpha", "model.cuts", "model.pieces",
+    "sensors.theta1", "sensors.theta2", "grid.t_max", "grid.steps", "noise.level",
+    "noise.seed", "inversion.changepoint_min_gap", "output.directory", "output.laplace_s",
+]
 
 
 def _exit_and_error(capsys, argv):
@@ -166,9 +175,16 @@ def _exit_and_error(capsys, argv):
 
 
 class TestConfigValidation:
-    def test_inversion_section_has_three_keys(self):
-        assert set(load_config("{}").inversion) == {"changepoint_min_gap", "margin_min",
-                                                    "refine"}
+    def test_settable_values_census(self):
+        # a new setting fails here until it is listed in SETTABLE_VALUES
+        def leaves(node, path):
+            for key, value in node.items():
+                name = f"{path}{key}"
+                yield from leaves(value, name + ".") if isinstance(value, dict) else [name]
+
+        assert list(leaves(config._DEFAULTS, "")) == SETTABLE_VALUES
+        assert len(SETTABLE_VALUES) == 13
+        assert list(leaves(load_config("{}").raw, "")) == SETTABLE_VALUES
 
     @pytest.mark.parametrize("key, value", REMOVED_INVERSION_KEYS)
     def test_removed_key_exit_2(self, tmp_path, capsys, key, value):
@@ -195,12 +211,11 @@ class TestConfigValidation:
         ("inversion.refine", "false", "config-schema"),
         ("inversion.changepoint_min_gap", "x", "config-schema"),
         ("inversion.changepoint_min_gap", math.nan, "inversion-config"),
-        ("inversion.margin_min", math.nan, "inversion-config"),
-        ("inversion.margin_min", -1.0, "inversion-config"),
     ])
     def test_bad_inversion_setting_exit_2(self, tmp_path, capsys, key, value, clause):
-        # at the sensor geometry of A7 (delta_theta = pi/2): a margin_min
-        # outside (0, 1) would switch the guard off, and both commands check it
+        # at the sensor geometry of A7 (delta_theta = pi/2): both commands
+        # check the inversion section where they read the config, before
+        # the sensor guard
         cfg_path = write_config(tmp_path, {"grid.steps": 400})
         assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
         run = tmp_path / "run"
@@ -478,23 +493,47 @@ class TestInvertCommand:
             assert "|m| = 2" in err and "[clause: sensor-margin]" in err, err
         assert not (tmp_path / "bad_run").exists()
 
-    @pytest.mark.parametrize("refine", [True, False])
-    def test_condition_report(self, tmp_path, refine):
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_condition_report(self, tmp_path, noisy):
         # the reference geometry, delta_theta = 0.3 - 1.3 = -1 with |m| in
-        # {1, 2}: the report holds |2 sin(|m| delta_theta)|, bit for bit
+        # {1, 2}: the report holds |2 sin(|m| delta_theta)|, bit for bit,
+        # from the geometry alone, on clean and on 1 %-noise traces; every
+        # invert ends with refine_joint
         doc = json.load(open(REFERENCE_CONFIG))
-        doc["inversion"]["refine"] = refine
+        doc["noise"]["level"] = 0.01 if noisy else 0.0
         doc["output"]["directory"] = str(tmp_path / "run")
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         cfg_path = str(tmp_path / "cfg.json")
         run = tmp_path / "run"
+        suffix = "_noisy" if noisy else ""
         assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
         assert main(["invert", "--config", cfg_path, "--quiet",
-                     str(run / "flux_sensor1.csv"), str(run / "flux_sensor2.csv")]) == 0
+                     str(run / f"flux_sensor1{suffix}.csv"),
+                     str(run / f"flux_sensor2{suffix}.csv")]) == 0
         recon = json.loads((run / "reconstruction.json").read_text())
         assert recon["condition_report"] == {"1": abs(2 * math.sin(1.0)),
                                              "2": abs(2 * math.sin(2.0))}
-        assert ("refine_joint" in dict(recon["stage_log"])) == refine
+        assert [name for name, _ in recon["stage_log"]] == [
+            "detect_onset", "estimate_alpha", "detect_change_points",
+            "staged_coefficients", "refine_joint"]
+
+    def test_coarse_grid_exits_before_the_order_stage(self, tmp_path, capsys, monkeypatch):
+        # a grid step of 0.1 against changepoint_min_gap 0.3 (at most 0.03
+        # allowed): invert exits 2 before it builds any relaxation basis
+        cfg_path = write_config(tmp_path, {"grid.steps": 40})
+        assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
+        builds = []
+        for name in ("relaxation_design", "relaxation_derivatives"):
+            build = getattr(inversion, name)
+            monkeypatch.setattr(inversion, name,
+                                lambda *args, _build=build: builds.append(args) or _build(*args))
+        run = tmp_path / "run"
+        code, err = _exit_and_error(capsys, [
+            "invert", "--config", cfg_path, "--quiet",
+            str(run / "flux_sensor1.csv"), str(run / "flux_sensor2.csv")])
+        assert code == 2
+        assert "[clause: changepoint-grid]" in err, err
+        assert builds == []
 
     def test_onset_one_ulp_past_a_grid_point(self, tmp_path):
         # the flux first crosses the threshold at t = 1.001, and 1.001 - h
@@ -709,8 +748,8 @@ def _package_functions():
 
 class TestReachability:
     def test_commands_call_every_function(self, tmp_path):
-        # the five commands on the reference config, at 1 % noise with refine
-        # on and off, and synth of a model of two densities call every
+        # the five commands on the reference config, at 1 % noise, and synth
+        # of a model of two densities call every
         # function of the package: code that only tests reach belongs in
         # tests/oracles.py. Cached functions run only on a miss, so their
         # caches are emptied first.
@@ -724,15 +763,12 @@ class TestReachability:
             base = json.load(fh)
         noisy = json.loads(json.dumps(base))
         noisy["noise"]["level"] = 0.01
-        staged = json.loads(json.dumps(noisy))
-        staged["inversion"]["refine"] = False
         densities = json.loads(json.dumps(base))
         densities["model"]["pieces"] = [
             {"density": {"kind": "gaussian", "r0": 0.4, "theta0": 1.0, "width": 0.3}},
             {"density": {"kind": "constant", "amplitude": 0.5}}]
         runs = [(base, ["spectrum", "synth", "invert", "verify", "plotdata"], ""),
                 (noisy, ["synth", "invert", "plotdata"], "_noisy"),
-                (staged, ["invert"], "_noisy"),
                 (densities, ["synth"], "")]
         called = set()
 
@@ -843,8 +879,7 @@ class TestPlotdataCommand:
         assert key in err and "[clause: plotdata-input]" in err, err
 
     def test_full_run_emits_three_csvs(self, tmp_path):
-        cfg_path = write_config(tmp_path, {"grid.steps": 2000,
-                                           "inversion.refine": False})
+        cfg_path = write_config(tmp_path, {"grid.steps": 2000})
         main(["synth", "--config", cfg_path, "--quiet"])
         run = str(tmp_path / "run")
         main(["invert", "--config", cfg_path, "--quiet",
@@ -894,8 +929,7 @@ class TestPlotdataCommand:
     def test_plots_the_traces_that_invert_fitted(self, tmp_path):
         # after a fit to the 1 %-noise traces, reconstruction.json names them
         # and plotdata plots those, not the clean ones
-        cfg_path = write_config(tmp_path, {"grid.steps": 2000, "noise.level": 0.01,
-                                           "inversion.refine": False})
+        cfg_path = write_config(tmp_path, {"grid.steps": 2000, "noise.level": 0.01})
         assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
         run = tmp_path / "run"
         names = [f"flux_sensor{i}_noisy.csv" for i in (1, 2)]

@@ -88,24 +88,27 @@ class TestSourceModelValidation:
 class TestSensorConfig:
     def test_margin(self, spectrum30):
         # the sensor-geometry guard of synth and invert
-        assert min(check_sensor_geometry(spectrum30, 0.3 - 1.3, 1e-3).values()) > 1.0
+        assert min(check_sensor_geometry(spectrum30, 0.3 - 1.3).values()) > 1.0
         with pytest.raises(ValidationError) as err:
-            check_sensor_geometry(spectrum30, 0.0 - math.pi / 2, 1e-3)
+            check_sensor_geometry(spectrum30, 0.0 - math.pi / 2)
         assert isinstance(err.value, SensorGeometryError)
         assert err.value.m == 2 and err.value.clause == "sensor-margin"
         assert "|m| = 2" in str(err.value)
 
-    def test_margin_value(self, spectrum30):
+    def test_margin_value(self, spectrum30, monkeypatch):
         # represented |m| are {1, 2}: the report holds |2 sin(m delta_theta)|,
         # and the margin min |sin(m delta_theta)| is half its smallest value
-        got = check_sensor_geometry(spectrum30, 1.0, 1e-3)
+        assert forward_model.MARGIN_MIN == 1e-3
+        got = check_sensor_geometry(spectrum30, 1.0)
         assert got == {1: abs(2.0 * math.sin(1.0)), 2: abs(2.0 * math.sin(2.0))}
         assert min(got.values()) / 2 == pytest.approx(
             min(abs(math.sin(1.0)), abs(math.sin(2.0))), rel=1e-12)
-        # the guard compares that margin with margin_min
-        check_sensor_geometry(spectrum30, 1.0, abs(math.sin(1.0)))
+        # the guard compares that margin with MARGIN_MIN
+        monkeypatch.setattr(forward_model, "MARGIN_MIN", abs(math.sin(1.0)))
+        check_sensor_geometry(spectrum30, 1.0)
+        monkeypatch.setattr(forward_model, "MARGIN_MIN", abs(math.sin(1.0)) * (1 + 1e-15))
         with pytest.raises(SensorGeometryError):
-            check_sensor_geometry(spectrum30, 1.0, abs(math.sin(1.0)) * (1 + 1e-15))
+            check_sensor_geometry(spectrum30, 1.0)
 
     def test_angle_range(self):
         with pytest.raises(ValidationError):

@@ -1,10 +1,12 @@
+import json
 import math
-from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fracsource import inversion
+from fracsource.config import load_config
 from fracsource.disc_spectrum import ModeCoefficients, build_spectrum, sensor_weights
 from fracsource.errors import (
     EmptySignalError,
@@ -64,6 +66,11 @@ def _noisy(traces, level, seed):
 
 
 class TestInversionConfig:
+    # the inversion section is checked once, where load_config reads it: a
+    # gap that is a number but not finite and > 0 has clause
+    # inversion-config; a gap of another JSON type, and the removed settings
+    # margin_min (now forward_model.MARGIN_MIN) and refine (refine_joint
+    # always runs), have clause config-schema
     @pytest.mark.parametrize("kwargs", [
         {"changepoint_min_gap": math.nan}, {"changepoint_min_gap": math.inf},
         {"changepoint_min_gap": 0.0}, {"changepoint_min_gap": "0.3"},
@@ -72,12 +79,11 @@ class TestInversionConfig:
     ])
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ValidationError) as err:
-            InversionConfig(**kwargs)
-        assert err.value.clause == "inversion-config"
-
-    def test_three_settings(self):
-        assert [f.name for f in fields(InversionConfig)] == [
-            "changepoint_min_gap", "margin_min", "refine"]
+            load_config(json.dumps({"inversion": kwargs}))
+        (key, value), = kwargs.items()
+        number = key == "changepoint_min_gap" and type(value) is float
+        assert err.value.clause == ("inversion-config" if number else "config-schema")
+        assert key in str(err.value)
 
 
 class TestDetectOnset:
@@ -200,6 +206,22 @@ class TestEstimateAlpha:
         assert diag["minima"] == pytest.approx([0.62, 0.74], abs=1e-9)
         assert abs(got - 0.62) <= 0.025
 
+    def test_grid_end_minimum_is_recorded(self, spectrum30, reference_grid):
+        # at alpha 0.99 the lowest profile point is the grid end 0.98, below
+        # its one neighbour, and the search polishes that basin; minima
+        # lists it, and not the other end, which is above its neighbour
+        model = SourceModel(alpha=0.99, cuts=(0.2, 1.2, math.inf),
+                            piece_coeffs=(make_coeffs(spectrum30, REF_PIECE_1),
+                                          make_coeffs(spectrum30, REF_PIECE_2)),
+                            spectrum=spectrum30)
+        traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
+        got, diag = estimate_alpha(traces, detect_onset(traces), CFG, spectrum30)
+        profile = diag["profile"]
+        assert min(profile, key=lambda pair: pair[1]) == profile[-1]
+        assert profile[0][1] > profile[1][1]
+        assert diag["minima"] == pytest.approx([0.98], abs=1e-9)
+        assert abs(got - 0.99) <= 1e-6
+
 
 class TestDetectChangePoints:
     def test_k2_onset_at_zero(self, spectrum30):
@@ -236,10 +258,16 @@ class TestDetectChangePoints:
         assert abs(cuts[0] - 0.9) <= h + 1e-12
         assert abs(cuts[1] - 1.6) <= h + 1e-12
 
-    def test_grid_step_guard(self, reference_traces):
+    def test_grid_step_guard(self, spectrum30, reference_traces, monkeypatch):
+        # a grid step above a tenth of the gap is rejected before any stage
+        # runs: no relaxation basis is built
+        builds = []
+        monkeypatch.setattr(inversion, "relaxation_design", lambda *args: builds.append(args))
         cfg = InversionConfig(changepoint_min_gap=0.005)
-        with pytest.raises(ValidationError):
-            detect_change_points(reference_traces, 0.2, cfg)
+        with pytest.raises(ValidationError) as err:
+            reconstruct(reference_traces, spectrum30, cfg)
+        assert err.value.clause == "changepoint-grid"
+        assert builds == []
 
 
 class TestSolveAmplitudes:
@@ -287,26 +315,27 @@ class TestSolveAmplitudes:
         model = SourceModel(alpha=0.8, cuts=(0.0, math.inf), piece_coeffs=(p,),
                             spectrum=sp)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        got = reconstruct(traces, sp, InversionConfig(refine=False))
-        assert got.K_hat == 1
+        got = _staged(traces, sp, InversionConfig())
+        assert len(got.coeffs_hat) == 1
         assert got.cuts_hat == [0.0]
         assert abs(got.alpha_hat - 0.8) <= 1e-6
         assert abs(got.coeffs_hat[0].values[0] - 1.7) <= 1e-6
 
     def test_relative_residuals_are_those_of_the_reported_coefficients(
             self, spectrum30, noisy_staged):
-        # each sensor's entry is the misfit of the staged coefficients that
-        # the result reports, as residual_curve.csv writes it
+        # each sensor's entry is the misfit of the staged coefficients, the
+        # start of refine_joint, and of the staged projection's residual
         traces, staged = noisy_staged
-        diag = dict(staged.stage_log)["staged_coefficients"]
+        diag = staged.log["staged_coefficients"]
         flux = _model_flux(staged, spectrum30, traces)
+        problem = inversion._two_sensor_problem(traces, spectrum30)
+        r = inversion._staged_result(problem, staged.alpha_hat, staged.cuts_hat, [])[0]
         for got, tr, f, resid in zip(diag["relative_residuals"], traces, flux,
-                                     staged.residuals):
+                                     np.split(r, 2)):
             want = np.linalg.norm(tr.values - f) / np.linalg.norm(tr.values)
             assert got == pytest.approx(want, rel=1e-9)
             assert got == pytest.approx(np.linalg.norm(resid) / np.linalg.norm(tr.values),
                                         rel=1e-12)
-        assert staged.residual_norm == max(diag["relative_residuals"])
 
 
 class TestRefineJoint:
@@ -338,7 +367,6 @@ class TestReconstructPipeline:
     def test_scale_equivariance(self, spectrum30, reference_grid):
         p1 = make_coeffs(spectrum30, REF_PIECE_1)
         p2 = make_coeffs(spectrum30, REF_PIECE_2)
-        cfg = InversionConfig(changepoint_min_gap=0.3, refine=False)
         results = []
         for scale in (1.0, 7.5):
             pieces = tuple(
@@ -348,7 +376,7 @@ class TestReconstructPipeline:
                                 piece_coeffs=pieces, spectrum=spectrum30)
             traces = tuple(flux_trace(model, th, reference_grid)
                            for th in (0.3, 1.3))
-            results.append(reconstruct(traces, spectrum30, cfg))
+            results.append(_staged(traces, spectrum30))
         a, b = results
         assert a.alpha_hat == pytest.approx(b.alpha_hat, abs=1e-9)
         assert a.cuts_hat == pytest.approx(b.cuts_hat, abs=1e-12)
@@ -372,21 +400,19 @@ class TestReconstructPipeline:
         with pytest.raises(ValidationError):
             reconstruct(reference_traces[:1], spectrum30, CFG)
 
-    def test_spurious_cut_is_merged(self, spectrum30, reference_grid):
-        # a K=1 signal with an aggressive detector setting must still come
-        # back as K=1 after degenerate-piece pruning
+    def test_smaller_gap_finds_no_spurious_cut(self, spectrum30, reference_grid):
+        # a K=1 signal with a smaller detector gap: the change-point stage
+        # proposes no cut, so K=1 comes back
         p1 = make_coeffs(spectrum30, REF_PIECE_1)
         model = SourceModel(alpha=0.75, cuts=(0.2, math.inf), piece_coeffs=(p1,),
                             spectrum=spectrum30)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        res = reconstruct(traces, spectrum30,
-                          InversionConfig(changepoint_min_gap=0.15, refine=False))
+        res = reconstruct(traces, spectrum30, InversionConfig(changepoint_min_gap=0.15))
+        assert dict(res.stage_log)["detect_change_points"] == {"cuts": []}
         assert res.K_hat == 1
 
     def test_result_json_schema(self, spectrum30, reference_traces):
-        res = reconstruct(reference_traces, spectrum30,
-                          InversionConfig(changepoint_min_gap=0.3, refine=False))
-        import json
+        res = reconstruct(reference_traces, spectrum30, CFG)
         doc = json.loads(result_to_json(res, spectrum30))
         assert set(doc) == {"alpha_hat", "cuts_hat", "K_hat", "coeffs",
                             "residual_norm", "condition_report", "stage_log"}
@@ -418,7 +444,7 @@ class TestResidualCurve:
         t = np.linspace(0.0, 4.0, 2001)
         traces = tuple(flux_trace(model, th, t) for th in (0.3, 1.3))
         r = inversion._staged_result(inversion._two_sensor_problem(traces, spectrum),
-                                     0.75, [0.2, 1.2], [])[1][0]
+                                     0.75, [0.2, 1.2], [])[0]
         scale = max(float(np.max(np.abs(tr.values))) for tr in traces)
         assert np.max(np.abs(r)) <= 1e-13 * scale
 
@@ -449,9 +475,7 @@ def noisy_staged(spectrum30, reference_model):
     t = np.linspace(0.0, 4.0, 1001)
     traces = _noisy(tuple(flux_trace(reference_model, th, t) for th in (0.3, 1.3)),
                     0.01, 20240817)
-    staged = reconstruct(traces, spectrum30,
-                         InversionConfig(changepoint_min_gap=0.3, refine=False))
-    return traces, staged
+    return traces, _staged(traces, spectrum30)
 
 
 def _coeff_rel_err(coeffs, model):
@@ -466,7 +490,7 @@ def _solve(traces, spectrum, alpha, cuts, refine=True):
     Returns (alpha, cuts, coefficient sets, stage log as a dict)."""
     problem = inversion._two_sensor_problem(traces, spectrum)
     log = []
-    cuts, projection, _ = inversion._staged_result(problem, alpha, cuts, log)
+    projection = inversion._staged_result(problem, alpha, cuts, log)
     theta = np.array([alpha] + cuts)
     if refine:
         sigma = inversion._pre_onset_sigma(traces, cuts[0]) or 0.0
@@ -476,6 +500,17 @@ def _solve(traces, spectrum, alpha, cuts, refine=True):
     rows = projection[1].reshape(len(theta) - 1, -1) @ problem[2]
     coeffs = [ModeCoefficients(values=v) for v in rows]
     return float(theta[0]), [float(c) for c in theta[1:]], coeffs, dict(log)
+
+
+def _staged(traces, spectrum, cfg=CFG):
+    """The stages of reconstruct before refine_joint: onset, order and change
+    points at cfg, then _solve without refine. Returns alpha_hat, cuts_hat,
+    coeffs_hat and the stage log of _solve (a dict) as attributes."""
+    c0 = detect_onset(traces)
+    alpha, _ = estimate_alpha(traces, c0, cfg, spectrum)
+    cuts = [c0] + detect_change_points(traces, c0, cfg)
+    alpha, cuts, coeffs, log = _solve(traces, spectrum, alpha, cuts, refine=False)
+    return SimpleNamespace(alpha_hat=alpha, cuts_hat=cuts, coeffs_hat=coeffs, log=log)
 
 
 class TestDofMap:
@@ -698,14 +733,13 @@ class TestRefineNoisy:
                                       alpha):
         # refine starts at the staged alpha and cuts without a feasibility
         # check of its own: the order is clipped to [0.5005, 0.9995], the
-        # onset is >= 0, interior cuts lie below t_max - gap and at least
-        # gap apart, and pruning only widens the gaps
+        # onset is >= 0, and interior cuts lie below t_max - gap and at
+        # least gap apart
         model = SourceModel(alpha=alpha, cuts=reference_model.cuts,
                             piece_coeffs=reference_model.piece_coeffs, spectrum=spectrum30)
         t = np.linspace(0.0, 4.0, 1001)
         traces = _noisy(tuple(flux_trace(model, th, t) for th in (0.3, 1.3)), level, 5)
-        got = reconstruct(traces, spectrum30,
-                          InversionConfig(changepoint_min_gap=gap, refine=False))
+        got = _staged(traces, spectrum30, InversionConfig(changepoint_min_gap=gap))
         cuts = got.cuts_hat
         assert 0.5 < got.alpha_hat < 1.0
         assert 0.0 <= cuts[0] and cuts[-1] <= t[-1]
@@ -749,8 +783,7 @@ class TestRefineSixModes:
                             spectrum=spectrum50)
         t = np.linspace(0.0, 4.0, 1001)
         traces = tuple(flux_trace(model, th, t) for th in (0.3, 1.3))
-        staged = reconstruct(traces, spectrum50,
-                             InversionConfig(changepoint_min_gap=0.3, refine=False))
+        staged = _staged(traces, spectrum50)
         alpha, _, coeffs, log = _solve(traces, spectrum50, staged.alpha_hat,
                                        staged.cuts_hat)
         log = log["refine_joint"]
