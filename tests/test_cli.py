@@ -186,6 +186,16 @@ class TestConfigValidation:
         assert len(SETTABLE_VALUES) == 13
         assert list(leaves(load_config("{}").raw, "")) == SETTABLE_VALUES
 
+    def test_inversion_section_has_three_keys(self):
+        # of the three keys the inversion section has held, one is settable;
+        # margin_min and refine are unknown keys
+        assert load_config("{}").inversion == {"changepoint_min_gap": 0.1}
+        for key, value in (("margin_min", 1e-3), ("refine", True)):
+            with pytest.raises(ValidationError) as err:
+                load_config(json.dumps({"inversion": {key: value}}))
+            assert err.value.clause == "config-schema"
+            assert f"inversion.{key}" in str(err.value)
+
     @pytest.mark.parametrize("key, value", REMOVED_INVERSION_KEYS)
     def test_removed_key_exit_2(self, tmp_path, capsys, key, value):
         # invert rejects a config that still holds the key, and plotdata a
@@ -211,11 +221,16 @@ class TestConfigValidation:
         ("inversion.refine", "false", "config-schema"),
         ("inversion.changepoint_min_gap", "x", "config-schema"),
         ("inversion.changepoint_min_gap", math.nan, "inversion-config"),
+        pytest.param("inversion.margin_min", math.nan, "config-schema",
+                     id="inversion.margin_min-nan-inversion-setting-removed"),
+        pytest.param("inversion.margin_min", -1.0, "config-schema",
+                     id="inversion.margin_min--1.0-inversion-setting-removed"),
     ])
     def test_bad_inversion_setting_exit_2(self, tmp_path, capsys, key, value, clause):
         # at the sensor geometry of A7 (delta_theta = pi/2): both commands
         # check the inversion section where they read the config, before
-        # the sensor guard
+        # the sensor guard; a margin_min that would switch the guard off is
+        # an unknown key, as the margin is forward_model.MARGIN_MIN
         cfg_path = write_config(tmp_path, {"grid.steps": 400})
         assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
         run = tmp_path / "run"

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,6 +85,16 @@ class TestInversionConfig:
         number = key == "changepoint_min_gap" and type(value) is float
         assert err.value.clause == ("inversion-config" if number else "config-schema")
         assert key in str(err.value)
+
+    def test_three_settings(self):
+        # of the three settings InversionConfig has held, the gap is its one
+        # field, margin_min is the constant forward_model.MARGIN_MIN, and
+        # refine is gone: refine_joint always runs
+        assert [f.name for f in fields(InversionConfig)] == ["changepoint_min_gap"]
+        assert forward_model.MARGIN_MIN == 1e-3
+        for kwargs in ({"margin_min": 1e-3}, {"refine": False}):
+            with pytest.raises(TypeError):
+                InversionConfig(**kwargs)
 
 
 class TestDetectOnset:
