@@ -41,7 +41,7 @@ from .forward_model import (
     relaxation_rates,
     verify_measurement_identity,
 )
-from .inversion import InversionConfig, reconstruct, result_to_json
+from .inversion import reconstruct, result_to_json
 from .laplace_model import LaplacePoint, laplace_flux_model, numeric_laplace
 from .specfun import _panel_nodes, bessel_j
 
@@ -55,12 +55,6 @@ def _out_dir(cfg: ExperimentConfig, args) -> str:
     return args.out or cfg.output["directory"]
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.seed is not None:
-        cfg.raw["noise"]["seed"] = int(args.seed)
-    return cfg
-
-
 def _emit(manifest: RunManifest, directory: str, name: str, data: str):
     path = os.path.join(directory, name)
     write_atomic(path, data)
@@ -72,7 +66,7 @@ def _finish(manifest: RunManifest, directory: str):
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     directory = _out_dir(cfg, args)
     spectrum = build_spectrum(float(cfg.spectrum["lambda_max"]))
     manifest = RunManifest.for_config(cfg)
@@ -83,7 +77,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     directory = _out_dir(cfg, args)
     spectrum = build_spectrum(float(cfg.spectrum["lambda_max"]))
     model = build_source_model(cfg, spectrum)
@@ -120,7 +114,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     directory = _out_dir(cfg, args)
     if len(args.traces) != 2:
         raise ValidationError("invert requires exactly two trace files",
@@ -137,8 +131,8 @@ def cmd_invert(args) -> int:
             raise ValidationError(f"cannot read trace {path}: {exc.strerror}",
                                   clause="trace-file") from None
         check_trace_grid(t, grid, path)
-        traces.append(FluxTrace(sensor_angle=theta, times=t, values=v))
-    result = reconstruct(tuple(traces), spectrum, InversionConfig(**cfg.inversion))
+        traces.append(FluxTrace(sensor_angle=theta, times=grid, values=v))
+    result = reconstruct(tuple(traces), spectrum, cfg.inversion["changepoint_min_gap"])
     manifest = RunManifest.for_config(cfg)
     _emit(manifest, directory, "reconstruction.json",
           result_to_json(result, spectrum, [os.path.basename(p) for p in args.traces]))
@@ -232,7 +226,7 @@ def _verify_checks(cfg: ExperimentConfig):
 
 
 def cmd_verify(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     directory = _out_dir(cfg, args)
     checks = _verify_checks(cfg)
     all_pass = all(c["pass"] for c in checks)
@@ -333,7 +327,6 @@ def make_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="noise seed override")
         p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("spectrum", help="export the eigensystem table")

@@ -20,6 +20,7 @@ from . import __version__
 from .disc_spectrum import ModeCoefficients, SpectrumTable, project_function
 from .errors import ValidationError
 from .forward_model import SensorConfig, SourceModel
+from .inversion import check_changepoint_min_gap
 
 __all__ = [
     "ExperimentConfig",
@@ -174,10 +175,7 @@ def load_config(text_or_path) -> ExperimentConfig:
     if not 0 <= level < math.inf:
         raise ValidationError(f"noise.level must be a finite number >= 0, got {level!r}",
                               clause="config-schema")
-    gap = merged["inversion"]["changepoint_min_gap"]
-    if not 0 < gap < math.inf:
-        raise ValidationError("inversion.changepoint_min_gap must be a finite number > 0, "
-                              f"got {gap!r}", clause="inversion-config")
+    check_changepoint_min_gap(merged["inversion"]["changepoint_min_gap"])
     for i, s in enumerate(merged["output"]["laplace_s"]):
         _check_double(f"output.laplace_s[{i}]", s)
         if type(s) not in (int, float) or not 0 < s < math.inf:

@@ -1,11 +1,12 @@
 """Staged reconstruction of (alpha, cuts, mode coefficients, K) from
 two-sensor boundary flux traces.
 
-Stage order mirrors the identifiability structure: onset first, then the
-order alpha from the leading window where only the first piece acts, then
-interior change points from second-difference kinks, then the coefficients
-by one least-squares solve of the two-sensor operator (_project: the
-relaxation basis times each sensor's grouped amplitudes
+Every stage reads the one two-sensor problem that reconstruct sets up
+(_two_sensor_problem). Stage order mirrors the identifiability structure:
+onset first, then the order alpha from the leading window where only the
+first piece acts, then interior change points from second-difference kinks,
+then the coefficients by one least-squares solve of the two-sensor operator
+(_project: the relaxation basis times each sensor's grouped amplitudes
 b_{j,k,l} = sum_{lam_n=lam_j} s_n a_n(z_l) p_{k,n}). These staged values are
 where the estimator starts: the joint fit refine_joint, variable-projection
 Gauss-Newton over alpha and the cuts, with the coefficients eliminated by
@@ -34,8 +35,8 @@ from .forward_model import (
 )
 
 __all__ = [
-    "InversionConfig",
     "ReconstructionResult",
+    "check_changepoint_min_gap",
     "detect_onset",
     "estimate_alpha",
     "detect_change_points",
@@ -50,12 +51,6 @@ ONSET_FLOOR = 1e-9               # absolute floor of the onset threshold
 ALPHA_LEADING_DELTA = 0.2        # cap on the leading-window length
 MAX_REFINE_ITERATIONS = 50
 REFINE_TOL = 1e-10               # relative-decrease stop of refine_joint
-
-
-@dataclass(frozen=True)
-class InversionConfig:
-    # the paper's eta: <= the true minimum gap; load_config checks its range
-    changepoint_min_gap: float = 0.1
 
 
 @dataclass
@@ -77,12 +72,13 @@ class ReconstructionResult:
             raise ShapeError("cuts_hat must be strictly increasing")
 
 
-def _common_grid(traces) -> np.ndarray:
-    t = traces[0].times
-    for tr in traces[1:]:
-        if len(tr.times) != len(t) or not np.allclose(tr.times, t, rtol=0, atol=1e-12):
-            raise ShapeError("traces must share a common time grid")
-    return t
+def check_changepoint_min_gap(gap) -> None:
+    """Raise ValidationError (clause inversion-config) unless the paper's
+    eta, the minimum gap between cuts, is a finite number > 0; load_config
+    and reconstruct both check it here."""
+    if not 0 < gap < math.inf:
+        raise ValidationError("inversion.changepoint_min_gap must be a finite number > 0, "
+                              f"got {gap!r}", clause="inversion-config")
 
 
 def _median(values: np.ndarray):
@@ -99,42 +95,36 @@ def _noise_sigma(values: np.ndarray) -> float:
     return float(1.4826 * _median(np.abs(d - _median(d))) / math.sqrt(2.0))
 
 
-def _pre_onset_sigma(traces, c0: float) -> float | None:
-    """Noise scale from the samples of both sensors before the onset c0,
-    where the model is exactly zero: the root mean square of those samples,
-    or None (no estimate) with fewer than 16 of them per sensor. Noiseless
-    synthesis writes exact zeros there, so its estimate is exactly 0."""
-    t = _common_grid(traces)
+def _pre_onset_sigma(t: np.ndarray, values: np.ndarray, c0: float) -> float | None:
+    """Noise scale from the samples of both sensors (the rows of values on
+    the grid t) before the onset c0, where the model is exactly zero: the
+    root mean square of those samples, or None (no estimate) with fewer than
+    16 of them per sensor. Noiseless synthesis writes exact zeros there, so
+    its estimate is exactly 0."""
     pre = t < c0 - 1e-12
     if np.count_nonzero(pre) < 16:
         return None
-    samples = np.concatenate([tr.values[pre] for tr in traces])
+    samples = values[:, pre].ravel()
     return math.sqrt(float(samples @ samples) / len(samples))
 
 
-def detect_onset(traces) -> float:
-    """First grid time where either |flux| exceeds max(ONSET_THRESHOLD *
-    _noise_sigma, ONSET_FLOOR), minus one grid step, clamped at 0."""
-    t = _common_grid(traces)
-    h = float(t[1] - t[0])
-    crossing = None
-    for tr in traces:
-        sigma = _noise_sigma(tr.values)
-        thresh = max(ONSET_THRESHOLD * sigma, ONSET_FLOOR)
-        idx = np.flatnonzero(np.abs(tr.values) > thresh)
-        if len(idx):
-            tc = t[idx[0]]
-            crossing = tc if crossing is None else min(crossing, tc)
-    if crossing is None:
+def detect_onset(t: np.ndarray, values: np.ndarray) -> float:
+    """First time of the grid t where the flux of either sensor (a row of
+    values) exceeds max(ONSET_THRESHOLD * _noise_sigma, ONSET_FLOOR) in
+    magnitude, minus one grid step, clamped at 0."""
+    above = [np.abs(v) > max(ONSET_THRESHOLD * _noise_sigma(v), ONSET_FLOOR) for v in values]
+    idx = np.flatnonzero(np.logical_or(*above))
+    if not len(idx):
         raise EmptySignalError("no sample exceeds the onset threshold")
-    return max(float(crossing) - h, 0.0)
+    return max(float(t[idx[0]]) - float(t[1] - t[0]), 0.0)
 
 
-def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
-                   spectrum: SpectrumTable):
+def estimate_alpha(t: np.ndarray, values: np.ndarray, c0_hat: float, lams: np.ndarray,
+                   changepoint_min_gap: float):
     """Order estimate from the leading window t in [c0, c0 + delta], delta =
     min(changepoint_min_gap, ALPHA_LEADING_DELTA): a variable-projection fit
-    of the relaxation basis {1 - E_{alpha,1}(-lambda_j tau^alpha)} on the
+    of the relaxation basis {1 - E_{alpha,1}(-lambda_j tau^alpha)}, lams the
+    distinct eigenvalues, to each sensor's trace (a row of values) on the
     window, minimized by Brent's method (_brent_min) within 0.025 of the best
     point of a 0.02 grid over [0.52, 0.98]. Returns (alpha_hat, diagnostics
     dict): the diagnostics hold alpha_vp, the best point that the search
@@ -143,12 +133,10 @@ def estimate_alpha(traces, c0_hat: float, cfg: InversionConfig,
     pairs, and its local minima, the grid alphas whose residual is strictly
     below the left neighbour's and not above the right one's; a grid end
     compares with its one neighbour by the same rule."""
-    t = _common_grid(traces)
-    delta = min(cfg.changepoint_min_gap, ALPHA_LEADING_DELTA)
-    lams = np.array([lam for lam, _ in spectrum.distinct_eigenvalues])
+    delta = min(changepoint_min_gap, ALPHA_LEADING_DELTA)
     mask = (t >= c0_hat - 1e-12) & (t <= c0_hat + delta + 1e-12)
     window = t[mask]
-    targets = [-tr.values[mask] for tr in traces]
+    targets = -values[:, mask]
     evaluations = 0
 
     def vp_residual(alpha):
@@ -227,24 +215,22 @@ def _brent_min(f, lo, hi, tol=1e-8):
                 v, fv = u, fu
 
 
-def detect_change_points(traces, c0_hat: float, cfg: InversionConfig):
+def detect_change_points(t: np.ndarray, values: np.ndarray, c0_hat: float,
+                         changepoint_min_gap: float, sigma: float | None):
     """Interior cut candidates from local maxima of the second difference of
-    the summed two-sensor flux; lag-smoothed when the noise estimate
-    (_pre_onset_sigma, else _noise_sigma of the sum) is above 1e-9 of the
-    sum's peak, pruned to changepoint_min_gap keeping the larger magnitude.
+    the summed two-sensor flux (the rows of values on the grid t);
+    lag-smoothed when the noise estimate (sigma, the _pre_onset_sigma of
+    reconstruct, else _noise_sigma of the sum) is above 1e-9 of the sum's
+    peak, pruned to changepoint_min_gap keeping the larger magnitude.
     reconstruct has checked that the grid step is at most a tenth of
     changepoint_min_gap."""
-    t = _common_grid(traces)
     h = float(t[1] - t[0])
-    summed = np.zeros(len(t))
-    for tr in traces:
-        summed += tr.values
+    summed = values[0] + values[1]
     scale = float(np.max(np.abs(summed))) or 1.0
-    sigma = _pre_onset_sigma(traces, c0_hat)
     if sigma is None:  # an early onset
         sigma = _noise_sigma(summed)
     if sigma > 1e-9 * scale:
-        lag = int(np.clip(round(0.1 * cfg.changepoint_min_gap / h), 1, 80))
+        lag = int(np.clip(round(0.1 * changepoint_min_gap / h), 1, 80))
     else:
         lag = 1
     if lag > 1:
@@ -263,11 +249,8 @@ def detect_change_points(traces, c0_hat: float, cfg: InversionConfig):
     cands.sort(key=lambda p: -p[0])
     kept = []
     for _, tc in cands:
-        if tc <= c0_hat + cfg.changepoint_min_gap - 1e-9:
-            continue
-        if tc >= t[-1] - cfg.changepoint_min_gap:
-            continue
-        if all(abs(tc - k) >= cfg.changepoint_min_gap for k in kept):
+        if (c0_hat + changepoint_min_gap - 1e-9 < tc < t[-1] - changepoint_min_gap
+                and all(abs(tc - k) >= changepoint_min_gap for k in kept)):
             kept.append(tc)
     return sorted(kept)
 
@@ -297,14 +280,17 @@ def _phases(spectrum: SpectrumTable, c: np.ndarray, angles) -> list:
 
 
 def _two_sensor_problem(traces, spectrum: SpectrumTable):
-    """(t, lams, C, phases, y) of the least-squares problem of _project:
-    the common grid, the distinct eigenvalues, C of the dof map, one phase
-    matrix per sensor and the stacked negated traces."""
+    """(t, values, lams, C, phases), which every stage reads: the grid of
+    both traces (ShapeError unless they share it, to 1e-12), the (2, n_t)
+    trace values, the distinct eigenvalues, C of the dof map and one phase
+    matrix per sensor. _project's right side is -values.ravel()."""
+    t, other = traces[0].times, traces[1].times
+    if len(other) != len(t) or not np.allclose(other, t, rtol=0, atol=1e-12):
+        raise ShapeError("traces must share a common time grid")
     c = _dof_map(spectrum)
-    return (_common_grid(traces),
+    return (t, np.stack([tr.values for tr in traces]),
             np.array([lam for lam, _ in spectrum.distinct_eigenvalues]), c,
-            _phases(spectrum, c, [tr.sensor_angle for tr in traces]),
-            np.concatenate([-tr.values for tr in traces]))
+            _phases(spectrum, c, [tr.sensor_angle for tr in traces]))
 
 
 def _project(design: np.ndarray, phases, y: np.ndarray):
@@ -396,7 +382,8 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
     consecutive rejected steps"; it means the line search found no
     decrease, not that the iterates diverged.
     """
-    t, lams, _, phases, y = problem
+    t, values, lams, _, phases = problem
+    y = -values.ravel()
     n_pieces = len(theta) - 1
 
     def feasible(theta):
@@ -408,7 +395,7 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
     cost = float(r @ r)
     log = {"iterations": 0, "candidates": 0, "initial_residual": math.sqrt(cost),
            "noise_sigma": sigma}
-    floor = (1e-13 * float(np.linalg.norm(y))) ** 2
+    floor = (1e-13 * float(np.linalg.norm(values))) ** 2
     stop = "cap"
     for it in range(MAX_REFINE_ITERATIONS):
         w = np.stack([phase @ p.reshape(n_pieces, -1).T for phase in phases])
@@ -456,55 +443,57 @@ def _staged_result(problem, alpha: float, cuts: list, stage_log: list):
     where refine_joint starts. Raises ConditioningError when the relaxation
     design is numerically rank-deficient. Appends staged_coefficients to
     stage_log: each sensor's relative residual and the design's sigma_ratio."""
-    t, lams, _, phases, y = problem
+    t, values, lams, _, phases = problem
     r, p, q, op_svals, rd = _project(relaxation_design(alpha, lams, cuts + [math.inf], t),
-                                     phases, y)
+                                     phases, -values.ravel())
     svals = np.linalg.svd(rd.reshape(len(rd), -1), compute_uv=False)  # D's
     if svals[0] > 0 and svals[-1] ** 2 < 1e-14 * svals[0] ** 2:
         raise ConditioningError(
             "design matrix rank-deficient; closest eigenvalue window "
             f"around lambda = {lams[-1]:.4f}")
-    residuals = [float(np.linalg.norm(rl)) / (float(np.linalg.norm(yl)) or 1.0)
-                 for rl, yl in zip(np.split(r, len(phases)), np.split(y, len(phases)))]
+    residuals = [float(np.linalg.norm(rl)) / (float(np.linalg.norm(v)) or 1.0)
+                 for rl, v in zip(np.split(r, len(values)), values)]
     stage_log.append(("staged_coefficients", {"relative_residuals": residuals,
                                               "sigma_ratio": _sigma_ratio(svals)}))
     return r, p, q, op_svals
 
 
-def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = None
+def reconstruct(traces, spectrum: SpectrumTable, changepoint_min_gap: float
                 ) -> ReconstructionResult:
     """Full pipeline on one two-sensor problem: onset, order, change points
     and the staged coefficients, then the joint fit refine_joint from them.
-    The grid step must be at most a tenth of changepoint_min_gap (clause
-    changepoint-grid), checked before any stage runs. The result's
-    residuals (model flux minus trace, per sensor) and its residual_norm,
-    ||r|| / ||y||, are those of the final projection."""
-    cfg = cfg or InversionConfig()
+    changepoint_min_gap is the paper's eta, at most the true minimum gap
+    between cuts. Before any stage runs it must be finite and > 0 (clause
+    inversion-config), the traces must share one grid (ShapeError), and the
+    grid step must be at most a tenth of the gap (clause changepoint-grid).
+    The result's residuals (model flux minus trace, per sensor) and its
+    residual_norm, ||r|| / ||y||, are those of the final projection."""
     if len(traces) != 2:
         raise ValidationError("exactly two sensor traces required",
                               clause="sensor-count")
+    check_changepoint_min_gap(changepoint_min_gap)
     condition_report = check_sensor_geometry(
         spectrum, traces[0].sensor_angle - traces[1].sensor_angle)
-    t = _common_grid(traces)
-    h = float(t[1] - t[0])
-    if h > cfg.changepoint_min_gap / 10.0 + 1e-15:
-        raise ValidationError(
-            f"grid step {h} too coarse for changepoint_min_gap="
-            f"{cfg.changepoint_min_gap}", clause="changepoint-grid")
-    stage_log = []
-    c0_hat = detect_onset(traces)
-    stage_log.append(("detect_onset", {"c0_hat": c0_hat}))
-    alpha_hat, diag = estimate_alpha(traces, c0_hat, cfg, spectrum)
-    stage_log.append(("estimate_alpha", diag))
-    interior = detect_change_points(traces, c0_hat, cfg)
-    stage_log.append(("detect_change_points", {"cuts": list(interior)}))
     problem = _two_sensor_problem(traces, spectrum)
-    _, _, c, _, y = problem
+    t, values, lams, c, _ = problem
+    h = float(t[1] - t[0])
+    if h > changepoint_min_gap / 10.0 + 1e-15:
+        raise ValidationError(
+            f"grid step {h} too coarse for changepoint_min_gap={changepoint_min_gap}",
+            clause="changepoint-grid")
+    stage_log = []
+    c0_hat = detect_onset(t, values)
+    stage_log.append(("detect_onset", {"c0_hat": c0_hat}))
+    alpha_hat, diag = estimate_alpha(t, values, c0_hat, lams, changepoint_min_gap)
+    stage_log.append(("estimate_alpha", diag))
+    sigma = _pre_onset_sigma(t, values, c0_hat)
+    interior = detect_change_points(t, values, c0_hat, changepoint_min_gap, sigma)
+    stage_log.append(("detect_change_points", {"cuts": list(interior)}))
     cuts = [c0_hat] + interior
     projection = _staged_result(problem, alpha_hat, cuts, stage_log)
     theta, projection, log = refine_joint(
-        problem, np.array([alpha_hat] + cuts), projection,
-        _pre_onset_sigma(traces, c0_hat) or 0.0, cfg.changepoint_min_gap)
+        problem, np.array([alpha_hat] + cuts), projection, sigma or 0.0,
+        changepoint_min_gap)
     stage_log.append(("refine_joint", log))
     n_pieces = len(theta) - 1
     return ReconstructionResult(
@@ -512,7 +501,7 @@ def reconstruct(traces, spectrum: SpectrumTable, cfg: InversionConfig | None = N
         cuts_hat=[float(cut) for cut in theta[1:]],
         coeffs_hat=[ModeCoefficients(values=v)
                     for v in projection[1].reshape(n_pieces, -1) @ c],
-        residual_norm=log["final_residual"] / (float(np.linalg.norm(y)) or 1.0),
+        residual_norm=log["final_residual"] / (float(np.linalg.norm(values)) or 1.0),
         stage_log=stage_log,
         condition_report=condition_report,
         residuals=[-rl for rl in np.split(projection[0], len(traces))],

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import importlib
 import inspect
@@ -417,6 +418,21 @@ class TestSynthCommand:
         main(["synth", "--config", cfg_path, "--quiet"])
         assert (tmp_path / "run" / "flux_sensor1_noisy.csv").read_bytes() == first
 
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        # the noise seed is set in the config only: the config commands
+        # take --config, --out and --quiet, and argparse rejects --seed
+        cfg_path = write_config(tmp_path, {"grid.steps": 400})
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", cfg_path, "--quiet", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        commands = next(action for action in cli.make_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        for name in ("spectrum", "synth", "invert", "verify"):
+            flags = {opt for action in commands[name]._actions
+                     for opt in action.option_strings if opt.startswith("--")}
+            assert flags == {"--config", "--out", "--quiet", "--help"}, name
+
     def test_manifest_lists_every_file(self, tmp_path):
         cfg_path = write_config(tmp_path, {"grid.steps": 400})
         main(["synth", "--config", cfg_path, "--quiet"])
@@ -629,6 +645,26 @@ class TestInvertCommand:
         code = main(["invert", "--config", inv_cfg, "--quiet",
                      str(bad), str(run / "flux_sensor2.csv")])
         return code, capsys.readouterr().err
+
+    def test_trace_within_the_grid_tolerance_inverts_on_the_config_grid(self, tmp_path):
+        # a first time of 1e-13 is within check_trace_grid's 1e-9 of the
+        # step; invert then fits the config grid, so the run writes what the
+        # run on the synth traces writes
+        cfg_path = write_config(tmp_path, {"grid.steps": 400})
+        assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
+        run, shifted = tmp_path / "run", tmp_path / "shifted"
+        shifted.mkdir()
+        for i in (1, 2):
+            lines = (run / f"flux_sensor{i}.csv").read_text().splitlines(keepends=True)
+            assert lines[1].startswith("0.0,")
+            lines[1] = "1e-13," + lines[1][len("0.0,"):]
+            (shifted / f"flux_sensor{i}.csv").write_text("".join(lines))
+        for directory in (run, shifted):
+            assert main(["invert", "--config", cfg_path, "--quiet", "--out", str(directory),
+                         str(directory / "flux_sensor1.csv"),
+                         str(directory / "flux_sensor2.csv")]) == 0
+        for name in ("reconstruction.json", "residual_curve.csv"):
+            assert (shifted / name).read_bytes() == (run / name).read_bytes(), name
 
     def test_grid_check_accepts_rounding_jitter(self):
         t = np.linspace(0.0, 4.0, 401)

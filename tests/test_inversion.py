@@ -1,6 +1,7 @@
+import inspect
 import json
 import math
-from dataclasses import fields
+import pathlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from fracsource.disc_spectrum import ModeCoefficients, build_spectrum, sensor_we
 from fracsource.errors import (
     EmptySignalError,
     SensorGeometryError,
+    ShapeError,
     ValidationError,
 )
 from fracsource import forward_model
@@ -25,7 +27,6 @@ from fracsource.forward_model import (
     relaxation_rates,
 )
 from fracsource.inversion import (
-    InversionConfig,
     detect_change_points,
     detect_onset,
     estimate_alpha,
@@ -37,7 +38,7 @@ from fracsource.inversion import (
 from conftest import REF_PIECE_1, REF_PIECE_2, make_coeffs
 
 
-CFG = InversionConfig(changepoint_min_gap=0.3)
+GAP = 0.3   # changepoint_min_gap, the paper's eta
 
 # two pieces over all ten modes with lambda <= 50 (six distinct eigenvalues)
 J6_PIECE_1 = {(0, 1): 1.0, (1, 1): 0.4 + 0.2j, (2, 1): -0.5 + 0.1j,
@@ -54,6 +55,23 @@ def _model_flux(result, spectrum, traces):
                              result.coeffs_hat, spectrum,
                              [tr.sensor_angle for tr in traces], traces[0].times)
     return [f.real for f in fluxes]
+
+
+def _grid_values(traces):
+    """The common grid and the (2, n_t) values of two traces, as
+    _two_sensor_problem hands them to the stages."""
+    return traces[0].times, np.stack([tr.values for tr in traces])
+
+
+def _lams(spectrum):
+    return np.array([lam for lam, _ in spectrum.distinct_eigenvalues])
+
+
+def _change_points(traces, c0, gap=GAP):
+    """detect_change_points as reconstruct calls it, with the pre-onset
+    noise estimate."""
+    t, values = _grid_values(traces)
+    return detect_change_points(t, values, c0, gap, inversion._pre_onset_sigma(t, values, c0))
 
 
 def _noisy(traces, level, seed):
@@ -86,15 +104,36 @@ class TestInversionConfig:
         assert err.value.clause == ("inversion-config" if number else "config-schema")
         assert key in str(err.value)
 
-    def test_three_settings(self):
-        # of the three settings InversionConfig has held, the gap is its one
-        # field, margin_min is the constant forward_model.MARGIN_MIN, and
-        # refine is gone: refine_joint always runs
-        assert [f.name for f in fields(InversionConfig)] == ["changepoint_min_gap"]
+    def test_three_settings(self, spectrum30, reference_traces):
+        # of the three inversion settings there have been, the gap is
+        # reconstruct's one, a required argument named after its config key
+        # (whose default lives in the config alone); margin_min is the
+        # constant forward_model.MARGIN_MIN, and refine is gone:
+        # refine_joint always runs
+        params = inspect.signature(reconstruct).parameters
+        assert list(params) == ["traces", "spectrum", "changepoint_min_gap"]
+        assert params["changepoint_min_gap"].default is inspect.Parameter.empty
+        assert list(load_config("{}").inversion) == ["changepoint_min_gap"]
         assert forward_model.MARGIN_MIN == 1e-3
         for kwargs in ({"margin_min": 1e-3}, {"refine": False}):
             with pytest.raises(TypeError):
-                InversionConfig(**kwargs)
+                reconstruct(reference_traces, spectrum30, GAP, **kwargs)
+
+    @pytest.mark.parametrize("level", [0.0, 0.01])
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, 0.0, -1.0])
+    def test_reconstruct_checks_the_gap(self, spectrum30, reference_traces, monkeypatch,
+                                        gap, level):
+        # reconstruct checks the gap as load_config does, with its message,
+        # before any build, on clean and on noisy traces
+        builds = []
+        monkeypatch.setattr(inversion, "relaxation_design", lambda *args: builds.append(args))
+        with pytest.raises(ValidationError) as err:
+            reconstruct(_noisy(reference_traces, level, 3), spectrum30, gap)
+        assert err.value.clause == "inversion-config"
+        with pytest.raises(ValidationError) as want:
+            load_config(json.dumps({"inversion": {"changepoint_min_gap": gap}}))
+        assert str(err.value) == str(want.value)
+        assert builds == []
 
 
 class TestDetectOnset:
@@ -104,7 +143,7 @@ class TestDetectOnset:
                             spectrum=spectrum30)
         t = np.linspace(0.0, 2.0, 201)  # step 0.01
         traces = tuple(flux_trace(model, th, t) for th in (0.3, 1.3))
-        c0 = detect_onset(traces)
+        c0 = detect_onset(*_grid_values(traces))
         assert 0.49 <= c0 <= 0.51
 
     def test_zero_traces(self):
@@ -112,7 +151,7 @@ class TestDetectOnset:
         traces = (FluxTrace(0.3, t, np.zeros_like(t)),
                   FluxTrace(1.3, t, np.zeros_like(t)))
         with pytest.raises(EmptySignalError):
-            detect_onset(traces)
+            detect_onset(*_grid_values(traces))
 
     def test_immediate_onset(self, spectrum30):
         p = make_coeffs(spectrum30, REF_PIECE_1)
@@ -120,7 +159,7 @@ class TestDetectOnset:
                             spectrum=spectrum30)
         t = np.linspace(0.0, 1.0, 1001)
         traces = tuple(flux_trace(model, th, t) for th in (0.3, 1.3))
-        assert detect_onset(traces) == 0.0
+        assert detect_onset(*_grid_values(traces)) == 0.0
 
 
 def _seed0_pieces(spectrum):
@@ -150,8 +189,8 @@ class TestEstimateAlpha:
         model = SourceModel(alpha=alpha, cuts=(0.2, 1.2, math.inf),
                             piece_coeffs=(p1, p2), spectrum=spectrum30)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        c0 = detect_onset(traces)
-        got, diag = estimate_alpha(traces, c0, CFG, spectrum30)
+        t, values = _grid_values(traces)
+        got, diag = estimate_alpha(t, values, detect_onset(t, values), _lams(spectrum30), GAP)
         assert abs(got - alpha) <= 5e-3
         # the search polishes the lowest point of the recorded profile, the
         # recorded minimum nearest alpha_vp, within 0.025 of it
@@ -163,8 +202,8 @@ class TestEstimateAlpha:
         # the profile holds the 24 grid alphas that were evaluated, each with
         # its variable-projection residual; the noiseless reference model
         # (alpha 0.75) has one interior minimum, at 0.74
-        got, diag = estimate_alpha(reference_traces, detect_onset(reference_traces), CFG,
-                                   spectrum30)
+        t, values = _grid_values(reference_traces)
+        got, diag = estimate_alpha(t, values, detect_onset(t, values), _lams(spectrum30), GAP)
         alphas, residuals = np.array(diag["profile"]).T
         assert np.array_equal(alphas, np.arange(0.52, 0.995, 0.02))
         assert np.all(residuals >= diag["vp_residual"])
@@ -186,8 +225,8 @@ class TestEstimateAlpha:
             return x, fx
 
         monkeypatch.setattr(inversion, "_brent_min", recording)
-        _, diag = estimate_alpha(reference_traces, detect_onset(reference_traces), CFG,
-                                 spectrum30)
+        t, values = _grid_values(reference_traces)
+        _, diag = estimate_alpha(t, values, detect_onset(t, values), _lams(spectrum30), GAP)
         f, a, b = seen["f"], seen["lo"], seen["hi"]
         assert len(seen["points"]) <= 14
         assert diag["evaluations"] == len(diag["profile"]) + len(seen["points"])
@@ -213,7 +252,8 @@ class TestEstimateAlpha:
         model = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
                             piece_coeffs=_seed0_pieces(spectrum30), spectrum=spectrum30)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        got, diag = estimate_alpha(traces, detect_onset(traces), CFG, spectrum30)
+        t, values = _grid_values(traces)
+        got, diag = estimate_alpha(t, values, detect_onset(t, values), _lams(spectrum30), GAP)
         assert diag["minima"] == pytest.approx([0.62, 0.74], abs=1e-9)
         assert abs(got - 0.62) <= 0.025
 
@@ -226,7 +266,8 @@ class TestEstimateAlpha:
                                           make_coeffs(spectrum30, REF_PIECE_2)),
                             spectrum=spectrum30)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        got, diag = estimate_alpha(traces, detect_onset(traces), CFG, spectrum30)
+        t, values = _grid_values(traces)
+        got, diag = estimate_alpha(t, values, detect_onset(t, values), _lams(spectrum30), GAP)
         profile = diag["profile"]
         assert min(profile, key=lambda pair: pair[1]) == profile[-1]
         assert profile[0][1] > profile[1][1]
@@ -242,8 +283,7 @@ class TestDetectChangePoints:
                             piece_coeffs=(p1, p2), spectrum=spectrum30)
         t = np.arange(0.0, 3.0 + 1e-12, 0.005)
         traces = tuple(flux_trace(model, th, t) for th in (0.3, 1.3))
-        cfg = InversionConfig(changepoint_min_gap=0.3)
-        cuts = detect_change_points(traces, 0.0, cfg)
+        cuts = _change_points(traces, 0.0, 0.3)
         assert len(cuts) == 1
         assert 0.995 <= cuts[0] <= 1.005
 
@@ -252,7 +292,7 @@ class TestDetectChangePoints:
         model = SourceModel(alpha=0.75, cuts=(0.2, math.inf), piece_coeffs=(p1,),
                             spectrum=spectrum30)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        assert detect_change_points(traces, 0.2, CFG) == []
+        assert _change_points(traces, 0.2) == []
 
     def test_k3_two_cuts(self, spectrum30):
         p1 = make_coeffs(spectrum30, REF_PIECE_1)
@@ -264,7 +304,7 @@ class TestDetectChangePoints:
         t = np.linspace(0.0, 4.0, 4001)
         traces = tuple(flux_trace(model, th, t) for th in (0.3, 1.3))
         h = t[1] - t[0]
-        cuts = detect_change_points(traces, 0.2, CFG)
+        cuts = _change_points(traces, 0.2)
         assert len(cuts) == 2
         assert abs(cuts[0] - 0.9) <= h + 1e-12
         assert abs(cuts[1] - 1.6) <= h + 1e-12
@@ -274,9 +314,8 @@ class TestDetectChangePoints:
         # runs: no relaxation basis is built
         builds = []
         monkeypatch.setattr(inversion, "relaxation_design", lambda *args: builds.append(args))
-        cfg = InversionConfig(changepoint_min_gap=0.005)
         with pytest.raises(ValidationError) as err:
-            reconstruct(reference_traces, spectrum30, cfg)
+            reconstruct(reference_traces, spectrum30, 0.005)
         assert err.value.clause == "changepoint-grid"
         assert builds == []
 
@@ -326,7 +365,7 @@ class TestSolveAmplitudes:
         model = SourceModel(alpha=0.8, cuts=(0.0, math.inf), piece_coeffs=(p,),
                             spectrum=sp)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        got = _staged(traces, sp, InversionConfig())
+        got = _staged(traces, sp, load_config("{}").inversion["changepoint_min_gap"])
         assert len(got.coeffs_hat) == 1
         assert got.cuts_hat == [0.0]
         assert abs(got.alpha_hat - 0.8) <= 1e-6
@@ -370,7 +409,7 @@ class TestReconstructPipeline:
         model = SourceModel(alpha=0.8, cuts=(0.3, math.inf), piece_coeffs=(p1,),
                             spectrum=spectrum30)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        res = reconstruct(traces, spectrum30, CFG)
+        res = reconstruct(traces, spectrum30, GAP)
         assert res.K_hat == 1
         assert abs(res.alpha_hat - 0.8) <= 1e-3
         assert abs(res.cuts_hat[0] - 0.3) <= 2e-3
@@ -396,7 +435,7 @@ class TestReconstructPipeline:
                 np.max(np.abs(pb.values))
 
     def test_conjugate_closure(self, spectrum30, reference_traces):
-        res = reconstruct(reference_traces, spectrum30, CFG)
+        res = reconstruct(reference_traces, spectrum30, GAP)
         for pc in res.coeffs_hat:
             assert pc.is_real_field(spectrum30, tol=1e-8)
 
@@ -405,11 +444,22 @@ class TestReconstructPipeline:
         traces = tuple(flux_trace(reference_model, th, reference_grid)
                        for th in (0.3, 0.3 + math.pi / 2))
         with pytest.raises(SensorGeometryError):
-            reconstruct(traces, spectrum30, CFG)
+            reconstruct(traces, spectrum30, GAP)
 
     def test_sensor_count_guard(self, reference_traces, spectrum30):
         with pytest.raises(ValidationError):
-            reconstruct(reference_traces[:1], spectrum30, CFG)
+            reconstruct(reference_traces[:1], spectrum30, GAP)
+
+    def test_grid_mismatch_guard(self, spectrum30, reference_model, reference_traces,
+                                 monkeypatch):
+        # _two_sensor_problem compares the two grids, once, before any build
+        builds = []
+        monkeypatch.setattr(inversion, "relaxation_design", lambda *args: builds.append(args))
+        for t in (np.linspace(0.0, 4.0, 4002), np.linspace(0.0, 4.001, 4001)):
+            traces = (reference_traces[0], flux_trace(reference_model, 1.3, t))
+            with pytest.raises(ShapeError, match="common time grid"):
+                reconstruct(traces, spectrum30, GAP)
+        assert builds == []
 
     def test_smaller_gap_finds_no_spurious_cut(self, spectrum30, reference_grid):
         # a K=1 signal with a smaller detector gap: the change-point stage
@@ -418,12 +468,12 @@ class TestReconstructPipeline:
         model = SourceModel(alpha=0.75, cuts=(0.2, math.inf), piece_coeffs=(p1,),
                             spectrum=spectrum30)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
-        res = reconstruct(traces, spectrum30, InversionConfig(changepoint_min_gap=0.15))
+        res = reconstruct(traces, spectrum30, 0.15)
         assert dict(res.stage_log)["detect_change_points"] == {"cuts": []}
         assert res.K_hat == 1
 
     def test_result_json_schema(self, spectrum30, reference_traces):
-        res = reconstruct(reference_traces, spectrum30, CFG)
+        res = reconstruct(reference_traces, spectrum30, GAP)
         doc = json.loads(result_to_json(res, spectrum30))
         assert set(doc) == {"alpha_hat", "cuts_hat", "K_hat", "coeffs",
                             "residual_norm", "condition_report", "stage_log"}
@@ -433,7 +483,7 @@ class TestReconstructPipeline:
     def test_residuals_match_data_noiseless(self, spectrum30, reference_traces):
         # the residual curve is the final projection's, and it is the misfit
         # of the reported coefficients through the synthesis sum too
-        res = reconstruct(reference_traces, spectrum30, CFG)
+        res = reconstruct(reference_traces, spectrum30, GAP)
         model_flux = _model_flux(res, spectrum30, reference_traces)
         for mf, tr, resid in zip(model_flux, reference_traces, res.residuals):
             assert np.max(np.abs(resid)) <= 1e-8
@@ -497,29 +547,29 @@ def _coeff_rel_err(coeffs, model):
 
 def _solve(traces, spectrum, alpha, cuts, refine=True):
     """The last two stages of reconstruct from alpha and cuts: _staged_result,
-    then, with refine, refine_joint at CFG's gap and the pre-onset sigma.
+    then, with refine, refine_joint at the gap GAP and the pre-onset sigma.
     Returns (alpha, cuts, coefficient sets, stage log as a dict)."""
     problem = inversion._two_sensor_problem(traces, spectrum)
     log = []
     projection = inversion._staged_result(problem, alpha, cuts, log)
     theta = np.array([alpha] + cuts)
     if refine:
-        sigma = inversion._pre_onset_sigma(traces, cuts[0]) or 0.0
-        theta, projection, refine_log = refine_joint(problem, theta, projection, sigma,
-                                                     CFG.changepoint_min_gap)
+        sigma = inversion._pre_onset_sigma(*problem[:2], cuts[0]) or 0.0
+        theta, projection, refine_log = refine_joint(problem, theta, projection, sigma, GAP)
         log.append(("refine_joint", refine_log))
-    rows = projection[1].reshape(len(theta) - 1, -1) @ problem[2]
+    rows = projection[1].reshape(len(theta) - 1, -1) @ problem[3]
     coeffs = [ModeCoefficients(values=v) for v in rows]
     return float(theta[0]), [float(c) for c in theta[1:]], coeffs, dict(log)
 
 
-def _staged(traces, spectrum, cfg=CFG):
+def _staged(traces, spectrum, gap=GAP):
     """The stages of reconstruct before refine_joint: onset, order and change
-    points at cfg, then _solve without refine. Returns alpha_hat, cuts_hat,
-    coeffs_hat and the stage log of _solve (a dict) as attributes."""
-    c0 = detect_onset(traces)
-    alpha, _ = estimate_alpha(traces, c0, cfg, spectrum)
-    cuts = [c0] + detect_change_points(traces, c0, cfg)
+    points at the gap, then _solve without refine. Returns alpha_hat,
+    cuts_hat, coeffs_hat and the stage log of _solve (a dict) as attributes."""
+    t, values = _grid_values(traces)
+    c0 = detect_onset(t, values)
+    alpha, _ = estimate_alpha(t, values, c0, _lams(spectrum), gap)
+    cuts = [c0] + _change_points(traces, c0, gap)
     alpha, cuts, coeffs, log = _solve(traces, spectrum, alpha, cuts, refine=False)
     return SimpleNamespace(alpha_hat=alpha, cuts_hat=cuts, coeffs_hat=coeffs, log=log)
 
@@ -653,8 +703,8 @@ class TestRefineNoisy:
         # the reference grid with 1 % noise, a noise-floor test before the
         # first candidate only took 13 candidates and 6 Jacobians
         traces = _noisy(reference_traces, 0.01, 20240817)
-        calls = {name: [] for name in ("_two_sensor_problem", "relaxation_design",
-                                       "relaxation_derivatives")}
+        calls = {name: [] for name in ("_two_sensor_problem", "_pre_onset_sigma",
+                                       "relaxation_design", "relaxation_derivatives")}
         for name in calls:
             def counting(*args, _name=name, _fn=getattr(inversion, name)):
                 calls[_name].append(args)
@@ -662,12 +712,12 @@ class TestRefineNoisy:
             monkeypatch.setattr(inversion, name, counting)
         rates = []
         monkeypatch.setattr(forward_model, "relaxation_rates", lambda *args: rates.append(args))
-        got = reconstruct(traces, spectrum30, CFG)
+        got = reconstruct(traces, spectrum30, GAP)
         log = dict(got.stage_log)
         n_t = len(traces[0].times)
         window = [args for args in calls["relaxation_design"] if len(args[3]) < n_t]
         full = [args for args in calls["relaxation_design"] if len(args[3]) == n_t]
-        assert len(calls["_two_sensor_problem"]) == 1
+        assert len(calls["_two_sensor_problem"]) == len(calls["_pre_onset_sigma"]) == 1
         assert len(window) == log["estimate_alpha"]["evaluations"] <= 36
         # the staged projection, then one per line-search candidate
         assert len(full) == 1 + log["refine_joint"]["candidates"] <= 8
@@ -729,7 +779,7 @@ class TestRefineNoisy:
         # the residual of the projection belongs to the coefficients that
         # reconstruct reports, not only to refine's internal factors
         traces, _ = noisy_staged
-        got = reconstruct(traces, spectrum30, CFG)
+        got = reconstruct(traces, spectrum30, GAP)
         log = dict(got.stage_log)["refine_joint"]
         flux = _model_flux(got, spectrum30, traces)
         resid = np.concatenate([tr.values - f for tr, f in zip(traces, flux)])
@@ -750,7 +800,7 @@ class TestRefineNoisy:
                             piece_coeffs=reference_model.piece_coeffs, spectrum=spectrum30)
         t = np.linspace(0.0, 4.0, 1001)
         traces = _noisy(tuple(flux_trace(model, th, t) for th in (0.3, 1.3)), level, 5)
-        got = _staged(traces, spectrum30, InversionConfig(changepoint_min_gap=gap))
+        got = _staged(traces, spectrum30, gap)
         cuts = got.cuts_hat
         assert 0.5 < got.alpha_hat < 1.0
         assert 0.0 <= cuts[0] and cuts[-1] <= t[-1]
@@ -759,21 +809,22 @@ class TestRefineNoisy:
 
 class TestPreOnsetSigma:
     def test_noiseless_is_zero(self, reference_traces):
-        assert inversion._pre_onset_sigma(reference_traces, 0.2) == 0.0
+        assert inversion._pre_onset_sigma(*_grid_values(reference_traces), 0.2) == 0.0
 
     def test_noisy_matches_the_drawn_level(self, reference_traces):
         noisy = _noisy(reference_traces, 0.01, 3)
         want = math.sqrt(np.mean([(0.01 * np.max(np.abs(tr.values))) ** 2
                                   for tr in reference_traces]))
         # 200 samples per sensor before the onset at 0.2
-        assert inversion._pre_onset_sigma(noisy, 0.2) == pytest.approx(want, rel=0.15)
+        assert inversion._pre_onset_sigma(*_grid_values(noisy), 0.2) == pytest.approx(
+            want, rel=0.15)
 
     def test_fewer_than_16_samples_turn_the_rule_off(self, reference_traces):
         noisy = _noisy(reference_traces, 0.01, 3)
         h = 4.0 / 4000
         # t < c0 - 1e-12 holds at the 15 grid points 0, h, ..., 14 h
-        assert inversion._pre_onset_sigma(noisy, 15 * h) is None
-        assert inversion._pre_onset_sigma(noisy, 16 * h) > 0.0
+        assert inversion._pre_onset_sigma(*_grid_values(noisy), 15 * h) is None
+        assert inversion._pre_onset_sigma(*_grid_values(noisy), 16 * h) > 0.0
 
 
 class TestMedian:
@@ -833,3 +884,17 @@ class TestProjectMatchesDenseLstsq:
         # q is an orthonormal basis of the range of op (Kaufman's projection)
         assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-12
         assert np.linalg.norm(op - q @ (q.T @ op)) <= 1e-12 * np.linalg.norm(op)
+
+
+class TestReadmeExample:
+    def test_library_example_runs(self, capsys):
+        # the python block under "## Library example" in README.md, as written
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library example", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        result = namespace["result"]
+        assert result.K_hat == 1
+        assert result.cuts_hat == [0.2]
+        assert abs(result.alpha_hat - 0.75) <= 1e-6
