@@ -201,7 +201,7 @@ _TAU_HIGH = 800.0         # above r = _TAU_HIGH / tau_min, e^{-r tau} underflows
 # [0, 4].
 _TAYLOR_RATE = 1.0 / 16.0
 _TAYLOR_TERMS = 8
-_ROW_BLOCK = 2048         # rows per block on grids without shift tables
+_ROW_BLOCK = 2048         # rows per block of exact-tau sums and of the pole term
 _LAM_BLOCK = 1024         # eigenvalues per node-sum block; a power of two (_profiles)
 # The accuracy route: a uniform grid gets shift tables only while
 # n * (fast nodes + _TAYLOR_TERMS) <= _SHIFT_MAX_CELLS (about 24000 steps
@@ -315,7 +315,7 @@ def _profiles(alpha: float, lams, cuts, times, parts) -> np.ndarray:
     "value" E_{alpha,1}(-lam_j tau^alpha), "rate"
     lam_j tau^(alpha-1) E_{alpha,alpha}(-lam_j tau^alpha) = -d value/dtau and
     "alpha" d value/dalpha, each as sum_q e^{-r_q tau} w_qj + tail + pole (see
-    relaxation_design) with that part's weights (_node_weights); where
+    relaxation_design, _pole_term) with the part's weights (_node_weights); where
     tau <= 0, 1 for "value" and 0 for the others. One call serves all parts:
     their weights are stacked as columns of the same products with the same
     exponential factors. Tail and pole are differentiated in closed form
@@ -390,10 +390,7 @@ def _profiles(alpha: float, lams, cuts, times, parts) -> np.ndarray:
                     -1, n_parts, w.shape[1] // n_parts)
     # closed forms: the lattice below q_lo, where e^{-r tau} = 1 and
     # r K(r) ~ sin(alpha pi) r^alpha / (pi lam), summed as a geometric series;
-    # and for alpha > 2/3 the trapezoidal error of the pole of the integrand
-    # at u* = (log lam + i pi (1 - alpha)) / alpha (Trefethen and Weideman,
-    # SIAM Rev. 56, 2014). For alpha <= 2/3 that pole lies outside the strip
-    # |Im u| < pi/2 in which e^{-e^u tau} decays, and it adds nothing.
+    # and for alpha > 2/3 the pole term (_pole_term)
     s = math.sin(alpha * math.pi)
     tail = []
     for part in parts:
@@ -406,54 +403,66 @@ def _profiles(alpha: float, lams, cuts, times, parts) -> np.ndarray:
     for b, i0 in enumerate(starts):
         out[i0:, :, :, b] += tail
     if alpha > 2.0 / 3.0:
-        u_star = (np.log(lams) + 1j * math.pi * (1.0 - alpha)) / alpha
-        r_star = np.exp(u_star)
-        # the lattice contains u = 0, so only the phase of u*/h_u mod 1 matters
-        phase = np.mod(u_star.real / _NODE_STEP, 1.0) + 1j * u_star.imag / _NODE_STEP
-        turn = np.exp(-2j * math.pi * phase)
-        # the term is Im(coef e^{-r* tau}) + Im(slope tau e^{-r* tau}); for
-        # "alpha", du*/dalpha = -(u* + i pi) / alpha
-        du = -(u_star + 1j * math.pi) / alpha
-        coef, slope = np.zeros((2, n_parts, len(lams)), dtype=complex)
-        for k, part in enumerate(parts):
-            if part == "alpha":
-                coef[k] = 2j / (alpha * (turn - 1.0)) * (
-                    2j * math.pi * turn * du / (_NODE_STEP * (turn - 1.0)) - 1.0 / alpha)
-                slope[k] = -2j * r_star * du / (alpha * (turn - 1.0))
-            else:
-                coef[k] = 2j * (r_star if part == "rate" else 1.0) / (alpha * (turn - 1.0))
-        # the term decays like e^{-tau Re r*}; it is summed while it can
-        # exceed 1e-18
-        tau_stop = float(np.max(np.log((np.abs(coef) + np.abs(slope) * tau_max) * 1e18)
-                                / r_star.real))
-        stops = np.searchsorted(times, cuts + tau_stop, side="right")
-        if h is not None:
-            # tau = delta + m h, so e^{-r* tau} = e^{-r* delta} z^m with
-            # z = e^{-r* h} for every cut, from the strided powers of the grid
-            rows = int(np.max(stops - starts))
-            z_lo, z_hi = _stride_powers(r_star, h, rows, _stride(n))
-            zm = (z_hi[:, None] * z_lo).reshape(-1, 1, len(lams))
-        n_terms = 1 + ("alpha" in parts)   # the tau e^{-r* tau} term only for "alpha"
-        for b in np.flatnonzero(stops > starts):
-            c, i0, i1 = cuts[b], starts[b], stops[b]
-            tau = (times[i0:i1] - c)[:, None, None]
-            for g, factor in [(coef, 1.0), (slope, tau)][:n_terms]:
-                if h is not None:
-                    g = g * np.exp(-r_star * (times[i0] - c))
-                    z = zm[:i1 - i0]
-                    out[i0:i1, :, :, b] -= factor * (g.real * z.imag + g.imag * z.real)
-                else:
-                    arg = tau * r_star.imag
-                    out[i0:i1, :, :, b] -= factor * np.exp(-tau * r_star.real) * (
-                        g.imag * np.cos(arg) - g.real * np.sin(arg))
+        _pole_term(out, alpha, lams, cuts, times, starts, parts, tau_max, h)
     return out
+
+
+def _pole_term(out, alpha, lams, cuts, times, starts, parts, tau_max, h):
+    """Subtract from out (P of _profiles) the trapezoidal error of the pole of
+    the integrand at u* = (log lam + i pi (1 - alpha)) / alpha (Trefethen and
+    Weideman, SIAM Rev. 56, 2014), at each cut from its first row (starts)
+    while above 1e-18; h is the grid step, None off a uniform grid. Where
+    alpha <= 2/3 it adds nothing: the pole lies outside |Im u| < pi/2."""
+    u_star = (np.log(lams) + 1j * math.pi * (1.0 - alpha)) / alpha
+    r_star = np.exp(u_star)
+    # the lattice contains u = 0, so only the phase of u*/h_u mod 1 matters
+    phase = np.mod(u_star.real / _NODE_STEP, 1.0) + 1j * u_star.imag / _NODE_STEP
+    turn = np.exp(-2j * math.pi * phase)
+    # the term is Im(coef e^{-r* tau}) + Im(slope tau e^{-r* tau}); for
+    # "alpha", du*/dalpha = -(u* + i pi) / alpha
+    du = -(u_star + 1j * math.pi) / alpha
+    coef, slope = np.zeros((2, len(parts), len(lams)), dtype=complex)
+    for k, part in enumerate(parts):
+        if part == "alpha":
+            coef[k] = 2j / (alpha * (turn - 1.0)) * (
+                2j * math.pi * turn * du / (_NODE_STEP * (turn - 1.0)) - 1.0 / alpha)
+            slope[k] = -2j * r_star * du / (alpha * (turn - 1.0))
+        else:
+            coef[k] = 2j * (r_star if part == "rate" else 1.0) / (alpha * (turn - 1.0))
+    # the term decays like e^{-tau Re r*}; it is summed while it can exceed 1e-18
+    tau_stop = float(np.max(np.log((np.abs(coef) + np.abs(slope) * tau_max) * 1e18) / r_star.real))
+    stops = np.searchsorted(times, cuts + tau_stop, side="right")
+    gs = [coef, slope][:1 + ("alpha" in parts)]   # the tau e^{-r* tau} term only for "alpha"
+    live = np.flatnonzero(stops > starts)
+    if h is None:
+        for b, i0, i1 in zip(live, starts[live], stops[live]):
+            tau = (times[i0:i1] - cuts[b])[:, None, None]
+            for g, factor in zip(gs, (1.0, tau)):
+                out[i0:i1, :, :, b] -= factor * np.exp(-tau * r_star.real) * (
+                    g.imag * np.cos(tau * r_star.imag) - g.real * np.sin(tau * r_star.imag))
+        return
+    # tau = delta + m h: e^{-r* tau} = e^{-r* delta} z^m, z = e^{-r* h}, for every
+    # cut, from the grid's strided powers, in blocks of whole giant steps
+    stride = _stride(len(times))
+    giants = max(_ROW_BLOCK // stride, 1)
+    z_lo, z_hi = _stride_powers(r_star, h, int(np.max(stops - starts)), stride)
+    at_i0 = {b: [g * np.exp(-r_star * (times[starts[b]] - cuts[b])) for g in gs] for b in live}
+    for g0 in range(0, len(z_hi), giants):
+        z = (z_hi[g0:g0 + giants, None] * z_lo).reshape(-1, 1, len(lams))
+        for b in live:
+            i0 = starts[b] + g0 * stride
+            i1 = min(stops[b], i0 + len(z))
+            tau = (times[i0:i1] - cuts[b])[:, None, None]
+            zb = z[:len(tau)]
+            for g, factor in zip(at_i0[b], (1.0, tau)):
+                out[i0:i1, :, :, b] -= factor * (g.real * zb.imag + g.imag * zb.real)
 
 
 def relaxation_design(alpha: float, lams, bounds, times) -> np.ndarray:
     """The relaxation basis D[i, j, k] = A_{j,c_{k+1}}(t_i) - A_{j,c_k}(t_i),
     shape (n_t, J, K) for K + 1 bounds c_0 < ... < c_K, where
     A_{j,c}(t) = E_{alpha,1}(-lambda_j clip(t - c, 0)^alpha) and A = 1 for an
-    infinite bound.
+    infinite bound (only the last bounds may be infinite).
 
     Representation: at tau = t - c > 0,
     A_{j,c} = sum_q e^{-r_q tau} w_qj + tail_j + pole_j(tau), the trapezoidal
@@ -477,8 +486,9 @@ def relaxation_design(alpha: float, lams, bounds, times) -> np.ndarray:
     (_stride_powers; 1.2 MB at 16001 rows). A build is then two matrix
     products for all finite bounds. The pole term, Im(coef_j e^{-r*_j delta}
     z_j^(i - i_c)) with z_j = e^{-r*_j h}, is a geometric sequence in the
-    row, from the same strided powers, one for all bounds. Other grids sum
-    it at exact tau.
+    row, from strided powers of z_j for all bounds, multiplied out in blocks
+    of about _ROW_BLOCK rows; other grids sum it at exact tau. Differences
+    go straight into the result (1 - A_{j,c_{K-1}} at an infinite last bound).
 
     Rows (times increasing): tau <= 0 gives exactly 1. The first row after
     a bound has 0 < tau = delta <= h and is summed at its own tau over nodes
@@ -495,11 +505,13 @@ def relaxation_design(alpha: float, lams, bounds, times) -> np.ndarray:
     follows the number of rows.
     """
     bounds = np.asarray(bounds, dtype=float)
-    finite = np.isfinite(bounds)
-    profiles = np.ones((len(times), len(lams), len(bounds)))
-    if finite.any():
-        profiles[:, :, finite] = _profiles(alpha, lams, bounds[finite], times, ("value",))[:, 0]
-    return profiles[:, :, 1:] - profiles[:, :, :-1]
+    n_fin = int(np.count_nonzero(np.isfinite(bounds)))
+    profiles = _profiles(alpha, lams, bounds[:n_fin], times, ("value",))[:, 0]
+    design = np.zeros((len(times), len(lams), len(bounds) - 1))
+    np.subtract(profiles[:, :, 1:], profiles[:, :, :-1], out=design[:, :, :max(n_fin - 1, 0)])
+    if 0 < n_fin < len(bounds):
+        np.subtract(1.0, profiles[:, :, -1], out=design[:, :, n_fin - 1])
+    return design
 
 
 def relaxation_rates(alpha: float, lams, cuts, times) -> np.ndarray:

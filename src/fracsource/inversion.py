@@ -221,9 +221,9 @@ def detect_change_points(t: np.ndarray, values: np.ndarray, c0_hat: float,
     the summed two-sensor flux (the rows of values on the grid t);
     lag-smoothed when the noise estimate (sigma, the _pre_onset_sigma of
     reconstruct, else _noise_sigma of the sum) is above 1e-9 of the sum's
-    peak, pruned to changepoint_min_gap keeping the larger magnitude.
-    reconstruct has checked that the grid step is at most a tenth of
-    changepoint_min_gap."""
+    peak, pruned to changepoint_min_gap keeping the larger magnitude, or of
+    equal ones the earlier. reconstruct has checked that the grid step is at
+    most a tenth of changepoint_min_gap."""
     h = float(t[1] - t[0])
     summed = values[0] + values[1]
     scale = float(np.max(np.abs(summed))) or 1.0
@@ -242,13 +242,9 @@ def detect_change_points(t: np.ndarray, values: np.ndarray, c0_hat: float,
     centers = t[lag:-lag]
     mad = 1.4826 * float(_median(np.abs(d2 - _median(d2))))
     thresh = max(8.0 * mad, 1e-4 * float(np.max(d2)))
-    cands = []
-    for i in range(1, len(d2) - 1):
-        if d2[i] >= thresh and d2[i] >= d2[i - 1] and d2[i] >= d2[i + 1]:
-            cands.append((float(d2[i]), float(centers[i])))
-    cands.sort(key=lambda p: -p[0])
+    idx = 1 + np.flatnonzero((d2[1:-1] >= np.maximum(d2[:-2], d2[2:])) & (d2[1:-1] >= thresh))
     kept = []
-    for _, tc in cands:
+    for tc in centers[idx[np.argsort(-d2[idx], kind="stable")]].tolist():
         if (c0_hat + changepoint_min_gap - 1e-9 < tc < t[-1] - changepoint_min_gap
                 and all(abs(tc - k) >= changepoint_min_gap for k in kept)):
             kept.append(tc)
@@ -348,17 +344,17 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
 
     The coefficients are eliminated (Golub and Pereyra, 1973): for each theta
     the relaxation basis D is built once and the real coefficient vector is
-    the least-squares solution for the two-sensor operator, through one QR
-    of D and one of a small stacked matrix (_project, which also gives the
-    staged coefficients). projection is the _project result (r, p, q, svals)
-    at theta, in and out; reconstruct starts from that of _staged_result.
-    The Jacobian is Kaufman's (1975),
-    J = (I - QQ^T) [d(op p)/d alpha, d(op p)/dc_k], every column exact and
-    from one pass over the relaxation basis (_jacobian). Each step is
-    line-searched over twelve halvings within the feasible region: alpha in
-    (1/2, 1), cuts in [0, t_max] at least min_gap / 4 apart, which holds at
-    the staged start. A step with no decrease leaves theta unchanged, so the
-    loop stops there.
+    the least-squares solution for the two-sensor operator, through one QR of
+    D and one of a small stacked matrix (_project, which also gives the staged
+    coefficients). projection is _project's (r, p, q, svals) at the start
+    (_staged_result's; reconstruct keeps no reference) and (r, p) at the end.
+    The Jacobian is Kaufman's (1975), J = (I - QQ^T) [d(op p)/d alpha,
+    d(op p)/dc_k], each column exact and from one pass over the relaxation
+    basis (_jacobian); the explicit 2 n_t x dof q serves only that product
+    and goes with J once the step is formed. Each step is line-searched over
+    twelve halvings within the feasible region: alpha in (1/2, 1), cuts in
+    [0, t_max] at least min_gap / 4 apart, which holds at the staged start.
+    A step with no decrease leaves theta unchanged, so the loop stops there.
 
     The loop also stops at the noise floor: a candidate at scale s of the
     step is evaluated only while the Gauss-Newton predicted decrease
@@ -392,6 +388,7 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
                 and all(b - a >= min_gap / 4 for a, b in zip(cuts[:-1], cuts[1:])))
 
     r, p, q, svals = projection
+    del projection   # reconstruct keeps no reference, so q goes after the first step
     cost = float(r @ r)
     log = {"iterations": 0, "candidates": 0, "initial_residual": math.sqrt(cost),
            "noise_sigma": sigma}
@@ -404,6 +401,7 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
         step = np.linalg.lstsq(jac, -r, rcond=None)[0]
         predicted = jac @ step
         gain = float(predicted @ predicted)
+        del q, cols, jac, predicted   # only one q at a time: the candidates build theirs
         scale = 1.0
         for _ in range(12):
             if scale * (2.0 - scale) * gain < sigma * sigma:
@@ -416,6 +414,7 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
                                phases, y)
                 if float(got[0] @ got[0]) <= cost:
                     break
+                del got
             scale *= 0.5
         else:
             # a rejected step is a fixed point: the loop would repeat it
@@ -425,6 +424,7 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
         if stop != "cap":
             break
         r, p, q, svals, _ = got
+        del got
         cc = float(r @ r)
         rel_change = (cost - cc) / max(cost, 1e-300)
         theta, cost = cand, cc
@@ -435,7 +435,7 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
     log["final_residual"] = math.sqrt(cost)
     log["stop"] = stop
     log["sigma_ratio"] = _sigma_ratio(svals)
-    return theta, (r, p, q, svals), log
+    return theta, (r, p), log
 
 
 def _staged_result(problem, alpha: float, cuts: list, stage_log: list):
@@ -490,21 +490,20 @@ def reconstruct(traces, spectrum: SpectrumTable, changepoint_min_gap: float
     interior = detect_change_points(t, values, c0_hat, changepoint_min_gap, sigma)
     stage_log.append(("detect_change_points", {"cuts": list(interior)}))
     cuts = [c0_hat] + interior
-    projection = _staged_result(problem, alpha_hat, cuts, stage_log)
-    theta, projection, log = refine_joint(
-        problem, np.array([alpha_hat] + cuts), projection, sigma or 0.0,
-        changepoint_min_gap)
+    theta, (r, p), log = refine_joint(
+        problem, np.array([alpha_hat] + cuts), _staged_result(problem, alpha_hat, cuts, stage_log),
+        sigma or 0.0, changepoint_min_gap)
     stage_log.append(("refine_joint", log))
     n_pieces = len(theta) - 1
     return ReconstructionResult(
         alpha_hat=float(theta[0]),
         cuts_hat=[float(cut) for cut in theta[1:]],
         coeffs_hat=[ModeCoefficients(values=v)
-                    for v in projection[1].reshape(n_pieces, -1) @ c],
+                    for v in p.reshape(n_pieces, -1) @ c],
         residual_norm=log["final_residual"] / (float(np.linalg.norm(values)) or 1.0),
         stage_log=stage_log,
         condition_report=condition_report,
-        residuals=[-rl for rl in np.split(projection[0], len(traces))],
+        residuals=[-rl for rl in np.split(r, len(traces))],
     )
 
 

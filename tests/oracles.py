@@ -15,6 +15,12 @@ Mittag-Leffler values from its exponential-sum relaxation basis instead, so
 the evaluator is an independent reference for that basis, and it serves the
 pointwise Duhamel sums below.
 
+pole_term_one_shot, detect_change_points_loop and trace_from_csv_loop keep
+earlier forms of three package paths that must give the same bits: the pole
+term of the relaxation basis with all its strided powers multiplied out at
+once, the change-point candidate scan as a Python loop, and the trace
+reader that converts one cell at a time.
+
 The last section holds the paper's adjoint constructions: the boundary
 mollifier delta_z^N and the adjoint field w_z^N, through which the paper
 relates the unknowns to the boundary data, and the modal weight of the
@@ -38,8 +44,9 @@ from fracsource.disc_spectrum import (
     eigenfunction_eval,
     normalizer_sign,
 )
-from fracsource.errors import DomainError
-from fracsource.forward_model import relaxation_rates
+from fracsource.errors import DomainError, ValidationError
+from fracsource.forward_model import _NODE_STEP, _stride, _stride_powers, relaxation_rates
+from fracsource.inversion import _median, _noise_sigma
 from fracsource.specfun import _bessel_j_unchecked, _panel_nodes
 
 _EPS = float(np.finfo(float).eps)
@@ -441,6 +448,110 @@ def solve_field(model, points, t: float):
             val += amps[n] * eigenfunction_eval(mo, r, theta)
         out.append(val)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Earlier forms of the pole term and the trace reader
+# ---------------------------------------------------------------------------
+
+def pole_term_one_shot(out, alpha, lams, cuts, times, starts, parts, tau_max, h):
+    """forward_model._pole_term as it was before it ran in row blocks: on a
+    uniform grid the powers z^m of every row form one rows x J complex
+    array zm, and each cut's update is one expression over all its rows."""
+    n, n_parts = len(times), len(parts)
+    u_star = (np.log(lams) + 1j * math.pi * (1.0 - alpha)) / alpha
+    r_star = np.exp(u_star)
+    phase = np.mod(u_star.real / _NODE_STEP, 1.0) + 1j * u_star.imag / _NODE_STEP
+    turn = np.exp(-2j * math.pi * phase)
+    du = -(u_star + 1j * math.pi) / alpha
+    coef, slope = np.zeros((2, n_parts, len(lams)), dtype=complex)
+    for k, part in enumerate(parts):
+        if part == "alpha":
+            coef[k] = 2j / (alpha * (turn - 1.0)) * (
+                2j * math.pi * turn * du / (_NODE_STEP * (turn - 1.0)) - 1.0 / alpha)
+            slope[k] = -2j * r_star * du / (alpha * (turn - 1.0))
+        else:
+            coef[k] = 2j * (r_star if part == "rate" else 1.0) / (alpha * (turn - 1.0))
+    tau_stop = float(np.max(np.log((np.abs(coef) + np.abs(slope) * tau_max) * 1e18)
+                            / r_star.real))
+    stops = np.searchsorted(times, cuts + tau_stop, side="right")
+    if h is not None:
+        rows = int(np.max(stops - starts))
+        z_lo, z_hi = _stride_powers(r_star, h, rows, _stride(n))
+        zm = (z_hi[:, None] * z_lo).reshape(-1, 1, len(lams))
+    n_terms = 1 + ("alpha" in parts)
+    for b in np.flatnonzero(stops > starts):
+        c, i0, i1 = cuts[b], starts[b], stops[b]
+        tau = (times[i0:i1] - c)[:, None, None]
+        for g, factor in [(coef, 1.0), (slope, tau)][:n_terms]:
+            if h is not None:
+                g = g * np.exp(-r_star * (times[i0] - c))
+                z = zm[:i1 - i0]
+                out[i0:i1, :, :, b] -= factor * (g.real * z.imag + g.imag * z.real)
+            else:
+                arg = tau * r_star.imag
+                out[i0:i1, :, :, b] -= factor * np.exp(-tau * r_star.real) * (
+                    g.imag * np.cos(arg) - g.real * np.sin(arg))
+
+
+def detect_change_points_loop(t, values, c0_hat, changepoint_min_gap, sigma):
+    """inversion.detect_change_points as it was before its vectorized scan:
+    a Python loop over the second difference collects the local maxima above
+    the threshold, and a stable sort orders them by size."""
+    h = float(t[1] - t[0])
+    summed = values[0] + values[1]
+    scale = float(np.max(np.abs(summed))) or 1.0
+    if sigma is None:
+        sigma = _noise_sigma(summed)
+    if sigma > 1e-9 * scale:
+        lag = int(np.clip(round(0.1 * changepoint_min_gap / h), 1, 80))
+    else:
+        lag = 1
+    if lag > 1:
+        kernel = np.ones(lag) / lag
+        work = np.convolve(summed, kernel, mode="same")
+    else:
+        work = summed
+    d2 = np.abs(work[:-2 * lag] - 2.0 * work[lag:-lag] + work[2 * lag:])
+    centers = t[lag:-lag]
+    mad = 1.4826 * float(_median(np.abs(d2 - _median(d2))))
+    thresh = max(8.0 * mad, 1e-4 * float(np.max(d2)))
+    cands = []
+    for i in range(1, len(d2) - 1):
+        if d2[i] >= thresh and d2[i] >= d2[i - 1] and d2[i] >= d2[i + 1]:
+            cands.append((float(d2[i]), float(centers[i])))
+    cands.sort(key=lambda p: -p[0])
+    kept = []
+    for _, tc in cands:
+        if (c0_hat + changepoint_min_gap - 1e-9 < tc < t[-1] - changepoint_min_gap
+                and all(abs(tc - k) >= changepoint_min_gap for k in kept)):
+            kept.append(tc)
+    return sorted(kept)
+
+
+def trace_from_csv_loop(text: str):
+    """config.trace_from_csv as it was before its one-call conversion: float()
+    on each cell, in a Python loop."""
+    lines = text.strip().splitlines()
+    if not lines or lines[0] != "t,flux":
+        raise ValidationError("trace CSV must start with header 't,flux'",
+                              clause="trace-csv")
+    t, v = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            a, b = line.split(",")
+            t.append(float(a))
+            v.append(float(b))
+        except ValueError:
+            raise ValidationError(f"trace CSV line {lineno} is not two numbers: {line!r}",
+                                  clause="trace-csv") from None
+    t, v = np.asarray(t), np.asarray(v)
+    bad = ~(np.isfinite(t) & np.isfinite(v))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(f"trace CSV line {i + 2} has a non-finite value: {lines[i + 1]!r}",
+                              clause="trace-csv")
+    return t, v
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from fracsource.errors import ValidationError
 from fracsource.forward_model import flux_trace
 from fracsource.laplace_model import LaplacePoint, laplace_flux_model
 
+import oracles
+
 
 BASE_CONFIG = {
     "spectrum": {"lambda_max": 30.0},
@@ -152,6 +154,104 @@ class TestConfig:
                            "values": values}, indent=None)
         assert trace_to_json(angle, times, np.array(values)) == want
         assert trace_to_json(angle, float_strings(times), float_strings(values)) == want
+
+
+def _read_outcome(read, text):
+    """The arrays that read returns, as bytes, or its ValidationError."""
+    try:
+        t, v = read(text)
+    except ValidationError as exc:
+        return "error", str(exc), exc.clause
+    assert t.dtype == v.dtype == np.float64 and t.flags.c_contiguous and v.flags.c_contiguous
+    return "values", t.shape, t.tobytes(), v.tobytes()
+
+
+def _no_float(_):
+    raise AssertionError("a cell went through float()")
+
+
+# a cell as a writer may format it: repr, %.17g, %e, with blanks or a sign
+_CELL_FORMATS = (repr, "{:.17g}".format, "{:e}".format, " {!r}\t".format, "{:+}".format)
+
+
+@st.composite
+def _valid_trace_csv(draw):
+    rows = draw(st.lists(st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_CELL_FORMATS),
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_CELL_FORMATS)),
+        max_size=40))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    body = [f"{fa(a)},{fb(b)}" for a, fa, b, fb in rows]
+    return end.join(["t,flux", *body]) + draw(st.sampled_from(["", end]))
+
+
+class TestTraceReader:
+    """trace_from_csv converts the body of a trace CSV with one numpy call,
+    which parses a str as float() does; a body that it rejects, of another
+    shape or with a non-finite value goes to the loop that names the line.
+    The outcome is the loop's (oracles.trace_from_csv_loop), bit for bit or
+    message for message."""
+
+    @given(_valid_trace_csv())
+    @example("t,flux\n0.0,-0.0\n5e-324,1e308\n")
+    def test_valid_files_in_one_call(self, text):
+        want = _read_outcome(oracles.trace_from_csv_loop, text)
+        assert want[0] == "values"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(config, "float", _no_float, raising=False)
+            assert _read_outcome(trace_from_csv, text) == want
+
+    @pytest.mark.parametrize("edit, message", [
+        (None, None),
+        (lambda rows: rows.__setitem__(2000, rows[2000] + ",1.0"), "line 2002 is not two numbers"),
+        (lambda rows: rows.__setitem__(1500, ""), "line 1502 is not two numbers: ''"),
+        (lambda rows: rows.__setitem__(2400, "2.4,inf"), "line 2402 has a non-finite value"),
+        (lambda rows: rows.__setitem__(slice(1024, None), ["0.5"] * 1476),
+         "line 1026 is not two numbers: '0.5'"),
+    ], ids=["valid", "three-fields", "blank-line", "inf", "one-field-in-the-second-block"])
+    def test_files_of_several_blocks(self, edit, message):
+        # 2500 rows are read 1024 lines per numpy call; the values and the
+        # line named by an error are those of the loop
+        rng = np.random.default_rng(11)
+        rows = [f"{a!r},{b!r}" for a, b in zip((np.arange(2500) * 1e-3).tolist(),
+                                               rng.normal(size=2500).tolist())]
+        if edit is not None:
+            edit(rows)
+        text = "\n".join(["t,flux", *rows]) + "\n"
+        want = _read_outcome(oracles.trace_from_csv_loop, text)
+        if message is None:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(config, "float", _no_float, raising=False)
+                assert _read_outcome(trace_from_csv, text) == want
+            assert want[1] == (2500,)
+        else:
+            assert _read_outcome(trace_from_csv, text) == want
+            assert want[0] == "error" and message in want[1]
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,flux\n0.0,1.0\n0.1,2.0,3.0\n0.2,3.0\n",
+         "trace CSV line 3 is not two numbers: '0.1,2.0,3.0'"),
+        ("t,flux\n0.0,1.0\n\n0.2,3.0\n", "trace CSV line 3 is not two numbers: ''"),
+        ("t,flux\n0.0,1.0\n0.1\n0.2,3.0\n", "trace CSV line 3 is not two numbers: '0.1'"),
+        ("t,flux\n0.0,1.0\n0.1,nan\n", "trace CSV line 3 has a non-finite value: '0.1,nan'"),
+        ("t,flux\r\n0.0,1.0\r\n0.1,2.0\r\n", None),
+        ("t,flux\n0.0,1_0\n0.1,2.5_5\n", None),
+        ("t,flux\n0.0,1.0,5\n0.1,2.0,6\n", "trace CSV line 2 is not two numbers: '0.0,1.0,5'"),
+        ("t,flux\n0.0\n0.1\n", "trace CSV line 2 is not two numbers: '0.0'"),
+        ("t,flux\n0.0,0x10\n", "trace CSV line 2 is not two numbers: '0.0,0x10'"),
+        ("t,flux\n0.0,1.0\n0.1,1e999\n", "trace CSV line 3 has a non-finite value: '0.1,1e999'"),
+        ("t,flux\n", None),
+        ("t;flux\n0.0,1.0\n", "trace CSV must start with header 't,flux'"),
+    ], ids=["three-fields", "blank-middle-line", "missing-field", "nan", "crlf",
+            "underscores", "three-fields-every-line", "one-field-every-line", "hex",
+            "overflow", "header-only", "bad-header"])
+    def test_same_outcome_as_the_loop(self, text, message):
+        got = _read_outcome(trace_from_csv, text)
+        assert got == _read_outcome(oracles.trace_from_csv_loop, text)
+        if message is None:
+            assert got[0] == "values"
+        else:
+            assert got == ("error", message, "trace-csv")
 
 
 # inversion keys of earlier versions, with the values they held; the

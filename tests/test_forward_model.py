@@ -393,6 +393,45 @@ LAMS_TO_100 = np.array([5.783185962946785, 14.681970642123893, 26.37461642716339
                         49.21845632169460, 100.0])
 
 
+class TestPoleTermBlocks:
+    """On a uniform grid the pole term forms its powers z^m and its update in
+    blocks of whole giant steps; every value is the product that the one
+    rows x J array zm gave (oracles.pole_term_one_shot), bit for bit."""
+
+    @pytest.mark.parametrize("parts", [("value",), ("rate",), ("rate", "alpha")],
+                             ids=["value", "rate", "rate-alpha"])
+    @pytest.mark.parametrize("alpha", [0.7, 0.9, 0.999])
+    @pytest.mark.parametrize("times", [
+        np.linspace(0.0, 4.0, 16001),
+        np.linspace(0.0, 4.0, 2501),
+        np.concatenate([[0.0], np.sort(np.random.default_rng(5).uniform(0.0, 4.0, 3000))]),
+    ], ids=["16001-rows", "2501-rows", "non-uniform"])
+    def test_equals_one_shot(self, times, alpha, parts):
+        n = len(times)
+        h = forward_model._uniform_step(times)
+        if h is not None:
+            # the blocks are whole giant steps of _ROW_BLOCK rows, and
+            # neither grid is a whole number of them
+            stride = forward_model._stride(n)
+            assert forward_model._ROW_BLOCK % stride == 0 and n % forward_model._ROW_BLOCK
+        # cuts on grid points and between them; at alpha 0.999 the term runs
+        # to the end of the grid
+        i = [n // 20, n // 4 + 1, (3 * n) // 5]
+        cuts = np.array([times[i[0]], 0.4 * times[i[1]] + 0.6 * times[i[1] + 1],
+                         times[i[2]], 0.5 * (times[-3] + times[-2])])
+        starts = np.searchsorted(times, cuts, side="right")
+        tau_max = float(times[-1]) - min(float(np.min(cuts)), 0.0)
+        start = np.random.default_rng(7).normal(size=(n, len(parts), len(LAMS_TO_100),
+                                                      len(cuts)))
+        got, want = start.copy(), start.copy()
+        forward_model._pole_term(got, alpha, LAMS_TO_100, cuts, times, starts, parts,
+                                 tau_max, h)
+        oracles.pole_term_one_shot(want, alpha, LAMS_TO_100, cuts, times, starts, parts,
+                                   tau_max, h)
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(got, start)
+
+
 def _sample_rows(t, bounds):
     """Rows on which the scalar mittag_leffler is the reference (it takes
     about a millisecond per point): the first three after each finite bound

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import pathlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +37,7 @@ from fracsource.inversion import (
 )
 
 from conftest import REF_PIECE_1, REF_PIECE_2, make_coeffs
+import oracles
 
 
 GAP = 0.3   # changepoint_min_gap, the paper's eta
@@ -318,6 +320,41 @@ class TestDetectChangePoints:
             reconstruct(reference_traces, spectrum30, 0.005)
         assert err.value.clause == "changepoint-grid"
         assert builds == []
+
+
+class TestChangePointScan:
+    """detect_change_points takes its candidates, the local maxima of the
+    second difference above the threshold, with one mask and orders them by
+    a stable argsort, so equal maxima keep their time order; the cuts equal
+    those of the loop it replaced (oracles.detect_change_points_loop)."""
+
+    def test_equal_kinks_keep_time_order(self):
+        # three kinks of second difference exactly 1 at t = 1.0, 1.5 and 3.0;
+        # 1.0 and 1.5 lie closer than the gap 0.6, so the first is kept
+        i = np.arange(401.0)
+        summed = np.maximum(i - 100, 0) + np.maximum(i - 150, 0) + np.maximum(i - 300, 0)
+        t, values = i / 100, np.stack([summed / 2, summed / 2])
+        got = detect_change_points(t, values, 0.0, 0.6, 0.0)
+        assert got == oracles.detect_change_points_loop(t, values, 0.0, 0.6, 0.0) == [1.0, 3.0]
+        # 60 kinks of sizes 1 and 2, 0.16 apart against a gap of 0.2: which
+        # of two close kinks of one size is kept depends on their order, and
+        # an unstable sort of the sizes reorders them
+        i = np.arange(1201.0)
+        sizes = np.random.default_rng(0).integers(1, 3, 60)
+        summed = sum(k * np.maximum(i - at, 0) for k, at in zip(sizes, range(100, 1100, 16)))
+        t, values = i / 100, np.stack([summed / 2, summed / 2])
+        got = detect_change_points(t, values, 0.0, 0.2, 0.0)
+        assert got == oracles.detect_change_points_loop(t, values, 0.0, 0.2, 0.0)
+
+    @pytest.mark.parametrize("level, seed", [(0.0, 0), (1e-3, 1), (1e-2, 2), (1e-2, 3)])
+    def test_same_cuts_as_the_loop(self, reference_traces, level, seed):
+        traces = _noisy(reference_traces, level, seed) if level else reference_traces
+        t, values = _grid_values(traces)
+        for c0, gap, sigma in [(0.2, GAP, inversion._pre_onset_sigma(t, values, 0.2)),
+                               (0.2, 0.1, None), (0.0, 0.05, 0.0)]:
+            got = detect_change_points(t, values, c0, gap, sigma)
+            assert got == oracles.detect_change_points_loop(t, values, c0, gap, sigma)
+            assert all(type(cut) is float for cut in got)
 
 
 class TestSolveAmplitudes:
@@ -853,6 +890,26 @@ class TestRefineSixModes:
         assert log["stop"] == "converged"
         assert abs(alpha - 0.75) <= 1e-8
         assert _coeff_rel_err(coeffs, model) <= 1e-6
+
+
+class TestInvertMemory:
+    def test_warm_reconstruct_peak_on_16000_steps(self, reference_model, spectrum30):
+        # at most one copy of each long array: refine drops each explicit
+        # 2 n_t x dof q once its Jacobian product is formed, the pole term
+        # of the basis runs in row blocks, and the design is differenced in
+        # place. The tracemalloc peak of a warm reconstruct on the reference
+        # traces with 16000 steps is 7.9 MiB; it was 11.24 MiB before.
+        t = np.linspace(0.0, 4.0, 16001)
+        traces = forward_model.flux_traces(reference_model, (0.3, 1.3), t)
+        reconstruct(traces, spectrum30, GAP)   # builds and caches the shift tables
+        tracemalloc.start()
+        try:
+            result = reconstruct(traces, spectrum30, GAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.K_hat == 2 and abs(result.alpha_hat - 0.75) <= 1e-9
+        assert peak <= 9 * 2 ** 20
 
 
 class TestProjectMatchesDenseLstsq:
