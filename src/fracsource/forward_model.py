@@ -446,15 +446,17 @@ def _pole_term(out, alpha, lams, cuts, times, starts, parts, tau_max, h):
     stride = _stride(len(times))
     giants = max(_ROW_BLOCK // stride, 1)
     z_lo, z_hi = _stride_powers(r_star, h, int(np.max(stops - starts)), stride)
-    at_i0 = {b: [g * np.exp(-r_star * (times[starts[b]] - cuts[b])) for g in gs] for b in live}
+    at_i0 = [[g * np.exp(-r_star * (times[starts[b]] - cuts[b])) for g in gs] for b in live]
     for g0 in range(0, len(z_hi), giants):
         z = (z_hi[g0:g0 + giants, None] * z_lo).reshape(-1, 1, len(lams))
-        for b in live:
+        for b, gb in zip(live, at_i0):
             i0 = starts[b] + g0 * stride
             i1 = min(stops[b], i0 + len(z))
+            if i0 >= i1:   # this cut's term has ended
+                continue
             tau = (times[i0:i1] - cuts[b])[:, None, None]
-            zb = z[:len(tau)]
-            for g, factor in zip(at_i0[b], (1.0, tau)):
+            zb = z[:i1 - i0]
+            for g, factor in zip(gb, (1.0, tau)):
                 out[i0:i1, :, :, b] -= factor * (g.real * zb.imag + g.imag * zb.real)
 
 

@@ -424,7 +424,6 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
         if stop != "cap":
             break
         r, p, q, svals, _ = got
-        del got
         cc = float(r @ r)
         rel_change = (cost - cc) / max(cost, 1e-300)
         theta, cost = cand, cc

@@ -19,7 +19,7 @@ pole_term_one_shot, detect_change_points_loop and trace_from_csv_loop keep
 earlier forms of three package paths that must give the same bits: the pole
 term of the relaxation basis with all its strided powers multiplied out at
 once, the change-point candidate scan as a Python loop, and the trace
-reader that converts one cell at a time.
+reader that appends each cell's float to a list.
 
 The last section holds the paper's adjoint constructions: the boundary
 mollifier delta_z^N and the adjoint field w_z^N, through which the paper
@@ -530,8 +530,8 @@ def detect_change_points_loop(t, values, c0_hat, changepoint_min_gap, sigma):
 
 
 def trace_from_csv_loop(text: str):
-    """config.trace_from_csv as it was before its one-call conversion: float()
-    on each cell, in a Python loop."""
+    """config.trace_from_csv as it was before it filled one array: float()
+    on each cell, appended to two lists."""
     lines = text.strip().splitlines()
     if not lines or lines[0] != "t,flux":
         raise ValidationError("trace CSV must start with header 't,flux'",

@@ -166,10 +166,6 @@ def _read_outcome(read, text):
     return "values", t.shape, t.tobytes(), v.tobytes()
 
 
-def _no_float(_):
-    raise AssertionError("a cell went through float()")
-
-
 # a cell as a writer may format it: repr, %.17g, %e, with blanks or a sign
 _CELL_FORMATS = (repr, "{:.17g}".format, "{:e}".format, " {!r}\t".format, "{:+}".format)
 
@@ -186,20 +182,17 @@ def _valid_trace_csv(draw):
 
 
 class TestTraceReader:
-    """trace_from_csv converts the body of a trace CSV with one numpy call,
-    which parses a str as float() does; a body that it rejects, of another
-    shape or with a non-finite value goes to the loop that names the line.
-    The outcome is the loop's (oracles.trace_from_csv_loop), bit for bit or
-    message for message."""
+    """trace_from_csv writes each cell's float() into one preallocated
+    (2, n) array instead of lists of Python floats. The outcome is the list
+    loop's (oracles.trace_from_csv_loop), bit for bit or message for
+    message."""
 
     @given(_valid_trace_csv())
     @example("t,flux\n0.0,-0.0\n5e-324,1e308\n")
-    def test_valid_files_in_one_call(self, text):
+    def test_valid_files(self, text):
         want = _read_outcome(oracles.trace_from_csv_loop, text)
         assert want[0] == "values"
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(config, "float", _no_float, raising=False)
-            assert _read_outcome(trace_from_csv, text) == want
+        assert _read_outcome(trace_from_csv, text) == want
 
     @pytest.mark.parametrize("edit, message", [
         (None, None),
@@ -208,10 +201,9 @@ class TestTraceReader:
         (lambda rows: rows.__setitem__(2400, "2.4,inf"), "line 2402 has a non-finite value"),
         (lambda rows: rows.__setitem__(slice(1024, None), ["0.5"] * 1476),
          "line 1026 is not two numbers: '0.5'"),
-    ], ids=["valid", "three-fields", "blank-line", "inf", "one-field-in-the-second-block"])
-    def test_files_of_several_blocks(self, edit, message):
-        # 2500 rows are read 1024 lines per numpy call; the values and the
-        # line named by an error are those of the loop
+    ], ids=["valid", "three-fields", "blank-line", "inf", "one-field-from-line-1026"])
+    def test_long_files(self, edit, message):
+        # on 2500 rows, the values and the line named by an error are the loop's
         rng = np.random.default_rng(11)
         rows = [f"{a!r},{b!r}" for a, b in zip((np.arange(2500) * 1e-3).tolist(),
                                                rng.normal(size=2500).tolist())]
@@ -219,13 +211,10 @@ class TestTraceReader:
             edit(rows)
         text = "\n".join(["t,flux", *rows]) + "\n"
         want = _read_outcome(oracles.trace_from_csv_loop, text)
+        assert _read_outcome(trace_from_csv, text) == want
         if message is None:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(config, "float", _no_float, raising=False)
-                assert _read_outcome(trace_from_csv, text) == want
             assert want[1] == (2500,)
         else:
-            assert _read_outcome(trace_from_csv, text) == want
             assert want[0] == "error" and message in want[1]
 
     @pytest.mark.parametrize("text, message", [
