@@ -10,7 +10,9 @@ then the coefficients by one least-squares solve of the two-sensor operator
 b_{j,k,l} = sum_{lam_n=lam_j} s_n a_n(z_l) p_{k,n}). These staged values are
 where the estimator starts: the joint fit refine_joint, variable-projection
 Gauss-Newton over alpha and the cuts, with the coefficients eliminated by
-the same solve.
+the same solve. The order stage is the same machinery on a smaller
+problem: the window's fits go through _project, and refine_joint polishes
+its best grid point.
 """
 from __future__ import annotations
 
@@ -120,99 +122,52 @@ def detect_onset(t: np.ndarray, values: np.ndarray) -> float:
 
 
 def estimate_alpha(t: np.ndarray, values: np.ndarray, c0_hat: float, lams: np.ndarray,
-                   changepoint_min_gap: float):
+                   changepoint_min_gap: float, sigma: float):
     """Order estimate from the leading window t in [c0, c0 + delta], delta =
-    min(changepoint_min_gap, ALPHA_LEADING_DELTA): a variable-projection fit
-    of the relaxation basis {1 - E_{alpha,1}(-lambda_j tau^alpha)}, lams the
-    distinct eigenvalues, to each sensor's trace (a row of values) on the
-    window, minimized by Brent's method (_brent_min) within 0.025 of the best
-    point of a 0.02 grid over [0.52, 0.98]. Returns (alpha_hat, diagnostics
-    dict): the diagnostics hold alpha_vp, the best point that the search
-    evaluated, and its vp_residual, the number of evaluations (window
-    builds, the grid's included), the grid's profile as [alpha, vp_residual]
-    pairs, and its local minima, the grid alphas whose residual is strictly
-    below the left neighbour's and not above the right one's; a grid end
-    compares with its one neighbour by the same rule."""
+    min(changepoint_min_gap, ALPHA_LEADING_DELTA), where only the first piece
+    acts: the variable-projection problem (t_w, values_w, lams, None,
+    phases_w) of the relaxation basis {1 - E_{alpha,1}(-lambda_j tau^alpha)},
+    lams the distinct eigenvalues, whose phase maps [I_J | 0] and [0 | I_J]
+    fit each sensor's trace (a row of values) with its own amplitudes. Each
+    alpha of a 0.02 grid over [0.52, 0.98] is scored by the squared residual
+    of _project at the onset c0_hat, and refine_joint polishes the best grid
+    point over alpha and the window's onset, from c0_hat, with the
+    noise-floor stop at sigma.
+
+    Returns (alpha_hat, diagnostics dict): the diagnostics hold alpha_vp, the
+    polished order, and its vp_residual; evaluations, the window design
+    builds (the grid's, the polish's start and its line-search candidates);
+    the polish's iterations and stop; the grid's profile as [alpha,
+    vp_residual] pairs; and its local minima, the grid alphas whose residual
+    is strictly below the left neighbour's and not above the right one's (a
+    grid end compares with its one neighbour by the same rule)."""
     delta = min(changepoint_min_gap, ALPHA_LEADING_DELTA)
     mask = (t >= c0_hat - 1e-12) & (t <= c0_hat + delta + 1e-12)
-    window = t[mask]
-    targets = -values[:, mask]
-    evaluations = 0
+    n_lams = len(lams)
+    window = (t[mask], values[:, mask], lams, None,
+              [np.eye(n_lams, 2 * n_lams), np.eye(n_lams, 2 * n_lams, n_lams)])
+    y = -window[1].ravel()
 
-    def vp_residual(alpha):
+    def project(alpha):
         # one piece [c0_hat, inf): columns 1 - E_{alpha,1}(-lam_j tau^alpha)
-        nonlocal evaluations
-        evaluations += 1
-        design = relaxation_design(alpha, lams, [c0_hat, math.inf], window)[:, :, 0]
-        total = 0.0
-        for y in targets:
-            w, *_ = np.linalg.lstsq(design, y, rcond=None)
-            r = y - design @ w
-            total += float(r @ r)
-        return total
+        return _project(relaxation_design(alpha, lams, [c0_hat, math.inf], window[0]),
+                        window[4], y)
 
-    profile = [(float(a), vp_residual(a)) for a in np.arange(0.52, 0.995, 0.02)]
+    profile = []
+    for a in np.arange(0.52, 0.995, 0.02):
+        r = project(a)[0]
+        profile.append((float(a), float(r @ r)))
     best = min(profile, key=lambda pair: pair[1])[0]
-    alpha_hat, residual = _brent_min(vp_residual, max(0.5005, best - 0.025),
-                                     min(0.9995, best + 0.025))
+    theta, (r, _), log = refine_joint(window, np.array([best, c0_hat]), project(best)[:4],
+                                      sigma, changepoint_min_gap)
     padded = [(None, math.inf), *profile, (None, math.inf)]
-    diag = {"vp_residual": residual, "alpha_vp": alpha_hat, "evaluations": evaluations,
+    diag = {"vp_residual": float(r @ r), "alpha_vp": float(theta[0]),
+            "evaluations": len(profile) + 1 + log["candidates"],
+            "iterations": log["iterations"], "stop": log["stop"],
             "minima": [a for (_, left), (a, v), (_, right)
                        in zip(padded, padded[1:], padded[2:]) if left > v <= right],
             "profile": profile}
-    return float(np.clip(alpha_hat, 0.5005, 0.9995)), diag
-
-
-def _brent_min(f, lo, hi, tol=1e-8):
-    """Brent's minimization on [lo, hi] (Algorithms for Minimization without
-    Derivatives, 1973, ch. 5): parabolic steps through the three best points,
-    golden-section steps when a parabola is not trusted, and no two
-    evaluations closer than the absolute tolerance tol. Stops when the
-    bracket lies within 2 tol of its best point x on both sides, so a
-    unimodal f has its minimum within 2 tol of x. Returns (x, f(x)), the
-    best point evaluated."""
-    golden = (3.0 - math.sqrt(5.0)) / 2.0
-    a, b = lo, hi
-    x = w = v = a + golden * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
-            return x, fx
-        p = q = 0.0
-        if abs(e) > tol:   # the parabola through (v, fv), (w, fw), (x, fx)
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-            e, d = d, p / q   # its minimum is inside the bracket, and the step halves
-            if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
-                d = tol if x <= m else -tol
-        else:
-            e = (a if x >= m else b) - x
-            d = golden * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = f(u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+    return float(theta[0]), diag
 
 
 def detect_change_points(t: np.ndarray, values: np.ndarray, c0_hat: float,
@@ -338,16 +293,18 @@ def _jacobian(alpha: float, lams: np.ndarray, cuts, t: np.ndarray, w: np.ndarray
 def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
                  min_gap: float):
     """Variable-projection Gauss-Newton on theta = (alpha, cuts), minimizing
-    the stacked two-sensor time-domain residual of problem (the tuple of
-    _two_sensor_problem); never increases the residual of the start.
-    Returns (theta, projection, log).
+    the stacked two-sensor time-domain residual of problem, the (t, values,
+    lams, C, phases) of _two_sensor_problem (reconstruct) or of the leading
+    window of estimate_alpha, whose one cut is the window's onset; never
+    increases the residual of the start. Returns (theta, projection, log).
 
     The coefficients are eliminated (Golub and Pereyra, 1973): for each theta
     the relaxation basis D is built once and the real coefficient vector is
     the least-squares solution for the two-sensor operator, through one QR of
     D and one of a small stacked matrix (_project, which also gives the staged
     coefficients). projection is _project's (r, p, q, svals) at the start
-    (_staged_result's; reconstruct keeps no reference) and (r, p) at the end.
+    (_staged_result's, or the window's at its best grid point; the callers
+    keep no reference) and (r, p) at the end.
     The Jacobian is Kaufman's (1975), J = (I - QQ^T) [d(op p)/d alpha,
     d(op p)/dc_k], each column exact and from one pass over the relaxation
     basis (_jacobian); the explicit 2 n_t x dof q serves only that product
@@ -361,9 +318,9 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
     s (2 - s) ||J step||^2 of the squared residual is at least sigma^2, one
     unit of chi^2; below it further steps would fit the noise (on noisy
     data they chase the cusp that every cut has at each grid point).
-    reconstruct passes _pre_onset_sigma, the root mean square of both
-    sensors' samples before the first cut, where the model is exactly zero,
-    or 0 without an estimate; at 0 (noiseless data) the rule is off.
+    Both problems get _pre_onset_sigma, the root mean square of both
+    sensors' samples before the onset, where the model is exactly zero, or 0
+    without an estimate; at 0 (noiseless data) the rule is off.
 
     The log holds iterations (accepted steps), candidates (line-search
     candidates evaluated, one design build each), initial_residual (the
@@ -388,7 +345,7 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
                 and all(b - a >= min_gap / 4 for a, b in zip(cuts[:-1], cuts[1:])))
 
     r, p, q, svals = projection
-    del projection   # reconstruct keeps no reference, so q goes after the first step
+    del projection   # the callers keep no reference, so q goes after the first step
     cost = float(r @ r)
     log = {"iterations": 0, "candidates": 0, "initial_residual": math.sqrt(cost),
            "noise_sigma": sigma}
@@ -461,10 +418,14 @@ def reconstruct(traces, spectrum: SpectrumTable, changepoint_min_gap: float
                 ) -> ReconstructionResult:
     """Full pipeline on one two-sensor problem: onset, order, change points
     and the staged coefficients, then the joint fit refine_joint from them.
+    The noise scale _pre_onset_sigma is taken right after the onset, so the
+    order stage's polish and the joint fit share one noise-floor stop.
     changepoint_min_gap is the paper's eta, at most the true minimum gap
     between cuts. Before any stage runs it must be finite and > 0 (clause
     inversion-config), the traces must share one grid (ShapeError), and the
     grid step must be at most a tenth of the gap (clause changepoint-grid).
+    When eta >= (t_max - c0_hat) / 2 no interior cut fits, and the
+    detect_change_points entry of the stage log carries a note saying so.
     The result's residuals (model flux minus trace, per sensor) and its
     residual_norm, ||r|| / ||y||, are those of the final projection."""
     if len(traces) != 2:
@@ -483,11 +444,13 @@ def reconstruct(traces, spectrum: SpectrumTable, changepoint_min_gap: float
     stage_log = []
     c0_hat = detect_onset(t, values)
     stage_log.append(("detect_onset", {"c0_hat": c0_hat}))
-    alpha_hat, diag = estimate_alpha(t, values, c0_hat, lams, changepoint_min_gap)
-    stage_log.append(("estimate_alpha", diag))
     sigma = _pre_onset_sigma(t, values, c0_hat)
+    alpha_hat, diag = estimate_alpha(t, values, c0_hat, lams, changepoint_min_gap, sigma or 0.0)
+    stage_log.append(("estimate_alpha", diag))
     interior = detect_change_points(t, values, c0_hat, changepoint_min_gap, sigma)
-    stage_log.append(("detect_change_points", {"cuts": list(interior)}))
+    note = ({"note": "no interior cut fits: changepoint_min_gap >= (t_max - c0_hat) / 2"}
+            if changepoint_min_gap >= (t[-1] - c0_hat) / 2 else {})
+    stage_log.append(("detect_change_points", {"cuts": list(interior), **note}))
     cuts = [c0_hat] + interior
     theta, (r, p), log = refine_joint(
         problem, np.array([alpha_hat] + cuts), _staged_result(problem, alpha_hat, cuts, stage_log),

@@ -76,6 +76,14 @@ def _change_points(traces, c0, gap=GAP):
     return detect_change_points(t, values, c0, gap, inversion._pre_onset_sigma(t, values, c0))
 
 
+def _order(t, values, spectrum, gap=GAP):
+    """estimate_alpha as reconstruct calls it: at the detected onset, with
+    the pre-onset noise estimate as its polish's noise floor."""
+    c0 = detect_onset(t, values)
+    return estimate_alpha(t, values, c0, _lams(spectrum), gap,
+                          inversion._pre_onset_sigma(t, values, c0) or 0.0)
+
+
 def _noisy(traces, level, seed):
     rng = np.random.default_rng(seed)
     out = []
@@ -192,7 +200,7 @@ class TestEstimateAlpha:
                             piece_coeffs=(p1, p2), spectrum=spectrum30)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
         t, values = _grid_values(traces)
-        got, diag = estimate_alpha(t, values, detect_onset(t, values), _lams(spectrum30), GAP)
+        got, diag = _order(t, values, spectrum30)
         assert abs(got - alpha) <= 5e-3
         # the search polishes the lowest point of the recorded profile, the
         # recorded minimum nearest alpha_vp, within 0.025 of it
@@ -205,48 +213,32 @@ class TestEstimateAlpha:
         # its variable-projection residual; the noiseless reference model
         # (alpha 0.75) has one interior minimum, at 0.74
         t, values = _grid_values(reference_traces)
-        got, diag = estimate_alpha(t, values, detect_onset(t, values), _lams(spectrum30), GAP)
+        got, diag = _order(t, values, spectrum30)
         alphas, residuals = np.array(diag["profile"]).T
         assert np.array_equal(alphas, np.arange(0.52, 0.995, 0.02))
         assert np.all(residuals >= diag["vp_residual"])
         assert diag["minima"] == pytest.approx([0.74], abs=1e-9)
         assert abs(got - 0.75) <= 1e-6
 
-    def test_brent_polish_matches_a_fine_search(self, spectrum30, reference_traces,
-                                                monkeypatch):
-        # Brent's method on the reference window lands within 2e-8 of the
-        # minimum that a golden-section search to a 1e-10 bracket finds, in
-        # at most 14 evaluations, and reports the residual of its own point
-        seen = {}
-        brent = inversion._brent_min
-
-        def recording(f, lo, hi):
-            points = []
-            x, fx = brent(lambda a: points.append(a) or f(a), lo, hi)
-            seen.update(f=f, lo=lo, hi=hi, points=points)
-            return x, fx
-
-        monkeypatch.setattr(inversion, "_brent_min", recording)
+    @pytest.mark.parametrize("gap", [0.3, 0.1])
+    def test_window_polish_reaches_the_order(self, spectrum30, reference_traces, gap):
+        # refine_joint polishes the best grid point on the noiseless
+        # reference window and converges to the true order: the window's
+        # onset is freed, so the onset that detect_onset puts one grid step
+        # early biases alpha no more
         t, values = _grid_values(reference_traces)
-        _, diag = estimate_alpha(t, values, detect_onset(t, values), _lams(spectrum30), GAP)
-        f, a, b = seen["f"], seen["lo"], seen["hi"]
-        assert len(seen["points"]) <= 14
-        assert diag["evaluations"] == len(diag["profile"]) + len(seen["points"])
-        assert diag["alpha_vp"] in seen["points"]
-        assert diag["vp_residual"] == f(diag["alpha_vp"])
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = f(c), f(d)
-        while b - a > 1e-10:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = f(d)
-        assert abs(diag["alpha_vp"] - 0.5 * (a + b)) <= 2e-8
+        _, diag = _order(t, values, spectrum30, gap)
+        assert abs(diag["alpha_vp"] - 0.75) <= 1e-11
+        assert diag["stop"] == "converged"
+
+    def test_noisy_short_window_takes_few_builds(self, spectrum30, reference_traces):
+        # 1 % noise and a 0.1-long window (gap 0.1): the polish stops at the
+        # noise floor, and the order stage stays within the 36 window builds
+        # that CI allows the 0.3 config
+        t, values = _grid_values(_noisy(reference_traces, 0.01, 20240817))
+        _, diag = _order(t, values, spectrum30, 0.1)
+        assert diag["stop"] == "noise-floor"
+        assert diag["evaluations"] <= 36
 
     def test_seed0_draw_records_two_minima(self, spectrum30, reference_grid):
         # the noiseless seed-0 draw at alpha 0.75: the search keeps the lower
@@ -255,7 +247,7 @@ class TestEstimateAlpha:
                             piece_coeffs=_seed0_pieces(spectrum30), spectrum=spectrum30)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
         t, values = _grid_values(traces)
-        got, diag = estimate_alpha(t, values, detect_onset(t, values), _lams(spectrum30), GAP)
+        got, diag = _order(t, values, spectrum30)
         assert diag["minima"] == pytest.approx([0.62, 0.74], abs=1e-9)
         assert abs(got - 0.62) <= 0.025
 
@@ -269,7 +261,7 @@ class TestEstimateAlpha:
                             spectrum=spectrum30)
         traces = tuple(flux_trace(model, th, reference_grid) for th in (0.3, 1.3))
         t, values = _grid_values(traces)
-        got, diag = estimate_alpha(t, values, detect_onset(t, values), _lams(spectrum30), GAP)
+        got, diag = _order(t, values, spectrum30)
         profile = diag["profile"]
         assert min(profile, key=lambda pair: pair[1]) == profile[-1]
         assert profile[0][1] > profile[1][1]
@@ -451,6 +443,17 @@ class TestReconstructPipeline:
         assert abs(res.alpha_hat - 0.8) <= 1e-3
         assert abs(res.cuts_hat[0] - 0.3) <= 2e-3
 
+    def test_eta_beyond_half_the_record_is_noted(self, spectrum30, reference_traces):
+        # every interior cut lies in (c0_hat + eta, t_max - eta), which is
+        # empty once eta >= (t_max - c0_hat) / 2: at eta 3.0 on the 4.0-long
+        # reference record the change-point entry says so, at eta 0.3 it
+        # does not
+        for gap, noted in ((3.0, True), (0.3, False)):
+            got = reconstruct(reference_traces, spectrum30, gap)
+            entry = dict(got.stage_log)["detect_change_points"]
+            assert ("note" in entry) == noted, gap
+            assert noted == (got.K_hat == 1)
+
     def test_scale_equivariance(self, spectrum30, reference_grid):
         p1 = make_coeffs(spectrum30, REF_PIECE_1)
         p2 = make_coeffs(spectrum30, REF_PIECE_2)
@@ -605,7 +608,7 @@ def _staged(traces, spectrum, gap=GAP):
     cuts_hat, coeffs_hat and the stage log of _solve (a dict) as attributes."""
     t, values = _grid_values(traces)
     c0 = detect_onset(t, values)
-    alpha, _ = estimate_alpha(t, values, c0, _lams(spectrum), gap)
+    alpha, _ = _order(t, values, spectrum, gap)
     cuts = [c0] + _change_points(traces, c0, gap)
     alpha, cuts, coeffs, log = _solve(traces, spectrum, alpha, cuts, refine=False)
     return SimpleNamespace(alpha_hat=alpha, cuts_hat=cuts, coeffs_hat=coeffs, log=log)
@@ -735,10 +738,12 @@ class TestRefineNoisy:
     def test_one_problem_per_reconstruct(self, spectrum30, reference_traces, monkeypatch):
         # reconstruct sets up the two-sensor problem once and refine starts
         # from the staged projection: no design is built twice at one point.
-        # The order stage's Brent polish, refine's one-pass Jacobian and its
-        # line search that stops at the noise floor keep the builds few: on
-        # the reference grid with 1 % noise, a noise-floor test before the
-        # first candidate only took 13 candidates and 6 Jacobians
+        # refine_joint serves the order stage's window and the full grid,
+        # each with its one-pass Jacobian and its line search that stops at
+        # the noise floor, and that keeps the builds few: on the reference
+        # grid with 1 % noise, a noise-floor test before the first candidate
+        # only took 13 candidates and 6 Jacobians. The two problems are told
+        # apart by their row counts
         traces = _noisy(reference_traces, 0.01, 20240817)
         calls = {name: [] for name in ("_two_sensor_problem", "_pre_onset_sigma",
                                        "relaxation_design", "relaxation_derivatives")}
@@ -758,8 +763,12 @@ class TestRefineNoisy:
         assert len(window) == log["estimate_alpha"]["evaluations"] <= 36
         # the staged projection, then one per line-search candidate
         assert len(full) == 1 + log["refine_joint"]["candidates"] <= 8
-        assert log["refine_joint"]["stop"] == "noise-floor"
-        assert len(calls["relaxation_derivatives"]) == log["refine_joint"]["iterations"] + 1 <= 5
+        assert log["refine_joint"]["stop"] == log["estimate_alpha"]["stop"] == "noise-floor"
+        # one Jacobian per accepted step and one for the step that stopped
+        passes = [len(args[3]) for args in calls["relaxation_derivatives"]]
+        assert passes.count(n_t) == log["refine_joint"]["iterations"] + 1 <= 5
+        assert (len(passes) - passes.count(n_t) == log["estimate_alpha"]["iterations"] + 1
+                <= 5)
         assert rates == []
         staged = log["staged_coefficients"]["relative_residuals"]
         want = math.hypot(*(rel * np.linalg.norm(tr.values)
@@ -830,9 +839,9 @@ class TestRefineNoisy:
     def test_staged_point_is_feasible(self, spectrum30, reference_model, gap, level,
                                       alpha):
         # refine starts at the staged alpha and cuts without a feasibility
-        # check of its own: the order is clipped to [0.5005, 0.9995], the
-        # onset is >= 0, and interior cuts lie below t_max - gap and at
-        # least gap apart
+        # check of its own: the order stays in (1/2, 1), where the window's
+        # polish (refine_joint itself) keeps it, the onset is >= 0, and
+        # interior cuts lie below t_max - gap and at least gap apart
         model = SourceModel(alpha=alpha, cuts=reference_model.cuts,
                             piece_coeffs=reference_model.piece_coeffs, spectrum=spectrum30)
         t = np.linspace(0.0, 4.0, 1001)
