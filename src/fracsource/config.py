@@ -135,10 +135,10 @@ def _check_model(model: dict) -> None:
     and k required) and densities hold only the keys and types of _PIECE
     and _ROW, checked by _merge."""
     for i, cut in enumerate(model["cuts"]):
-        if cut not in ("inf", None) and type(cut) not in (int, float):
-            raise ValidationError(f'config key model.cuts[{i}] must be a number, "inf" or null, '
-                                  f"got {cut!r}", clause="config-schema")
         _check_double(f"model.cuts[{i}]", cut)
+        if cut not in ("inf", None) and (type(cut) not in (int, float) or math.isnan(cut)):
+            raise ValidationError(f'config key model.cuts[{i}] must be a number (not NaN), "inf" '
+                                  f"or null, got {cut!r}", clause="config-schema")
     for p, piece in enumerate(model["pieces"]):
         _merge(_PIECE, piece, f"model.pieces[{p}]")
         for r, row in enumerate(piece.get("coefficients", [])):
@@ -152,8 +152,9 @@ def load_config(text_or_path) -> ExperimentConfig:
     """The config of a JSON file, or of JSON text (a str that starts with
     "{"), merged over the defaults. A file that cannot be read or does not
     hold JSON raises ValidationError (clause config-file) naming it; _merge
-    and _check_model check the keys and types, noise.level must be finite
-    and >= 0, each output.laplace_s entry a finite number > 0, and
+    and _check_model check the keys and types, spectrum.lambda_max and
+    grid.t_max must be finite, noise.level finite and >= 0, noise.seed
+    >= 0, each output.laplace_s entry a finite number > 0, and
     inversion.changepoint_min_gap finite and > 0 (clause inversion-config)."""
     source, text = "text", text_or_path
     if not (isinstance(text, str) and text.lstrip().startswith("{")):
@@ -171,10 +172,14 @@ def load_config(text_or_path) -> ExperimentConfig:
                               clause="config-file") from None
     merged = _merge(_DEFAULTS, doc)
     _check_model(merged["model"])
-    level = merged["noise"]["level"]
-    if not 0 <= level < math.inf:
-        raise ValidationError(f"noise.level must be a finite number >= 0, got {level!r}",
-                              clause="config-schema")
+    for name, ok, want in (("spectrum.lambda_max", math.isfinite, "a finite number"),
+                           ("grid.t_max", math.isfinite, "a finite number"),
+                           ("noise.level", lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+                           ("noise.seed", lambda v: v >= 0, "an integer >= 0")):
+        section, key = name.split(".")
+        value = merged[section][key]
+        if not ok(value):
+            raise ValidationError(f"{name} must be {want}, got {value!r}", clause="config-schema")
     check_changepoint_min_gap(merged["inversion"]["changepoint_min_gap"])
     for i, s in enumerate(merged["output"]["laplace_s"]):
         _check_double(f"output.laplace_s[{i}]", s)

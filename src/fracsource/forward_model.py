@@ -7,7 +7,13 @@ mode amplitude under a source that is constant on [c_{k-1}, c_k) is a finite
 difference of Mittag-Leffler relaxation profiles. The boundary flux weights
 each mode by -lambda_n s_n a_n(z) (disc_spectrum.sensor_weights, their one
 definition), so it is a sum of these differences, one per (distinct
-eigenvalue, piece), weighted by the grouped amplitudes (_grouped).
+eigenvalue, piece), weighted by the grouped amplitudes b_{j,k,l}.
+
+The grouped amplitudes have one map. A real-field model's pieces are real
+dof rows (_dofs; _dof_map takes them back to the coefficients), and each
+sensor has one real phase matrix (_phases) with b_l = phase_l @ dofs.T.
+Synthesis (flux_traces), the Laplace model, the measurement identity and
+every inversion stage take their amplitudes from it.
 
 relaxation_design builds that relaxation basis, relaxation_rates its
 derivatives in the cuts, and relaxation_derivatives those and its
@@ -42,9 +48,7 @@ __all__ = [
     "relaxation_design",
     "relaxation_rates",
     "relaxation_derivatives",
-    "relaxation_flux",
     "verify_measurement_identity",
-    "grouped_amplitudes",
 ]
 
 # threshold of the sensor-geometry guard on min |sin(|m| delta_theta)|
@@ -163,25 +167,47 @@ class FluxTrace:
         object.__setattr__(self, "values", values)
 
 
-def grouped_amplitudes(model: SourceModel, theta_z: float) -> np.ndarray:
-    """_grouped of the model's pieces."""
-    return _grouped(model.spectrum, [pc.values for pc in model.piece_coeffs], theta_z)
+def _dof_map(spectrum: SpectrumTable) -> np.ndarray:
+    """C of the real parametrization of one conjugate-symmetric coefficient
+    set: dof i is the coefficient of an m = 0 mode i, and a +-m pair
+    (i, i + 1) has dofs (Re p, Im p) of its +m coefficient p. C (dofs x
+    modes) is complex, and a piece's coefficients are its dof row times C."""
+    c = np.zeros((len(spectrum), len(spectrum)), dtype=complex)
+    for _, idx in spectrum.distinct_eigenvalues:
+        c[idx[0], idx] = 1.0
+        if len(idx) == 2:
+            c[idx[1], idx] = (1j, -1j)
+    return c
 
 
-def _grouped(spectrum: SpectrumTable, rows, theta_z: float) -> np.ndarray:
-    """b[j, k] = sum over modes with lambda_n = lambda_j of s_n a_n(z) p_{k,n},
-    s_n a_n(z) the sensor_weights and p_k the coefficient row k (an array
-    over the modes). These grouped amplitudes are the only combinations of
-    the coefficients a single sensor sees, one per (distinct eigenvalue,
-    piece)."""
-    weights = sensor_weights(spectrum, theta_z)
-    groups = spectrum.distinct_eigenvalues
-    out = np.zeros((len(groups), len(rows)), dtype=complex)
-    for j, (_, idx) in enumerate(groups):
-        idx = list(idx)
-        for k, row in enumerate(rows):
-            out[j, k] = np.sum(weights[idx] * row[idx])
-    return out
+def _dofs(model: SourceModel) -> np.ndarray:
+    """The real dof rows of the model's pieces, shape (K, dofs): the inverse
+    of _dof_map, so that _dofs(model) @ C gives the coefficients back.
+    Raises ValidationError (clause real-field) unless the model is
+    real-field."""
+    if not model.is_real_field():
+        raise ValidationError("the source model needs conjugate-symmetric "
+                              "(real-field) coefficients", clause="real-field")
+    coeffs = np.array([pc.values for pc in model.piece_coeffs])
+    dofs = coeffs.real.copy()
+    for _, idx in model.spectrum.distinct_eigenvalues:
+        if len(idx) == 2:
+            dofs[:, idx[1]] = coeffs[:, idx[0]].imag
+    return dofs
+
+
+def _phases(spectrum: SpectrumTable, angles) -> list:
+    """One real phase matrix per sensor angle, shape (J, dofs): column d
+    holds the grouped amplitudes b_j = sum over modes with lambda_n =
+    lambda_j of s_n a_n(z) p_n (the sensor_weights) of the coefficients p =
+    row d of C (_dof_map). These are the only combinations of the
+    coefficients a single sensor sees, and phase @ dofs.T gives them for
+    every piece at once. reduceat sums each group over its modes, which
+    SpectrumTable keeps adjacent."""
+    c = _dof_map(spectrum)
+    starts = [idx[0] for _, idx in spectrum.distinct_eigenvalues]
+    return [np.add.reduceat(c * sensor_weights(spectrum, theta), starts, axis=1).T.real
+            for theta in angles]
 
 
 # Exponential-sum form of the relaxation profiles. For 0 < alpha < 1,
@@ -535,44 +561,22 @@ def relaxation_derivatives(alpha: float, lams, cuts, times):
     return both[:, 0], both[:, 1]
 
 
-def relaxation_flux(alpha: float, bounds, piece_coeffs, spectrum: SpectrumTable,
-                    sensor_angles, times) -> list:
-    """Complex flux -sum_{j,k} b_{j,k} D[:, j, k] at each sensor angle, with
-    b the grouped amplitudes of piece_coeffs and D one relaxation_design
-    shared by all angles: the sum that synthesis (flux_traces) writes."""
-    lams = np.array([lam for lam, _ in spectrum.distinct_eigenvalues])
-    design = relaxation_design(alpha, lams, bounds, times)
-    out = []
-    for theta in sensor_angles:
-        b = _grouped(spectrum, [pc.values for pc in piece_coeffs], theta)
-        vals = np.zeros(design.shape[0], dtype=complex)
-        for j in range(design.shape[1]):
-            for k in range(design.shape[2]):
-                vals -= b[j, k] * design[:, j, k]
-        out.append(vals)
-    return out
-
-
 def flux_trace(model: SourceModel, sensor_angle: float, times) -> FluxTrace:
     """Boundary flux du/dnu(z, t) on the grid; real-field models only."""
     return flux_traces(model, [sensor_angle], times)[0]
 
 
 def flux_traces(model: SourceModel, sensor_angles, times) -> list:
-    """flux_trace at each sensor angle, from one relaxation basis."""
+    """flux_trace at each sensor angle: -sum_{j,k} D[:, j, k] b_l[j, k],
+    with D one relaxation_design and b_l = phase_l @ dofs.T the grouped
+    amplitudes of sensor l (_phases, _dofs)."""
     times = np.asarray(times, dtype=float)
-    if not model.is_real_field():
-        raise ValidationError("flux_trace requires conjugate-symmetric "
-                              "(real-field) coefficients", clause="real-field")
-    fluxes = relaxation_flux(model.alpha, model.cuts, model.piece_coeffs,
-                             model.spectrum, sensor_angles, times)
-    out = []
-    for sensor_angle, values in zip(sensor_angles, fluxes):
-        if float(np.max(np.abs(values.imag))) > 1e-10:
-            raise ShapeError("flux imaginary part exceeded tolerance")
-        out.append(FluxTrace(sensor_angle=float(sensor_angle), times=times,
-                             values=values.real))
-    return out
+    dofs = _dofs(model)
+    lams = np.array([lam for lam, _ in model.spectrum.distinct_eigenvalues])
+    design = relaxation_design(model.alpha, lams, model.cuts, times)
+    return [FluxTrace(sensor_angle=float(theta), times=times,
+                      values=np.einsum("tjk,jk->t", design, -(phase @ dofs.T)))
+            for theta, phase in zip(sensor_angles, _phases(model.spectrum, sensor_angles))]
 
 
 def _cumulative_power_integral(x: np.ndarray, f: np.ndarray, alpha: float) -> np.ndarray:
@@ -602,7 +606,7 @@ def verify_measurement_identity(model: SourceModel, sensor_angle: float,
     alpha = model.alpha
     groups = model.spectrum.distinct_eigenvalues
     lams = np.array([lam for lam, _ in groups])
-    b = grouped_amplitudes(model, sensor_angle).real
+    b = _phases(model.spectrum, [sensor_angle])[0] @ _dofs(model).T
     inv_gamma_a = 1.0 / math.gamma(alpha)
     # F_k(s) = sum_j b[j,k] (1/Gamma(a) - E_{a,a}(-lambda_j s^a)) on the grid,
     # E_{a,a} from the cut column lambda s^(a-1) E_{a,a}(-lambda s^a) at cut 0,

@@ -30,7 +30,8 @@ from .errors import (
     ValidationError,
 )
 from .forward_model import (
-    _grouped,
+    _dof_map,
+    _phases,
     check_sensor_geometry,
     relaxation_derivatives,
     relaxation_design,
@@ -125,9 +126,9 @@ def estimate_alpha(t: np.ndarray, values: np.ndarray, c0_hat: float, lams: np.nd
                    changepoint_min_gap: float, sigma: float):
     """Order estimate from the leading window t in [c0, c0 + delta], delta =
     min(changepoint_min_gap, ALPHA_LEADING_DELTA), where only the first piece
-    acts: the variable-projection problem (t_w, values_w, lams, None,
-    phases_w) of the relaxation basis {1 - E_{alpha,1}(-lambda_j tau^alpha)},
-    lams the distinct eigenvalues, whose phase maps [I_J | 0] and [0 | I_J]
+    acts: the variable-projection problem (t_w, values_w, lams, phases_w)
+    of the relaxation basis {1 - E_{alpha,1}(-lambda_j tau^alpha)}, lams
+    the distinct eigenvalues, whose phase maps [I_J | 0] and [0 | I_J]
     fit each sensor's trace (a row of values) with its own amplitudes. Each
     alpha of a 0.02 grid over [0.52, 0.98] is scored by the squared residual
     of _project at the onset c0_hat, and refine_joint polishes the best grid
@@ -144,14 +145,14 @@ def estimate_alpha(t: np.ndarray, values: np.ndarray, c0_hat: float, lams: np.nd
     delta = min(changepoint_min_gap, ALPHA_LEADING_DELTA)
     mask = (t >= c0_hat - 1e-12) & (t <= c0_hat + delta + 1e-12)
     n_lams = len(lams)
-    window = (t[mask], values[:, mask], lams, None,
+    window = (t[mask], values[:, mask], lams,
               [np.eye(n_lams, 2 * n_lams), np.eye(n_lams, 2 * n_lams, n_lams)])
     y = -window[1].ravel()
 
     def project(alpha):
         # one piece [c0_hat, inf): columns 1 - E_{alpha,1}(-lam_j tau^alpha)
         return _project(relaxation_design(alpha, lams, [c0_hat, math.inf], window[0]),
-                        window[4], y)
+                        window[3], y)
 
     profile = []
     for a in np.arange(0.52, 0.995, 0.02):
@@ -211,37 +212,18 @@ def _sigma_ratio(svals: np.ndarray) -> float:
     return float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0
 
 
-def _dof_map(spectrum: SpectrumTable) -> np.ndarray:
-    """C of the real parametrization of one conjugate-symmetric coefficient
-    set: dof i is the coefficient of an m = 0 mode i, and a +-m pair
-    (i, i + 1) has dofs (Re p, Im p) of its +m coefficient p. C (dofs x
-    modes) is complex, and a piece's coefficients are its dof row times C."""
-    c = np.zeros((len(spectrum), len(spectrum)), dtype=complex)
-    for _, idx in spectrum.distinct_eigenvalues:
-        c[idx[0], idx] = 1.0
-        if len(idx) == 2:
-            c[idx[1], idx] = (1j, -1j)
-    return c
-
-
-def _phases(spectrum: SpectrumTable, c: np.ndarray, angles) -> list:
-    """One phase matrix per sensor angle: _grouped of the rows of C (real),
-    which maps the dofs of a piece to its grouped amplitudes."""
-    return [_grouped(spectrum, c, theta).real for theta in angles]
-
-
 def _two_sensor_problem(traces, spectrum: SpectrumTable):
-    """(t, values, lams, C, phases), which every stage reads: the grid of
-    both traces (ShapeError unless they share it, to 1e-12), the (2, n_t)
-    trace values, the distinct eigenvalues, C of the dof map and one phase
-    matrix per sensor. _project's right side is -values.ravel()."""
+    """(t, values, lams, phases), which every stage reads: the grid of both
+    traces (ShapeError unless they share it, to 1e-12), the (2, n_t) trace
+    values, the distinct eigenvalues and the phase matrix of each sensor
+    (forward_model._phases, the map of synthesis). _project's right side
+    is -values.ravel()."""
     t, other = traces[0].times, traces[1].times
     if len(other) != len(t) or not np.allclose(other, t, rtol=0, atol=1e-12):
         raise ShapeError("traces must share a common time grid")
-    c = _dof_map(spectrum)
     return (t, np.stack([tr.values for tr in traces]),
-            np.array([lam for lam, _ in spectrum.distinct_eigenvalues]), c,
-            _phases(spectrum, c, [tr.sensor_angle for tr in traces]))
+            np.array([lam for lam, _ in spectrum.distinct_eigenvalues]),
+            _phases(spectrum, [tr.sensor_angle for tr in traces]))
 
 
 def _project(design: np.ndarray, phases, y: np.ndarray):
@@ -294,7 +276,7 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
                  min_gap: float):
     """Variable-projection Gauss-Newton on theta = (alpha, cuts), minimizing
     the stacked two-sensor time-domain residual of problem, the (t, values,
-    lams, C, phases) of _two_sensor_problem (reconstruct) or of the leading
+    lams, phases) of _two_sensor_problem (reconstruct) or of the leading
     window of estimate_alpha, whose one cut is the window's onset; never
     increases the residual of the start. Returns (theta, projection, log).
 
@@ -335,7 +317,7 @@ def refine_joint(problem, theta: np.ndarray, projection, sigma: float,
     consecutive rejected steps"; it means the line search found no
     decrease, not that the iterates diverged.
     """
-    t, values, lams, _, phases = problem
+    t, values, lams, phases = problem
     y = -values.ravel()
     n_pieces = len(theta) - 1
 
@@ -399,7 +381,7 @@ def _staged_result(problem, alpha: float, cuts: list, stage_log: list):
     where refine_joint starts. Raises ConditioningError when the relaxation
     design is numerically rank-deficient. Appends staged_coefficients to
     stage_log: each sensor's relative residual and the design's sigma_ratio."""
-    t, values, lams, _, phases = problem
+    t, values, lams, phases = problem
     r, p, q, op_svals, rd = _project(relaxation_design(alpha, lams, cuts + [math.inf], t),
                                      phases, -values.ravel())
     svals = np.linalg.svd(rd.reshape(len(rd), -1), compute_uv=False)  # D's
@@ -435,7 +417,7 @@ def reconstruct(traces, spectrum: SpectrumTable, changepoint_min_gap: float
     condition_report = check_sensor_geometry(
         spectrum, traces[0].sensor_angle - traces[1].sensor_angle)
     problem = _two_sensor_problem(traces, spectrum)
-    t, values, lams, c, _ = problem
+    t, values, lams, _ = problem
     h = float(t[1] - t[0])
     if h > changepoint_min_gap / 10.0 + 1e-15:
         raise ValidationError(
@@ -461,7 +443,7 @@ def reconstruct(traces, spectrum: SpectrumTable, changepoint_min_gap: float
         alpha_hat=float(theta[0]),
         cuts_hat=[float(cut) for cut in theta[1:]],
         coeffs_hat=[ModeCoefficients(values=v)
-                    for v in p.reshape(n_pieces, -1) @ c],
+                    for v in p.reshape(n_pieces, -1) @ _dof_map(spectrum)],
         residual_norm=log["final_residual"] / (float(np.linalg.norm(values)) or 1.0),
         stage_log=stage_log,
         condition_report=condition_report,

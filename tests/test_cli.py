@@ -339,13 +339,19 @@ class TestConfigValidation:
         ("spectrum.lambda_max", "x"), ("sensors.theta1", "x"), ("model.alpha", "x"),
         ("model.cuts", "inf"), ("output.directory", 3),
         pytest.param("grid.t_max", 10 ** 400, id="grid.t_max-beyond-a-double"),
+        ("spectrum.lambda_max", math.nan), ("spectrum.lambda_max", math.inf),
+        ("grid.t_max", math.nan), ("grid.t_max", math.inf), ("noise.seed", -3),
+        ("model.cuts", [0.2, 1.2, math.nan]),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, key, value):
         # a value of another JSON type than its default, a noise level that
-        # is not finite and >= 0, or an integer beyond the range of a double
-        # where a float is expected: unchecked, each ends in a traceback
-        # (exit 1; OverflowError for the integer) or in a run that silently
-        # differs from the config
+        # is not finite and >= 0, an integer beyond the range of a double
+        # where a float is expected, a lambda_max or t_max that is not
+        # finite, a negative seed or a NaN cut: unchecked, each ends in a
+        # traceback (exit 1; OverflowError for the integer and an infinite
+        # lambda_max, ValueError from default_rng for the seed) or in a run
+        # that silently differs from the config (a NaN last cut ran as an
+        # open piece)
         cfg_path = write_config(tmp_path, {key: value})
         code, err = _exit_and_error(capsys, ["synth", "--config", cfg_path, "--quiet"])
         assert code == 2

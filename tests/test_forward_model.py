@@ -17,7 +17,6 @@ from fracsource.forward_model import (
     SourceModel,
     check_sensor_geometry,
     flux_trace,
-    grouped_amplitudes,
     relaxation_design,
     relaxation_rates,
     verify_measurement_identity,
@@ -254,14 +253,13 @@ class TestSecondRadialModeSigns:
 
 
 class TestGroupedAmplitudes:
-    def test_real_for_real_field(self, reference_model):
-        b = grouped_amplitudes(reference_model, 0.3)
-        assert np.max(np.abs(b.imag)) <= 1e-15
-
     def test_matches_direct_sum(self, reference_model):
+        # the one map, phase @ dofs.T, against the complex sum over each
+        # eigenvalue group of the boundary coefficients times the values
         from fracsource.disc_spectrum import boundary_coefficient
-        b = grouped_amplitudes(reference_model, 1.3)
         sp = reference_model.spectrum
+        b = forward_model._phases(sp, [1.3])[0] @ forward_model._dofs(reference_model).T
+        assert b.dtype == float
         for j, (lam, idx) in enumerate(sp.distinct_eigenvalues):
             for k, pc in enumerate(reference_model.piece_coeffs):
                 direct = sum(boundary_coefficient(sp.modes[i], 1.3) * pc.values[i]

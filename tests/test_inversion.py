@@ -22,9 +22,8 @@ from fracsource.forward_model import (
     FluxTrace,
     SourceModel,
     flux_trace,
-    grouped_amplitudes,
+    flux_traces,
     relaxation_design,
-    relaxation_flux,
     relaxation_rates,
 )
 from fracsource.inversion import (
@@ -50,13 +49,18 @@ J6_PIECE_2 = {(0, 1): -0.4, (1, 1): 0.9 - 0.3j, (2, 1): 0.2 + 0.4j,
 
 
 def _model_flux(result, spectrum, traces):
-    """The flux of a reconstruction at each trace's sensor, by the
-    grouped-amplitude sum that synthesis uses, independent of the
+    """The flux of a reconstruction at each trace's sensor: flux_traces of
+    the SourceModel that the result describes, independent of the
     projection that reconstruct ends with."""
-    fluxes = relaxation_flux(result.alpha_hat, list(result.cuts_hat) + [math.inf],
-                             result.coeffs_hat, spectrum,
-                             [tr.sensor_angle for tr in traces], traces[0].times)
-    return [f.real for f in fluxes]
+    model = SourceModel(alpha=result.alpha_hat, cuts=(*result.cuts_hat, math.inf),
+                        piece_coeffs=tuple(result.coeffs_hat), spectrum=spectrum)
+    return [tr.values for tr in flux_traces(model, [tr.sensor_angle for tr in traces],
+                                            traces[0].times)]
+
+
+def _amplitudes(model, theta):
+    """The grouped amplitudes of the model at the sensor angle theta."""
+    return forward_model._phases(model.spectrum, [theta])[0] @ forward_model._dofs(model).T
 
 
 def _grid_values(traces):
@@ -365,8 +369,8 @@ class TestSolveAmplitudes:
         rebuilt = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
                               piece_coeffs=tuple(coeffs), spectrum=spectrum50)
         for theta in (0.3, 1.3):
-            truth = grouped_amplitudes(model, theta)
-            rel = (np.abs(grouped_amplitudes(rebuilt, theta) - truth)
+            truth = _amplitudes(model, theta)
+            rel = (np.abs(_amplitudes(rebuilt, theta) - truth)
                    / (np.abs(truth) + 1e-12))
             assert np.max(rel) <= 1e-3
         assert _coeff_rel_err(coeffs, model) <= 1e-3
@@ -597,7 +601,7 @@ def _solve(traces, spectrum, alpha, cuts, refine=True):
         sigma = inversion._pre_onset_sigma(*problem[:2], cuts[0]) or 0.0
         theta, projection, refine_log = refine_joint(problem, theta, projection, sigma, GAP)
         log.append(("refine_joint", refine_log))
-    rows = projection[1].reshape(len(theta) - 1, -1) @ problem[3]
+    rows = projection[1].reshape(len(theta) - 1, -1) @ forward_model._dof_map(spectrum)
     coeffs = [ModeCoefficients(values=v) for v in rows]
     return float(theta[0]), [float(c) for c in theta[1:]], coeffs, dict(log)
 
@@ -619,21 +623,33 @@ class TestDofMap:
     def test_phases_give_the_grouped_amplitudes(self, spectrum, request):
         # a real dof vector maps to conjugate-symmetric coefficients P C, and
         # the phase rows give the grouped amplitudes that synthesis sums: the
-        # sensor weights summed over each eigenvalue group
+        # sensor weights summed over each eigenvalue group. _dofs takes the
+        # coefficients back to P exactly, so P C round-trips exactly, and it
+        # rejects coefficients whose +1 and -1 entries are not conjugate
         spec = request.getfixturevalue(spectrum)
-        c = inversion._dof_map(spec)
+        c = forward_model._dof_map(spec)
         pvec = np.random.default_rng(11).normal(size=2 * len(spec))
         coeffs = pvec.reshape(2, -1) @ c
         model = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
                             piece_coeffs=tuple(map(ModeCoefficients, coeffs)),
                             spectrum=spec)
         assert model.is_real_field(tol=0.0)
-        for theta, phase in zip((0.3, 1.3), inversion._phases(spec, c, (0.3, 1.3))):
+        dofs = forward_model._dofs(model)
+        assert dofs.dtype == float
+        assert np.array_equal(dofs, pvec.reshape(2, -1))
+        assert np.array_equal(dofs @ c, coeffs)
+        broken = coeffs.copy()
+        broken[0, spec.index_of(1, 1)] += 1e-6j
+        with pytest.raises(ValidationError) as err:
+            forward_model._dofs(SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
+                                            piece_coeffs=tuple(map(ModeCoefficients, broken)),
+                                            spectrum=spec))
+        assert err.value.clause == "real-field"
+        for theta, phase in zip((0.3, 1.3), forward_model._phases(spec, (0.3, 1.3))):
             weights = sensor_weights(spec, theta)
             want = np.array([[sum(weights[i] * row[i] for i in idx) for row in coeffs]
                              for _, idx in spec.distinct_eigenvalues])
             scale = np.max(np.abs(want))
-            assert np.max(np.abs(grouped_amplitudes(model, theta) - want)) <= 1e-15 * scale
             got = phase @ pvec.reshape(2, -1).T
             assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
@@ -647,7 +663,7 @@ class TestCutJacobian:
         h = t[1] - t[0]
         lams = np.array([lam for lam, _ in spectrum30.distinct_eigenvalues])
         per = len(spectrum30)
-        phases = inversion._phases(spectrum30, inversion._dof_map(spectrum30), (0.3, 1.3))
+        phases = forward_model._phases(spectrum30, (0.3, 1.3))
         cuts = [0.2013, 1.2047]
         pvec = np.random.default_rng(3).normal(size=len(cuts) * per)
         wide = [np.repeat(phase, 2, axis=0) for phase in phases]
@@ -684,7 +700,7 @@ class TestJacobian:
             t = 4.0 * np.linspace(0.0, 1.0, 2001) ** 1.3
         lams = np.array([lam for lam, _ in spectrum.distinct_eigenvalues])
         cuts = [0.2013, 1.2047]
-        phases = inversion._phases(spectrum, inversion._dof_map(spectrum), (0.3, 1.3))
+        phases = forward_model._phases(spectrum, (0.3, 1.3))
         pvec = np.random.default_rng(3).normal(size=len(cuts) * len(spectrum))
         w = np.stack([phase @ pvec.reshape(len(cuts), -1).T for phase in phases])
         return t, lams, cuts, w
@@ -930,7 +946,7 @@ class TestProjectMatchesDenseLstsq:
         spec = request.getfixturevalue(spectrum)
         n_lams, n_pieces = len(spec.distinct_eigenvalues), 2
         per = len(spec)
-        phases = inversion._phases(spec, inversion._dof_map(spec), (0.3, 1.3))
+        phases = forward_model._phases(spec, (0.3, 1.3))
         rng = np.random.default_rng(5)
         design = rng.normal(size=(n_t, n_lams * n_pieces))
         y = rng.normal(size=2 * n_t)

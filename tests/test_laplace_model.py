@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import fracsource
+from fracsource import forward_model
 from fracsource.config import columns_to_csv
-from fracsource.disc_spectrum import EigenMode, SpectrumTable, build_spectrum, eigenfunction_eval
-from fracsource.errors import DomainError, HorizonError
-from fracsource.forward_model import FluxTrace, SourceModel, flux_trace, grouped_amplitudes
+from fracsource.disc_spectrum import (
+    EigenMode, ModeCoefficients, SpectrumTable, build_spectrum, eigenfunction_eval)
+from fracsource.errors import DomainError, HorizonError, ValidationError
+from fracsource.forward_model import FluxTrace, SourceModel, flux_trace
 from fracsource.laplace_model import LaplacePoint, laplace_flux_model, numeric_laplace
 from fracsource.specfun import _bessel_j_unchecked, bessel_j_zeros
 
@@ -96,6 +98,17 @@ class TestLaplaceFluxModel:
             expect = a_z * lam / (s * (s ** 0.75 + lam))
             assert got == pytest.approx(expect, rel=1e-12)
 
+    def test_real_field_required(self, spectrum30):
+        # the amplitudes come from the real dof map of synthesis, so a model
+        # that is not conjugate-symmetric is rejected as flux_trace rejects it
+        vals = np.zeros(len(spectrum30), dtype=complex)
+        vals[spectrum30.index_of(1, 1)] = 1.0  # no conjugate partner
+        model = SourceModel(alpha=0.75, cuts=(0.0, math.inf),
+                            piece_coeffs=(ModeCoefficients(values=vals),), spectrum=spectrum30)
+        with pytest.raises(ValidationError) as err:
+            laplace_flux_model(model, 0.3, LaplacePoint(1.0))
+        assert err.value.clause == "real-field"
+
     def test_numeric_cross_check(self, spectrum30):
         p = make_coeffs(spectrum30, {(0, 1): 1.0})
         model = SourceModel(alpha=0.75, cuts=(0.0, math.inf), piece_coeffs=(p,),
@@ -111,10 +124,11 @@ class TestLaplaceFluxModel:
         # s^(1+a) e^(c0 s) G -> sum_n s_n a_n p_{1,n} lambda_n with the
         # expected O(s^-a) approach rate. (The convergence cannot reach 2%
         # at s=200 for any alpha < 1: that would need s^a >= 50*lambda_1.)
-        b = grouped_amplitudes(reference_model, 0.3)
+        b = (forward_model._phases(reference_model.spectrum, [0.3])[0]
+             @ forward_model._dofs(reference_model).T)
         lams = np.array([lam for lam, _ in
                          reference_model.spectrum.distinct_eigenvalues])
-        target = float(np.sum(b[:, 0].real * lams))
+        target = float(np.sum(b[:, 0] * lams))
         alpha, c0 = reference_model.alpha, reference_model.cuts[0]
         s_pts = (50.0, 100.0, 200.0, 1000.0, 3000.0)
         errs = []
@@ -124,7 +138,7 @@ class TestLaplaceFluxModel:
             errs.append(abs(val - target) / abs(target))
             # the rescaled value equals the mode-sum with its finite-s factors
             sa = s ** alpha
-            corrected = float(np.sum(b[:, 0].real * lams * sa / (sa + lams)))
+            corrected = float(np.sum(b[:, 0] * lams * sa / (sa + lams)))
             assert val == pytest.approx(corrected, rel=1e-9)
         assert all(a > b for a, b in zip(errs[:-1], errs[1:]))
         assert errs[-1] < 0.2 * errs[0]
