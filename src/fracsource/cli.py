@@ -25,7 +25,7 @@ from .config import (
     dump_config,
     float_strings,
     load_config,
-    trace_from_csv,
+    read_trace,
     trace_to_csv,
     trace_to_json,
     write_atomic,
@@ -124,12 +124,7 @@ def cmd_invert(args) -> int:
     grid = cfg.times()
     traces = []
     for path, theta in zip(args.traces, sensors.angles):
-        try:
-            with open(path) as fh:
-                t, v = trace_from_csv(fh.read())
-        except OSError as exc:
-            raise ValidationError(f"cannot read trace {path}: {exc.strerror}",
-                                  clause="trace-file") from None
+        t, v = read_trace(path)
         check_trace_grid(t, grid, path)
         traces.append(FluxTrace(sensor_angle=theta, times=grid, values=v))
     result = reconstruct(tuple(traces), spectrum, cfg.inversion["changepoint_min_gap"])
@@ -291,8 +286,7 @@ def cmd_plotdata(args) -> int:
     for i, name in enumerate(names, start=1):
         trace_path = os.path.join(run_dir, os.path.basename(name))
         if os.path.exists(trace_path):
-            with open(trace_path) as fh:
-                t, v = trace_from_csv(fh.read())
+            t, v = read_trace(trace_path)
             rows.append((float_strings(t), [str(i)] * len(t), float_strings(v)))
     write_atomic(os.path.join(run_dir, "plot_flux_vs_t.csv"), columns_to_csv(
         "t,sensor,flux", *(sum(col, []) for col in zip(*rows))))

@@ -20,7 +20,7 @@ from . import __version__
 from .disc_spectrum import ModeCoefficients, SpectrumTable, project_function
 from .errors import ValidationError
 from .forward_model import SensorConfig, SourceModel
-from .inversion import check_changepoint_min_gap
+from .inversion import check_changepoint_min_gap, check_uniform_grid
 
 __all__ = [
     "ExperimentConfig",
@@ -33,6 +33,7 @@ __all__ = [
     "columns_to_csv",
     "trace_to_csv",
     "trace_from_csv",
+    "read_trace",
     "check_trace_grid",
 ]
 
@@ -260,18 +261,24 @@ def build_source_model(cfg: ExperimentConfig, spectrum: SpectrumTable) -> Source
 # ---------------------------------------------------------------------------
 
 def write_atomic(path: str, data: str) -> None:
-    """Write via temp file + rename in the destination directory."""
+    """Write via temp file + rename in the destination directory, which is
+    made if missing. An OSError (the directory's name is taken by a file,
+    say) raises ValidationError (clause output-file) naming path; the temp
+    file never outlives the call."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}",
+                              clause="output-file") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def float_strings(values) -> list:
@@ -317,17 +324,26 @@ def trace_from_csv(text: str):
     return t, v
 
 
+def read_trace(path: str):
+    """trace_from_csv of the file at path; a file that cannot be read (a
+    directory, say) raises ValidationError (clause trace-file) naming it."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read trace {path}: {exc.strerror}",
+                              clause="trace-file") from None
+    return trace_from_csv(text)
+
+
 def check_trace_grid(times: np.ndarray, expected: np.ndarray, source: str):
     """Raise ValidationError (clause trace-grid) unless ``times`` is a
     uniform grid equal to ``expected`` (the config grid), both to 1e-9 of the
-    step; ``source`` names the trace in the message. The change-point and
-    order stages take t[1] - t[0] as the step of the whole trace."""
+    step (check_uniform_grid); ``source`` names the trace in the message."""
     if len(times) < 2:
         raise ValidationError(f"{source}: {len(times)} samples, the config grid has "
                               f"{len(expected)}", clause="trace-grid")
-    h = float(times[-1] - times[0]) / (len(times) - 1)
-    if not (h > 0 and np.all(np.abs(np.diff(times) - h) <= 1e-9 * h)):
-        raise ValidationError(f"{source}: time grid is not uniform", clause="trace-grid")
+    h = check_uniform_grid(times, source)
     if len(times) != len(expected) or not np.all(np.abs(times - expected) <= 1e-9 * h):
         raise ValidationError(
             f"{source}: time grid ({len(times)} samples, t from {float(times[0])!r} to "

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, EmptySpectrumError, ShapeError
-from .specfun import bessel_j_zeros, _bessel_j_unchecked
+from .specfun import _bessel_j_unchecked, _panel_nodes, bessel_j_zeros
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -106,20 +105,6 @@ class ModeCoefficients:
     def __len__(self):
         return len(self.values)
 
-    def is_real_field(self, spectrum: SpectrumTable, tol: float = 1e-10) -> bool:
-        """True when conjugate symmetry holds: coeff(-m,k) == conj(coeff(+m,k))
-        and m=0 coefficients are real."""
-        if len(self) != len(spectrum):
-            raise ShapeError("coefficients do not match the spectrum")
-        for _, idx in spectrum.distinct_eigenvalues:
-            if len(idx) == 1:
-                if abs(self.values[idx[0]].imag) > tol:
-                    return False
-            else:
-                if abs(self.values[idx[0]] - np.conj(self.values[idx[1]])) > tol:
-                    return False
-        return True
-
 
 def build_spectrum(lambda_max: float) -> SpectrumTable:
     """All modes with eigenvalue <= lambda_max.
@@ -135,12 +120,11 @@ def build_spectrum(lambda_max: float) -> SpectrumTable:
     m_bound = int(math.ceil(sq)) + 2
     modes = []
     for m in range(0, m_bound + 1):
-        # count zeros <= sq: spacing > 2, so overshoot then trim
+        # the zeros <= sq, then trim: bessel_j_zeros checks that consecutive
+        # zeros lie more than 2 apart and j_{m,1} >= j_{0,1} > 2.4, so zero
+        # number approx exceeds 2 approx > sq + 6
         approx = max(4, int(sq / 2.0) + 4)
         zeros = bessel_j_zeros(m, approx)
-        while zeros[-1] <= sq:
-            approx *= 2
-            zeros = bessel_j_zeros(m, approx)
         zeros = zeros[zeros <= sq]
         if len(zeros) == 0:
             break  # j_{m,1} increases with m: higher orders cannot contribute
@@ -193,9 +177,8 @@ def project_function(f, spectrum: SpectrumTable) -> ModeCoefficients:
     64-point Gauss-Legendre in radius (with the r dr weight), trapezoid on
     256 angles (spectrally accurate for periodic integrands).
     """
-    xg, wg = leggauss(64)
-    r = 0.5 * (xg + 1.0)
-    wr = 0.5 * wg * r
+    r, wg = _panel_nodes(np.array([0.0, 1.0]), 64)
+    wr = wg * r
     theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     wth = 2.0 * np.pi / 256
     rr, tt = np.meshgrid(r, theta, indexing="ij")

@@ -9,9 +9,10 @@ each mode by -lambda_n s_n a_n(z) (disc_spectrum.sensor_weights, their one
 definition), so it is a sum of these differences, one per (distinct
 eigenvalue, piece), weighted by the grouped amplitudes b_{j,k,l}.
 
-The grouped amplitudes have one map. A real-field model's pieces are real
-dof rows (_dofs; _dof_map takes them back to the coefficients), and each
-sensor has one real phase matrix (_phases) with b_l = phase_l @ dofs.T.
+The grouped amplitudes have one map. A SourceModel is real-field by
+construction and carries its pieces' real dof rows (SourceModel.dofs;
+_dof_map takes them back to the coefficients), and each sensor has one real
+phase matrix (_phases) with b_l = phase_l @ dofs.T.
 Synthesis (flux_traces), the Laplace model, the measurement identity and
 every inversion stage take their amplitudes from it.
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,12 +62,19 @@ class SourceModel:
 
     cuts has K+1 entries c_0 < ... < c_K with c_K = inf allowed; piece k
     (1-based in the math, 0-based here) is active on [c_{k-1}, c_k).
+
+    dofs (read-only, K x modes) holds each piece's real dof row: Re p at an
+    m = 0 mode, (Re p_+, Im p_+) at a +-m pair, so dofs @ _dof_map(spectrum)
+    gives the coefficients back. The source is real: a round trip that misses
+    by more than 1e-10 (|Im p| at m = 0, |p_- - conj(p_+)| at a pair) raises
+    ValidationError (clause real-field).
     """
 
     alpha: float
     cuts: tuple
     piece_coeffs: tuple
     spectrum: SpectrumTable
+    dofs: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.5 < self.alpha < 1.0:
@@ -87,27 +95,33 @@ class SourceModel:
         pieces = tuple(self.piece_coeffs)
         if len(pieces) != len(cuts) - 1:
             raise ShapeError("need exactly K coefficient sets for K+1 cuts")
-        norms = []
-        for pc in pieces:
-            if len(pc) != len(self.spectrum):
-                raise ShapeError("piece coefficients do not match the spectrum")
-            norms.append(float(np.linalg.norm(pc.values)))
-        if any(n == 0.0 for n in norms):
+        if any(len(pc) != len(self.spectrum) for pc in pieces):
+            raise ShapeError("piece coefficients do not match the spectrum")
+        coeffs = np.array([pc.values for pc in pieces])
+        if np.any(np.linalg.norm(coeffs, axis=1) == 0.0):
             raise ValidationError("every piece must have nonzero norm",
                                   clause="assumption-1c")
-        for a, b in zip(pieces[:-1], pieces[1:]):
-            if float(np.linalg.norm(a.values - b.values)) == 0.0:
-                raise ValidationError("consecutive pieces must differ",
-                                      clause="assumption-1c")
+        if np.any(np.linalg.norm(np.diff(coeffs, axis=0), axis=1) == 0.0):
+            raise ValidationError("consecutive pieces must differ",
+                                  clause="assumption-1c")
+        groups = self.spectrum.distinct_eigenvalues
+        zero = [idx[0] for _, idx in groups if len(idx) == 1]
+        plus = [idx[0] for _, idx in groups if len(idx) == 2]
+        minus = [idx[1] for _, idx in groups if len(idx) == 2]
+        if (np.any(np.abs(coeffs[:, zero].imag) > 1e-10)
+                or np.any(np.abs(coeffs[:, minus] - np.conj(coeffs[:, plus])) > 1e-10)):
+            raise ValidationError("the source model needs conjugate-symmetric "
+                                  "(real-field) coefficients", clause="real-field")
+        dofs = coeffs.real.copy()
+        dofs[:, minus] = coeffs[:, plus].imag
+        dofs.flags.writeable = False
         object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "piece_coeffs", pieces)
+        object.__setattr__(self, "dofs", dofs)
 
     @property
     def n_pieces(self) -> int:
         return len(self.piece_coeffs)
-
-    def is_real_field(self, tol: float = 1e-10) -> bool:
-        return all(pc.is_real_field(self.spectrum, tol) for pc in self.piece_coeffs)
 
 
 def check_sensor_geometry(spectrum: SpectrumTable, delta_theta: float) -> dict:
@@ -178,22 +192,6 @@ def _dof_map(spectrum: SpectrumTable) -> np.ndarray:
         if len(idx) == 2:
             c[idx[1], idx] = (1j, -1j)
     return c
-
-
-def _dofs(model: SourceModel) -> np.ndarray:
-    """The real dof rows of the model's pieces, shape (K, dofs): the inverse
-    of _dof_map, so that _dofs(model) @ C gives the coefficients back.
-    Raises ValidationError (clause real-field) unless the model is
-    real-field."""
-    if not model.is_real_field():
-        raise ValidationError("the source model needs conjugate-symmetric "
-                              "(real-field) coefficients", clause="real-field")
-    coeffs = np.array([pc.values for pc in model.piece_coeffs])
-    dofs = coeffs.real.copy()
-    for _, idx in model.spectrum.distinct_eigenvalues:
-        if len(idx) == 2:
-            dofs[:, idx[1]] = coeffs[:, idx[0]].imag
-    return dofs
 
 
 def _phases(spectrum: SpectrumTable, angles) -> list:
@@ -569,13 +567,12 @@ def flux_trace(model: SourceModel, sensor_angle: float, times) -> FluxTrace:
 def flux_traces(model: SourceModel, sensor_angles, times) -> list:
     """flux_trace at each sensor angle: -sum_{j,k} D[:, j, k] b_l[j, k],
     with D one relaxation_design and b_l = phase_l @ dofs.T the grouped
-    amplitudes of sensor l (_phases, _dofs)."""
+    amplitudes of sensor l (_phases, SourceModel.dofs)."""
     times = np.asarray(times, dtype=float)
-    dofs = _dofs(model)
     lams = np.array([lam for lam, _ in model.spectrum.distinct_eigenvalues])
     design = relaxation_design(model.alpha, lams, model.cuts, times)
     return [FluxTrace(sensor_angle=float(theta), times=times,
-                      values=np.einsum("tjk,jk->t", design, -(phase @ dofs.T)))
+                      values=np.einsum("tjk,jk->t", design, -(phase @ model.dofs.T)))
             for theta, phase in zip(sensor_angles, _phases(model.spectrum, sensor_angles))]
 
 
@@ -606,7 +603,7 @@ def verify_measurement_identity(model: SourceModel, sensor_angle: float,
     alpha = model.alpha
     groups = model.spectrum.distinct_eigenvalues
     lams = np.array([lam for lam, _ in groups])
-    b = _phases(model.spectrum, [sensor_angle])[0] @ _dofs(model).T
+    b = _phases(model.spectrum, [sensor_angle])[0] @ model.dofs.T
     inv_gamma_a = 1.0 / math.gamma(alpha)
     # F_k(s) = sum_j b[j,k] (1/Gamma(a) - E_{a,a}(-lambda_j s^a)) on the grid,
     # E_{a,a} from the cut column lambda s^(a-1) E_{a,a}(-lambda s^a) at cut 0,

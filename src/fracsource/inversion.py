@@ -40,6 +40,7 @@ from .forward_model import (
 __all__ = [
     "ReconstructionResult",
     "check_changepoint_min_gap",
+    "check_uniform_grid",
     "detect_onset",
     "estimate_alpha",
     "detect_change_points",
@@ -82,6 +83,16 @@ def check_changepoint_min_gap(gap) -> None:
     if not 0 < gap < math.inf:
         raise ValidationError("inversion.changepoint_min_gap must be a finite number > 0, "
                               f"got {gap!r}", clause="inversion-config")
+
+
+def check_uniform_grid(times: np.ndarray, source: str) -> float:
+    """The step h of times; ValidationError (clause trace-grid), naming
+    source, unless each step is within 1e-9 of h, since the change-point and
+    order stages take t[1] - t[0] as the step of the whole grid."""
+    h = float(times[-1] - times[0]) / max(len(times) - 1, 1)
+    if not (h > 0 and np.all(np.abs(np.diff(times) - h) <= 1e-9 * h)):
+        raise ValidationError(f"{source}: time grid is not uniform", clause="trace-grid")
+    return h
 
 
 def _median(values: np.ndarray):
@@ -189,11 +200,7 @@ def detect_change_points(t: np.ndarray, values: np.ndarray, c0_hat: float,
         lag = int(np.clip(round(0.1 * changepoint_min_gap / h), 1, 80))
     else:
         lag = 1
-    if lag > 1:
-        kernel = np.ones(lag) / lag
-        work = np.convolve(summed, kernel, mode="same")
-    else:
-        work = summed
+    work = np.convolve(summed, np.ones(lag) / lag, mode="same")
     d2 = np.abs(work[:-2 * lag] - 2.0 * work[lag:-lag] + work[2 * lag:])
     centers = t[lag:-lag]
     mad = 1.4826 * float(_median(np.abs(d2 - _median(d2))))
@@ -214,13 +221,14 @@ def _sigma_ratio(svals: np.ndarray) -> float:
 
 def _two_sensor_problem(traces, spectrum: SpectrumTable):
     """(t, values, lams, phases), which every stage reads: the grid of both
-    traces (ShapeError unless they share it, to 1e-12), the (2, n_t) trace
-    values, the distinct eigenvalues and the phase matrix of each sensor
-    (forward_model._phases, the map of synthesis). _project's right side
-    is -values.ravel()."""
+    traces (ShapeError unless they share it, to 1e-12; check_uniform_grid
+    that it is uniform), the (2, n_t) trace values, the distinct eigenvalues
+    and the phase matrix of each sensor (forward_model._phases, the map of
+    synthesis). _project's right side is -values.ravel()."""
     t, other = traces[0].times, traces[1].times
     if len(other) != len(t) or not np.allclose(other, t, rtol=0, atol=1e-12):
         raise ShapeError("traces must share a common time grid")
+    check_uniform_grid(t, "traces")
     return (t, np.stack([tr.values for tr in traces]),
             np.array([lam for lam, _ in spectrum.distinct_eigenvalues]),
             _phases(spectrum, [tr.sensor_angle for tr in traces]))
@@ -404,8 +412,9 @@ def reconstruct(traces, spectrum: SpectrumTable, changepoint_min_gap: float
     order stage's polish and the joint fit share one noise-floor stop.
     changepoint_min_gap is the paper's eta, at most the true minimum gap
     between cuts. Before any stage runs it must be finite and > 0 (clause
-    inversion-config), the traces must share one grid (ShapeError), and the
-    grid step must be at most a tenth of the gap (clause changepoint-grid).
+    inversion-config), the traces must share one grid (ShapeError), that
+    grid must be uniform (clause trace-grid), and its step must be at most a
+    tenth of the gap (clause changepoint-grid).
     When eta >= (t_max - c0_hat) / 2 no interior cut fits, and the
     detect_change_points entry of the stage log carries a note saying so.
     The result's residuals (model flux minus trace, per sensor) and its

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonError
-from .forward_model import FluxTrace, SourceModel, _dofs, _phases
+from .forward_model import FluxTrace, SourceModel, _phases
 
 __all__ = [
     "LaplacePoint",
@@ -42,14 +42,13 @@ def laplace_flux_model(model: SourceModel, theta_z: float, s: LaplacePoint) -> c
 
     s^-1 sum_k (e^(-c_{k-1} s) - e^(-c_k s)) sum_j b_{j,k} lambda_j/(s^a+lambda_j),
 
-    with b the grouped amplitudes of synthesis, phase @ dofs.T (_phases,
-    _dofs). Real-field models only: any other raises ValidationError
-    (clause real-field), as flux_trace does.
+    with b the grouped amplitudes of synthesis, phase @ model.dofs.T
+    (_phases; a SourceModel is real-field by construction).
     """
     lams = [lam for lam, _ in model.spectrum.distinct_eigenvalues]
     sv = s.s
     sa = np.exp(model.alpha * (np.log(abs(sv)) + 1j * math.atan2(sv.imag, sv.real)))
-    b = _phases(model.spectrum, [theta_z])[0] @ _dofs(model).T
+    b = _phases(model.spectrum, [theta_z])[0] @ model.dofs.T
     lam_arr = np.array(lams)
     frac = lam_arr / (sa + lam_arr)
     total = 0.0 + 0.0j

@@ -105,8 +105,8 @@ class TestConfig:
                              "width": 0.3, "amplitude": 2.0}}]},
         }))
         sp = build_spectrum(30.0)
-        model = build_source_model(cfg, sp)
-        assert model.is_real_field()
+        model = build_source_model(cfg, sp)   # a real-field model, or it raises
+        assert model.dofs.shape == (1, len(sp))
         assert float(np.linalg.norm(model.piece_coeffs[0].values)) > 0.01
 
     def test_trace_csv_round_trip(self):
@@ -806,6 +806,32 @@ class TestInvertCommand:
 
 
 class TestErrorClauses:
+    @pytest.mark.parametrize("command", ["spectrum", "synth", "verify"])
+    @pytest.mark.parametrize("via", ["--out", "output.directory"])
+    def test_output_directory_is_a_file_exit_2(self, tmp_path, capsys, command, via):
+        # unchecked, making the directory ended in a FileExistsError
+        # traceback (exit 1)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        if via == "--out":
+            argv = ["--config", write_config(tmp_path, {"grid.steps": 400}), "--out", str(taken)]
+        else:
+            argv = ["--config", write_config(tmp_path, {"grid.steps": 400,
+                                                        "output.directory": str(taken)})]
+        code, err = _exit_and_error(capsys, [command, *argv, "--quiet"])
+        assert code == 2
+        assert str(taken) in err and "[clause: output-file]" in err, err
+        assert taken.read_text() == "a file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+    def test_write_onto_a_directory_leaves_no_temp_file(self, tmp_path):
+        # the rename fails after the temp file is written; it is removed
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(ValidationError) as err:
+            config.write_atomic(str(tmp_path / "taken"), "data")
+        assert err.value.clause == "output-file" and str(tmp_path / "taken") in str(err.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
     def test_empty_spectrum_exit_2_with_clause(self, tmp_path, capsys):
         # a cutoff below the first disc eigenvalue j_{0,1}^2 = 5.78
         cfg_path = write_config(tmp_path, {"spectrum.lambda_max": 5.0})
@@ -995,34 +1021,46 @@ class TestPlotdataCommand:
     def test_missing_run_exit_2(self, tmp_path):
         assert main(["plotdata", str(tmp_path / "nope"), "--quiet"]) == 2
 
-    @pytest.mark.parametrize("text, key", [
-        ("{}", "alpha_hat"), ('{"alpha_hat": 0.75}', "cuts_hat"), ("[]", "alpha_hat"),
-        ('{"alpha_hat": ', "reconstruction.json"),
-        ('{"alpha_hat": 0.75, "cuts_hat": []}', "cuts_hat"),
-        ('{"alpha_hat": "x", "cuts_hat": [0.2]}', "alpha_hat"),
-        ('{"alpha_hat": 0.75, "cuts_hat": [0.2, "x"]}', "cuts_hat"),
-        ('{"alpha_hat": %d, "cuts_hat": [0.2]}' % 10 ** 400, "alpha_hat"),
-        ('{"alpha_hat": 0.75, "cuts_hat": [0.2], "traces": 5}', "traces"),
-        ('{"alpha_hat": 0.75, "cuts_hat": [0.2], "traces": ["a.csv", 3]}', "traces"),
+    @pytest.mark.parametrize("text, key, clause", [
+        ("{}", "alpha_hat", "plotdata-input"),
+        ('{"alpha_hat": 0.75}', "cuts_hat", "plotdata-input"),
+        ("[]", "alpha_hat", "plotdata-input"),
+        ('{"alpha_hat": ', "reconstruction.json", "plotdata-input"),
+        ('{"alpha_hat": 0.75, "cuts_hat": []}', "cuts_hat", "plotdata-input"),
+        ('{"alpha_hat": "x", "cuts_hat": [0.2]}', "alpha_hat", "plotdata-input"),
+        ('{"alpha_hat": 0.75, "cuts_hat": [0.2, "x"]}', "cuts_hat", "plotdata-input"),
+        ('{"alpha_hat": %d, "cuts_hat": [0.2]}' % 10 ** 400, "alpha_hat", "plotdata-input"),
+        ('{"alpha_hat": 0.75, "cuts_hat": [0.2], "traces": 5}', "traces", "plotdata-input"),
+        ('{"alpha_hat": 0.75, "cuts_hat": [0.2], "traces": ["a.csv", 3]}', "traces",
+         "plotdata-input"),
         ('{"alpha_hat": 0.75, "cuts_hat": [0.2], '
-         '"stage_log": [["estimate_alpha", {"profile": 5}]]}', "estimate_alpha.profile"),
+         '"stage_log": [["estimate_alpha", {"profile": 5}]]}', "estimate_alpha.profile",
+         "plotdata-input"),
         ('{"alpha_hat": 0.75, "cuts_hat": [0.2], '
          '"stage_log": [["estimate_alpha", {"profile": [[0.52, "x"]]}]]}',
-         "estimate_alpha.profile"),
+         "estimate_alpha.profile", "plotdata-input"),
         ('{"alpha_hat": 0.75, "cuts_hat": [0.2], '
          '"stage_log": [["estimate_alpha", {"profile": [[0.52, 1.0, 2.0]]}]]}',
-         "estimate_alpha.profile"),
+         "estimate_alpha.profile", "plotdata-input"),
+        ('{"alpha_hat": 0.75, "cuts_hat": [0.2], "traces": [""]}', "cannot read trace",
+         "trace-file"),
+        ('{"alpha_hat": 0.75, "cuts_hat": [0.2], "traces": ["sub"]}', "cannot read trace",
+         "trace-file"),
     ], ids=["empty", "no-cuts", "not-an-object", "not-json", "empty-cuts",
             "alpha-not-a-number", "cut-not-a-number", "alpha-beyond-a-double",
             "traces-not-a-list", "trace-not-a-string", "profile-not-a-list",
-            "profile-not-numbers", "profile-not-pairs"])
-    def test_incomplete_reconstruction_exit_2(self, tmp_path, capsys, text, key):
+            "profile-not-numbers", "profile-not-pairs", "trace-named-empty",
+            "trace-names-a-directory"])
+    def test_incomplete_reconstruction_exit_2(self, tmp_path, capsys, text, key, clause):
         # unchecked, each ended in a KeyError, JSONDecodeError, IndexError,
-        # ValueError, OverflowError or TypeError traceback (exit 1)
+        # ValueError, OverflowError, TypeError or IsADirectoryError
+        # traceback (exit 1); a trace named "" is the run directory itself
         (tmp_path / "reconstruction.json").write_text(text)
+        (tmp_path / "sub").mkdir()
         code, err = _exit_and_error(capsys, ["plotdata", str(tmp_path), "--quiet"])
         assert code == 2
-        assert key in err and "[clause: plotdata-input]" in err, err
+        assert key in err and f"[clause: {clause}]" in err, err
+        assert not (tmp_path / "plot_flux_vs_t.csv").exists()
 
     def test_full_run_emits_three_csvs(self, tmp_path):
         cfg_path = write_config(tmp_path, {"grid.steps": 2000})

@@ -5,7 +5,6 @@ import pytest
 
 from fracsource.disc_spectrum import (
     EigenMode,
-    ModeCoefficients,
     SpectrumTable,
     boundary_coefficient,
     build_spectrum,
@@ -266,16 +265,6 @@ class TestTableValidation:
         modes = list(spectrum30.modes)[::-1]
         with pytest.raises(ShapeError):
             SpectrumTable(modes=tuple(modes))
-
-    def test_real_field_flag(self, spectrum30):
-        vals = np.zeros(len(spectrum30), dtype=complex)
-        for _, idx in spectrum30.distinct_eigenvalues:
-            vals[idx[0]] = 1.0 + 2.0j if len(idx) == 2 else 3.0
-            if len(idx) == 2:
-                vals[idx[1]] = 1.0 - 2.0j
-        assert ModeCoefficients(values=vals).is_real_field(spectrum30)
-        vals[0] = 3.0 + 1.0j
-        assert not ModeCoefficients(values=vals).is_real_field(spectrum30)
 
     def test_eigenmode_validation(self):
         with pytest.raises(DomainError):

@@ -83,6 +83,41 @@ class TestSourceModelValidation:
             SourceModel(alpha=0.75, cuts=(0.0, math.inf), piece_coeffs=(p,),
                         spectrum=spectrum30)
 
+    @pytest.mark.parametrize("edit, real", [
+        pytest.param(lambda sp, vals: None, True, id="conjugate"),
+        pytest.param(lambda sp, vals: vals.__setitem__(0, 3.0 + 1e-10j), True,
+                     id="m0-im-at-tolerance"),
+        pytest.param(lambda sp, vals: vals.__setitem__(0, 3.0 + 1.0j), False, id="m0-im"),
+        pytest.param(lambda sp, vals: vals.__setitem__(sp.index_of(-1, 1), 0.0), False,
+                     id="unpaired-plus-one"),
+        pytest.param(lambda sp, vals: vals.__setitem__(sp.index_of(-2, 1), 1.0 + 2.0j),
+                     False, id="pair-not-conjugate"),
+    ])
+    def test_real_field_required(self, spectrum30, edit, real):
+        # a real source has conjugate-symmetric coefficients: real at m = 0,
+        # p(-m, k) = conj(p(+m, k)), each to 1e-10. The model checks it once,
+        # where it is built, and keeps the real dof rows: p at m = 0, and
+        # (Re, Im) of p(+m, k) at the pair's two indices
+        vals = np.zeros(len(spectrum30), dtype=complex)
+        for _, idx in spectrum30.distinct_eigenvalues:
+            vals[list(idx)] = (1.0 + 2.0j, 1.0 - 2.0j) if len(idx) == 2 else 3.0
+        edit(spectrum30, vals)
+
+        def build():
+            return SourceModel(alpha=0.75, cuts=(0.0, math.inf),
+                               piece_coeffs=(ModeCoefficients(values=vals),),
+                               spectrum=spectrum30)
+        if not real:
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert err.value.clause == "real-field"
+            return
+        dofs = build().dofs
+        assert dofs.shape == (1, len(spectrum30)) and not dofs.flags.writeable
+        want = [(1.0, 2.0) if len(idx) == 2 else (3.0,)
+                for _, idx in spectrum30.distinct_eigenvalues]
+        assert dofs[0].tolist() == [d for pair in want for d in pair]
+
 
 class TestSensorConfig:
     def test_margin(self, spectrum30):
@@ -208,15 +243,6 @@ class TestFluxTrace:
         peak_at = centers[window][np.argmax(d2[window])]
         assert abs(peak_at - 1.2) <= (reference_grid[1] - reference_grid[0]) + 1e-12
 
-    def test_real_field_required(self, spectrum30, reference_grid):
-        vals = np.zeros(len(spectrum30), dtype=complex)
-        vals[spectrum30.index_of(1, 1)] = 1.0  # no conjugate partner
-        bad = ModeCoefficients(values=vals)
-        model = SourceModel(alpha=0.75, cuts=(0.0, math.inf), piece_coeffs=(bad,),
-                            spectrum=spectrum30)
-        with pytest.raises(ValidationError):
-            flux_trace(model, 0.3, reference_grid)
-
     def test_trace_grid_validation(self):
         with pytest.raises(ShapeError):
             FluxTrace(0.0, np.array([0.5, 1.0]), np.array([0.0, 0.0]))
@@ -258,7 +284,7 @@ class TestGroupedAmplitudes:
         # eigenvalue group of the boundary coefficients times the values
         from fracsource.disc_spectrum import boundary_coefficient
         sp = reference_model.spectrum
-        b = forward_model._phases(sp, [1.3])[0] @ forward_model._dofs(reference_model).T
+        b = forward_model._phases(sp, [1.3])[0] @ reference_model.dofs.T
         assert b.dtype == float
         for j, (lam, idx) in enumerate(sp.distinct_eigenvalues):
             for k, pc in enumerate(reference_model.piece_coeffs):

@@ -60,7 +60,7 @@ def _model_flux(result, spectrum, traces):
 
 def _amplitudes(model, theta):
     """The grouped amplitudes of the model at the sensor angle theta."""
-    return forward_model._phases(model.spectrum, [theta])[0] @ forward_model._dofs(model).T
+    return forward_model._phases(model.spectrum, [theta])[0] @ model.dofs.T
 
 
 def _grid_values(traces):
@@ -479,9 +479,13 @@ class TestReconstructPipeline:
                 np.max(np.abs(pb.values))
 
     def test_conjugate_closure(self, spectrum30, reference_traces):
+        # the result describes a real source: it builds a SourceModel, which
+        # checks conjugate symmetry, and its dofs give the coefficients back
         res = reconstruct(reference_traces, spectrum30, GAP)
-        for pc in res.coeffs_hat:
-            assert pc.is_real_field(spectrum30, tol=1e-8)
+        model = SourceModel(alpha=res.alpha_hat, cuts=(*res.cuts_hat, math.inf),
+                            piece_coeffs=tuple(res.coeffs_hat), spectrum=spectrum30)
+        coeffs = np.array([pc.values for pc in res.coeffs_hat])
+        assert np.array_equal(model.dofs @ forward_model._dof_map(spectrum30), coeffs)
 
     def test_sensor_margin_guard(self, spectrum30, reference_model,
                                  reference_grid):
@@ -496,13 +500,26 @@ class TestReconstructPipeline:
 
     def test_grid_mismatch_guard(self, spectrum30, reference_model, reference_traces,
                                  monkeypatch):
-        # _two_sensor_problem compares the two grids, once, before any build
+        # _two_sensor_problem compares the two grids, once, before any build,
+        # and checks that the shared grid is uniform: the change-point and
+        # order stages take t[1] - t[0] as its step. Unchecked, a grid
+        # jittered by up to 3e-4 gave K = 4 and one whose step doubles at
+        # t = 2 gave K = 3, each with a relative residual near 3e-15
         builds = []
         monkeypatch.setattr(inversion, "relaxation_design", lambda *args: builds.append(args))
         for t in (np.linspace(0.0, 4.0, 4002), np.linspace(0.0, 4.001, 4001)):
             traces = (reference_traces[0], flux_trace(reference_model, 1.3, t))
             with pytest.raises(ShapeError, match="common time grid"):
                 reconstruct(traces, spectrum30, GAP)
+        jittered = reference_traces[0].times.copy()
+        jittered[1:] += np.random.default_rng(5).uniform(-3e-4, 3e-4, len(jittered) - 1)
+        step_doubles = np.concatenate([np.linspace(0.0, 2.0, 2001),
+                                       np.linspace(2.0, 4.0, 1001)[1:]])
+        for t in (jittered, step_doubles):
+            traces = tuple(flux_trace(reference_model, th, t) for th in (0.3, 1.3))
+            with pytest.raises(ValidationError, match="traces: time grid is not uniform") as err:
+                reconstruct(traces, spectrum30, GAP)
+            assert err.value.clause == "trace-grid"
         assert builds == []
 
     def test_smaller_gap_finds_no_spurious_cut(self, spectrum30, reference_grid):
@@ -623,9 +640,10 @@ class TestDofMap:
     def test_phases_give_the_grouped_amplitudes(self, spectrum, request):
         # a real dof vector maps to conjugate-symmetric coefficients P C, and
         # the phase rows give the grouped amplitudes that synthesis sums: the
-        # sensor weights summed over each eigenvalue group. _dofs takes the
-        # coefficients back to P exactly, so P C round-trips exactly, and it
-        # rejects coefficients whose +1 and -1 entries are not conjugate
+        # sensor weights summed over each eigenvalue group. The model's dofs
+        # take the coefficients back to P exactly, so P C round-trips
+        # exactly, and coefficients whose +1 and -1 entries are not
+        # conjugate build no model
         spec = request.getfixturevalue(spectrum)
         c = forward_model._dof_map(spec)
         pvec = np.random.default_rng(11).normal(size=2 * len(spec))
@@ -633,17 +651,14 @@ class TestDofMap:
         model = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
                             piece_coeffs=tuple(map(ModeCoefficients, coeffs)),
                             spectrum=spec)
-        assert model.is_real_field(tol=0.0)
-        dofs = forward_model._dofs(model)
-        assert dofs.dtype == float
-        assert np.array_equal(dofs, pvec.reshape(2, -1))
-        assert np.array_equal(dofs @ c, coeffs)
+        assert model.dofs.dtype == float
+        assert np.array_equal(model.dofs, pvec.reshape(2, -1))
+        assert np.array_equal(model.dofs @ c, coeffs)
         broken = coeffs.copy()
         broken[0, spec.index_of(1, 1)] += 1e-6j
         with pytest.raises(ValidationError) as err:
-            forward_model._dofs(SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
-                                            piece_coeffs=tuple(map(ModeCoefficients, broken)),
-                                            spectrum=spec))
+            SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
+                        piece_coeffs=tuple(map(ModeCoefficients, broken)), spectrum=spec)
         assert err.value.clause == "real-field"
         for theta, phase in zip((0.3, 1.3), forward_model._phases(spec, (0.3, 1.3))):
             weights = sensor_weights(spec, theta)

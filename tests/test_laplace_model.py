@@ -10,8 +10,8 @@ import fracsource
 from fracsource import forward_model
 from fracsource.config import columns_to_csv
 from fracsource.disc_spectrum import (
-    EigenMode, ModeCoefficients, SpectrumTable, build_spectrum, eigenfunction_eval)
-from fracsource.errors import DomainError, HorizonError, ValidationError
+    EigenMode, SpectrumTable, build_spectrum, eigenfunction_eval)
+from fracsource.errors import DomainError, HorizonError
 from fracsource.forward_model import FluxTrace, SourceModel, flux_trace
 from fracsource.laplace_model import LaplacePoint, laplace_flux_model, numeric_laplace
 from fracsource.specfun import _bessel_j_unchecked, bessel_j_zeros
@@ -98,17 +98,6 @@ class TestLaplaceFluxModel:
             expect = a_z * lam / (s * (s ** 0.75 + lam))
             assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_real_field_required(self, spectrum30):
-        # the amplitudes come from the real dof map of synthesis, so a model
-        # that is not conjugate-symmetric is rejected as flux_trace rejects it
-        vals = np.zeros(len(spectrum30), dtype=complex)
-        vals[spectrum30.index_of(1, 1)] = 1.0  # no conjugate partner
-        model = SourceModel(alpha=0.75, cuts=(0.0, math.inf),
-                            piece_coeffs=(ModeCoefficients(values=vals),), spectrum=spectrum30)
-        with pytest.raises(ValidationError) as err:
-            laplace_flux_model(model, 0.3, LaplacePoint(1.0))
-        assert err.value.clause == "real-field"
-
     def test_numeric_cross_check(self, spectrum30):
         p = make_coeffs(spectrum30, {(0, 1): 1.0})
         model = SourceModel(alpha=0.75, cuts=(0.0, math.inf), piece_coeffs=(p,),
@@ -125,7 +114,7 @@ class TestLaplaceFluxModel:
         # expected O(s^-a) approach rate. (The convergence cannot reach 2%
         # at s=200 for any alpha < 1: that would need s^a >= 50*lambda_1.)
         b = (forward_model._phases(reference_model.spectrum, [0.3])[0]
-             @ forward_model._dofs(reference_model).T)
+             @ reference_model.dofs.T)
         lams = np.array([lam for lam, _ in
                          reference_model.spectrum.distinct_eigenvalues])
         target = float(np.sum(b[:, 0] * lams))
