@@ -243,6 +243,18 @@ class TestFluxTrace:
         peak_at = centers[window][np.argmax(d2[window])]
         assert abs(peak_at - 1.2) <= (reference_grid[1] - reference_grid[0]) + 1e-12
 
+    def test_real_field_required(self, spectrum30, reference_grid):
+        # a model that is not conjugate-symmetric never reaches flux_trace:
+        # SourceModel refuses it where it is built
+        vals = np.zeros(len(spectrum30), dtype=complex)
+        vals[spectrum30.index_of(1, 1)] = 1.0  # no conjugate partner
+        with pytest.raises(ValidationError) as err:
+            model = SourceModel(alpha=0.75, cuts=(0.0, math.inf),
+                                piece_coeffs=(ModeCoefficients(values=vals),),
+                                spectrum=spectrum30)
+            flux_trace(model, 0.3, reference_grid)
+        assert err.value.clause == "real-field"
+
     def test_trace_grid_validation(self):
         with pytest.raises(ShapeError):
             FluxTrace(0.0, np.array([0.5, 1.0]), np.array([0.0, 0.0]))

@@ -10,8 +10,8 @@ import fracsource
 from fracsource import forward_model
 from fracsource.config import columns_to_csv
 from fracsource.disc_spectrum import (
-    EigenMode, SpectrumTable, build_spectrum, eigenfunction_eval)
-from fracsource.errors import DomainError, HorizonError
+    EigenMode, ModeCoefficients, SpectrumTable, build_spectrum, eigenfunction_eval)
+from fracsource.errors import DomainError, HorizonError, ValidationError
 from fracsource.forward_model import FluxTrace, SourceModel, flux_trace
 from fracsource.laplace_model import LaplacePoint, laplace_flux_model, numeric_laplace
 from fracsource.specfun import _bessel_j_unchecked, bessel_j_zeros
@@ -97,6 +97,18 @@ class TestLaplaceFluxModel:
             got = laplace_flux_model(model, 0.7, LaplacePoint(s))
             expect = a_z * lam / (s * (s ** 0.75 + lam))
             assert got == pytest.approx(expect, rel=1e-12)
+
+    def test_real_field_required(self, spectrum30):
+        # a model that is not conjugate-symmetric never reaches
+        # laplace_flux_model: SourceModel refuses it where it is built
+        vals = np.zeros(len(spectrum30), dtype=complex)
+        vals[spectrum30.index_of(1, 1)] = 1.0  # no conjugate partner
+        with pytest.raises(ValidationError) as err:
+            model = SourceModel(alpha=0.75, cuts=(0.0, math.inf),
+                                piece_coeffs=(ModeCoefficients(values=vals),),
+                                spectrum=spectrum30)
+            laplace_flux_model(model, 0.3, LaplacePoint(1.0))
+        assert err.value.clause == "real-field"
 
     def test_numeric_cross_check(self, spectrum30):
         p = make_coeffs(spectrum30, {(0, 1): 1.0})
