@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .disc_spectrum import ModeCoefficients, SpectrumTable, project_function
+from .disc_spectrum import SpectrumTable, project_function
 from .errors import ValidationError
-from .forward_model import SensorConfig, SourceModel
+from .forward_model import SourceModel
 from .inversion import check_changepoint_min_gap, check_uniform_grid
 
 __all__ = [
@@ -69,13 +69,17 @@ def _check_double(name: str, value) -> None:
 def _check_kind(name: str, default, value) -> None:
     """Raise ValidationError (clause config-schema) unless value has a JSON
     type that _KINDS allows for its default; a bool is no number, and a
-    number that must be a float passes _check_double."""
+    number that must be a float passes _check_double and is finite (JSON
+    NaN and Infinity, which the reader accepts, are not)."""
     types, kind = _KINDS[type(default)]
     if not isinstance(value, types) or isinstance(value, bool) != isinstance(default, bool):
         raise ValidationError(f"config key {name} must be {kind}, got {value!r}",
                               clause="config-schema")
     if float in types:
         _check_double(name, value)
+        if not math.isfinite(value):
+            raise ValidationError(f"config key {name} must be a finite number, got {value!r}",
+                                  clause="config-schema")
 
 
 def _merge(defaults, override, path=""):
@@ -112,29 +116,27 @@ class ExperimentConfig:
         raise AttributeError(name)
 
     def times(self) -> np.ndarray:
-        steps = int(self.grid["steps"])
-        t_max = float(self.grid["t_max"])
-        if steps < 2 or t_max <= 0:
-            raise ValidationError("grid needs steps >= 2 and t_max > 0",
-                                  clause="grid")
-        return np.linspace(0.0, t_max, steps + 1)
+        return np.linspace(0.0, float(self.grid["t_max"]), int(self.grid["steps"]) + 1)
 
-    def sensor_config(self) -> SensorConfig:
-        return SensorConfig(theta1=float(self.sensors["theta1"]),
-                            theta2=float(self.sensors["theta2"]))
+    def sensor_angles(self) -> tuple:
+        return float(self.sensors["theta1"]), float(self.sensors["theta2"])
 
 
-# the keys of a piece, a coefficient row and a density, with values of their JSON type
+# the keys of a piece, a coefficient row and a density, with values of their
+# JSON type; a density's numbers are its defaults
 _PIECE = {"coefficients": [], "density": {"kind": "", "r0": 0.0, "theta0": 0.0,
-                                          "width": 0.0, "amplitude": 0.0}}
+                                          "width": 0.2, "amplitude": 1.0}}
 _ROW = {"m": 0, "k": 0, "re": 0.0, "im": 0.0}
 
 
 def _check_model(model: dict) -> None:
-    """The elements of model.cuts and model.pieces, clause config-schema: a
-    cut is a number, "inf" or null; the pieces, their coefficient rows (m
-    and k required) and densities hold only the keys and types of _PIECE
-    and _ROW, checked by _merge."""
+    """The elements of model.cuts and model.pieces: a cut is a number, "inf"
+    or null; the pieces, their coefficient rows (m and k required) and
+    densities hold only the keys and types of _PIECE and _ROW, checked by
+    _merge (clause config-schema). A piece needs coefficients or a density
+    (clause piece-schema), a row m >= 0 (clause piece-coefficients), a
+    density the kind gaussian or constant (clause piece-density), and a
+    gaussian a width > 0 (clause config-schema)."""
     for i, cut in enumerate(model["cuts"]):
         _check_double(f"model.cuts[{i}]", cut)
         if cut not in ("inf", None) and (type(cut) not in (int, float) or math.isnan(cut)):
@@ -147,16 +149,37 @@ def _check_model(model: dict) -> None:
             _merge(_ROW, row, name)
             if not {"m", "k"} <= row.keys():
                 raise ValidationError(f"config key {name} needs m and k", clause="config-schema")
+            if row["m"] < 0:
+                raise ValidationError(
+                    "specify coefficients for m >= 0 only; the conjugate pair "
+                    "is implied", clause="piece-coefficients")
+        if "coefficients" in piece:
+            continue
+        if "density" not in piece:
+            raise ValidationError("piece needs 'coefficients' or 'density'",
+                                  clause="piece-schema")
+        kind = piece["density"].get("kind")
+        if kind not in ("gaussian", "constant"):
+            raise ValidationError(f"unknown density kind {kind!r}", clause="piece-density")
+        width = piece["density"].get("width", _PIECE["density"]["width"])
+        if kind == "gaussian" and width <= 0:
+            raise ValidationError(f"config key model.pieces[{p}].density.width must be > 0, "
+                                  f"got {width!r}", clause="config-schema")
 
 
 def load_config(text_or_path) -> ExperimentConfig:
     """The config of a JSON file, or of JSON text (a str that starts with
-    "{"), merged over the defaults. A file that cannot be read or does not
-    hold JSON raises ValidationError (clause config-file) naming it; _merge
-    and _check_model check the keys and types, spectrum.lambda_max and
-    grid.t_max must be finite, noise.level finite and >= 0, noise.seed
-    >= 0, each output.laplace_s entry a finite number > 0, and
-    inversion.changepoint_min_gap finite and > 0 (clause inversion-config)."""
+    "{"), merged over the defaults, and the one place where a config is
+    checked, for every command. A file that cannot be read or does not hold
+    JSON raises ValidationError (clause config-file) naming it; _merge and
+    _check_model check the keys, the types and the model's pieces, and every
+    number that must be a float is finite (clause config-schema). Then
+    grid.steps >= 2 and grid.t_max > 0 (clause grid), each sensor angle in
+    [0, 2 pi) (clause sensor-range), noise.level >= 0 and noise.seed >= 0
+    (clause config-schema), inversion.changepoint_min_gap > 0 (clause
+    inversion-config), and each output.laplace_s entry a finite number > 0
+    (clause config-schema). The checks that need the spectrum are made where
+    it is built."""
     source, text = "text", text_or_path
     if not (isinstance(text, str) and text.lstrip().startswith("{")):
         source = os.fspath(text_or_path)
@@ -173,14 +196,20 @@ def load_config(text_or_path) -> ExperimentConfig:
                               clause="config-file") from None
     merged = _merge(_DEFAULTS, doc)
     _check_model(merged["model"])
-    for name, ok, want in (("spectrum.lambda_max", math.isfinite, "a finite number"),
-                           ("grid.t_max", math.isfinite, "a finite number"),
-                           ("noise.level", lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-                           ("noise.seed", lambda v: v >= 0, "an integer >= 0")):
+    grid, angle = "grid needs steps >= 2 and t_max > 0", "sensor angle {value} outside [0, 2pi)"
+    for name, ok, clause, message in (
+            ("grid.steps", lambda v: v >= 2, "grid", grid),
+            ("grid.t_max", lambda v: v > 0, "grid", grid),
+            ("sensors.theta1", lambda v: 0 <= v < 2 * math.pi, "sensor-range", angle),
+            ("sensors.theta2", lambda v: 0 <= v < 2 * math.pi, "sensor-range", angle),
+            ("noise.level", lambda v: v >= 0, "config-schema",
+             "{name} must be a finite number >= 0, got {value!r}"),
+            ("noise.seed", lambda v: v >= 0, "config-schema",
+             "{name} must be an integer >= 0, got {value!r}")):
         section, key = name.split(".")
         value = merged[section][key]
         if not ok(value):
-            raise ValidationError(f"{name} must be {want}, got {value!r}", clause="config-schema")
+            raise ValidationError(message.format(name=name, value=value), clause=clause)
     check_changepoint_min_gap(merged["inversion"]["changepoint_min_gap"])
     for i, s in enumerate(merged["output"]["laplace_s"]):
         _check_double(f"output.laplace_s[{i}]", s)
@@ -194,17 +223,16 @@ def dump_config(cfg: ExperimentConfig) -> str:
     return json.dumps(cfg.raw, indent=1, sort_keys=True)
 
 
-def _coeffs_from_spec(piece_spec, spectrum: SpectrumTable) -> ModeCoefficients:
-    """One piece: either explicit (m, k, re, im) triples (m >= 0; m > 0 also
-    sets the conjugate at -m) or a named analytic density to project."""
+def _coeffs_from_spec(piece_spec, spectrum: SpectrumTable) -> np.ndarray:
+    """One piece's complex coefficients, aligned with spectrum.modes, from a
+    piece that load_config has checked: explicit (m, k, re, im) rows (m > 0
+    also sets the conjugate at -m), where an (m, k) that is no mode of the
+    spectrum raises ValidationError (clause piece-coefficients), or a named
+    analytic density, with the defaults of _PIECE, to project."""
     if "coefficients" in piece_spec:
         vals = np.zeros(len(spectrum), dtype=complex)
         for row in piece_spec["coefficients"]:
-            m, k = int(row["m"]), int(row["k"])
-            if m < 0:
-                raise ValidationError(
-                    "specify coefficients for m >= 0 only; the conjugate pair "
-                    "is implied", clause="piece-coefficients")
+            m, k = row["m"], row["k"]
             c = complex(float(row.get("re", 0.0)), float(row.get("im", 0.0)))
             try:
                 vals[spectrum.index_of(m, k)] = c
@@ -213,31 +241,18 @@ def _coeffs_from_spec(piece_spec, spectrum: SpectrumTable) -> ModeCoefficients:
                                       clause="piece-coefficients") from None
             if m > 0:
                 vals[spectrum.index_of(-m, k)] = np.conj(c)
-        return ModeCoefficients(values=vals)
-    if "density" in piece_spec:
-        d = piece_spec["density"]
-        kind = d.get("kind")
-        if kind == "gaussian":
-            r0 = float(d.get("r0", 0.0))
-            th0 = float(d.get("theta0", 0.0))
-            width = float(d.get("width", 0.2))
-            amp = float(d.get("amplitude", 1.0))
-
-            def f(r, theta):
-                dx = r * np.cos(theta) - r0 * math.cos(th0)
-                dy = r * np.sin(theta) - r0 * math.sin(th0)
-                return amp * np.exp(-(dx * dx + dy * dy) / (2 * width * width))
-        elif kind == "constant":
-            amp = float(d.get("amplitude", 1.0))
-
-            def f(r, theta):
-                return amp * np.ones_like(np.asarray(r, dtype=float))
-        else:
-            raise ValidationError(f"unknown density kind {kind!r}",
-                                  clause="piece-density")
-        return project_function(f, spectrum)
-    raise ValidationError("piece needs 'coefficients' or 'density'",
-                          clause="piece-schema")
+        return vals
+    d = {**_PIECE["density"], **piece_spec["density"]}
+    r0, th0, width, amp = (float(d[key]) for key in ("r0", "theta0", "width", "amplitude"))
+    if d["kind"] == "gaussian":
+        def f(r, theta):
+            dx = r * np.cos(theta) - r0 * math.cos(th0)
+            dy = r * np.sin(theta) - r0 * math.sin(th0)
+            return amp * np.exp(-(dx * dx + dy * dy) / (2 * width * width))
+    else:   # "constant"
+        def f(r, theta):
+            return amp * np.ones_like(np.asarray(r, dtype=float))
+    return project_function(f, spectrum)
 
 
 def build_source_model(cfg: ExperimentConfig, spectrum: SpectrumTable) -> SourceModel:

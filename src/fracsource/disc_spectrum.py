@@ -21,7 +21,6 @@ _SQRT_PI = math.sqrt(math.pi)
 __all__ = [
     "EigenMode",
     "SpectrumTable",
-    "ModeCoefficients",
     "build_spectrum",
     "eigenfunction_eval",
     "boundary_coefficient",
@@ -90,22 +89,6 @@ class SpectrumTable:
         raise KeyError(f"mode (m={m}, k={k}) not in spectrum")
 
 
-@dataclass(frozen=True)
-class ModeCoefficients:
-    """Complex coefficients aligned with SpectrumTable.modes."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 1:
-            raise ShapeError("coefficients must be a 1-d array")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return len(self.values)
-
-
 def build_spectrum(lambda_max: float) -> SpectrumTable:
     """All modes with eigenvalue <= lambda_max.
 
@@ -171,8 +154,9 @@ def sensor_weights(spectrum: SpectrumTable, theta_z: float) -> np.ndarray:
                      for mo in spectrum.modes])
 
 
-def project_function(f, spectrum: SpectrumTable) -> ModeCoefficients:
-    """Quadrature inner products <f, phi_n> over the disc.
+def project_function(f, spectrum: SpectrumTable) -> np.ndarray:
+    """Quadrature inner products <f, phi_n> over the disc, a complex array
+    aligned with spectrum.modes.
 
     64-point Gauss-Legendre in radius (with the r dr weight), trapezoid on
     256 angles (spectrally accurate for periodic integrands).
@@ -192,7 +176,7 @@ def project_function(f, spectrum: SpectrumTable) -> ModeCoefficients:
     for i, mo in enumerate(spectrum.modes):
         rad = mo.omega * _bessel_j_unchecked(abs(mo.m), math.sqrt(mo.lam) * r)
         vals[i] = np.sum(ang[:, mo.m % 256] * rad * wr)
-    return ModeCoefficients(values=vals)
+    return vals
 
 
 def spectrum_to_json(spectrum: SpectrumTable) -> str:

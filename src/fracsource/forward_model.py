@@ -41,7 +41,6 @@ from .specfun import fractional_integral
 
 __all__ = [
     "SourceModel",
-    "SensorConfig",
     "FluxTrace",
     "check_sensor_geometry",
     "flux_trace",
@@ -62,6 +61,9 @@ class SourceModel:
 
     cuts has K+1 entries c_0 < ... < c_K with c_K = inf allowed; piece k
     (1-based in the math, 0-based here) is active on [c_{k-1}, c_k).
+    piece_coeffs is given as K complex coefficient rows aligned with
+    spectrum.modes (ShapeError otherwise) and kept as one read-only complex
+    K x modes array.
 
     dofs (read-only, K x modes) holds each piece's real dof row: Re p at an
     m = 0 mode, (Re p_+, Im p_+) at a +-m pair, so dofs @ _dof_map(spectrum)
@@ -72,7 +74,7 @@ class SourceModel:
 
     alpha: float
     cuts: tuple
-    piece_coeffs: tuple
+    piece_coeffs: np.ndarray
     spectrum: SpectrumTable
     dofs: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -92,12 +94,12 @@ class SourceModel:
         if np.any(gaps <= 0) or (np.isfinite(cuts[-1]) and cuts[-1] <= cuts[-2]):
             raise ValidationError("cuts must be strictly increasing",
                                   clause="assumption-1a")
-        pieces = tuple(self.piece_coeffs)
+        pieces = [np.asarray(pc, dtype=complex) for pc in self.piece_coeffs]
         if len(pieces) != len(cuts) - 1:
             raise ShapeError("need exactly K coefficient sets for K+1 cuts")
-        if any(len(pc) != len(self.spectrum) for pc in pieces):
+        if any(pc.shape != (len(self.spectrum),) for pc in pieces):
             raise ShapeError("piece coefficients do not match the spectrum")
-        coeffs = np.array([pc.values for pc in pieces])
+        coeffs = np.array(pieces)
         if np.any(np.linalg.norm(coeffs, axis=1) == 0.0):
             raise ValidationError("every piece must have nonzero norm",
                                   clause="assumption-1c")
@@ -114,9 +116,9 @@ class SourceModel:
                                   "(real-field) coefficients", clause="real-field")
         dofs = coeffs.real.copy()
         dofs[:, minus] = coeffs[:, plus].imag
-        dofs.flags.writeable = False
+        dofs.flags.writeable = coeffs.flags.writeable = False
         object.__setattr__(self, "cuts", cuts)
-        object.__setattr__(self, "piece_coeffs", pieces)
+        object.__setattr__(self, "piece_coeffs", coeffs)
         object.__setattr__(self, "dofs", dofs)
 
     @property
@@ -142,24 +144,6 @@ def check_sensor_geometry(spectrum: SpectrumTable, delta_theta: float) -> dict:
                 f"sensor margin |sin({m} * delta_theta)| = {report[m] / 2:.3g} "
                 f"below {MARGIN_MIN} at |m| = {m}, delta_theta = {delta_theta}", m=m)
     return report
-
-
-@dataclass(frozen=True)
-class SensorConfig:
-    """Exactly two boundary observation angles."""
-
-    theta1: float
-    theta2: float
-
-    def __post_init__(self):
-        for th in (self.theta1, self.theta2):
-            if not 0.0 <= th < 2.0 * np.pi:
-                raise ValidationError(f"sensor angle {th} outside [0, 2pi)",
-                                      clause="sensor-range")
-
-    @property
-    def angles(self):
-        return (self.theta1, self.theta2)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disc_spectrum import ModeCoefficients, SpectrumTable
+from .disc_spectrum import SpectrumTable
 from .errors import (
     ConditioningError,
     EmptySignalError,
@@ -51,7 +51,7 @@ __all__ = [
 
 
 ONSET_THRESHOLD = 5.0            # noise-sigma multiplier of the onset threshold
-ONSET_FLOOR = 1e-9               # absolute floor of the onset threshold
+ONSET_FLOOR = 1e-9               # floor of the onset threshold, relative to the trace peak
 ALPHA_LEADING_DELTA = 0.2        # cap on the leading-window length
 MAX_REFINE_ITERATIONS = 50
 REFINE_TOL = 1e-10               # relative-decrease stop of refine_joint
@@ -61,7 +61,7 @@ REFINE_TOL = 1e-10               # relative-decrease stop of refine_joint
 class ReconstructionResult:
     alpha_hat: float
     cuts_hat: list
-    coeffs_hat: list
+    coeffs_hat: np.ndarray   # complex (K, modes), aligned with spectrum.modes
     residual_norm: float
     stage_log: list = field(default_factory=list)
     condition_report: dict = field(default_factory=dict)
@@ -124,9 +124,11 @@ def _pre_onset_sigma(t: np.ndarray, values: np.ndarray, c0: float) -> float | No
 
 def detect_onset(t: np.ndarray, values: np.ndarray) -> float:
     """First time of the grid t where the flux of either sensor (a row of
-    values) exceeds max(ONSET_THRESHOLD * _noise_sigma, ONSET_FLOOR) in
-    magnitude, minus one grid step, clamped at 0."""
-    above = [np.abs(v) > max(ONSET_THRESHOLD * _noise_sigma(v), ONSET_FLOOR) for v in values]
+    values) exceeds max(ONSET_THRESHOLD * _noise_sigma, ONSET_FLOOR * peak)
+    in magnitude, peak the larger of the two traces' largest magnitudes,
+    minus one grid step, clamped at 0."""
+    floor = ONSET_FLOOR * float(np.max(np.abs(values)))
+    above = [np.abs(v) > max(ONSET_THRESHOLD * _noise_sigma(v), floor) for v in values]
     idx = np.flatnonzero(np.logical_or(*above))
     if not len(idx):
         raise EmptySignalError("no sample exceeds the onset threshold")
@@ -447,12 +449,10 @@ def reconstruct(traces, spectrum: SpectrumTable, changepoint_min_gap: float
         problem, np.array([alpha_hat] + cuts), _staged_result(problem, alpha_hat, cuts, stage_log),
         sigma or 0.0, changepoint_min_gap)
     stage_log.append(("refine_joint", log))
-    n_pieces = len(theta) - 1
     return ReconstructionResult(
         alpha_hat=float(theta[0]),
         cuts_hat=[float(cut) for cut in theta[1:]],
-        coeffs_hat=[ModeCoefficients(values=v)
-                    for v in p.reshape(n_pieces, -1) @ _dof_map(spectrum)],
+        coeffs_hat=p.reshape(len(theta) - 1, -1) @ _dof_map(spectrum),
         residual_norm=log["final_residual"] / (float(np.linalg.norm(values)) or 1.0),
         stage_log=stage_log,
         condition_report=condition_report,
@@ -469,7 +469,7 @@ def result_to_json(result: ReconstructionResult, spectrum: SpectrumTable,
         for i, mo in enumerate(spectrum.modes):
             coeff_rows.append({
                 "m": mo.m, "k": mo.k, "lambda": mo.lam, "piece": k + 1,
-                "re": float(pc.values[i].real), "im": float(pc.values[i].imag),
+                "re": float(pc[i].real), "im": float(pc[i].imag),
             })
     payload = {
         "alpha_hat": result.alpha_hat,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsource.disc_spectrum import ModeCoefficients, build_spectrum
+from fracsource.disc_spectrum import build_spectrum
 from fracsource.forward_model import (
     SourceModel,
     flux_trace,
@@ -30,7 +30,7 @@ def make_coeffs(spectrum, entries):
         vals[spectrum.index_of(m, k)] = c
         if m != 0:
             vals[spectrum.index_of(-m, k)] = np.conj(c)
-    return ModeCoefficients(values=vals)
+    return vals
 
 
 def basis_ml(alpha, beta, x):
@@ -103,6 +103,6 @@ def random_source_model(spectrum, rng, k_pieces=None):
             vals[idx[0]] = c
             if len(idx) == 2:
                 vals[idx[1]] = np.conj(c)
-        pieces.append(ModeCoefficients(values=vals))
+        pieces.append(vals)
     return SourceModel(alpha=alpha, cuts=tuple(cuts), piece_coeffs=tuple(pieces),
                        spectrum=spectrum)

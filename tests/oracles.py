@@ -439,7 +439,7 @@ def solve_field(model, points, t: float):
     """
     amps = []
     for n, mo in enumerate(model.spectrum.modes):
-        pv = [pc.values[n] for pc in model.piece_coeffs]
+        pv = [pc[n] for pc in model.piece_coeffs]
         amps.append(duhamel_mode_response(mo.lam, model.alpha, pv, model.cuts, t))
     out = []
     for (r, theta) in points:

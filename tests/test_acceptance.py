@@ -101,7 +101,7 @@ class TestA2Eigensystem:
             mo = sp.modes[i]
             coeffs = project_function(
                 lambda r, th, mo=mo: eigenfunction_eval(mo, r, th), sp)
-            row = coeffs.values[:n].copy()
+            row = coeffs[:n].copy()
             row[i] -= 1.0
             gram_err = max(gram_err, float(np.max(np.abs(row))))
 
@@ -177,8 +177,7 @@ class TestA5EndToEnd:
         h = 4.0 / 4000.0
         staged = dict(result.stage_log)["estimate_alpha"]["alpha_vp"]
         coeff_err = max(
-            float(np.linalg.norm(pc.values - truth.values)
-                  / np.linalg.norm(truth.values))
+            float(np.linalg.norm(pc - truth) / np.linalg.norm(truth))
             for pc, truth in zip(result.coeffs_hat,
                                  reference_model.piece_coeffs))
         checks = {
@@ -209,8 +208,7 @@ class TestA5EndToEnd:
         result = reconstruct(tuple(noisy), spectrum30, INV_CFG)
         h = 4.0 / 4000.0
         coeff_err = max(
-            float(np.linalg.norm(pc.values - truth.values)
-                  / np.linalg.norm(truth.values))
+            float(np.linalg.norm(pc - truth) / np.linalg.norm(truth))
             for pc, truth in zip(result.coeffs_hat,
                                  reference_model.piece_coeffs))
         checks = {

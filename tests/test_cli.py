@@ -107,7 +107,7 @@ class TestConfig:
         sp = build_spectrum(30.0)
         model = build_source_model(cfg, sp)   # a real-field model, or it raises
         assert model.dofs.shape == (1, len(sp))
-        assert float(np.linalg.norm(model.piece_coeffs[0].values)) > 0.01
+        assert float(np.linalg.norm(model.piece_coeffs[0])) > 0.01
 
     def test_trace_csv_round_trip(self):
         t = np.linspace(0.0, 1.0, 17)
@@ -310,7 +310,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, value, clause", [
         ("inversion.refine", "false", "config-schema"),
         ("inversion.changepoint_min_gap", "x", "config-schema"),
-        ("inversion.changepoint_min_gap", math.nan, "inversion-config"),
+        ("inversion.changepoint_min_gap", math.nan, "config-schema"),
+        ("inversion.changepoint_min_gap", 0.0, "inversion-config"),
         pytest.param("inversion.margin_min", math.nan, "config-schema",
                      id="inversion.margin_min-nan-inversion-setting-removed"),
         pytest.param("inversion.margin_min", -1.0, "config-schema",
@@ -452,6 +453,60 @@ class TestConfigValidation:
         assert code == 2
         assert key in err and "[clause: config-schema]" in err, err
         assert not (tmp_path / "run").exists()
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        run = tmp_path_factory.mktemp("traces")
+        assert main(["synth", "--config", write_config(run), "--out", str(run), "--quiet"]) == 0
+        return [str(run / f"flux_sensor{i}.csv") for i in (1, 2)]
+
+    @pytest.mark.parametrize("command", ["spectrum", "synth", "invert"])
+    @pytest.mark.parametrize("edit, clause, named", [
+        (lambda c: c["grid"].__setitem__("steps", 1), "grid", "steps >= 2"),
+        (lambda c: c["grid"].__setitem__("t_max", -1.0), "grid", "t_max > 0"),
+        (lambda c: c["sensors"].__setitem__("theta1", 7.0), "sensor-range", "angle 7.0"),
+        (lambda c: c["sensors"].__setitem__("theta2", -0.1), "sensor-range", "angle -0.1"),
+        (lambda c: c["model"]["pieces"].__setitem__(1, {}), "piece-schema", "piece needs"),
+        (lambda c: c["model"]["pieces"].__setitem__(1, {"density": {"kind": "square"}}),
+         "piece-density", "'square'"),
+        (lambda c: c["model"]["pieces"][0]["coefficients"][1].__setitem__("m", -1),
+         "piece-coefficients", "m >= 0"),
+        (lambda c: c["model"]["pieces"][0]["coefficients"][1].__setitem__("re", math.nan),
+         "config-schema", "model.pieces[0].coefficients[1].re"),
+        (lambda c: c["model"]["pieces"][1]["coefficients"][2].__setitem__("im", math.inf),
+         "config-schema", "model.pieces[1].coefficients[2].im"),
+        (lambda c: c["model"]["pieces"].__setitem__(
+            1, {"density": {"kind": "gaussian", "r0": math.nan}}),
+         "config-schema", "model.pieces[1].density.r0"),
+        (lambda c: c["model"]["pieces"].__setitem__(
+            1, {"density": {"kind": "constant", "amplitude": math.inf}}),
+         "config-schema", "model.pieces[1].density.amplitude"),
+        (lambda c: c["model"]["pieces"].__setitem__(
+            1, {"density": {"kind": "gaussian", "width": 0.0}}),
+         "config-schema", "model.pieces[1].density.width"),
+    ], ids=["steps-1", "t_max-negative", "theta1-7", "theta2-negative", "empty-piece",
+            "square-density", "negative-m", "nan-re", "inf-im", "nan-r0", "inf-amplitude",
+            "zero-width"])
+    def test_checked_where_the_config_is_loaded(self, tmp_path, capsys, traces, command,
+                                                edit, clause, named):
+        # load_config is the one place where a config is checked, so every
+        # command that reads one rejects it the same way, with the same
+        # message (naming the key under config-schema), before any file is
+        # written. Before, spectrum ran each of these configs and invert the
+        # piece and non-finite ones; synth rejected the grid, sensor and
+        # piece cases, but ran the non-finite numbers to nan flux rows and a
+        # width of 0 to a divide-by-zero RuntimeWarning
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        argv = [command, "--config", str(path), "--out", str(out), "--quiet"]
+        code, err = _exit_and_error(capsys, argv + (traces if command == "invert" else []))
+        assert code == 2
+        assert named in err and f"[clause: {clause}]" in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_mode_outside_the_spectrum_exit_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"model.pieces": [
@@ -706,8 +761,7 @@ class TestInvertCommand:
             rows = recon["coeffs"][k * n_modes:(k + 1) * n_modes]
             assert all(row["piece"] == k + 1 for row in rows)
             got = np.array([complex(row["re"], row["im"]) for row in rows])
-            assert (np.linalg.norm(got - truth.values)
-                    <= 1e-2 * np.linalg.norm(truth.values))
+            assert np.linalg.norm(got - truth) <= 1e-2 * np.linalg.norm(truth)
 
     @pytest.mark.parametrize("bad_row", ["0.005;0.1", "0.005,nan"],
                              ids=["malformed-row", "nan-flux"])

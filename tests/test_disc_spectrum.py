@@ -109,7 +109,7 @@ class TestEigenfunctions:
             mo = sp.modes[i]
             coeffs = project_function(
                 lambda r, th, mo=mo: eigenfunction_eval(mo, r, th), sp)
-            rows.append(coeffs.values[:n])
+            rows.append(coeffs[:n])
         gram = np.array(rows)
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-8
 
@@ -167,7 +167,7 @@ class TestNormalizers:
             coeffs = project_function(
                 lambda r, th, mo=mo: eigenfunction_eval(mo, r, th), spectrum30)
             i = spectrum30.modes.index(mo)
-            assert abs(coeffs.values[i] - 1.0) <= 1e-9
+            assert abs(coeffs[i] - 1.0) <= 1e-9
 
 
 class TestBoundaryCoefficients:
@@ -240,17 +240,17 @@ class TestProjection:
             lambda r, th: eigenfunction_eval(mo, r, th), spectrum30)
         expect = np.zeros(len(spectrum30))
         expect[2] = 1.0
-        assert np.max(np.abs(coeffs.values - expect)) <= 1e-8
+        assert np.max(np.abs(coeffs - expect)) <= 1e-8
 
     def test_zero_function(self, spectrum30):
         coeffs = project_function(lambda r, th: np.zeros_like(r), spectrum30)
-        assert np.all(coeffs.values == 0.0)
+        assert np.all(coeffs == 0.0)
 
     def test_radial_function_kills_m_nonzero(self, spectrum30):
         coeffs = project_function(lambda r, th: np.ones_like(r), spectrum30)
         for i, mo in enumerate(spectrum30.modes):
             if mo.m != 0:
-                assert abs(coeffs.values[i]) <= 1e-8
+                assert abs(coeffs[i]) <= 1e-8
 
 
 class TestSerialization:

@@ -9,11 +9,10 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from fracsource import forward_model
-from fracsource.disc_spectrum import ModeCoefficients, build_spectrum, eigenfunction_eval
+from fracsource.disc_spectrum import build_spectrum, eigenfunction_eval
 from fracsource.errors import SensorGeometryError, ShapeError, ValidationError
 from fracsource.forward_model import (
     FluxTrace,
-    SensorConfig,
     SourceModel,
     check_sensor_geometry,
     flux_trace,
@@ -64,7 +63,7 @@ class TestSourceModelValidation:
                         piece_coeffs=(p, q), spectrum=spectrum30, eta=0.5)
 
     def test_nonzero_norm_required(self, spectrum30):
-        zero = ModeCoefficients(values=np.zeros(len(spectrum30), dtype=complex))
+        zero = np.zeros(len(spectrum30), dtype=complex)
         with pytest.raises(ValidationError) as err:
             SourceModel(alpha=0.75, cuts=(0.0, math.inf), piece_coeffs=(zero,),
                         spectrum=spectrum30)
@@ -78,7 +77,7 @@ class TestSourceModelValidation:
         assert err.value.clause == "assumption-1c"
 
     def test_shape_mismatch(self, spectrum30):
-        p = ModeCoefficients(values=np.ones(3, dtype=complex))
+        p = np.ones(3, dtype=complex)
         with pytest.raises(ShapeError):
             SourceModel(alpha=0.75, cuts=(0.0, math.inf), piece_coeffs=(p,),
                         spectrum=spectrum30)
@@ -105,7 +104,7 @@ class TestSourceModelValidation:
 
         def build():
             return SourceModel(alpha=0.75, cuts=(0.0, math.inf),
-                               piece_coeffs=(ModeCoefficients(values=vals),),
+                               piece_coeffs=(vals,),
                                spectrum=spectrum30)
         if not real:
             with pytest.raises(ValidationError) as err:
@@ -143,10 +142,6 @@ class TestSensorConfig:
         monkeypatch.setattr(forward_model, "MARGIN_MIN", abs(math.sin(1.0)) * (1 + 1e-15))
         with pytest.raises(SensorGeometryError):
             check_sensor_geometry(spectrum30, 1.0)
-
-    def test_angle_range(self):
-        with pytest.raises(ValidationError):
-            SensorConfig(theta1=-0.1, theta2=1.0)
 
 
 class TestDuhamel:
@@ -187,7 +182,7 @@ class TestFluxTrace:
 
     def test_linearity(self, spectrum30, reference_grid):
         p1 = make_coeffs(spectrum30, REF_PIECE_1)
-        scaled = ModeCoefficients(values=2.5 * p1.values)
+        scaled = 2.5 * p1
         m_a = SourceModel(alpha=0.8, cuts=(0.1, math.inf), piece_coeffs=(p1,),
                           spectrum=spectrum30)
         m_b = SourceModel(alpha=0.8, cuts=(0.1, math.inf), piece_coeffs=(scaled,),
@@ -250,7 +245,7 @@ class TestFluxTrace:
         vals[spectrum30.index_of(1, 1)] = 1.0  # no conjugate partner
         with pytest.raises(ValidationError) as err:
             model = SourceModel(alpha=0.75, cuts=(0.0, math.inf),
-                                piece_coeffs=(ModeCoefficients(values=vals),),
+                                piece_coeffs=(vals,),
                                 spectrum=spectrum30)
             flux_trace(model, 0.3, reference_grid)
         assert err.value.clause == "real-field"
@@ -300,7 +295,7 @@ class TestGroupedAmplitudes:
         assert b.dtype == float
         for j, (lam, idx) in enumerate(sp.distinct_eigenvalues):
             for k, pc in enumerate(reference_model.piece_coeffs):
-                direct = sum(boundary_coefficient(sp.modes[i], 1.3) * pc.values[i]
+                direct = sum(boundary_coefficient(sp.modes[i], 1.3) * pc[i]
                              for i in idx)
                 assert b[j, k] == pytest.approx(direct, abs=1e-14)
 
@@ -413,7 +408,7 @@ class TestShiftTables:
             "model = build_source_model(cfg, spectrum)\n"
             "times = cfg.times()\n"
             "before = peak()\n"
-            "flux_traces(model, cfg.sensor_config().angles, times)\n"
+            "flux_traces(model, cfg.sensor_angles(), times)\n"
             "print((peak() - before) / 1024)\n")
         package_root = os.path.dirname(os.path.dirname(forward_model.__file__))
         config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.json")

@@ -10,7 +10,7 @@ import pytest
 
 from fracsource import inversion
 from fracsource.config import load_config
-from fracsource.disc_spectrum import ModeCoefficients, build_spectrum, sensor_weights
+from fracsource.disc_spectrum import build_spectrum, sensor_weights
 from fracsource.errors import (
     EmptySignalError,
     SensorGeometryError,
@@ -53,7 +53,7 @@ def _model_flux(result, spectrum, traces):
     the SourceModel that the result describes, independent of the
     projection that reconstruct ends with."""
     model = SourceModel(alpha=result.alpha_hat, cuts=(*result.cuts_hat, math.inf),
-                        piece_coeffs=tuple(result.coeffs_hat), spectrum=spectrum)
+                        piece_coeffs=result.coeffs_hat, spectrum=spectrum)
     return [tr.values for tr in flux_traces(model, [tr.sensor_angle for tr in traces],
                                             traces[0].times)]
 
@@ -100,10 +100,11 @@ def _noisy(traces, level, seed):
 
 class TestInversionConfig:
     # the inversion section is checked once, where load_config reads it: a
-    # gap that is a number but not finite and > 0 has clause
-    # inversion-config; a gap of another JSON type, and the removed settings
-    # margin_min (now forward_model.MARGIN_MIN) and refine (refine_joint
-    # always runs), have clause config-schema
+    # finite gap that is not > 0 has clause inversion-config; a NaN or
+    # infinite gap (as every non-finite float-typed key), a gap of another
+    # JSON type, and the removed settings margin_min (now
+    # forward_model.MARGIN_MIN) and refine (refine_joint always runs), have
+    # clause config-schema
     @pytest.mark.parametrize("kwargs", [
         {"changepoint_min_gap": math.nan}, {"changepoint_min_gap": math.inf},
         {"changepoint_min_gap": 0.0}, {"changepoint_min_gap": "0.3"},
@@ -114,7 +115,7 @@ class TestInversionConfig:
         with pytest.raises(ValidationError) as err:
             load_config(json.dumps({"inversion": kwargs}))
         (key, value), = kwargs.items()
-        number = key == "changepoint_min_gap" and type(value) is float
+        number = key == "changepoint_min_gap" and type(value) is float and math.isfinite(value)
         assert err.value.clause == ("inversion-config" if number else "config-schema")
         assert key in str(err.value)
 
@@ -137,8 +138,10 @@ class TestInversionConfig:
     @pytest.mark.parametrize("gap", [math.nan, math.inf, 0.0, -1.0])
     def test_reconstruct_checks_the_gap(self, spectrum30, reference_traces, monkeypatch,
                                         gap, level):
-        # reconstruct checks the gap as load_config does, with its message,
-        # before any build, on clean and on noisy traces
+        # reconstruct checks the gap before any build, on clean and on noisy
+        # traces, as load_config does a finite gap, with its message;
+        # load_config rejects a NaN or infinite gap first, as it does every
+        # non-finite float-typed key (clause config-schema)
         builds = []
         monkeypatch.setattr(inversion, "relaxation_design", lambda *args: builds.append(args))
         with pytest.raises(ValidationError) as err:
@@ -146,7 +149,10 @@ class TestInversionConfig:
         assert err.value.clause == "inversion-config"
         with pytest.raises(ValidationError) as want:
             load_config(json.dumps({"inversion": {"changepoint_min_gap": gap}}))
-        assert str(err.value) == str(want.value)
+        if math.isfinite(gap):
+            assert str(err.value) == str(want.value)
+        else:
+            assert want.value.clause == "config-schema"
         assert builds == []
 
 
@@ -390,7 +396,7 @@ class TestSolveAmplitudes:
                   FluxTrace(1.3, reference_grid, np.zeros_like(reference_grid)))
         coeffs = _solve(traces, spectrum30, 0.75, [0.2], refine=False)[2]
         assert len(coeffs) == 1
-        assert np.all(coeffs[0].values == 0)
+        assert np.all(coeffs[0] == 0)
 
     def test_single_mode_recovery(self, reference_grid):
         sp = build_spectrum(6.0)
@@ -402,7 +408,7 @@ class TestSolveAmplitudes:
         assert len(got.coeffs_hat) == 1
         assert got.cuts_hat == [0.0]
         assert abs(got.alpha_hat - 0.8) <= 1e-6
-        assert abs(got.coeffs_hat[0].values[0] - 1.7) <= 1e-6
+        assert abs(got.coeffs_hat[0][0] - 1.7) <= 1e-6
 
     def test_relative_residuals_are_those_of_the_reported_coefficients(
             self, spectrum30, noisy_staged):
@@ -459,10 +465,11 @@ class TestReconstructPipeline:
             assert noted == (got.K_hat == 1)
 
     def test_scale_equivariance(self, spectrum30, reference_grid):
-        p1 = make_coeffs(spectrum30, REF_PIECE_1)
-        p2 = make_coeffs(spectrum30, REF_PIECE_2)
-        results = []
-        for scale in (1.0, 7.5):
+        # the onset floor is relative to the trace peak, so traces scaled
+        # by 1e-12 (peak 2.6e-13) give the same estimates as the unscaled
+        # ones; under the absolute floor of 1e-9 they had no onset
+        results = {}
+        for scale in (1.0, 7.5, 1e-12):
             pieces = tuple(
                 make_coeffs(spectrum30, {mk: scale * v for mk, v in d.items()})
                 for d in (REF_PIECE_1, REF_PIECE_2))
@@ -470,22 +477,21 @@ class TestReconstructPipeline:
                                 piece_coeffs=pieces, spectrum=spectrum30)
             traces = tuple(flux_trace(model, th, reference_grid)
                            for th in (0.3, 1.3))
-            results.append(_staged(traces, spectrum30))
-        a, b = results
-        assert a.alpha_hat == pytest.approx(b.alpha_hat, abs=1e-9)
-        assert a.cuts_hat == pytest.approx(b.cuts_hat, abs=1e-12)
-        for pa, pb in zip(a.coeffs_hat, b.coeffs_hat):
-            assert np.max(np.abs(7.5 * pa.values - pb.values)) <= 1e-6 * \
-                np.max(np.abs(pb.values))
+            results[scale] = _staged(traces, spectrum30)
+        a = results[1.0]
+        for scale, b in results.items():
+            assert a.alpha_hat == pytest.approx(b.alpha_hat, abs=1e-9)
+            assert a.cuts_hat == pytest.approx(b.cuts_hat, abs=1e-12)
+            for pa, pb in zip(a.coeffs_hat, b.coeffs_hat):
+                assert np.max(np.abs(scale * pa - pb)) <= 1e-6 * np.max(np.abs(pb))
 
     def test_conjugate_closure(self, spectrum30, reference_traces):
         # the result describes a real source: it builds a SourceModel, which
         # checks conjugate symmetry, and its dofs give the coefficients back
         res = reconstruct(reference_traces, spectrum30, GAP)
         model = SourceModel(alpha=res.alpha_hat, cuts=(*res.cuts_hat, math.inf),
-                            piece_coeffs=tuple(res.coeffs_hat), spectrum=spectrum30)
-        coeffs = np.array([pc.values for pc in res.coeffs_hat])
-        assert np.array_equal(model.dofs @ forward_model._dof_map(spectrum30), coeffs)
+                            piece_coeffs=res.coeffs_hat, spectrum=spectrum30)
+        assert np.array_equal(model.dofs @ forward_model._dof_map(spectrum30), res.coeffs_hat)
 
     def test_sensor_margin_guard(self, spectrum30, reference_model,
                                  reference_grid):
@@ -601,8 +607,7 @@ def noisy_staged(spectrum30, reference_model):
 
 
 def _coeff_rel_err(coeffs, model):
-    return max(float(np.linalg.norm(pc.values - truth.values)
-                     / np.linalg.norm(truth.values))
+    return max(float(np.linalg.norm(pc - truth) / np.linalg.norm(truth))
                for pc, truth in zip(coeffs, model.piece_coeffs))
 
 
@@ -618,8 +623,7 @@ def _solve(traces, spectrum, alpha, cuts, refine=True):
         sigma = inversion._pre_onset_sigma(*problem[:2], cuts[0]) or 0.0
         theta, projection, refine_log = refine_joint(problem, theta, projection, sigma, GAP)
         log.append(("refine_joint", refine_log))
-    rows = projection[1].reshape(len(theta) - 1, -1) @ forward_model._dof_map(spectrum)
-    coeffs = [ModeCoefficients(values=v) for v in rows]
+    coeffs = projection[1].reshape(len(theta) - 1, -1) @ forward_model._dof_map(spectrum)
     return float(theta[0]), [float(c) for c in theta[1:]], coeffs, dict(log)
 
 
@@ -649,7 +653,7 @@ class TestDofMap:
         pvec = np.random.default_rng(11).normal(size=2 * len(spec))
         coeffs = pvec.reshape(2, -1) @ c
         model = SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
-                            piece_coeffs=tuple(map(ModeCoefficients, coeffs)),
+                            piece_coeffs=coeffs,
                             spectrum=spec)
         assert model.dofs.dtype == float
         assert np.array_equal(model.dofs, pvec.reshape(2, -1))
@@ -658,7 +662,7 @@ class TestDofMap:
         broken[0, spec.index_of(1, 1)] += 1e-6j
         with pytest.raises(ValidationError) as err:
             SourceModel(alpha=0.75, cuts=(0.2, 1.2, math.inf),
-                        piece_coeffs=tuple(map(ModeCoefficients, broken)), spectrum=spec)
+                        piece_coeffs=broken, spectrum=spec)
         assert err.value.clause == "real-field"
         for theta, phase in zip((0.3, 1.3), forward_model._phases(spec, (0.3, 1.3))):
             weights = sensor_weights(spec, theta)
@@ -823,8 +827,7 @@ class TestRefineNoisy:
         assert abs(got[0] - full[0]) <= 2e-3
         assert np.max(np.abs(np.subtract(got[1], full[1]))) <= 4.0 / 1000
         for pg, pf in zip(got[2], full[2]):
-            assert (np.linalg.norm(pg.values - pf.values)
-                    <= 0.05 * np.linalg.norm(pf.values))
+            assert np.linalg.norm(pg - pf) <= 0.05 * np.linalg.norm(pf)
 
     def test_design_builds(self, spectrum30, noisy_staged, monkeypatch):
         # the staged projection and refine's steps; the no-decrease stop

@@ -10,7 +10,7 @@ import fracsource
 from fracsource import forward_model
 from fracsource.config import columns_to_csv
 from fracsource.disc_spectrum import (
-    EigenMode, ModeCoefficients, SpectrumTable, build_spectrum, eigenfunction_eval)
+    EigenMode, SpectrumTable, build_spectrum, eigenfunction_eval)
 from fracsource.errors import DomainError, HorizonError, ValidationError
 from fracsource.forward_model import FluxTrace, SourceModel, flux_trace
 from fracsource.laplace_model import LaplacePoint, laplace_flux_model, numeric_laplace
@@ -105,7 +105,7 @@ class TestLaplaceFluxModel:
         vals[spectrum30.index_of(1, 1)] = 1.0  # no conjugate partner
         with pytest.raises(ValidationError) as err:
             model = SourceModel(alpha=0.75, cuts=(0.0, math.inf),
-                                piece_coeffs=(ModeCoefficients(values=vals),),
+                                piece_coeffs=(vals,),
                                 spectrum=spectrum30)
             laplace_flux_model(model, 0.3, LaplacePoint(1.0))
         assert err.value.clause == "real-field"
@@ -227,9 +227,9 @@ class TestDeltaMollifier:
             if abs(mo.m) <= 1:
                 expect = (np.exp(-1j * mo.m * theta_z)
                           / (math.sqrt(math.pi) * math.sqrt(mo.lam)))
-                assert coeffs.values[i] == pytest.approx(expect, abs=1e-10)
+                assert coeffs[i] == pytest.approx(expect, abs=1e-10)
             else:
-                assert abs(coeffs.values[i]) <= 1e-8
+                assert abs(coeffs[i]) <= 1e-8
 
     def test_boundary_reproduction_of_trig_polys(self):
         # int_dOmega delta_z^N g -> g(z) exactly for trig degree <= N
