@@ -4,6 +4,9 @@ the unit disc with sources that are piecewise constant in time.
 Boundary-flux observations at two sensor angles are synthesized from a
 spectral closed form and the fractional order, the time mesh, and the spatial
 source modes are reconstructed from those traces.
+
+Importing the package loads no numpy, so that fracsource.cli can set the BLAS
+thread count first; import each module by name (fracsource.inversion, ...).
 """
 
 __version__ = "0.1.0"
@@ -13,5 +16,3 @@ from .errors import (  # noqa: F401
     FracsourceError,
     ValidationError,
 )
-from . import disc_spectrum, forward_model, inversion, laplace_model, specfun  # noqa: E402,F401
-from . import config  # noqa: E402,F401

@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 validation failure, 3 numerical failure. All output
 files go through atomic writes and are byte-identical across reruns with the
 same config and seed.
+
+OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS is set: no command
+builds a matrix larger than 32002 x 12, and a second thread only spins beside
+the first while numpy starts. The package's __init__ loads no numpy, so the
+variable is set here before numpy is.
 """
 from __future__ import annotations
 
@@ -12,6 +17,8 @@ import json
 import math
 import os
 import sys
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")   # before numpy loads OpenBLAS
 
 import numpy as np
 
@@ -69,6 +76,7 @@ def cmd_spectrum(args) -> int:
     cfg = load_config(args.config)
     directory = _out_dir(cfg, args)
     spectrum = build_spectrum(float(cfg.spectrum["lambda_max"]))
+    build_source_model(cfg, spectrum)   # the model section is checked as synth checks it
     manifest = RunManifest.for_config(cfg)
     _emit(manifest, directory, "spectrum.json", spectrum_to_json(spectrum))
     _finish(manifest, directory)
@@ -120,6 +128,7 @@ def cmd_invert(args) -> int:
         raise ValidationError("invert requires exactly two trace files",
                               clause="sensor-count")
     spectrum = build_spectrum(float(cfg.spectrum["lambda_max"]))
+    build_source_model(cfg, spectrum)   # the model section is checked as synth checks it
     grid = cfg.times()
     traces = []
     for path, theta in zip(args.traces, cfg.sensor_angles()):
@@ -130,8 +139,11 @@ def cmd_invert(args) -> int:
     manifest = RunManifest.for_config(cfg)
     _emit(manifest, directory, "reconstruction.json",
           result_to_json(result, spectrum, [os.path.basename(p) for p in args.traces]))
-    _emit(manifest, directory, "residual_curve.csv", columns_to_csv(
-        "t,residual_sensor1,residual_sensor2", traces[0].times, *result.residuals))
+    # noise-level values that no command reads back: 9 significant digits,
+    # formatted in one pass
+    curve = np.column_stack((grid, *result.residuals)).ravel().tolist()
+    _emit(manifest, directory, "residual_curve.csv", "t,residual_sensor1,residual_sensor2\n"
+          + ("%.9g,%.9g,%.9g\n" * len(grid)) % tuple(curve))
     _finish(manifest, directory)
     _info(args, f"invert: alpha_hat={result.alpha_hat:.6f} "
                 f"cuts={['%.4f' % c for c in result.cuts_hat]} K={result.K_hat}")
@@ -148,6 +160,7 @@ def _verify_checks(cfg: ExperimentConfig):
                        "pass": bool(measured <= tolerance)})
 
     spectrum = build_spectrum(float(cfg.spectrum["lambda_max"]))
+    model = build_source_model(cfg, spectrum)
 
     # Laplace pair: int_0^inf e^(-st) t^(a-1) E_{a,a}(-lam t^a) dt = 1/(s^a + lam),
     # integrated in v = t^a by composite Gauss-Legendre on panels graded
@@ -180,7 +193,6 @@ def _verify_checks(cfg: ExperimentConfig):
     add("ml_unit_mass", abs(mass - one_minus_tail), 1e-6)
 
     # measurement identity on the configured model
-    model = build_source_model(cfg, spectrum)
     times = cfg.times()
     theta1 = cfg.sensor_angles()[0]
     add("measurement_identity", verify_measurement_identity(model, theta1, times), 5e-4)

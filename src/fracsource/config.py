@@ -1,8 +1,8 @@
 """Experiment configuration, validation, file persistence, and run manifests.
 
-The config is one JSON document with full defaulting. Every numeric written
-to disk uses repr (shortest round-trip decimal), so reruns with the same
-config and seed are byte-identical.
+The config is one JSON document with full defaulting. Every numeric that
+this module writes uses repr (shortest round-trip decimal), so reruns with
+the same config and seed are byte-identical.
 """
 from __future__ import annotations
 
@@ -314,23 +314,37 @@ def trace_to_csv(times, values) -> str:
 
 
 def trace_from_csv(text: str):
-    """(times, values) of a 't,flux' CSV. A row that is not two finite
-    numbers raises ValidationError (clause trace-csv) naming its line; the
-    header is line 1."""
+    """(times, values) of a 't,flux' CSV, as contiguous arrays. A row that is
+    not two finite numbers raises ValidationError (clause trace-csv) naming
+    its line; the header is line 1.
+
+    numpy's C reader parses the rows. Where it raises, or skips a blank line
+    (its shape is then not (rows, 2)), a loop parses each line with float(),
+    which gives the reader's values wherever both accept a cell and names
+    the first line that is not two numbers; it also accepts what only
+    float() reads, such as 1_0."""
     lines = text.strip().splitlines()
     if not lines or lines[0] != "t,flux":
         raise ValidationError("trace CSV must start with header 't,flux'",
                               clause="trace-csv")
-    cells = np.empty((2, len(lines) - 1))   # no Python float outlives its cell
-    t, v = map(memoryview, cells)   # item writes cost less than on the ndarray
-    for i, line in enumerate(lines[1:]):
+    rows = lines[1:]
+    cells = None
+    if rows:   # loadtxt warns on empty input
         try:
-            a, b = line.split(",")
-            t[i], v[i] = float(a), float(b)
+            cells = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2).T
         except ValueError:
-            raise ValidationError(f"trace CSV line {i + 2} is not two numbers: {line!r}",
-                                  clause="trace-csv") from None
-    t, v = cells
+            pass
+    if cells is None or cells.shape != (2, len(rows)):
+        cells = np.empty((2, len(rows)))   # no Python float outlives its cell
+        t, v = map(memoryview, cells)   # item writes cost less than on the ndarray
+        for i, line in enumerate(rows):
+            try:
+                a, b = line.split(",")
+                t[i], v[i] = float(a), float(b)
+            except ValueError:
+                raise ValidationError(f"trace CSV line {i + 2} is not two numbers: {line!r}",
+                                      clause="trace-csv") from None
+    t, v = np.ascontiguousarray(cells)
     bad = ~(np.isfinite(t) & np.isfinite(v))
     if bad.any():
         i = int(np.argmax(bad))

@@ -55,7 +55,7 @@ __all__ = [
 MARGIN_MIN = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceModel:
     """The unknown tuple (alpha, {c_k}, {p_{k,n}}) in mode coordinates.
 
@@ -76,7 +76,7 @@ class SourceModel:
     cuts: tuple
     piece_coeffs: np.ndarray
     spectrum: SpectrumTable
-    dofs: np.ndarray = field(init=False, compare=False, repr=False)
+    dofs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.5 < self.alpha < 1.0:
@@ -146,7 +146,7 @@ def check_sensor_geometry(spectrum: SpectrumTable, delta_theta: float) -> dict:
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FluxTrace:
     """Sampled boundary flux du/dnu at one sensor angle."""
 

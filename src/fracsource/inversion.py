@@ -57,7 +57,7 @@ MAX_REFINE_ITERATIONS = 50
 REFINE_TOL = 1e-10               # relative-decrease stop of refine_joint
 
 
-@dataclass
+@dataclass(eq=False)
 class ReconstructionResult:
     alpha_hat: float
     cuts_hat: list

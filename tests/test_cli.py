@@ -182,10 +182,10 @@ def _valid_trace_csv(draw):
 
 
 class TestTraceReader:
-    """trace_from_csv writes each cell's float() into one preallocated
-    (2, n) array instead of lists of Python floats. The outcome is the list
-    loop's (oracles.trace_from_csv_loop), bit for bit or message for
-    message."""
+    """trace_from_csv parses the rows with np.loadtxt and falls back to
+    float() on each cell, written into one preallocated (2, n) array, where
+    loadtxt raises or skips a line. The outcome is the list loop's
+    (oracles.trace_from_csv_loop), bit for bit or message for message."""
 
     @given(_valid_trace_csv())
     @example("t,flux\n0.0,-0.0\n5e-324,1e308\n")
@@ -231,9 +231,24 @@ class TestTraceReader:
         ("t,flux\n0.0,1.0\n0.1,1e999\n", "trace CSV line 3 has a non-finite value: '0.1,1e999'"),
         ("t,flux\n", None),
         ("t;flux\n0.0,1.0\n", "trace CSV must start with header 't,flux'"),
+        # rows where loadtxt (comments=None, no quote character) and float()
+        # could part
+        ("t,flux\n0.0,1.0\n0.1,2.0 # x\n", "trace CSV line 3 is not two numbers: '0.1,2.0 # x'"),
+        ("t,flux\n0.0,1.0\n#0.1,2.0\n", "trace CSV line 3 is not two numbers: '#0.1,2.0'"),
+        ('t,flux\n0.0,"1.0"\n', "trace CSV line 2 is not two numbers: '0.0,\"1.0\"'"),
+        ("t,flux\n 0.0 ,\t1.5 \n0.1,\xa02.5\n", None),
+        ("t,flux\n0.0,1d5\n", "trace CSV line 2 is not two numbers: '0.0,1d5'"),
+        ("t,flux\n0.0,1.0\n0.1,2.0,\n", "trace CSV line 3 is not two numbers: '0.1,2.0,'"),
+        ("t,flux\n0.0,1.0,\n0.1,2.0,\n", "trace CSV line 2 is not two numbers: '0.0,1.0,'"),
+        ("t,flux\n0.0,1.0\n0.1,2.0\n\n", None),
+        ("t,flux\n0.0,1.0\n0.1,2.0\n  \n", None),
+        ("t,flux\n0.0,1.0\n \t\n0.2,3.0\n", "trace CSV line 3 is not two numbers: ' \\t'"),
     ], ids=["three-fields", "blank-middle-line", "missing-field", "nan", "crlf",
             "underscores", "three-fields-every-line", "one-field-every-line", "hex",
-            "overflow", "header-only", "bad-header"])
+            "overflow", "header-only", "bad-header", "hash-in-row", "hash-first",
+            "quoted-field", "spaces", "d-exponent", "trailing-comma",
+            "trailing-comma-every-line", "blank-last-line", "blank-last-line-spaces",
+            "whitespace-middle-line"])
     def test_same_outcome_as_the_loop(self, text, message):
         got = _read_outcome(trace_from_csv, text)
         assert got == _read_outcome(oracles.trace_from_csv_loop, text)
@@ -241,6 +256,13 @@ class TestTraceReader:
             assert got[0] == "values"
         else:
             assert got == ("error", message, "trace-csv")
+
+    def test_header_only_gives_empty_arrays_without_a_warning(self):
+        # loadtxt warns on empty input, so a header-only file never reaches it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, v = trace_from_csv("t,flux\n")
+        assert t.shape == v.shape == (0,)
 
 
 # inversion keys of earlier versions, with the values they held; the
@@ -508,6 +530,31 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["spectrum", "synth", "invert", "verify"])
+    @pytest.mark.parametrize("edit, clause", [
+        (lambda m: m.__setitem__("alpha", 0.3), "condition-alpha"),
+        (lambda m: m.__setitem__("cuts", [1.2, 0.2, "inf"]), "assumption-1a"),
+        (lambda m: m.__setitem__("pieces", []), "assumption-1c"),
+        (lambda m: m["pieces"][0]["coefficients"].append({"m": 7, "k": 1, "re": 1.0}),
+         "piece-coefficients"),
+        (lambda m: m["pieces"][1]["coefficients"][0].__setitem__("im", 0.5), "real-field"),
+    ], ids=["alpha-0.3", "unordered-cuts", "no-pieces", "mode-outside-spectrum",
+            "not-real-field"])
+    def test_every_command_checks_the_model(self, tmp_path, capsys, traces, command,
+                                            edit, clause):
+        # each command builds the source model before it writes a file;
+        # before, spectrum and invert ran these configs to exit 0
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        edit(doc["model"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        argv = [command, "--config", str(path), "--out", str(out), "--quiet"]
+        code, err = _exit_and_error(capsys, argv + (traces if command == "invert" else []))
+        assert code == 2
+        assert err.startswith("validation error: ") and f"[clause: {clause}]" in err, err
+        assert not out.exists()
+
     def test_mode_outside_the_spectrum_exit_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"model.pieces": [
             {"coefficients": [{"m": 7, "k": 1, "re": 1.0}]}], "model.cuts": [0.2, "inf"]})
@@ -528,7 +575,10 @@ class TestConfigValidation:
 
 class TestSpectrumCommand:
     def test_single_mode_export(self, tmp_path):
-        cfg_path = write_config(tmp_path, {"spectrum.lambda_max": 6.0})
+        # spectrum checks the model section as synth does, so the model uses
+        # the one mode (0, 1)
+        cfg_path = write_config(tmp_path, {"spectrum.lambda_max": 6.0, "model.pieces": [
+            {"coefficients": [{"m": 0, "k": 1, "re": re}]} for re in (1.0, -0.6)]})
         assert main(["spectrum", "--config", cfg_path, "--quiet"]) == 0
         rows = json.loads((tmp_path / "run" / "spectrum.json").read_text())
         assert len(rows) == 1
@@ -646,6 +696,28 @@ class TestSynthCommand:
 
 
 class TestInvertCommand:
+    def test_residual_curve(self, tmp_path, monkeypatch):
+        # one line per grid time under the unchanged header, every cell at 9
+        # significant digits: the residuals parse back within 5e-9 relative
+        # of the result's, the times within 1e-12 of the grid
+        cfg_path = write_config(tmp_path, {"grid.steps": 400, "noise.level": 0.01})
+        assert main(["synth", "--config", cfg_path, "--quiet"]) == 0
+        results = []
+        reconstruct = cli.reconstruct
+        monkeypatch.setattr(cli, "reconstruct",
+                            lambda *a: results.append(reconstruct(*a)) or results[-1])
+        run = tmp_path / "run"
+        assert main(["invert", "--config", cfg_path, "--quiet",
+                     *(str(run / f"flux_sensor{i}_noisy.csv") for i in (1, 2))]) == 0
+        lines = (run / "residual_curve.csv").read_text().splitlines()
+        assert len(lines) == 402 and lines[0] == "t,residual_sensor1,residual_sensor2"
+        assert lines[1].startswith("0,")
+        cells = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        assert np.max(np.abs(cells[:, 0] - np.linspace(0.0, 4.0, 401))) <= 1e-12
+        want = np.array(results[0].residuals).T
+        assert np.all(np.abs(cells[:, 1:] - want) <= 5e-9 * np.abs(want))
+        assert np.all(want != 0.0)
+
     def test_wrong_trace_count_exit_2(self, tmp_path):
         cfg_path = write_config(tmp_path, {"grid.steps": 400})
         main(["synth", "--config", cfg_path, "--quiet"])
@@ -911,6 +983,42 @@ class TestGcFreeze:
             assert gc.get_freeze_count() > 0
         finally:
             gc.unfreeze()
+
+
+def _python_env(**variables):
+    """os.environ without OPENBLAS_NUM_THREADS, the package on the path, and
+    variables set."""
+    package_root = os.path.dirname(os.path.dirname(fracsource.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return {**env, **variables}
+
+
+class TestBlasThreads:
+    # the command line runs OpenBLAS on one thread unless the variable is
+    # set; a library import leaves it alone
+    SCRIPT = ("import os, sys\n"
+              "import {module}\n"
+              "import numpy as np\n"
+              "np.linalg.norm(np.ones(32002))\n"
+              "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
+              "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks)\n")
+
+    @pytest.mark.parametrize("module, variables, want", [
+        ("fracsource.cli", {}, "1"),
+        ("fracsource.cli", {"OPENBLAS_NUM_THREADS": "2"}, "2"),
+        ("fracsource.inversion", {}, "None"),
+    ], ids=["cli-default", "cli-set-by-the-user", "library-import"])
+    def test_thread_default(self, module, variables, want):
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT.format(module=module)],
+                              capture_output=True, text=True, timeout=120,
+                              env=_python_env(**variables))
+        assert done.returncode == 0, done.stderr
+        value, tasks = done.stdout.split()
+        assert value == want
+        if want == "1":
+            assert tasks == "1"
 
 
 class TestNoScipyImport:

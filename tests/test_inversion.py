@@ -577,6 +577,33 @@ class TestResidualCurve:
         assert np.max(np.abs(r)) <= 1e-13 * scale
 
 
+class TestEqualityIsIdentity:
+    def test_compare_and_hash(self, reference_model, reference_traces):
+        # each holds arrays: the generated field-wise == raised ValueError
+        # on two equal objects (an array's truth value), and hash() of the
+        # frozen ones TypeError; equality is identity
+        model = reference_model
+        trace = reference_traces[0]
+        result = inversion.ReconstructionResult(
+            alpha_hat=0.75, cuts_hat=[0.2, 1.2], coeffs_hat=model.piece_coeffs,
+            residual_norm=0.0)
+        pairs = [
+            (model, SourceModel(alpha=model.alpha, cuts=model.cuts,
+                                piece_coeffs=model.piece_coeffs.copy(),
+                                spectrum=model.spectrum)),
+            (trace, FluxTrace(sensor_angle=trace.sensor_angle, times=trace.times.copy(),
+                              values=trace.values.copy())),
+            (result, inversion.ReconstructionResult(
+                alpha_hat=0.75, cuts_hat=[0.2, 1.2], coeffs_hat=model.piece_coeffs.copy(),
+                residual_norm=0.0)),
+        ]
+        for obj, twin in pairs:
+            assert obj == obj and not obj != obj
+            assert obj != twin and not obj == twin
+            assert hash(obj) == hash(obj)
+            assert len({obj, twin, obj}) == 2
+
+
 # The dense two-sensor operator, one block per sensor: the reference for
 # _project and for the cut columns. Row 2 j of a phase matrix is the real row
 # of eigenvalue j.
