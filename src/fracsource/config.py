@@ -20,7 +20,6 @@ from . import __version__
 from .disc_spectrum import SpectrumTable, project_function
 from .errors import ValidationError
 from .forward_model import SourceModel
-from .inversion import check_changepoint_min_gap, check_uniform_grid
 
 __all__ = [
     "ExperimentConfig",
@@ -34,6 +33,8 @@ __all__ = [
     "trace_to_csv",
     "trace_from_csv",
     "read_trace",
+    "check_changepoint_min_gap",
+    "check_uniform_grid",
     "check_trace_grid",
 ]
 
@@ -176,10 +177,10 @@ def load_config(text_or_path) -> ExperimentConfig:
     number that must be a float is finite (clause config-schema). Then
     grid.steps >= 2 and grid.t_max > 0 (clause grid), each sensor angle in
     [0, 2 pi) (clause sensor-range), noise.level >= 0 and noise.seed >= 0
-    (clause config-schema), inversion.changepoint_min_gap > 0 (clause
-    inversion-config), and each output.laplace_s entry a finite number > 0
-    (clause config-schema). The checks that need the spectrum are made where
-    it is built."""
+    (clause config-schema), 0 < inversion.changepoint_min_gap <= grid.t_max
+    (clause inversion-config), and each output.laplace_s entry a finite
+    number > 0 (clause config-schema). The checks that need the spectrum are
+    made where it is built."""
     source, text = "text", text_or_path
     if not (isinstance(text, str) and text.lstrip().startswith("{")):
         source = os.fspath(text_or_path)
@@ -210,7 +211,8 @@ def load_config(text_or_path) -> ExperimentConfig:
         value = merged[section][key]
         if not ok(value):
             raise ValidationError(message.format(name=name, value=value), clause=clause)
-    check_changepoint_min_gap(merged["inversion"]["changepoint_min_gap"])
+    check_changepoint_min_gap(merged["inversion"]["changepoint_min_gap"],
+                              merged["grid"]["t_max"])
     for i, s in enumerate(merged["output"]["laplace_s"]):
         _check_double(f"output.laplace_s[{i}]", s)
         if type(s) not in (int, float) or not 0 < s < math.inf:
@@ -363,6 +365,29 @@ def read_trace(path: str):
         raise ValidationError(f"cannot read trace {path}: {exc.strerror}",
                               clause="trace-file") from None
     return trace_from_csv(text)
+
+
+def check_changepoint_min_gap(gap, record: float) -> None:
+    """Raise ValidationError (clause inversion-config) unless the paper's
+    eta, the minimum gap between cuts, is a finite number > 0 and at most
+    the record length; load_config (against grid.t_max) and reconstruct
+    (against the traces' last time) both check it here."""
+    if not 0 < gap < math.inf:
+        raise ValidationError("inversion.changepoint_min_gap must be a finite number > 0, "
+                              f"got {gap!r}", clause="inversion-config")
+    if gap > record:
+        raise ValidationError(f"inversion.changepoint_min_gap {gap!r} exceeds the record "
+                              f"length {record!r}", clause="inversion-config")
+
+
+def check_uniform_grid(times: np.ndarray, source: str) -> float:
+    """The step h of times; ValidationError (clause trace-grid), naming
+    source, unless each step is within 1e-9 of h, since the change-point and
+    order stages take t[1] - t[0] as the step of the whole grid."""
+    h = float(times[-1] - times[0]) / max(len(times) - 1, 1)
+    if not (h > 0 and np.all(np.abs(np.diff(times) - h) <= 1e-9 * h)):
+        raise ValidationError(f"{source}: time grid is not uniform", clause="trace-grid")
+    return h
 
 
 def check_trace_grid(times: np.ndarray, expected: np.ndarray, source: str):

@@ -103,12 +103,7 @@ def build_spectrum(lambda_max: float) -> SpectrumTable:
     m_bound = int(math.ceil(sq)) + 2
     modes = []
     for m in range(0, m_bound + 1):
-        # the zeros <= sq, then trim: bessel_j_zeros checks that consecutive
-        # zeros lie more than 2 apart and j_{m,1} >= j_{0,1} > 2.4, so zero
-        # number approx exceeds 2 approx > sq + 6
-        approx = max(4, int(sq / 2.0) + 4)
-        zeros = bessel_j_zeros(m, approx)
-        zeros = zeros[zeros <= sq]
+        zeros = bessel_j_zeros(m, sq)
         if len(zeros) == 0:
             break  # j_{m,1} increases with m: higher orders cannot contribute
         omegas = 1.0 / (_SQRT_PI * np.abs(_bessel_j_unchecked(m + 1, zeros)))

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_changepoint_min_gap, check_uniform_grid
 from .disc_spectrum import SpectrumTable
 from .errors import (
     ConditioningError,
@@ -39,8 +40,6 @@ from .forward_model import (
 
 __all__ = [
     "ReconstructionResult",
-    "check_changepoint_min_gap",
-    "check_uniform_grid",
     "detect_onset",
     "estimate_alpha",
     "detect_change_points",
@@ -74,25 +73,6 @@ class ReconstructionResult:
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.cuts_hat[:-1], self.cuts_hat[1:])):
             raise ShapeError("cuts_hat must be strictly increasing")
-
-
-def check_changepoint_min_gap(gap) -> None:
-    """Raise ValidationError (clause inversion-config) unless the paper's
-    eta, the minimum gap between cuts, is a finite number > 0; load_config
-    and reconstruct both check it here."""
-    if not 0 < gap < math.inf:
-        raise ValidationError("inversion.changepoint_min_gap must be a finite number > 0, "
-                              f"got {gap!r}", clause="inversion-config")
-
-
-def check_uniform_grid(times: np.ndarray, source: str) -> float:
-    """The step h of times; ValidationError (clause trace-grid), naming
-    source, unless each step is within 1e-9 of h, since the change-point and
-    order stages take t[1] - t[0] as the step of the whole grid."""
-    h = float(times[-1] - times[0]) / max(len(times) - 1, 1)
-    if not (h > 0 and np.all(np.abs(np.diff(times) - h) <= 1e-9 * h)):
-        raise ValidationError(f"{source}: time grid is not uniform", clause="trace-grid")
-    return h
 
 
 def _median(values: np.ndarray):
@@ -413,10 +393,11 @@ def reconstruct(traces, spectrum: SpectrumTable, changepoint_min_gap: float
     The noise scale _pre_onset_sigma is taken right after the onset, so the
     order stage's polish and the joint fit share one noise-floor stop.
     changepoint_min_gap is the paper's eta, at most the true minimum gap
-    between cuts. Before any stage runs it must be finite and > 0 (clause
-    inversion-config), the traces must share one grid (ShapeError), that
-    grid must be uniform (clause trace-grid), and its step must be at most a
-    tenth of the gap (clause changepoint-grid).
+    between cuts. Before any stage runs it must be finite, > 0 and at most
+    the record length t[-1] (clause inversion-config), the traces must
+    share one grid (ShapeError), that grid must be uniform (clause
+    trace-grid), and its step must be at most a tenth of the gap (clause
+    changepoint-grid).
     When eta >= (t_max - c0_hat) / 2 no interior cut fits, and the
     detect_change_points entry of the stage log carries a note saying so.
     The result's residuals (model flux minus trace, per sensor) and its
@@ -424,7 +405,7 @@ def reconstruct(traces, spectrum: SpectrumTable, changepoint_min_gap: float
     if len(traces) != 2:
         raise ValidationError("exactly two sensor traces required",
                               clause="sensor-count")
-    check_changepoint_min_gap(changepoint_min_gap)
+    check_changepoint_min_gap(changepoint_min_gap, float(traces[0].times[-1]))
     condition_report = check_sensor_geometry(
         spectrum, traces[0].sensor_angle - traces[1].sensor_angle)
     problem = _two_sensor_problem(traces, spectrum)

@@ -9,8 +9,8 @@ Hankel's asymptotic expansion with 24 terms, O(1) per point. Below that it
 is the trapezoidal rule on Bessel's integral
 J_m(x) = (2 pi)^-1 int_0^2pi cos(m tau - x sin tau) d tau, with about
 2(x + m) + 64 nodes: the integrand is periodic and entire, so the rule
-converges geometrically. J_m(0) is exact. The zeros come from one sign scan
-per order, polished by a vectorized safeguarded Newton iteration.
+converges geometrically. J_m(0) is exact. Zeros up to a bound come from one
+sign scan per order, polished by a vectorized safeguarded Newton iteration.
 
 The only caches are the Gauss-Legendre rules and the Hankel coefficients.
 """
@@ -81,12 +81,9 @@ def _bessel_j_unchecked(m: int, x) -> np.ndarray:
     so values far smaller than that (x << m) carry no relative accuracy.
     """
     x = np.asarray(x, dtype=float)
-    x_far = max(30.0, 0.5 * m * m)
-    if x.ndim == 0 and x >= x_far:  # in Python floats, ten times faster than 0-d arrays
-        return np.float64(_bessel_hankel(m, float(x)))
     flat = x.ravel()
     out = np.empty_like(flat)
-    far = flat >= x_far
+    far = flat >= max(30.0, 0.5 * m * m)
     if far.any():
         out[far] = _bessel_hankel(m, flat[far])
     near = ~far
@@ -102,9 +99,11 @@ def _bessel_trapezoid(m: int, x: np.ndarray) -> np.ndarray:
 
     The integrand is periodic and entire, so the rule's error is the aliased
     J_(2n-m)(x), negligible once 2n - m > 2x + m + 64; n > x + m + 32 grows
-    with x in steps of 16, so a value does not depend on the rest of its
-    batch. Distinct x are evaluated once, in blocks of at most _BESSEL_BLOCK
-    matrix entries.
+    with x in steps of 16, so the rule a value gets does not depend on the
+    rest of its batch. Its last bits can: the BLAS product rounds by the
+    rows of its block (j_(10,2) of build_spectrum(400) moved by 1 ulp when
+    its order's batch of zeros shrank). Distinct x are evaluated once, in
+    blocks of at most _BESSEL_BLOCK matrix entries.
     """
     xs, inv = np.unique(x, return_inverse=True)
     halves = m + 48 + 16 * (xs // 16).astype(int)
@@ -136,11 +135,11 @@ def _hankel_coefficients(m: int):
     return tuple(zip(p[::-1], q[::-1]))
 
 
-def _bessel_hankel(m: int, x):
+def _bessel_hankel(m: int, x: np.ndarray) -> np.ndarray:
     """Hankel's expansion sqrt(2/(pi x)) (P cos chi - Q sin chi), with
-    chi = x - (2m + 1) pi/4, for an array or a float x. cos chi and sin chi
-    come from cos x, sin x and the exact values of the phase: rounding
-    x - phase would cost up to ulp(x) of the argument."""
+    chi = x - (2m + 1) pi/4. cos chi and sin chi come from cos x, sin x and
+    the exact values of the phase: rounding x - phase would cost up to
+    ulp(x) of the argument."""
     y2 = 1.0 / (x * x)
     p = q = 0.0
     for cp, cq in _hankel_coefficients(m):  # Horner in 1/x^2
@@ -149,41 +148,39 @@ def _bessel_hankel(m: int, x):
     half = math.sqrt(0.5)
     cos_ph = half if m % 4 in (0, 3) else -half  # cos((2m + 1) pi/4)
     sin_ph = half if m % 4 in (0, 1) else -half
-    fn = math if isinstance(x, float) else np
-    cos_x, sin_x = fn.cos(x), fn.sin(x)
+    cos_x, sin_x = np.cos(x), np.sin(x)
     cos_chi = cos_x * cos_ph + sin_x * sin_ph
     sin_chi = sin_x * cos_ph - cos_x * sin_ph
-    return fn.sqrt(2.0 / (math.pi * x)) * (p * cos_chi - q / x * sin_chi)
+    return np.sqrt(2.0 / (math.pi * x)) * (p * cos_chi - q / x * sin_chi)
 
 
-def bessel_j_zeros(m: int, count: int) -> np.ndarray:
-    """First `count` positive zeros of J_m, strictly increasing.
+def bessel_j_zeros(m: int, upper: float) -> np.ndarray:
+    """Every positive zero of J_m up to `upper`, strictly increasing; empty
+    when j_(m,1) > upper.
 
     One sign scan with step 0.5 (below the smallest spacing of consecutive
-    zeros, which exceeds 3) brackets every zero between a start below
-    j_(m,1) (Olver's estimate minus 1.5) and (count + m/2 + 1) pi, which
-    lies above j_(m,count) for every m >= 0. Newton then polishes all
-    brackets at once, with bisection wherever a step leaves its bracket.
+    zeros, which exceeds 3) from a start below j_(m,1) (Olver's estimate
+    minus 1.5) to the first grid point past `upper` brackets every such
+    zero. Newton then polishes those brackets at once, with bisection
+    wherever a step leaves its bracket.
     """
     if not (isinstance(m, (int, np.integer)) and 0 <= m <= 200):
         raise DomainError(f"order m={m} outside supported integer range [0, 200]")
-    count = int(count)
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    upper = float(upper)
+    if not (math.isfinite(upper) and upper > 0.0):
+        raise DomainError(f"upper={upper} must be a finite number > 0")
     m = int(m)
     if m >= 1:
         mt = float(m) ** (1.0 / 3.0)
         start = m + 1.8557571 * mt + 1.033150 / mt - 1.5
     else:
         start = 1.0
-    grid = start + 0.5 * np.arange(int(2.0 * ((count + 0.5 * m + 1.0) * math.pi - start)) + 2)
+    grid = start + 0.5 * np.arange(int(2.0 * (upper - start)) + 2)
     neg = _bessel_j_unchecked(m, grid) < 0.0
     left = np.flatnonzero(neg[:-1] != neg[1:])
-    if left.size < count:
-        raise BracketingError(f"could not bracket zero {left.size + 1} of J_{m}")
-    left = left[:count]
     zeros = _polish_zeros(m, grid[left], grid[left + 1])
-    if count > 1 and not np.all(np.diff(zeros) > 2.0):
+    zeros = zeros[zeros <= upper]
+    if not np.all(np.diff(zeros) > 2.0):
         raise BracketingError(f"zero spacing check failed for J_{m}")
     if np.any(np.abs(_bessel_j_unchecked(m, zeros)) > 1e-11):
         raise BracketingError(f"zero residual check failed for J_{m}")

@@ -334,6 +334,7 @@ class TestConfigValidation:
         ("inversion.changepoint_min_gap", "x", "config-schema"),
         ("inversion.changepoint_min_gap", math.nan, "config-schema"),
         ("inversion.changepoint_min_gap", 0.0, "inversion-config"),
+        ("inversion.changepoint_min_gap", 5.0, "inversion-config"),
         pytest.param("inversion.margin_min", math.nan, "config-schema",
                      id="inversion.margin_min-nan-inversion-setting-removed"),
         pytest.param("inversion.margin_min", -1.0, "config-schema",
@@ -1082,9 +1083,10 @@ def _package_functions():
 
 class TestReachability:
     def test_commands_call_every_function(self, tmp_path):
-        # the five commands on the reference config, at 1 % noise, and synth
-        # of a model of two densities call every
-        # function of the package: code that only tests reach belongs in
+        # the five commands on the reference config, at 1 % noise, synth
+        # of a model of two densities and spectrum at lambda_max 900 (whose
+        # zero scan reaches Hankel's range, x >= 30) call every function of
+        # the package: code that only tests reach belongs in
         # tests/oracles.py. Cached functions run only on a miss, so their
         # caches are emptied first.
         defined = _package_functions()
@@ -1101,9 +1103,12 @@ class TestReachability:
         densities["model"]["pieces"] = [
             {"density": {"kind": "gaussian", "r0": 0.4, "theta0": 1.0, "width": 0.3}},
             {"density": {"kind": "constant", "amplitude": 0.5}}]
+        tall = json.loads(json.dumps(base))
+        tall["spectrum"]["lambda_max"] = 900.0
         runs = [(base, ["spectrum", "synth", "invert", "verify", "plotdata"], ""),
                 (noisy, ["synth", "invert", "plotdata"], "_noisy"),
-                (densities, ["synth"], "")]
+                (densities, ["synth"], ""),
+                (tall, ["spectrum"], "")]
         called = set()
 
         def record(frame, event, arg):

@@ -100,14 +100,15 @@ def _noisy(traces, level, seed):
 
 class TestInversionConfig:
     # the inversion section is checked once, where load_config reads it: a
-    # finite gap that is not > 0 has clause inversion-config; a NaN or
-    # infinite gap (as every non-finite float-typed key), a gap of another
-    # JSON type, and the removed settings margin_min (now
-    # forward_model.MARGIN_MIN) and refine (refine_joint always runs), have
-    # clause config-schema
+    # finite gap that is not > 0, or longer than grid.t_max, has clause
+    # inversion-config; a NaN or infinite gap (as every non-finite
+    # float-typed key), a gap of another JSON type, and the removed
+    # settings margin_min (now forward_model.MARGIN_MIN) and refine
+    # (refine_joint always runs), have clause config-schema
     @pytest.mark.parametrize("kwargs", [
         {"changepoint_min_gap": math.nan}, {"changepoint_min_gap": math.inf},
-        {"changepoint_min_gap": 0.0}, {"changepoint_min_gap": "0.3"},
+        {"changepoint_min_gap": 0.0}, {"changepoint_min_gap": 5.0},
+        {"changepoint_min_gap": "0.3"},
         {"changepoint_min_gap": True}, {"margin_min": math.nan}, {"margin_min": -1.0},
         {"margin_min": 0.0}, {"margin_min": 1.0}, {"refine": "false"}, {"refine": 0},
     ])
@@ -135,11 +136,12 @@ class TestInversionConfig:
                 reconstruct(reference_traces, spectrum30, GAP, **kwargs)
 
     @pytest.mark.parametrize("level", [0.0, 0.01])
-    @pytest.mark.parametrize("gap", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, 0.0, -1.0, 5.0])
     def test_reconstruct_checks_the_gap(self, spectrum30, reference_traces, monkeypatch,
                                         gap, level):
         # reconstruct checks the gap before any build, on clean and on noisy
-        # traces, as load_config does a finite gap, with its message;
+        # traces, as load_config does a finite gap, with its message (5.0
+        # against the 4.0-long record and the default grid.t_max 4.0);
         # load_config rejects a NaN or infinite gap first, as it does every
         # non-finite float-typed key (clause config-schema)
         builds = []
@@ -154,6 +156,14 @@ class TestInversionConfig:
         else:
             assert want.value.clause == "config-schema"
         assert builds == []
+
+    def test_gap_longer_than_the_record(self):
+        # a gap longer than the record leaves no room for a cut: the message
+        # names the record length, and a gap equal to it is accepted
+        with pytest.raises(ValidationError, match="record length 4.0"):
+            load_config(json.dumps({"inversion": {"changepoint_min_gap": 5.0}}))
+        cfg = load_config(json.dumps({"inversion": {"changepoint_min_gap": 4.0}}))
+        assert cfg.inversion["changepoint_min_gap"] == 4.0
 
 
 class TestDetectOnset:

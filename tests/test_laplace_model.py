@@ -33,13 +33,11 @@ BOUNDARY_LAMBDA_MAX = 2.2e8
 
 def _partial_spectrum(lambda_max, m_max):
     """The modes with eigenvalue <= lambda_max and order |m| <= m_max, in
-    the order of build_spectrum, from bessel_j_zeros: j_{m,k} lies near
-    (k + m/2 - 1/4) pi, so sqrt(lambda_max)/pi + 2 zeros reach past it."""
+    the order of build_spectrum, from bessel_j_zeros."""
     top = math.sqrt(lambda_max)
     modes = []
     for m in range(m_max + 1):
-        zeros = bessel_j_zeros(m, int(top / math.pi) + 2)
-        zeros = zeros[zeros <= top]
+        zeros = bessel_j_zeros(m, top)
         omegas = 1.0 / (math.sqrt(math.pi) * np.abs(_bessel_j_unchecked(m + 1, zeros)))
         for k, (z, omega) in enumerate(zip(zeros.tolist(), omegas.tolist()), start=1):
             modes += [EigenMode(m=sign * m, k=k, lam=z * z, omega=omega)
@@ -307,8 +305,8 @@ class TestAdjointWeight:
             "    with open('/proc/self/status') as fh:\n"
             "        return next(int(row.split()[1]) for row in fh if row.startswith('VmHWM:'))\n"
             f"top = math.sqrt({BOUNDARY_LAMBDA_MAX!r})\n"
-            "zeros = [bessel_j_zeros(m, int(top / math.pi) + 2) for m in range(6)]\n"
-            "lams = np.sort(np.concatenate([z[z <= top] for z in zeros]) ** 2)\n"
+            "zeros = [bessel_j_zeros(m, top) for m in range(6)]\n"
+            "lams = np.sort(np.concatenate(zeros) ** 2)\n"
             "assert len(lams) == 28320\n"
             "before = peak()\n"
             "relaxation_rates(0.75, lams, [0.0], [1.0])\n"

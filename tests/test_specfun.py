@@ -6,6 +6,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import rgamma
 
+from fracsource.disc_spectrum import build_spectrum
 from fracsource.errors import DomainError
 from fracsource.forward_model import relaxation_design
 from fracsource.specfun import (
@@ -294,27 +295,57 @@ class TestBessel:
 
 class TestBesselZeros:
     def test_first_zeros_against_bisection_oracle(self):
-        assert bessel_j_zeros(0, 1)[0] == pytest.approx(
+        assert bessel_j_zeros(0, 3.0)[0] == pytest.approx(
             oracles.bessel_zero_bisect(0, 1), abs=1e-11)
-        assert bessel_j_zeros(1, 1)[0] == pytest.approx(
+        assert bessel_j_zeros(1, 4.0)[0] == pytest.approx(
             oracles.bessel_zero_bisect(1, 1), abs=1e-11)
-        assert bessel_j_zeros(0, 2)[1] == pytest.approx(
+        assert bessel_j_zeros(0, 6.0)[1] == pytest.approx(
             oracles.bessel_zero_bisect(0, 2), abs=1e-11)
-        assert bessel_j_zeros(0, 1)[0] == pytest.approx(2.404825557695773, abs=1e-12)
-        assert bessel_j_zeros(1, 1)[0] == pytest.approx(3.831705970207512, abs=1e-12)
-        assert bessel_j_zeros(0, 2)[1] == pytest.approx(5.520078110286311, abs=1e-12)
+        assert bessel_j_zeros(0, 3.0)[0] == pytest.approx(2.404825557695773, abs=1e-12)
+        assert bessel_j_zeros(1, 4.0)[0] == pytest.approx(3.831705970207512, abs=1e-12)
+        assert bessel_j_zeros(0, 6.0)[1] == pytest.approx(5.520078110286311, abs=1e-12)
+
+    def test_bound_at_the_first_zero(self):
+        # the oracle's j_(0,1) lies 2 ulp below the polished zero, so the
+        # bound at the oracle's value is widened by the oracle's tolerance
+        # on either side; the bound itself is inclusive
+        j01 = oracles.bessel_zero_bisect(0, 1)
+        assert len(bessel_j_zeros(0, j01 + 1e-11)) == 1
+        assert len(bessel_j_zeros(0, j01 - 1e-11)) == 0
+        zero = bessel_j_zeros(0, 3.0)
+        assert np.array_equal(bessel_j_zeros(0, float(zero[0])), zero)
+
+    def test_bound_below_the_first_zero_is_empty(self):
+        # j_(5,1) = 8.77...
+        assert bessel_j_zeros(5, 5.0).size == 0
 
     def test_residuals_spacing_monotone(self):
+        # (12 + m/2 + 1) pi lies above j_(m,12) for every m >= 0
         for m in (0, 3, 17, 60, 200):
-            zeros = bessel_j_zeros(m, 12)
+            zeros = bessel_j_zeros(m, (12.0 + 0.5 * m + 1.0) * math.pi)
+            assert len(zeros) >= 12
             assert np.all(np.diff(zeros) > 2.0)
             assert np.all(zeros > 0)
             for z in zeros:
                 assert abs(bessel_j(m, float(z))) <= 1e-11
 
-    def test_count_validation(self):
-        with pytest.raises(DomainError):
-            bessel_j_zeros(0, 0)
+    def test_highest_order(self):
+        zeros = bessel_j_zeros(200, 250.0)
+        assert len(zeros) == 7
+        assert zeros[0] == pytest.approx(211.02916651, abs=1e-8)  # mpmath's j_(200,1)
+        assert np.all(zeros <= 250.0)
+
+    def test_bound_validation(self):
+        for upper in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                bessel_j_zeros(0, upper)
+
+    def test_spectrum_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for mo in build_spectrum(60.0).modes:
+                exact = float(mp.besseljzero(abs(mo.m), mo.k) ** 2)
+                assert abs(mo.lam - exact) <= 1e-15 * exact
 
 
 class TestFractionalIntegral:
