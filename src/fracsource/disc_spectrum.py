@@ -153,6 +153,8 @@ def project_function(f, spectrum: SpectrumTable) -> np.ndarray:
     """Quadrature inner products <f, phi_n> over the disc, a complex array
     aligned with spectrum.modes.
 
+    f(r, theta) is called once on the (64, 256) polar grid; leading axes of its
+    values (a stack of functions) lead the result too, in front of the modes.
     64-point Gauss-Legendre in radius (with the r dr weight), trapezoid on
     256 angles (spectrally accurate for periodic integrands).
     """
@@ -162,15 +164,14 @@ def project_function(f, spectrum: SpectrumTable) -> np.ndarray:
     wth = 2.0 * np.pi / 256
     rr, tt = np.meshgrid(r, theta, indexing="ij")
     fv = np.asarray(f(rr, tt), dtype=complex)
-    if fv.shape != rr.shape:
-        fv = np.broadcast_to(fv, rr.shape).astype(complex)
-    vals = np.empty(len(spectrum), dtype=complex)
+    fv = np.broadcast_to(fv, np.broadcast_shapes(fv.shape, rr.shape))
+    vals = np.empty(fv.shape[:-2] + (len(spectrum),), dtype=complex)
     # angular transform once: the trapezoid sums of f * exp(-i m theta) over
     # the equispaced angles are the DFT of f along theta, at index m mod N
-    ang = np.fft.fft(fv, axis=1) * wth
+    ang = np.fft.fft(fv, axis=-1) * wth
     for i, mo in enumerate(spectrum.modes):
         rad = mo.omega * _bessel_j_unchecked(abs(mo.m), math.sqrt(mo.lam) * r)
-        vals[i] = np.sum(ang[:, mo.m % 256] * rad * wr)
+        vals[..., i] = np.sum(ang[..., mo.m % 256] * rad * wr, axis=-1)
     return vals
 
 

@@ -100,10 +100,10 @@ class SourceModel:
         if any(pc.shape != (len(self.spectrum),) for pc in pieces):
             raise ShapeError("piece coefficients do not match the spectrum")
         coeffs = np.array(pieces)
-        if np.any(np.linalg.norm(coeffs, axis=1) == 0.0):
+        if not coeffs.any(axis=1).all():
             raise ValidationError("every piece must have nonzero norm",
                                   clause="assumption-1c")
-        if np.any(np.linalg.norm(np.diff(coeffs, axis=0), axis=1) == 0.0):
+        if not (coeffs[1:] != coeffs[:-1]).any(axis=1).all():
             raise ValidationError("consecutive pieces must differ",
                                   clause="assumption-1c")
         groups = self.spectrum.distinct_eigenvalues

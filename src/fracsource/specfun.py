@@ -20,7 +20,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import BracketingError, DomainError
 
@@ -37,7 +36,9 @@ __all__ = [
 
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(nodes: int):
-    """Gauss-Legendre rule on [-1, 1]; read-only, since every caller shares it."""
+    """Gauss-Legendre rule on [-1, 1]; read-only, since every caller shares it.
+    A command that builds no rule never loads numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
     x, w = leggauss(nodes)
     x.setflags(write=False)
     w.setflags(write=False)

@@ -96,14 +96,9 @@ class TestA2Eigensystem:
     def test_a2_gram_normalizers_multiplicity(self):
         sp = build_spectrum(400.0)
         n = 12
-        gram_err = 0.0
-        for i in range(n):
-            mo = sp.modes[i]
-            coeffs = project_function(
-                lambda r, th, mo=mo: eigenfunction_eval(mo, r, th), sp)
-            row = coeffs[:n].copy()
-            row[i] -= 1.0
-            gram_err = max(gram_err, float(np.max(np.abs(row))))
+        gram = project_function(lambda r, th: np.stack(
+            [eigenfunction_eval(mo, r, th) for mo in sp.modes[:n]]), sp)[:, :n]
+        gram_err = float(np.max(np.abs(gram - np.eye(n))))
 
         norm_err = 0.0
         for mo in sp.modes:

@@ -1022,6 +1022,30 @@ class TestBlasThreads:
             assert tasks == "1"
 
 
+class TestLazyPolynomialImport:
+    # numpy.polynomial is imported where a Gauss-Legendre rule is built: by
+    # verify (its panels and project_function), not by synth or invert of a
+    # config without density pieces
+    def test_only_verify_loads_numpy_polynomial(self, tmp_path):
+        script = ("import sys\n"
+                  "from fracsource.cli import main\n"
+                  "cfg, out = sys.argv[1:]\n"
+                  "common = ['--config', cfg, '--out', out, '--quiet']\n"
+                  "loaded = []\n"
+                  "for argv in (['synth'] + common,\n"
+                  "             ['invert'] + common + [out + '/flux_sensor1.csv',\n"
+                  "                                    out + '/flux_sensor2.csv'],\n"
+                  "             ['verify'] + common):\n"
+                  "    assert main(argv) == 0, argv[0]\n"
+                  "    loaded.append('numpy.polynomial' in sys.modules)\n"
+                  "print(*loaded)\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script, REFERENCE_CONFIG, str(tmp_path / "run")],
+            capture_output=True, text=True, timeout=300, env=_python_env())
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "False", "True"]
+
+
 class TestNoScipyImport:
     def test_no_command_imports_scipy(self, tmp_path):
         # SciPy is a test-only dependency: every CLI command takes its

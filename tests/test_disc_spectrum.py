@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracsource import config
 from fracsource.disc_spectrum import (
     EigenMode,
     SpectrumTable,
@@ -104,13 +105,8 @@ class TestEigenfunctions:
     def test_orthonormality_gram(self):
         sp = build_spectrum(60.0)
         n = min(12, len(sp))
-        rows = []
-        for i in range(n):
-            mo = sp.modes[i]
-            coeffs = project_function(
-                lambda r, th, mo=mo: eigenfunction_eval(mo, r, th), sp)
-            rows.append(coeffs[:n])
-        gram = np.array(rows)
+        gram = project_function(lambda r, th: np.stack(
+            [eigenfunction_eval(mo, r, th) for mo in sp.modes[:n]]), sp)[:, :n]
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-8
 
     def test_radial_ode_residual(self, spectrum30):
@@ -251,6 +247,50 @@ class TestProjection:
         for i, mo in enumerate(spectrum30.modes):
             if mo.m != 0:
                 assert abs(coeffs[i]) <= 1e-8
+
+    def test_stack_rows_equal_single_calls(self, spectrum30, monkeypatch):
+        # the gaussian density as the config builds it: _coeffs_from_spec
+        # hands its f to project_function
+        built = []
+        monkeypatch.setattr(config, "project_function", lambda f, sp: built.append(f))
+        config._coeffs_from_spec(
+            {"density": {"kind": "gaussian", "r0": 0.3, "theta0": 0.7}}, spectrum30)
+        mo = spectrum30.modes[3]
+        funcs = [lambda r, th: eigenfunction_eval(mo, r, th), built[0],
+                 lambda r, th: 0.5 * np.ones_like(r)]
+        stacked = project_function(
+            lambda r, th: np.stack([f(r, th) for f in funcs]), spectrum30)
+        assert stacked.shape == (3, len(spectrum30))
+        for row, f in zip(stacked, funcs):
+            assert np.array_equal(row, project_function(f, spectrum30))
+
+    def test_scalar_function_broadcasts(self, spectrum30):
+        coeffs = project_function(lambda r, th: 0.5, spectrum30)
+        assert coeffs.shape == (len(spectrum30),)
+        assert np.array_equal(
+            coeffs, project_function(lambda r, th: np.full_like(r, 0.5), spectrum30))
+
+    def test_leading_axes_are_kept(self, spectrum30):
+        modes = spectrum30.modes[:3]
+
+        def f(r, th):
+            return np.array([[eigenfunction_eval(mo, r, th) for mo in modes], [th, th, th]])
+
+        coeffs = project_function(f, spectrum30)
+        assert coeffs.shape == (2, 3, len(spectrum30))
+        assert np.array_equal(coeffs[0, 2], project_function(
+            lambda r, th: eigenfunction_eval(modes[2], r, th), spectrum30))
+        assert np.array_equal(coeffs[1, 0], project_function(lambda r, th: th, spectrum30))
+
+    @pytest.mark.parametrize("lambda_max", [60.0, 400.0])
+    def test_stacked_gram_equals_per_mode_loop(self, lambda_max):
+        sp = build_spectrum(lambda_max)
+        lead = sp.modes[:12]
+        stacked = project_function(lambda r, th: np.stack(
+            [eigenfunction_eval(mo, r, th) for mo in lead]), sp)
+        loop = np.array([project_function(
+            lambda r, th, mo=mo: eigenfunction_eval(mo, r, th), sp) for mo in lead])
+        assert np.array_equal(stacked, loop)
 
 
 class TestSerialization:

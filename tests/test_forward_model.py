@@ -68,6 +68,11 @@ class TestSourceModelValidation:
             SourceModel(alpha=0.75, cuts=(0.0, math.inf), piece_coeffs=(zero,),
                         spectrum=spectrum30)
         assert err.value.clause == "assumption-1c"
+        # the check is exact: a piece whose squared norm underflows is not zero
+        tiny = make_coeffs(spectrum30, {(0, 1): 1e-200, (1, 1): 1e-200 + 3e-200j})
+        model = SourceModel(alpha=0.75, cuts=(0.0, math.inf), piece_coeffs=(tiny,),
+                            spectrum=spectrum30)
+        assert np.array_equal(model.piece_coeffs[0], tiny)
 
     def test_consecutive_pieces_must_differ(self, spectrum30):
         p = make_coeffs(spectrum30, {(0, 1): 1.0})
@@ -75,6 +80,16 @@ class TestSourceModelValidation:
             SourceModel(alpha=0.75, cuts=(0.0, 1.0, math.inf),
                         piece_coeffs=(p, p), spectrum=spectrum30)
         assert err.value.clause == "assumption-1c"
+        # equal pieces near the largest double are still equal, and pieces
+        # whose difference overflows still differ
+        big = make_coeffs(spectrum30, {(0, 1): 1.7e308})
+        with pytest.raises(ValidationError) as err:
+            SourceModel(alpha=0.75, cuts=(0.0, 1.0, math.inf),
+                        piece_coeffs=(big, big.copy()), spectrum=spectrum30)
+        assert err.value.clause == "assumption-1c"
+        model = SourceModel(alpha=0.75, cuts=(0.0, 1.0, math.inf),
+                            piece_coeffs=(big, -big), spectrum=spectrum30)
+        assert model.n_pieces == 2
 
     def test_shape_mismatch(self, spectrum30):
         p = np.ones(3, dtype=complex)
